@@ -1,8 +1,10 @@
 """Microbenchmark harness for the vectorized streaming hot path.
 
-Measures the fused CSR fast loop against the seed record-at-a-time loop
-(``partition(..., fast=False)``) for every heuristic that ships a fused
-kernel, in the style of redisbench-admin: explicit warmup runs, a fixed
+Measures each heuristic's fused scoring kernel against the reference
+kernel derived from ``_score``/``_after_commit``
+(``partition(..., fast=False)`` — same placement loop, seed scoring) for
+every heuristic that ships a fused kernel, in the style of
+redisbench-admin: explicit warmup runs, a fixed
 number of timed repeats, median + stdev reporting, and a machine
 fingerprint embedded in the artifact so numbers from different hosts are
 never compared blindly.

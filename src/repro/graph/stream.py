@@ -14,7 +14,7 @@ Four sources are provided:
   serially streamed") or any explicit order;
 * :class:`ArrayStream` — the same records backed directly by contiguous
   CSR ``indptr``/``indices`` arrays.  Iterating yields zero-copy
-  neighbor views, and the vectorized fast path in
+  neighbor views, and the placement kernel's driver in
   :mod:`repro.partitioning.base` reads the arrays without constructing
   per-record objects at all (see :func:`as_array_stream`);
 * :class:`FileStream` — records read lazily from an adjacency-list file, so
@@ -253,7 +253,7 @@ class ArrayStream(_Seekable):
 
     @property
     def max_degree(self) -> int:
-        """Largest out-degree (sizes the fast path's scratch buffers)."""
+        """Largest out-degree (sizes the sharded executors' record ring)."""
         if self._max_degree is None:
             if self.num_vertices == 0:
                 self._max_degree = 0
@@ -278,8 +278,8 @@ def as_array_stream(stream) -> ArrayStream | None:
 
     :class:`ArrayStream` returns itself; :class:`GraphStream` wraps its
     graph's CSR arrays zero-copy.  Sources without materialized arrays
-    (:class:`FileStream`, generators) return ``None`` and stay on the
-    record-at-a-time path — the conversion is never allowed to silently
+    (:class:`FileStream`, generators) return ``None`` and are iterated
+    record by record — the conversion is never allowed to silently
     load a disk stream into memory.  Only *exact* types convert:
     subclasses may override ``__iter__`` (truncation, reordering, fault
     injection), and the CSR view would silently bypass that.

@@ -17,11 +17,12 @@ plus a terminal ``stream_summary``.  Each snapshot carries:
 * the Γ expectation-table footprint, via the partitioner's optional
   ``_probe_gauges()`` hook.
 
-Cost model: the probe reuses the neighbor partition counts the scoring
-loop already computed (see
-``PartitionState.consume_neighbor_counts``), so per-placement overhead
-is O(K) bookkeeping, and the O(K)-sized snapshot work only runs once per
-window.
+Cost model: the probe reuses the neighbor partition counts when the
+reference ``_score`` just computed them (see
+``PartitionState.consume_neighbor_counts``) and otherwise re-tallies the
+record's neighbors once — the fused kernels keep no such memo — so
+per-placement overhead is O(degree + K) bookkeeping, and the O(K)-sized
+snapshot work only runs once per window.
 """
 
 from __future__ import annotations
@@ -80,16 +81,17 @@ class StreamProbe:
                        type(self.partitioner).__name__)
 
     # ------------------------------------------------------------------
-    def observe(self, record: Any, pid: int,
+    def observe(self, vertex: int, neighbors: np.ndarray, pid: int,
                 margin: float | None = None) -> None:
         """Account one committed placement (call *after* the commit).
 
-        ``margin`` is the argmax-vs-runner-up score gap when the caller
-        computed one (``None`` when there was no runner-up to compare
-        against); ``choose_with_margin`` guarantees it finite, so no
-        NaN/inf screening happens here.
+        Fed by the placement kernel's step — the path production runs —
+        and by the parallel executors.  ``margin`` is the
+        argmax-vs-runner-up score gap when the caller computed one
+        (``None`` when there was no runner-up to compare against);
+        ``choose_with_margin`` guarantees it finite, so no NaN/inf
+        screening happens here.
         """
-        neighbors = record.neighbors
         if len(neighbors):
             memo = self.state.consume_neighbor_counts(neighbors)
             if memo is not None:
@@ -100,7 +102,7 @@ class StreamProbe:
                 # reconstruct the pre-commit view, excluding a possible
                 # self-loop (v is already routed by now).
                 state = self.state
-                parts = state.route[neighbors[neighbors != record.vertex]]
+                parts = state.route[neighbors[neighbors != vertex]]
                 placed = parts[parts != UNASSIGNED]
                 resolved = int(placed.size)
                 cut = int(np.count_nonzero(placed != pid))

@@ -165,7 +165,8 @@ class SimulatedParallelPartitioner(_ParallelBase):
                     # The batch-stale scores mean the cached neighbor tally
                     # (if any) predates other commits in this batch; the
                     # probe recomputes when the memo has been consumed.
-                    probe.observe(record, pid, margin)
+                    probe.observe(record.vertex, record.neighbors,
+                                  pid, margin)
                 if rct is not None:
                     rct.remove(record.vertex)
                     rct.release_references(record.neighbors)
@@ -359,7 +360,8 @@ class ThreadedParallelPartitioner(_ParallelBase):
                         state.commit(record, pid)
                         base._after_commit(record, pid, state)
                         if probe is not None:
-                            probe.observe(record, pid, margin)
+                            probe.observe(record.vertex, record.neighbors,
+                                          pid, margin)
                 except BaseException as exc:
                     # Shared state may be half-updated; a retry could
                     # place the vertex twice.  Not survivable.

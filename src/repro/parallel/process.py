@@ -766,7 +766,8 @@ class ProcessShardedPartitioner(_ParallelBase):
                 state.commit(record, pid)
                 base._after_commit(record, pid, state)
                 if probe is not None:
-                    probe.observe(record, pid, margin)
+                    probe.observe(record.vertex, record.neighbors,
+                                  pid, margin)
                 if rct is not None:
                     rct.remove(record.vertex)
                     rct.release_references(record.neighbors)

@@ -26,6 +26,7 @@ import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable
 
 import numpy as np
@@ -36,7 +37,7 @@ from .assignment import UNASSIGNED, PartitionAssignment
 
 __all__ = ["BalanceMode", "CapacityOverflowError", "PartitionState",
            "StreamingResult", "StreamingPartitioner", "FastKernel",
-           "make_weight_updater", "make_shifted_counter"]
+           "PlacementKernel", "make_weight_updater", "make_shifted_counter"]
 
 #: Valid values for the all-partitions-full overflow policy.
 OVERFLOW_POLICIES = ("least-loaded", "strict")
@@ -51,32 +52,33 @@ class CapacityOverflowError(RuntimeError):
     guarantee instead.
     """
 
-#: A fused per-record kernel: ``(score_into(v, neighbors) -> scores,
-#: after_commit(v, neighbors, pid) | None)``.  ``score_into`` writes the
-#: length-K score vector into a preallocated buffer and returns it; the
-#: fast driver masks/argmaxes that buffer in place.
+#: A heuristic's per-record scoring pair: ``(score_into(v, neighbors) ->
+#: scores, after_commit(v, neighbors, pid) | None)``.  ``score_into``
+#: writes the length-K score vector into a preallocated buffer and
+#: returns it; :class:`PlacementKernel` masks/argmaxes that buffer in
+#: place.
 FastKernel = tuple[Callable[[int, np.ndarray], np.ndarray],
                    Callable[[int, np.ndarray, int], None] | None]
 
 
 class _Scratch:
-    """Reusable per-run buffers backing the vectorized fast path.
+    """Reusable length-K buffers backing the placement kernel.
 
     One instance is attached to a :class:`PartitionState` by
     :meth:`PartitionState.ensure_scratch`; every ``*_into`` kernel and
     every heuristic's fused scorer writes into these instead of
     allocating per record.  ``zeros_k`` is a shared all-zero count
     vector handed out for empty neighborhoods — callers must treat it
-    as read-only.
+    as read-only.  Nothing here is sized by a degree: a record may be
+    longer than any the stream announced (a ``FileStream`` announces
+    none; a served placement may carry its own neighbor list).
     """
 
-    __slots__ = ("scores", "f1", "f2", "f3", "f4", "f5", "i1", "i2",
-                 "weights", "edge_weights", "inelig", "inelig2", "parts",
-                 "parts2", "mask", "idx", "zeros_k", "max_degree")
+    __slots__ = ("scores", "f1", "f2", "f3", "f4", "f5", "i1",
+                 "weights", "edge_weights", "inelig", "inelig2", "zeros_k")
 
-    def __init__(self, num_partitions: int, max_degree: int) -> None:
+    def __init__(self, num_partitions: int) -> None:
         k = num_partitions
-        d = max(1, max_degree)
         self.scores = np.empty(k, dtype=np.float64)
         self.f1 = np.empty(k, dtype=np.float64)
         self.f2 = np.empty(k, dtype=np.float64)
@@ -84,17 +86,11 @@ class _Scratch:
         self.f4 = np.empty(k, dtype=np.float64)
         self.f5 = np.empty(k, dtype=np.float64)
         self.i1 = np.empty(k, dtype=np.int64)
-        self.i2 = np.empty(k, dtype=np.int64)
         self.weights = np.empty(k, dtype=np.float64)
         self.edge_weights = np.empty(k, dtype=np.float64)
         self.inelig = np.empty(k, dtype=bool)
         self.inelig2 = np.empty(k, dtype=bool)
-        self.parts = np.empty(d, dtype=np.int32)
-        self.parts2 = np.empty(d, dtype=np.int32)
-        self.mask = np.empty(d, dtype=bool)
-        self.idx = np.empty(d + 1, dtype=np.int64)
         self.zeros_k = np.zeros(k, dtype=np.int64)
-        self.max_degree = max_degree
 
 
 class BalanceMode(str, enum.Enum):
@@ -168,15 +164,11 @@ class PartitionState:
         self._nc_memo = None
         self.scratch: _Scratch | None = None
 
-    # -- preallocated fast-path buffers --------------------------------
-    def ensure_scratch(self, max_degree: int) -> _Scratch:
-        """Allocate (or reuse) the reusable fast-path buffers.
-
-        ``max_degree`` sizes the neighbor-indexed buffers; a scratch
-        allocated for a smaller degree is re-grown.
-        """
-        if self.scratch is None or self.scratch.max_degree < max_degree:
-            self.scratch = _Scratch(self.num_partitions, max_degree)
+    # -- preallocated kernel buffers ------------------------------------
+    def ensure_scratch(self) -> _Scratch:
+        """Allocate (or reuse) the reusable length-K kernel buffers."""
+        if self.scratch is None:
+            self.scratch = _Scratch(self.num_partitions)
         return self.scratch
 
     def penalty_weights_into(self, out: np.ndarray) -> np.ndarray:
@@ -195,23 +187,6 @@ class PartitionState:
             np.maximum(ew, 0.0, out=ew)
             np.minimum(out, ew, out=out)
         return out
-
-    def neighbor_counts_fast(self, neighbors: np.ndarray) -> np.ndarray:
-        """:meth:`neighbor_partition_counts` without the filter pass.
-
-        Shifts partition ids by one so the ``UNASSIGNED`` sentinel lands
-        in bincount slot 0, then drops that slot — one ``bincount``
-        instead of mask + fancy-index + ``bincount``.  Returns a length-K
-        ``int64`` view; valid until the next call.  Does not feed the
-        probe memo (the fast path runs uninstrumented by construction).
-        """
-        d = len(neighbors)
-        if d == 0:
-            return self.scratch.zeros_k
-        parts = self.route.take(neighbors, out=self.scratch.parts[:d])
-        np.add(parts, 1, out=parts)
-        counts = np.bincount(parts, minlength=self.num_partitions + 1)
-        return counts[1:]
 
     # ------------------------------------------------------------------
     def loads(self) -> np.ndarray:
@@ -319,10 +294,10 @@ class PartitionState:
     def load_state(self, payload: dict[str, Any]) -> None:
         """Restore from :meth:`state_dict` output (config must match).
 
-        The fast-path scratch is *not* restored: it is derived state,
-        rebuilt from the restored arrays the next time a fused kernel is
-        constructed (``ensure_scratch`` plus the kernels' maintained
-        images, which are all initialized from the live route/counts).
+        The kernel scratch is *not* restored: it is derived state,
+        rebuilt from the restored arrays the next time a
+        :class:`PlacementKernel` is constructed (its maintained images
+        are all initialized from the live route/counts).
         """
         for field_name in ("num_partitions", "num_vertices", "num_edges"):
             if int(payload[field_name]) != getattr(self, field_name):
@@ -346,75 +321,163 @@ class PartitionState:
         self._nc_memo = None
 
 
-def _make_fast_choose(state: PartitionState) -> tuple[
-        Callable[[np.ndarray], int], Callable[[int], None]]:
-    """Build a fused, in-place variant of :meth:`StreamingPartitioner.choose`.
+class PlacementKernel:
+    """The one placement step (Algorithm 1, lines 2-7) over live state.
 
-    Returns ``(choose, note_commit)``.  ``choose`` destroys its input
-    buffer (masking ineligible partitions to ``-inf`` and scrubbing the
-    argmax) — callers hand it the per-record score scratch, never a
-    long-lived array.  It picks the *identical* partition as ``choose``
-    for any input: same capacity masking, same overflow safety valve,
-    same least-loaded-then-lowest-id tie-break (the byte-identity test
-    suite rests on this).
+    Built once per ``(partitioner, state)``; every sequential driver —
+    :meth:`StreamingPartitioner.partition`, the checkpointing driver,
+    the placement server at ``parallelism == 1`` — places each vertex by
+    calling :attr:`step`, in arrival order, with no contiguity
+    requirement on the ids.  ``step(v, neighbors) -> pid`` scores from
+    the local view, picks the argmax under capacity, commits the route
+    and the per-partition tallies, and lets the heuristic update its own
+    state.  It picks the *identical* partition as
+    :meth:`StreamingPartitioner.choose` for any score vector: same
+    capacity masking, same overflow safety valve, same
+    least-loaded-then-lowest-id tie-break (the frozen route digests and
+    the byte-identity suite rest on this).
+
+    The scoring pair is the heuristic's hand-fused one
+    (:meth:`StreamingPartitioner._fast_kernel`) when it ships one, else
+    — or always under ``reference=True`` — the pair derived from
+    ``_score``/``_after_commit``.  Every maintained image (this class's
+    ineligibility mask, the heuristics' shifted route table, penalty
+    weights, η lanes) is initialised from the live state, so a kernel
+    built over restored or replayed state continues the run exactly.
+    The price is that nothing else may commit to ``state`` while the
+    kernel is in use.
 
     The ineligibility mask is maintained *incrementally*: loads are
     monotone and only the committed lane changes per record, so the
-    caller reports each commit via ``note_commit(pid)`` and the K-wide
-    ``>=`` scans (plus the ``-inf`` scatter while every lane is still
-    eligible — the overwhelmingly common regime) disappear from the per
-    record cost.
+    K-wide ``>=`` scans (plus the ``-inf`` scatter while every lane is
+    still eligible — the overwhelmingly common regime) disappear from
+    the per-record cost.
+
+    ``observe(v, neighbors, pid, margin)`` (a
+    :meth:`~repro.observability.StreamProbe.observe`) is called after
+    each commit with the argmax-vs-runner-up score margin under
+    :meth:`StreamingPartitioner.choose_with_margin`'s conventions.
     """
-    scratch = state.scratch
-    loads = state.loads()  # stable array reference, mutated in place
-    capacity = state.capacity
-    edge_counts = state.edge_counts
-    edge_capacity = state.edge_capacity
-    inelig = scratch.inelig
-    neg_inf = -np.inf
-    isfinite = math.isfinite
 
-    np.greater_equal(loads, capacity, out=inelig)
-    if edge_capacity is not None:
-        np.greater_equal(edge_counts, edge_capacity, out=scratch.inelig2)
-        np.logical_or(inelig, scratch.inelig2, out=inelig)
-    num_inelig = [int(np.count_nonzero(inelig))]
-    strict_overflow = state.overflow_policy == "strict"
+    __slots__ = ("state", "step")
 
-    def choose(scores: np.ndarray) -> int:
-        if num_inelig[0]:
-            np.copyto(scores, neg_inf, where=inelig)
+    def __init__(self, partitioner: "StreamingPartitioner",
+                 state: PartitionState, *, reference: bool = False,
+                 observe: Callable[..., None] | None = None) -> None:
+        scratch = state.ensure_scratch()
+        pair = None if reference else partitioner._fast_kernel(state)
+        if pair is None:
+            pair = partitioner._reference_kernel(state)
+        score_into, after_commit = pair
+        route = state.route
+        vertex_counts = state.vertex_counts
+        edge_counts = state.edge_counts
+        loads = state.loads()  # stable array reference, mutated in place
+        capacity = state.capacity
+        edge_capacity = state.edge_capacity
+        inelig = scratch.inelig
+        neg_inf = -np.inf
+        isfinite = math.isfinite
+
+        np.greater_equal(loads, capacity, out=inelig)
+        if edge_capacity is not None:
+            np.greater_equal(edge_counts, edge_capacity,
+                             out=scratch.inelig2)
+            np.logical_or(inelig, scratch.inelig2, out=inelig)
+        num_inelig = int(np.count_nonzero(inelig))
+
+        def step(v: int, neighbors: np.ndarray) -> int:
+            nonlocal num_inelig
+            scores = score_into(v, neighbors)  # destroyed below
+            if num_inelig:
+                np.copyto(scores, neg_inf, where=inelig)
             pid = scores.argmax()
             best = scores[pid]
-            if not isfinite(best):
-                if strict_overflow:
-                    raise CapacityOverflowError(
-                        f"all {state.num_partitions} partitions are at "
-                        f"capacity {state.capacity}")
-                state.capacity_overflows += 1
-                return int(loads.argmin())
-        else:
-            pid = scores.argmax()
-            best = scores[pid]
-        # Scrub-and-rescan: cheap uniqueness test in the common untied
-        # case (mirrors choose_with_margin's argument).
-        scores[pid] = neg_inf
-        if scores.max() == best:
-            scores[pid] = best
-            candidates = np.nonzero(scores == best)[0]
-            return int(candidates[loads[candidates].argmin()])
-        return int(pid)
-
-    def note_commit(pid: int) -> None:
-        if not inelig[pid]:
-            bad = loads[pid] >= capacity
-            if not bad and edge_capacity is not None:
-                bad = edge_counts[pid] >= edge_capacity
-            if bad:
+            margin = None
+            if num_inelig and not isfinite(best):
+                partitioner._note_overflow(state)  # every partition full
+                pid = loads.argmin()
+            else:
+                # Scrub-and-rescan: cheap uniqueness test in the common
+                # untied case; the rescan is also the runner-up score.
+                scores[pid] = neg_inf
+                runner_up = scores.max()
+                if runner_up == best:
+                    scores[pid] = best
+                    candidates = np.nonzero(scores == best)[0]
+                    pid = candidates[loads[candidates].argmin()]
+                    margin = 0.0
+                elif observe is not None and isfinite(runner_up):
+                    margin = float(best - runner_up)
+            pid = int(pid)
+            degree = len(neighbors)
+            route[v] = pid
+            vertex_counts[pid] += 1
+            edge_counts[pid] += degree
+            state.placed_vertices += 1
+            state.placed_edges += degree
+            if after_commit is not None:
+                after_commit(v, neighbors, pid)
+            if not inelig[pid] and (
+                    loads[pid] >= capacity
+                    or (edge_capacity is not None
+                        and edge_counts[pid] >= edge_capacity)):
                 inelig[pid] = True
-                num_inelig[0] += 1
+                num_inelig += 1
+            if observe is not None:
+                observe(v, neighbors, pid, margin)
+            return pid
 
-    return choose, note_commit
+        self.state = state
+        self.step = step
+
+    def run(self, source: VertexStream, *, every: int | None = None,
+            on_segment: Callable[[int, float], None] | None = None,
+            elapsed: float = 0.0) -> float:
+        """Place every remaining record of ``source``; returns the ``PT``.
+
+        An :class:`~repro.graph.stream.ArrayStream` is read straight out
+        of its CSR arrays (no record objects); anything else is iterated.
+        With ``every``, ``on_segment(position, elapsed)`` runs untimed
+        after each ``every`` records while records remain — the
+        checkpointing driver snapshots there.  ``elapsed`` seeds the
+        running total (a resumed pass continues its clock).
+        """
+        step = self.step
+        state = self.state
+        total = source.num_vertices
+        csr = type(source) is ArrayStream
+        if csr:
+            indptr, indices, order = (source.indptr, source.indices,
+                                      source.order)
+        else:
+            records = iter(source)
+            route = state.route
+        position = source.tell() if hasattr(source, "tell") else 0
+        while position < total:
+            stop = total if every is None else min(total, position + every)
+            before = state.placed_vertices
+            start_t = time.perf_counter()
+            if csr:
+                for v in (range(position, stop) if order is None
+                          else order[position:stop]):
+                    step(v, indices[indptr[v]:indptr[v + 1]])
+            else:
+                # The last segment drains the iterator, so generator
+                # streams run their end-of-stream accounting.
+                for record in islice(
+                        records, None if stop == total else stop - position):
+                    if route[record.vertex] != UNASSIGNED:
+                        raise ValueError(
+                            f"vertex {record.vertex} placed twice")
+                    step(record.vertex, record.neighbors)
+            elapsed += time.perf_counter() - start_t
+            position += state.placed_vertices - before
+            if position < stop:
+                break  # the stream under-delivered
+            if position < total and on_segment is not None:
+                on_segment(position, elapsed)
+        return elapsed
 
 
 def make_shifted_counter(state: PartitionState) -> tuple[
@@ -422,24 +485,20 @@ def make_shifted_counter(state: PartitionState) -> tuple[
     """Neighbor tallies via a *maintained* shifted route table.
 
     Returns ``(counts, note_commit)``.  ``counts(neighbors)`` equals
-    :meth:`PartitionState.neighbor_counts_fast` but against a persistent
-    ``route + 1`` image (``UNASSIGNED`` ⇒ slot 0), so the per-record cost
-    is one ``take`` plus one ``bincount`` — the ``+1`` shift moved to the
-    single committed lane via ``note_commit(v, pid)``.
+    :meth:`PartitionState.neighbor_partition_counts` but against a
+    persistent ``route + 1`` image (``UNASSIGNED`` ⇒ slot 0, dropped
+    after the tally), so the per-record cost is one gather plus one
+    ``bincount`` — the ``+1`` shift moved to the single committed lane
+    via ``note_commit(v, pid)``.
     """
-    scratch = state.scratch
     shifted = (state.route + 1).astype(np.int32)
-    buf = scratch.parts
-    zeros_k = scratch.zeros_k
+    zeros_k = state.scratch.zeros_k
     kp1 = state.num_partitions + 1
 
     def counts(neighbors: np.ndarray) -> np.ndarray:
-        d = len(neighbors)
-        if d == 0:
+        if len(neighbors) == 0:
             return zeros_k
-        tally = np.bincount(shifted.take(neighbors, out=buf[:d]),
-                            minlength=kp1)
-        return tally[1:]
+        return np.bincount(shifted[neighbors], minlength=kp1)[1:]
 
     def note_commit(v: int, pid: int) -> None:
         shifted[v] = pid + 1
@@ -521,7 +580,7 @@ class StreamingResult:
 
     @property
     def fast_path(self) -> bool:
-        """Whether the vectorized fused-kernel loop ran this pass."""
+        """Whether the pass read its records straight out of CSR arrays."""
         return bool(self.stats.get("fast_path", False))
 
     @property
@@ -744,83 +803,44 @@ class StreamingPartitioner(ABC):
         self._after_commit(record, pid, state)
         return pid
 
-    # -- the vectorized fast path ------------------------------------------
-    def _fast_kernel(self, state: PartitionState,
-                     stream: ArrayStream) -> FastKernel | None:
-        """Build the heuristic's fused scoring kernel, or ``None``.
+    # -- the placement kernel ----------------------------------------------
+    def _fast_kernel(self, state: PartitionState) -> FastKernel | None:
+        """Build the heuristic's hand-fused scoring pair, or ``None``.
 
-        Returning a kernel opts the heuristic into the zero-allocation
-        fast loop of :meth:`_run_fast`; the kernel **must** produce
-        bit-identical scores to :meth:`_score` (the registry-wide
-        byte-identity test enforces the resulting assignments match).
-        The default opts out, which keeps exotic heuristics correct on
-        the record-at-a-time path.
+        A fused pair **must** produce bit-identical scores to
+        :meth:`_score` and leave the heuristic's state exactly as
+        :meth:`_after_commit` would (the frozen route digests and the
+        registry-wide byte-identity test enforce the resulting
+        assignments match).  The default ships none, and
+        :class:`PlacementKernel` derives the pair from the reference
+        hooks instead.
         """
         return None
 
-    def _run_fast(self, arrays: ArrayStream, state: PartitionState,
-                  kernel: FastKernel, *, start: int = 0,
-                  stop: int | None = None) -> float:
-        """The fused one-pass loop over CSR arrays; returns elapsed PT.
+    def _reference_kernel(self, state: PartitionState) -> FastKernel:
+        """The scoring pair derived from ``_score``/``_after_commit``.
 
-        Per record: one kernel call (scores into a reusable buffer), one
-        in-place choose, three scalar counter updates, and the optional
-        after-commit hook — no ``AdjacencyRecord`` objects, no method
-        dispatch through ``place``, no temporary K-vectors.
-
-        ``start``/``stop`` bound the slice of the arrival order this
-        call processes (default: everything).  The checkpointing driver
-        runs the pass as consecutive segments against one long-lived
-        ``kernel`` — the kernel's maintained images carry across
-        segments, so a segmented run is byte-identical to a single call.
+        What heuristics without a fused pair run on, and what
+        ``partition(fast=False)`` compares the fused ones against.  The
+        scores are copied into the kernel's float64 buffer (``choose``
+        promotes the same way) because the kernel destroys them.  The
+        step scores a record, then commits that same record, so
+        ``after_commit`` reuses the one ``score_into`` built (with the
+        Python-int vertex id a record stream would have delivered).
         """
-        score_into, after_commit = kernel
-        indptr = arrays.indptr
-        indices = arrays.indices
-        order = arrays.order
-        route = state.route
-        vertex_counts = state.vertex_counts
-        edge_counts = state.edge_counts
-        choose, note_commit = _make_fast_choose(state)
-        n = arrays.num_vertices
-        if stop is None:
-            stop = n
-        if not 0 <= start <= stop <= n:
-            raise ValueError(
-                f"invalid fast-path segment [{start}, {stop}) for "
-                f"{n} records")
+        scores = state.ensure_scratch().scores
+        record = None
 
-        start_t = time.perf_counter()
-        vertices = range(start, stop) if order is None else order[start:stop]
-        if after_commit is None:
-            for v in vertices:
-                lo = indptr[v]
-                hi = indptr[v + 1]
-                pid = choose(score_into(v, indices[lo:hi]))
-                route[v] = pid
-                vertex_counts[pid] += 1
-                edge_counts[pid] += hi - lo
-                note_commit(pid)
-        else:
-            for v in vertices:
-                lo = indptr[v]
-                hi = indptr[v + 1]
-                neighbors = indices[lo:hi]
-                pid = choose(score_into(v, neighbors))
-                route[v] = pid
-                vertex_counts[pid] += 1
-                edge_counts[pid] += hi - lo
-                after_commit(v, neighbors, pid)
-                note_commit(pid)
-        state.placed_vertices += stop - start
-        if order is None:
-            state.placed_edges += int(indptr[stop] - indptr[start])
-        else:
-            seg = order[start:stop]
-            if len(seg):
-                state.placed_edges += int(
-                    np.sum(indptr[seg + 1] - indptr[seg]))
-        return time.perf_counter() - start_t
+        def score_into(v: int, neighbors: np.ndarray) -> np.ndarray:
+            nonlocal record
+            record = AdjacencyRecord(int(v), neighbors)
+            np.copyto(scores, self._score(record, state))
+            return scores
+
+        def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
+            self._after_commit(record, pid, state)
+
+        return score_into, after_commit
 
     # -- the one-pass driver ----------------------------------------------
     def partition(self, stream: VertexStream, *,
@@ -834,69 +854,47 @@ class StreamingPartitioner(ABC):
         ``instrumentation`` (an
         :class:`~repro.observability.Instrumentation` hub, or ``None``)
         opts the pass into windowed tracing: a
-        :class:`~repro.observability.StreamProbe` observes every
-        placement and emits snapshot records through the hub's sinks.
-        When absent the original uninstrumented loop runs, so the
+        :class:`~repro.observability.StreamProbe` is fed every placement
+        by the same kernel step that runs uninstrumented, so the
         produced assignment is byte-identical either way.
 
-        ``fast`` selects the execution path: ``None`` (default) uses the
-        vectorized fast loop whenever the stream is CSR-backed
-        (:func:`~repro.graph.stream.as_array_stream`), the run is
-        uninstrumented, and the heuristic ships a fused kernel — falling
-        back to the record loop otherwise; ``False`` forces the record
-        loop (the microbench's seed baseline); ``True`` demands the fast
-        path and raises :class:`ValueError` when it is unavailable.
-        The two paths produce byte-identical assignments.
+        ``fast=False`` scores through the reference kernel derived from
+        ``_score``/``_after_commit`` (the microbench's seed baseline and
+        the byte-identity suite's comparison side) instead of the
+        heuristic's fused one; the loop is the same and the assignment
+        byte-identical.  ``stats["fast_path"]`` reports whether records
+        were read straight out of CSR arrays
+        (:func:`~repro.graph.stream.as_array_stream`) rather than
+        iterated.
         """
         state = self.make_state(stream)
         self._setup(stream, state)
-        if fast is not False and instrumentation is None:
-            arrays = as_array_stream(stream)
-            kernel = None
-            if arrays is not None:
-                kernel = self._fast_kernel(state, arrays)
-            if kernel is not None:
-                elapsed = self._run_fast(arrays, state, kernel,
-                                         start=arrays.tell())
-                stats = self.result_stats(state)
-                stats["fast_path"] = True
-                return StreamingResult(
-                    assignment=state.to_assignment(),
-                    partitioner=self.name,
-                    elapsed_seconds=elapsed,
-                    num_partitions=self.num_partitions,
-                    stats=stats,
-                )
-            if fast is True:
-                reason = "stream is not CSR-backed" if arrays is None \
-                    else f"{self.name} has no fused kernel"
-                raise ValueError(
-                    f"fast=True but the vectorized path is unavailable: "
-                    f"{reason}")
-        elif fast is True:
-            raise ValueError(
-                "fast=True is incompatible with instrumentation; the "
-                "probe observes the record-at-a-time loop")
-        if instrumentation is None:
-            start = time.perf_counter()
-            for record in stream:
-                self.place(record, state)
-            elapsed = time.perf_counter() - start
-        else:
-            probe = instrumentation.stream_probe(self, state)
-            observe = probe.observe
-            start = time.perf_counter()
-            for record in stream:
-                scores = self._score(record, state)
-                pid, margin = self.choose_with_margin(scores, state)
-                state.commit(record, pid)
-                self._after_commit(record, pid, state)
-                observe(record, pid, margin)
-            elapsed = time.perf_counter() - start
+        return self.finish_pass(stream, state,
+                                instrumentation=instrumentation, fast=fast)
+
+    def finish_pass(self, stream: VertexStream, state: PartitionState, *,
+                    instrumentation=None, fast: bool | None = None,
+                    every: int | None = None, on_segment=None,
+                    elapsed: float = 0.0) -> StreamingResult:
+        """Place the rest of ``stream`` into ``state`` and build the result.
+
+        The body of :meth:`partition`, also driven by the checkpointing
+        driver over fresh or restored state: ``every``/``on_segment``/
+        ``elapsed`` are :meth:`PlacementKernel.run`'s.
+        """
+        probe = None if instrumentation is None \
+            else instrumentation.stream_probe(self, state)
+        kernel = PlacementKernel(
+            self, state, reference=fast is False,
+            observe=None if probe is None else probe.observe)
+        arrays = as_array_stream(stream)
+        elapsed = kernel.run(stream if arrays is None else arrays,
+                             every=every, on_segment=on_segment,
+                             elapsed=elapsed)
+        if probe is not None:
             probe.finish(elapsed)
-        assignment = state.to_assignment()
         stats = self.result_stats(state)
-        stats["fast_path"] = False
+        stats["fast_path"] = arrays is not None
         # Prefetching streams account for where ingest wall-clock went
         # (producer busy/blocked vs consumer wait); surface it so bench
         # and trace consumers see the overlap without knowing the type.
@@ -904,7 +902,7 @@ class StreamingPartitioner(ABC):
         if callable(ingest_stats):
             stats["ingest"] = ingest_stats()
         return StreamingResult(
-            assignment=assignment,
+            assignment=state.to_assignment(),
             partitioner=self.name,
             elapsed_seconds=elapsed,
             num_partitions=self.num_partitions,

@@ -36,7 +36,8 @@ from ..graph.stream import VertexStream
 from ..offline.refine import refine
 from ..offline.wgraph import WeightedGraph
 from .assignment import UNASSIGNED
-from .base import PartitionState, StreamingPartitioner, StreamingResult
+from .base import (PartitionState, PlacementKernel, StreamingPartitioner,
+                   StreamingResult)
 
 __all__ = ["BufferedHybridPartitioner"]
 
@@ -170,14 +171,19 @@ class BufferedHybridPartitioner:
         self._moves = 0
         state = base.make_state(stream)
         base._setup(stream, state)
+        # The reference kernel: it keeps no image of the route table, so
+        # rebuilding it after a refinement (which moves placed vertices,
+        # making loads non-monotone) costs O(K).
+        kernel = PlacementKernel(base, state, reference=True)
         start = time.perf_counter()
         batch = []
         for record in stream:
-            base.place(record, state)
+            kernel.step(record.vertex, record.neighbors)
             batch.append(record)
             if len(batch) >= self.buffer_size:
                 self._refine_batch(batch, state)
                 batch = []
+                kernel = PlacementKernel(base, state, reference=True)
         if batch:
             self._refine_batch(batch, state)
         elapsed = time.perf_counter() - start

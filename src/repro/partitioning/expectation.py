@@ -41,7 +41,7 @@ class ExpectationStore(Protocol):
     num_partitions: int
     num_vertices: int
 
-    #: Whether :meth:`advance_to` does real work.  The fast path skips
+    #: Whether :meth:`advance_to` does real work.  The fused kernels skip
     #: the per-record call entirely when ``False`` (the full store).
     needs_advance: bool
 

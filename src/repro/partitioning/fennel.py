@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import ArrayStream, VertexStream
+from ..graph.stream import VertexStream
 from .base import (FastKernel, PartitionState, StreamingPartitioner,
                    make_shifted_counter)
 from .registry import register
@@ -82,15 +82,14 @@ class FennelPartitioner(StreamingPartitioner):
                    * loads ** (self.gamma - 1.0))
         return intersections - penalty
 
-    def _fast_kernel(self, state: PartitionState,
-                     stream: ArrayStream) -> FastKernel:
+    def _fast_kernel(self, state: PartitionState) -> FastKernel:
         """Fused additive score: counts − (α·γ)·loads^(γ−1), in place.
 
         The penalty vector is maintained incrementally: a commit changes
         one partition's load, so only that lane's ``pow`` is recomputed
         (scalar, same ufunc) instead of a K-wide ``np.power`` per record.
         """
-        scratch = state.ensure_scratch(stream.max_degree)
+        scratch = state.ensure_scratch()
         scores, penalty = scratch.scores, scratch.f1
         counts_fast, note_counts = make_shifted_counter(state)
         vertex_counts = state.vertex_counts

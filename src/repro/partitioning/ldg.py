@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import ArrayStream
 from .base import (FastKernel, PartitionState, StreamingPartitioner,
                    make_shifted_counter, make_weight_updater)
 from .registry import register
@@ -40,15 +39,14 @@ class LDGPartitioner(StreamingPartitioner):
         intersections = state.neighbor_partition_counts(record.neighbors)
         return intersections * state.penalty_weights()
 
-    def _fast_kernel(self, state: PartitionState,
-                     stream: ArrayStream) -> FastKernel:
+    def _fast_kernel(self, state: PartitionState) -> FastKernel:
         """Fused Eq. 3: one bincount, one multiply, one scalar lane update.
 
         The penalty-weight vector is maintained incrementally (only the
         committed lane changes per record), so scoring is a single
         K-wide multiply on top of the neighbor tally.
         """
-        scratch = state.ensure_scratch(stream.max_degree)
+        scratch = state.ensure_scratch()
         scores, weights = scratch.scores, scratch.weights
         counts_fast, note_counts = make_shifted_counter(state)
         update_weights = make_weight_updater(state, weights)

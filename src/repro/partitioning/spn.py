@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import ArrayStream, VertexStream
+from ..graph.stream import VertexStream
 from .base import (FastKernel, PartitionState, StreamingPartitioner,
                    make_shifted_counter, make_weight_updater)
 from .expectation import (ExpectationStore, FullExpectationStore,
@@ -225,7 +225,7 @@ class SPNPartitioner(StreamingPartitioner):
         # Algorithm 1, lines 5-7: traversing N_out(v) bumps Γ_pid.
         self.expectation_store.record(pid, record.neighbors)
 
-    # -- vectorized fast path ------------------------------------------
+    # -- fused scoring pair ---------------------------------------------
     def _make_in_term_into(self, scratch) -> Any:
         """Closure computing the in-neighbor term into ``scratch.i1``.
 
@@ -247,20 +247,22 @@ class SPNPartitioner(StreamingPartitioner):
             # One gather over neighbors+[v]: integer column sums are
             # exact and order-free, so folding Γ(v) into the reduction
             # is bit-identical to summing the two vectors.
-            idx_buf = scratch.idx
+            idx_buf = np.empty(64, dtype=np.int64)
 
             def in_term_into(v, neighbors):
+                nonlocal idx_buf
                 d = len(neighbors)
+                if d >= len(idx_buf):
+                    idx_buf = np.empty(2 * d + 1, dtype=np.int64)
                 idx = idx_buf[:d + 1]
                 idx[:d] = neighbors
                 idx[d] = v
                 return gather_into(idx, in_buf)
         return in_term_into
 
-    def _fast_kernel(self, state: PartitionState,
-                     stream: ArrayStream) -> FastKernel:
+    def _fast_kernel(self, state: PartitionState) -> FastKernel:
         """Fused Eq. 5: λ·|V∩N| + (1−λ)·Γ-term, zero temporaries."""
-        scratch = state.ensure_scratch(stream.max_degree)
+        scratch = state.ensure_scratch()
         store = self.expectation_store
         in_term_into = self._make_in_term_into(scratch)
         scores, weights, f1 = scratch.scores, scratch.weights, scratch.f1

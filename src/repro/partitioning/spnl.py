@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import ArrayStream, VertexStream
+from ..graph.stream import VertexStream
 from .assignment import UNASSIGNED
 from .base import FastKernel, PartitionState, make_weight_updater
 from .eta import ETA_SCHEDULES, EtaSchedule, resolve_eta_schedule
@@ -164,9 +164,8 @@ class SPNLPartitioner(SPNPartitioner):
         super().attach_score_lanes(lanes)
         self._lt_counts = lt
 
-    # -- vectorized fast path ------------------------------------------
-    def _fast_kernel(self, state: PartitionState,
-                     stream: ArrayStream) -> FastKernel:
+    # -- fused scoring pair ---------------------------------------------
+    def _fast_kernel(self, state: PartitionState) -> FastKernel:
         """Fused Eq. 6 with a single shared-bincount count pass.
 
         Physical and logical intersections come from **one** bincount:
@@ -182,7 +181,7 @@ class SPNLPartitioner(SPNPartitioner):
         since masked lanes clamp to 0).  Other schedules run unfused to
         stay pluggable.
         """
-        scratch = state.ensure_scratch(stream.max_degree)
+        scratch = state.ensure_scratch()
         store = self.expectation_store
         k = self.num_partitions
         route = state.route
@@ -190,7 +189,6 @@ class SPNLPartitioner(SPNPartitioner):
         scores, weights = scratch.scores, scratch.weights
         f1, f2, f3 = scratch.f1, scratch.f2, scratch.f3
         update_weights = make_weight_updater(state, weights)
-        combo_buf = scratch.parts
         zeros_k = scratch.zeros_k
         lam = self.lam
         one_minus_lam = 1.0 - self.lam
@@ -231,11 +229,8 @@ class SPNLPartitioner(SPNPartitioner):
             if advance_to is not None:
                 advance_to(v)
             in_term = in_term_into(v, neighbors)
-            d = len(neighbors)
-            if d:
-                counts = np.bincount(
-                    combined.take(neighbors, out=combo_buf[:d]),
-                    minlength=two_k)
+            if len(neighbors):
+                counts = np.bincount(combined[neighbors], minlength=two_k)
                 out_physical = counts[:k]
                 out_logical = counts[k:]
             else:

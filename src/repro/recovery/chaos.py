@@ -23,8 +23,8 @@ chaos tests are exactly reproducible:
 
 Wrappers subclass or delegate rather than monkeypatch, so they compose
 with any stream/partitioner — and, being distinct types, they are never
-eligible for the vectorized fast path (``as_array_stream`` converts
-exact types only), which is precisely what makes mid-iteration
+read out of CSR arrays (``as_array_stream`` converts exact types
+only) but iterated, which is precisely what makes mid-iteration
 injection observable.
 """
 

@@ -8,18 +8,19 @@ snapshots that triple every ``every`` records through
 triple in a fresh process, seeks the stream, and finishes the pass.  The
 resumed run places every remaining vertex **byte-identically** to the
 uninterrupted run — the registry-wide resume test suite enforces this for
-both the record-at-a-time and the vectorized fast path.
+CSR-backed and iterated streams alike.
 
 Two properties make byte-identity cheap to guarantee:
 
-* every fused kernel builds its maintained images (shifted route counter,
-  penalty weights, η lanes, SPNL's combined bincount image) from the live
-  state at construction time, so a kernel built over restored state is
-  exactly the kernel the original run would have carried at that point;
-* :meth:`StreamingPartitioner._run_fast` accepts ``start``/``stop``
-  bounds, so the checkpointing driver runs one long-lived kernel over
-  consecutive segments — identical arithmetic to a single full call, with
-  snapshot writes between segments (excluded from the reported ``PT``).
+* the :class:`~repro.partitioning.base.PlacementKernel` builds every
+  maintained image (ineligibility mask, shifted route counter, penalty
+  weights, η lanes, SPNL's combined bincount image) from the live state
+  at construction time, so a kernel built over restored state is exactly
+  the kernel the original run would have carried at that point;
+* :meth:`PlacementKernel.run <repro.partitioning.base.PlacementKernel.run>`
+  drives one long-lived kernel over consecutive segments — identical
+  arithmetic to an unsegmented pass, with snapshot writes between
+  segments (excluded from the reported ``PT``).
 
 Snapshots are named ``ckpt-<position>.snap``; :func:`latest_snapshot`
 finds the furthest-along one in a directory, and pruning keeps the newest
@@ -29,12 +30,11 @@ finds the furthest-along one in a directory, and pruning keeps the newest
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..graph.stream import VertexStream, as_array_stream
+from ..graph.stream import VertexStream
 from ..partitioning.base import (
     PartitionState,
     StreamingPartitioner,
@@ -155,82 +155,21 @@ def _finish(partitioner: StreamingPartitioner, stream: VertexStream,
     """Run the (remainder of the) pass with periodic snapshots.
 
     ``stream`` must already be seeked to the position matching ``state``.
-    Fast-path eligibility follows :meth:`StreamingPartitioner.partition`
-    exactly: CSR-backed stream + fused kernel + no instrumentation.
+    The pass is :meth:`StreamingPartitioner.finish_pass` — the kernel
+    :meth:`~StreamingPartitioner.partition` itself runs — with a
+    snapshot between segments of ``config.every`` records.
     """
     ckpt = Checkpointer(partitioner, config,
                         instrumentation=instrumentation)
-    every = config.every
-    total = stream.num_vertices
-    position = stream.tell()
-    elapsed = base_elapsed
-    fast = False
-
-    arrays = kernel = None
-    if instrumentation is None:
-        arrays = as_array_stream(stream)
-        if arrays is not None:
-            kernel = partitioner._fast_kernel(state, arrays)
-
-    if kernel is not None:
-        # Segmented fast path: one kernel, snapshot between segments.
-        fast = True
-        while position < total:
-            stop = min(total, position + every)
-            elapsed += partitioner._run_fast(arrays, state, kernel,
-                                             start=position, stop=stop)
-            position = stop
-            if position < total:
-                ckpt.save(state, position, elapsed)
-    elif instrumentation is None:
-        since = 0
-        start_t = time.perf_counter()
-        for record in stream:
-            partitioner.place(record, state)
-            position += 1
-            since += 1
-            if since >= every and position < total:
-                elapsed += time.perf_counter() - start_t
-                ckpt.save(state, position, elapsed)
-                since = 0
-                start_t = time.perf_counter()
-        elapsed += time.perf_counter() - start_t
-    else:
-        probe = instrumentation.stream_probe(partitioner, state)
-        observe = probe.observe
-        since = 0
-        start_t = time.perf_counter()
-        for record in stream:
-            scores = partitioner._score(record, state)
-            pid, margin = partitioner.choose_with_margin(scores, state)
-            state.commit(record, pid)
-            partitioner._after_commit(record, pid, state)
-            observe(record, pid, margin)
-            position += 1
-            since += 1
-            if since >= every and position < total:
-                elapsed += time.perf_counter() - start_t
-                ckpt.save(state, position, elapsed)
-                since = 0
-                start_t = time.perf_counter()
-        elapsed += time.perf_counter() - start_t
-        probe.finish(elapsed)
-
-    stats = partitioner.result_stats(state)
-    stats["fast_path"] = fast
-    stats["checkpoints_written"] = ckpt.snapshots_written
+    result = partitioner.finish_pass(
+        stream, state, instrumentation=instrumentation,
+        every=config.every, elapsed=base_elapsed,
+        on_segment=lambda position, elapsed: ckpt.save(
+            state, position, elapsed))
+    result.stats["checkpoints_written"] = ckpt.snapshots_written
     if resumed_from is not None:
-        stats["resumed_from"] = resumed_from
-    ingest_stats = getattr(stream, "ingest_stats", None)
-    if callable(ingest_stats):
-        stats["ingest"] = ingest_stats()
-    return StreamingResult(
-        assignment=state.to_assignment(),
-        partitioner=partitioner.name,
-        elapsed_seconds=elapsed,
-        num_partitions=partitioner.num_partitions,
-        stats=stats,
-    )
+        result.stats["resumed_from"] = resumed_from
+    return result
 
 
 def partition_with_checkpoints(

@@ -520,8 +520,9 @@ def run_service_bench(graph: DiGraph | None = None, *,
                     resolved_m == 1 or bool(service._m_aligned))
                 parity = bool(np.array_equal(
                     service._state.route, reference))
-                fused = service._fused_placements
-                total_placed = fused + service._record_placements
+                counters = service.stats()["fast_path"]
+                fused = counters["fused_placements"]
+                total_placed = fused + counters["record_placements"]
             finally:
                 service.close()
 

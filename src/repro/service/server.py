@@ -22,16 +22,14 @@ Architecture — one engine, many connections::
   ``code: "backpressure"`` with a ``retry_after_ms`` hint instead of
   buffering without limit.  Slow consumers shed load explicitly.
 * The engine drains up to ``batch_max`` queued requests per wake-up and
-  applies their placements as one group.  While arrivals are exactly
-  id-contiguous (vertex ids ``0, 1, 2, …`` with no explicit neighbor
-  overrides — the paper's streaming arrival model), the group runs
-  through the partitioner's **fused vectorized kernel**
-  (:meth:`StreamingPartitioner._run_fast`), the same code path the
-  batch fast loop uses, so coalescing concurrent clients recovers batch
-  throughput.  The first out-of-order or explicit-neighbor placement
-  permanently downgrades to the record-at-a-time path: the kernel's
-  maintained images cannot absorb out-of-band commits, and correctness
-  beats speed.
+  applies their placements as one group.  At ``parallelism == 1`` every
+  placement — batched or single, in id order or not, with the graph's
+  adjacency or an explicit neighbor list, from any number of clients —
+  goes through the one
+  :class:`~repro.partitioning.base.PlacementKernel` step that
+  ``partition()`` runs, in arrival order.  The kernel is built once,
+  from live state, after boot or WAL replay; the engine thread is the
+  only committer, which is what keeps its maintained images exact.
 * Durability is snapshot + WAL (:mod:`repro.service.wal`): the engine
   applies a group, appends it to the fsynced placement log, and only
   then acks.  Periodic snapshots (the recovery layer's
@@ -115,7 +113,7 @@ from ..parallel.process import (
     WorkerCrashedError,
     _StreamMeta,
 )
-from ..partitioning.base import StreamingPartitioner
+from ..partitioning.base import PlacementKernel, StreamingPartitioner
 from ..partitioning.config import PartitionConfig
 from ..partitioning.registry import resolve
 from ..recovery.checkpoint import (
@@ -546,9 +544,10 @@ class PlacementService:
         :class:`~repro.recovery.chaos.FlakyWAL`.
     parallelism:
         The paper's M — queued placements scored concurrently per
-        chunk.  ``None`` picks 1 (the classic sequential engine, fused
-        kernel intact) unless ``processes > 1``, where it defaults to
-        ``16 * processes``.  Values > 1 switch the engine to grouped
+        chunk.  ``None`` picks 1 (the sequential engine: every
+        placement through the kernel) unless ``processes > 1``, where
+        it defaults to ``16 * processes``.  Values > 1 switch the
+        engine to grouped
         scoring (score an M-chunk against chunk-start state, commit in
         order) whether or not worker processes are attached, so the
         single-engine grouped server is the byte-parity reference for
@@ -652,12 +651,8 @@ class PlacementService:
         self._state_lock = threading.Lock()
         self._elapsed = 0.0  # cumulative engine apply time (snapshot PT)
         self._position = 0   # acked placements == WAL sequence head
-        self._fused_placements = 0
-        self._record_placements = 0
-        self._fast_batches = 0
+        self._kernel_requests = 0
         self._groups_processed = 0
-        self._kernel = None
-        self._kernel_unavailable = False
         # Whether every placement so far arrived in exact id order (the
         # paper's streaming arrival model); bench parity checks read it.
         self._arrival_ordered = True
@@ -688,16 +683,17 @@ class PlacementService:
         else:
             self._state = partitioner.make_state(self._stream)
             partitioner._setup(self._stream, self._state)
-            self._fast_ok = True
-            self._fast_cursor = 0
             self._resumed_from = None
-        if self._parallelism > 1:
-            # Grouped engines never use the fused kernel: every commit
-            # goes through the score-then-commit chunk loop, so the
-            # sharded and single-engine modes share one code path (and
-            # one WAL shape).
-            self._fast_ok = False
-            self._kernel_unavailable = True
+        #: Placements made before this process booted (snapshot + WAL
+        #: replay); everything past it went through this engine.
+        self._boot_position = self._position
+        # The sequential engine's one placement step, built from live
+        # (possibly replayed) state.  Grouped engines never use it:
+        # every commit goes through the score-then-commit chunk loop,
+        # so the sharded and single-engine modes share one code path
+        # (and one WAL shape).
+        self._place = PlacementKernel(partitioner, self._state).step \
+            if self._parallelism == 1 else None
 
         # Worker pool (processes > 1): the canonical state moves into
         # the pool's shared segment so workers score against it live.
@@ -820,9 +816,11 @@ class PlacementService:
         """Restore the newest snapshot under ``source``, replay the WAL.
 
         Replay re-runs every logged placement through the partitioner's
-        normal ``place`` path and checks the deterministic choice equals
-        the logged pid — a mismatch means the log and code disagree and
-        serving on would hand out wrong ``lookup`` answers.
+        reference ``place`` path and checks the deterministic choice
+        equals the logged pid — a mismatch means the log and code
+        disagree and serving on would hand out wrong ``lookup`` answers.
+        The placement kernel is built afterwards, from the replayed
+        state.
         """
         directory = source if source.is_dir() else source.parent
         snapshot = source if source.is_file() else latest_snapshot(source)
@@ -888,15 +886,13 @@ class PlacementService:
             # after the next crash never merges pre- and post-restart
             # entries into one scoring group.
             self._chunk_seq = last_gid + 1
-        # The fused kernel is only valid if history was exactly the
-        # id-ordered prefix (every placement so far is vertex 0..p-1).
+        # Arrival stayed in id order iff history is exactly the prefix
+        # (every placement so far is vertex 0..p-1).
         route = self._state.route
         p = self._position
-        self._fast_ok = (int(self._state.placed_vertices) == p
-                         and bool((route[:p] != UNASSIGNED).all()))
-        self._fast_cursor = p if self._fast_ok else 0
-        self._arrival_ordered = self._fast_ok
-        self._next_expected = p if self._fast_ok else 0
+        self._arrival_ordered = (int(self._state.placed_vertices) == p
+                                 and bool((route[:p] != UNASSIGNED).all()))
+        self._next_expected = p if self._arrival_ordered else 0
         self._resumed_from = str(snapshot) if snapshot is not None \
             else str(directory)
         if self.instrumentation is not None and snapshot is not None:
@@ -911,14 +907,6 @@ class PlacementService:
         self._replayed = replayed
 
     # -- engine --------------------------------------------------------
-    def _ensure_kernel(self) -> bool:
-        if self._kernel is None and not self._kernel_unavailable:
-            self._kernel = self.partitioner._fast_kernel(
-                self._state, self._stream)
-            if self._kernel is None:
-                self._kernel_unavailable = True
-        return self._kernel is not None
-
     def _engine_loop(self) -> None:
         while True:
             item = self._queue.get()
@@ -977,14 +965,13 @@ class PlacementService:
         vertex id before applying.  Commit order within a group is the
         server's to choose (nothing has been acked yet), and sorting
         repairs the id-order inversions that concurrent clients
-        naturally produce — which is what lets a multi-client id-ordered
-        workload keep riding the fused kernel.  All WAL lines for the
-        group go down in one fsync (group commit); acks release after.
+        naturally produce — id order is what the sliding-window Γ store
+        and SPNL's Range locality assume.  All WAL lines for the group
+        go down in one fsync (group commit); acks release after.
         """
         t0 = time.perf_counter()
         if self.throttle_seconds:
             time.sleep(self.throttle_seconds)
-        fused_before = self._fused_placements
         place_works = [w for w in group if w.kind == "place"]
         other_works = [w for w in group if w.kind != "place"]
         place_works.sort(
@@ -1080,7 +1067,7 @@ class PlacementService:
                 "queue_depth": int(self._queue.qsize()),
                 "elapsed_seconds": elapsed,
                 "ok": ok,
-                "fused": int(self._fused_placements - fused_before),
+                "fused": len(entries) if self._place is not None else 0,
                 "shed": int(shed_delta),
             })
 
@@ -1264,12 +1251,15 @@ class PlacementService:
             entries.append(WalEntry(self._position, vertex, logged, pid,
                                     group=gid))
             self._position += 1
-            self._record_placements += 1
-            if self._arrival_ordered:
-                if vertex == self._next_expected:
-                    self._next_expected += 1
-                else:
-                    self._arrival_ordered = False
+            self._note_arrival(vertex)
+
+    def _note_arrival(self, vertex: int) -> None:
+        """Track whether placements still arrive in exact id order."""
+        if self._arrival_ordered:
+            if vertex == self._next_expected:
+                self._next_expected += 1
+            else:
+                self._arrival_ordered = False
 
     def _note_chunk(self, size: int) -> None:
         """Track whether chunking still matches exact M-batching.
@@ -1349,78 +1339,33 @@ class PlacementService:
         """Apply one request's placements; returns (results, WAL entries).
 
         Idempotent: an already-placed vertex answers its existing pid
-        with ``cached: true`` and writes no WAL line.  Runs of
-        id-contiguous, graph-adjacency placements go through the fused
-        kernel; anything else takes the record path and permanently
-        retires the kernel (its maintained images cannot see out-of-band
-        commits).
+        with ``cached: true`` and writes no WAL line.  Everything else
+        goes through the placement kernel's step in arrival order,
+        whatever the ids and whoever supplied the neighbors.
         """
-        state = self._state
-        route = state.route
+        route = self._state.route
+        indptr, indices = self._stream.indptr, self._stream.indices
+        place = self._place
         results: list[dict[str, Any]] = []
         entries: list[WalEntry] = []
-        n = len(placements)
-        i = 0
-        while i < n:
-            vertex, neighbors = placements[i]
+        self._kernel_requests += 1
+        for vertex, neighbors in placements:
             if route[vertex] != UNASSIGNED:
                 results.append({"vertex": vertex,
                                 "pid": int(route[vertex]),
                                 "cached": True})
-                i += 1
                 continue
-            if (self._fast_ok and neighbors is None
-                    and vertex == self._fast_cursor):
-                stop = vertex
-                j = i
-                while j < n:
-                    vj, nj = placements[j]
-                    if (nj is not None or vj != stop
-                            or route[vj] != UNASSIGNED):
-                        break
-                    stop += 1
-                    j += 1
-                if stop > vertex and self._ensure_kernel():
-                    self._elapsed += self.partitioner._run_fast(
-                        self._stream, state, self._kernel,
-                        start=vertex, stop=stop)
-                    self._fast_cursor = stop
-                    self._next_expected = stop
-                    self._fast_batches += 1
-                    for v in range(vertex, stop):
-                        pid = int(route[v])
-                        results.append({"vertex": v, "pid": pid,
-                                        "cached": False})
-                        entries.append(WalEntry(self._position, v, None,
-                                                pid))
-                        self._position += 1
-                        self._fused_placements += 1
-                    i = j
-                    continue
-            # Record path: one placement at a time, kernel retired.
-            self._fast_ok = False
             if neighbors is None:
-                nbrs = self.graph.out_neighbors(vertex)
-                logged = None
+                nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
             else:
                 nbrs = np.asarray(neighbors, dtype=np.int64)
-                logged = [int(u) for u in neighbors]
             t0 = time.perf_counter()
-            pid = self.partitioner.place(
-                AdjacencyRecord(vertex, nbrs), state)
+            pid = place(vertex, nbrs)
             self._elapsed += time.perf_counter() - t0
-            results.append({"vertex": vertex, "pid": int(pid),
-                            "cached": False})
-            entries.append(WalEntry(self._position, vertex, logged,
-                                    int(pid)))
+            results.append({"vertex": vertex, "pid": pid, "cached": False})
+            entries.append(WalEntry(self._position, vertex, neighbors, pid))
             self._position += 1
-            self._record_placements += 1
-            if self._arrival_ordered:
-                if vertex == self._next_expected:
-                    self._next_expected += 1
-                else:
-                    self._arrival_ordered = False
-            i += 1
+            self._note_arrival(vertex)
         return results, entries
 
     def _snapshot_now(self) -> dict[str, Any]:
@@ -1686,6 +1631,7 @@ class PlacementService:
         # (capacity, names) or monotonic counters safe to read racily.
         view = self._read_view
         summary = view.read_summary()
+        since_boot = summary["position"] - self._boot_position
         state = self._state
         stats: dict[str, Any] = {
             "partitioner": self.partitioner.name,
@@ -1703,12 +1649,16 @@ class PlacementService:
             "uptime_seconds":
                 time.monotonic() - self._started_monotonic,
             "arrival_ordered": bool(self._arrival_ordered),
+            # Derived: every placement since boot went through the
+            # kernel (sequential engine) or the grouped chunk loop.
             "fast_path": {
-                "active": bool(self._fast_ok),
-                "cursor": int(self._fast_cursor),
-                "fused_placements": int(self._fused_placements),
-                "record_placements": int(self._record_placements),
-                "fast_batches": int(self._fast_batches),
+                "active": self._place is not None,
+                "cursor": int(self._next_expected),
+                "fused_placements":
+                    since_boot if self._place is not None else 0,
+                "record_placements":
+                    0 if self._place is not None else since_boot,
+                "fast_batches": int(self._kernel_requests),
             },
             "latency": self._latency.summary(),
             "health": self._health.snapshot(),

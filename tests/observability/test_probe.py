@@ -42,7 +42,7 @@ class TestHandComputedTrajectory:
         for record in GraphStream(back_edge_graph):
             pid = placement[record.vertex]
             state.commit(record, pid)
-            probe.observe(record, pid)
+            probe.observe(record.vertex, record.neighbors, pid)
         probe.finish(0.01)
 
         probes = [r for r in sink.records if r["type"] == "stream_probe"]
@@ -76,7 +76,7 @@ class TestHandComputedTrajectory:
                     state.neighbor_partition_counts(record.neighbors)
                 pid = placement[record.vertex]
                 state.commit(record, pid)
-                probe.observe(record, pid)
+                probe.observe(record.vertex, record.neighbors, pid)
             tallies.append((probe.resolved_edges, probe.cut_edges))
         assert tallies[0] == tallies[1] == (4, 2)
 
@@ -97,14 +97,11 @@ class TestHandComputedTrajectory:
         state = PartitionState(2, 4, 0)
         probe = hub.stream_probe(None, state)
 
-        class Rec:
-            vertex = 0
-            neighbors = np.empty(0, dtype=np.int64)
-
+        no_neighbors = np.empty(0, dtype=np.int64)
         for margin in (1.0, 3.0):  # window 1: mean 2.0, min 1.0
-            probe.observe(Rec(), 0, margin)
+            probe.observe(0, no_neighbors, 0, margin)
         for margin in (0.5, None):  # window 2: one sample
-            probe.observe(Rec(), 0, margin)
+            probe.observe(0, no_neighbors, 0, margin)
         w1, w2 = sink.records
         assert w1["score_margin_mean"] == 2.0
         assert w1["score_margin_min"] == 1.0
@@ -170,6 +167,67 @@ class TestByteIdentity:
                         "expectation_table_entries"):
                 assert key in result.stats, (method, key)
             assert result.stats["placements"] == web_graph.num_vertices
+
+
+#: Trace fields that must not depend on which kernel scored the run.
+_PROBE_FIELDS = ("placements", "resolved_edges", "cut_edges",
+                 "ecr_estimate", "score_margin_min", "score_margin_mean",
+                 "loads", "edge_loads")
+
+
+def _stream_records(sink):
+    return [{k: r[k] for k in _PROBE_FIELDS if k in r}
+            for r in sink.records
+            if r["type"] in ("stream_probe", "stream_summary")]
+
+
+class TestInstrumentedPathIsTheProductionPath:
+    """The probe is fed by the kernel step itself, so tracing neither
+    raises under ``fast=True`` nor moves the run to other code."""
+
+    @pytest.mark.parametrize("method,kwargs", [
+        ("spnl", {}), ("spn", {"num_shards": 4}), ("ldg", {"slack": 1.0}),
+        ("fennel", {}), ("hash", {})])
+    def test_fused_and_reference_traces_agree(self, web_graph, method,
+                                              kwargs):
+        plain = make_partitioner(method, 8, **kwargs).partition(
+            GraphStream(web_graph))
+        traces = {}
+        for fast in (True, False):
+            sink = MemorySink()
+            hub = Instrumentation([sink], probe_every=250)
+            result = make_partitioner(method, 8, **kwargs).partition(
+                GraphStream(web_graph), fast=fast, instrumentation=hub)
+            assert result.fast_path is True
+            np.testing.assert_array_equal(result.assignment.route,
+                                          plain.assignment.route)
+            traces[fast] = _stream_records(sink)
+        assert len(traces[True]) == web_graph.num_vertices // 250 + 1
+        assert traces[True] == traces[False]
+        margins = [r["score_margin_mean"] for r in traces[True][:-1]]
+        assert any(m is not None and m > 0.0 for m in margins)
+
+    def test_checkpointed_run_traces_the_same_windows(self, web_graph,
+                                                      tmp_path):
+        from repro.recovery import partition_with_checkpoints
+        traces = []
+        for checkpointed in (False, True):
+            sink = MemorySink()
+            hub = Instrumentation([sink], probe_every=250)
+            partitioner = make_partitioner("spnl", 8)
+            if checkpointed:
+                result = partition_with_checkpoints(
+                    partitioner, GraphStream(web_graph), tmp_path / "ckpt",
+                    every=900, instrumentation=hub)
+                assert result.stats["checkpoints_written"] == 4
+            else:
+                result = partitioner.partition(GraphStream(web_graph),
+                                               instrumentation=hub)
+            assert result.fast_path is True
+            traces.append((_stream_records(sink),
+                           result.assignment.route))
+        assert traces[0][0] == traces[1][0]
+        np.testing.assert_array_equal(traces[0][1], traces[1][1])
 
 
 class TestParallelAndBSPTraces:

@@ -1,12 +1,12 @@
-"""Byte-identity tests for the vectorized streaming fast path.
+"""Byte-identity tests for the heuristics' fused scoring kernels.
 
-The fused CSR loop in :mod:`repro.partitioning.base` must be a pure
-performance change: for **every** registered vertex partitioner, on
-ordered and shuffled streams, the fast path's route table must be
-byte-equal to the seed record-at-a-time loop (``fast=False``).  These
-tests are the acceptance gate for the hot-path rewrite — any elementwise
-reassociation, tie-break drift, or capacity-mask divergence shows up as
-a route mismatch here.
+A fused ``_fast_kernel`` pair must be a pure performance change: for
+**every** registered vertex partitioner, on ordered and shuffled
+streams, the route table must be byte-equal to the one the reference
+kernel derived from ``_score``/``_after_commit`` produces
+(``fast=False`` — same placement loop, reference scoring).  Any
+elementwise reassociation, tie-break drift, or capacity-mask divergence
+shows up as a route mismatch here.
 """
 
 import numpy as np
@@ -14,14 +14,11 @@ import pytest
 
 from repro.graph import GraphStream, shuffled
 from repro.graph.generators import community_web_graph
-from repro.graph.stream import ArrayStream, as_array_stream
+from repro.graph.stream import ArrayStream, FileStream, as_array_stream
 from repro.partitioning.registry import (
     available_partitioners,
     make_partitioner,
 )
-
-#: Heuristics that ship a fused kernel (everything else falls back).
-FUSED = ("fennel", "ldg", "spn", "spnl")
 
 ALL_VERTEX = available_partitioners(kind="vertex")
 
@@ -43,8 +40,10 @@ class TestRegistryByteIdentity:
     def test_ordered_stream(self, ident_graph, name):
         fast, slow = _both_paths(name, lambda: GraphStream(ident_graph))
         assert np.array_equal(fast.assignment.route, slow.assignment.route)
-        assert slow.stats["fast_path"] is False
-        assert fast.stats["fast_path"] is (name in FUSED)
+        # ``fast_path`` says where the records came from (CSR arrays),
+        # not which kernel scored them.
+        assert slow.stats["fast_path"] is True
+        assert fast.stats["fast_path"] is True
 
     @pytest.mark.parametrize("name", ALL_VERTEX)
     def test_shuffled_stream(self, ident_graph, name):
@@ -54,11 +53,11 @@ class TestRegistryByteIdentity:
 
     @pytest.mark.parametrize("name", ALL_VERTEX)
     def test_array_stream(self, ident_graph, name):
-        """Explicit CSR streams take the same fast path as GraphStream."""
+        """Explicit CSR streams are read like GraphStream's arrays."""
         fast, slow = _both_paths(
             name, lambda: ArrayStream.from_graph(ident_graph))
         assert np.array_equal(fast.assignment.route, slow.assignment.route)
-        assert fast.stats["fast_path"] is (name in FUSED)
+        assert fast.stats["fast_path"] is True
 
 
 #: Config variants that exercise every branch the fused kernels
@@ -95,18 +94,51 @@ class TestVariantByteIdentity:
             slow.stats.get("capacity_overflows")
 
 
-class TestFastDispatch:
-    def test_fast_true_requires_csr_stream(self, ident_graph):
-        """A non-CSR source cannot honour fast=True."""
-        with pytest.raises(ValueError, match="fast=True"):
-            make_partitioner("spnl", 8).partition(
-                _GeneratorStream(ident_graph), fast=True)
+class TestDegreeGrowth:
+    """Nothing in the kernel is sized by a degree announced up front: a
+    ``FileStream`` announces none, so the longest row may come last."""
 
-    def test_fast_true_requires_fused_kernel(self, ident_graph):
-        """Heuristics without a fused kernel refuse fast=True loudly."""
-        with pytest.raises(ValueError, match="fast=True"):
-            make_partitioner("hash", 8).partition(
-                GraphStream(ident_graph), fast=True)
+    @pytest.mark.parametrize("name,kwargs", [
+        ("spnl", {}), ("spnl", {"num_shards": 4}), ("spn", {}),
+        ("ldg", {}), ("fennel", {})])
+    def test_largest_row_last_matches_reference_place(
+            self, tmp_path, name, kwargs):
+        n = 400
+        rng = np.random.default_rng(11)
+        path = tmp_path / "growing.adj"
+        with open(path, "w") as fh:
+            for v in range(n):
+                # degrees grow 1, 1, 2, 2, ... and the last row is by
+                # far the longest the kernel has seen
+                degree = n - 1 if v == n - 1 else 1 + v // 2 % 40
+                row = rng.choice(n, size=degree, replace=False)
+                fh.write(" ".join(map(str, [v, *sorted(row)])) + "\n")
+        result = make_partitioner(name, 8, **kwargs).partition(
+            FileStream(path))
+        assert result.stats["fast_path"] is False
+
+        reference = make_partitioner(name, 8, **kwargs)
+        stream = FileStream(path)
+        state = reference.make_state(stream)
+        reference._setup(stream, state)
+        for record in stream:
+            reference.place(record, state)
+        assert np.array_equal(result.assignment.route, state.route)
+
+
+class TestFastDispatch:
+    @pytest.mark.parametrize("name", ["spnl", "hash"])
+    def test_iterated_stream_is_scored_by_the_same_kernel(
+            self, ident_graph, name):
+        """A source without CSR arrays is iterated, not refused: the
+        kernel scores it all the same, ``fast`` only picks the scorer."""
+        csr = make_partitioner(name, 8).partition(GraphStream(ident_graph))
+        for fast in (None, True, False):
+            result = make_partitioner(name, 8).partition(
+                _GeneratorStream(ident_graph), fast=fast)
+            assert result.stats["fast_path"] is False
+            assert np.array_equal(result.assignment.route,
+                                  csr.assignment.route)
 
     def test_subclassed_stream_falls_back(self, ident_graph):
         """A GraphStream subclass overriding __iter__ must NOT be

@@ -1,5 +1,6 @@
 """Placement-service integration tests (in-process, ephemeral ports)."""
 
+import hashlib
 import socket
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 import repro
 from repro import PartitionConfig, partition_stream
 from repro.graph import community_web_graph
+from repro.graph.stream import ArrayStream
 from repro.service import (
     BackpressureError,
     PlacementService,
@@ -16,9 +18,16 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.protocol import decode_line, encode_message
+from repro.service.wal import replay_entries, wal_segments
 
 K = 8
 N = 600
+
+#: sha256 of the WAL an id-ordered ``place_batch``-of-128 run of the
+#: module's graph/config writes, recorded before the placement loops
+#: were collapsed into one kernel.
+ID_ORDERED_WAL_SHA256 = \
+    "e012e51c82fcb011857e703b8aa077a2de7908870f7d553d76692b1d53e5b41c"
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +90,13 @@ class TestRoundTrip:
     def test_lookup_unplaced_is_none(self, client):
         assert client.lookup(N - 1) is None
 
-    def test_explicit_neighbors_take_the_record_path(
+    def test_explicit_neighbors_place_through_the_kernel(
             self, client, service):
         res = client.place(10, neighbors=[1, 2, 3])
         assert 0 <= res["pid"] < K
-        assert service.stats()["fast_path"]["record_placements"] >= 1
+        fast = service.stats()["fast_path"]
+        assert fast["fused_placements"] == 1
+        assert fast["record_placements"] == 0
 
     def test_out_of_order_arrival_still_places_everything(
             self, client, service):
@@ -135,11 +146,116 @@ class TestRoundTrip:
         for t in threads:
             t.join()
         assert not errors
-        assert service.stats()["placements"] == N
+        stats = service.stats()
+        assert stats["placements"] == N
+        assert stats["fast_path"]["fused_placements"] == N
         # Sorted group-commit keeps id-contiguous multi-client traffic
         # equivalent to the batch pass whenever arrival never raced.
         if service._arrival_ordered:
             assert np.array_equal(service._state.route, reference_route)
+
+
+def _wal_entries(state_dir):
+    """Every entry still on disk (segments before the oldest kept
+    snapshot are pruned)."""
+    oldest = wal_segments(state_dir)[0][0]
+    return list(replay_entries(state_dir, from_position=oldest))
+
+
+def _replayed_as_one_pass(graph, config, entries):
+    """``partition()`` over the graph in the WAL's (acked) order, with
+    any logged explicit neighbor lists standing in for the rows."""
+    rows = [graph.out_neighbors(v) for v in range(graph.num_vertices)]
+    for entry in entries:
+        if entry.neighbors is not None:
+            rows[entry.vertex] = np.asarray(entry.neighbors, dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    stream = ArrayStream(indptr, np.concatenate(rows),
+                         order=[e.vertex for e in entries])
+    route = config.make().partition(stream).assignment.route
+    # ... and as the reference implementation places them one by one.
+    reference = config.make()
+    state = reference.make_state(stream)
+    reference._setup(stream, state)
+    for record in stream:
+        reference.place(record, state)
+    assert np.array_equal(route, state.route)
+    return route
+
+
+class TestEverythingPlacesThroughTheKernel:
+    """Out-of-order ids, explicit neighbors, cached duplicates and
+    concurrent clients all take the kernel step, in arrival order."""
+
+    def _check(self, graph, config, svc, state_dir):
+        stats = svc.stats()
+        assert stats["placements"] == N
+        fast = stats["fast_path"]
+        assert fast["active"] is True
+        assert fast["fused_placements"] == stats["placements"]
+        assert fast["record_placements"] == 0
+        entries = _wal_entries(state_dir)
+        assert [e.seq for e in entries] == list(range(N))
+        assert np.array_equal(
+            svc._state.route, _replayed_as_one_pass(graph, config, entries))
+
+    def test_out_of_band_requests_then_the_rest(self, graph, config,
+                                                tmp_path):
+        state_dir = tmp_path / "state"
+        # The explicit list is longer than any row of the graph: degree
+        # indexed buffers must grow, not overrun.
+        long_row = list(range(100, 100 + graph.max_out_degree() + 7))
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=state_dir) as svc:
+            with ServiceClient(*svc.address) as c:
+                c.place_batch(list(range(0, 64)))
+                c.place(400)                          # out of order
+                c.place(450, neighbors=[0, 1, 2])     # explicit row
+                c.place(451, neighbors=long_row)
+                assert c.place(400)["cached"] is True  # duplicate
+                c.place_batch([300, 5, 301, 400, 302])
+                rest = [v for v in range(N)
+                        if svc._state.route[v] == -1]
+                for start in range(0, len(rest), 100):
+                    c.place_batch(rest[start:start + 100])
+            assert svc.stats()["arrival_ordered"] is False
+            self._check(graph, config, svc, state_dir)
+
+    def test_four_concurrent_clients(self, graph, config, tmp_path):
+        state_dir = tmp_path / "state"
+        errors = []
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=state_dir) as svc:
+            def worker(lo):
+                try:
+                    with ServiceClient(*svc.address) as c:
+                        for start in range(lo, N, 4 * 25):
+                            c.place_batch(list(range(start, start + 25)),
+                                          retries=20)
+                            c.place(start)  # cached duplicate
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(lo * 25,))
+                       for lo in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            self._check(graph, config, svc, state_dir)
+
+    def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
+                                                tmp_path):
+        state_dir = tmp_path / "state"
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=state_dir) as svc:
+            with ServiceClient(*svc.address) as c:
+                for start in range(0, N, 128):
+                    c.place_batch(list(range(start, min(N, start + 128))))
+            blob = b"".join(p.read_bytes()
+                            for p in sorted(state_dir.glob("wal-*")))
+        assert hashlib.sha256(blob).hexdigest() == ID_ORDERED_WAL_SHA256
 
 
 class TestProtocolErrors:
@@ -330,6 +446,49 @@ class TestDurability:
             assert stats["placements"] == N
             assert stats["fast_path"]["active"] is True
             assert stats["fast_path"]["fused_placements"] == N - 256
+
+    def test_resume_after_non_prefix_history_keeps_the_kernel(
+            self, graph, config, tmp_path):
+        """Snapshot + WAL tail of an out-of-order, explicit-neighbor
+        history: the revived server builds its kernel from the replayed
+        state and finishes exactly as an uninterrupted pass would."""
+        state_dir = tmp_path / "state"
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=state_dir,
+                                     snapshot_every=100)
+        with ServiceClient(*svc.address) as c:
+            c.place_batch(list(range(200, 330)))       # past a snapshot
+            c.place(7, neighbors=[200, 201, 202, 203])
+            c.place_batch([500, 3, 499])
+        placed_before = int(svc._state.placed_vertices)
+        svc._listener.close()  # crash: snapshot at >= 100 + WAL tail
+
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=state_dir,
+                                    resume_from=state_dir) as revived:
+            assert revived._replayed > 0
+            with ServiceClient(*revived.address) as c:
+                rest = [v for v in range(N)
+                        if revived._state.route[v] == -1]
+                c.place_batch(rest)
+                stats = c.stats()
+            assert stats["placements"] == N
+            assert stats["fast_path"]["active"] is True
+            assert stats["fast_path"]["fused_placements"] == \
+                N - placed_before
+            entries = _wal_entries(state_dir)
+            route = revived._state.route.copy()
+        # The log only reaches back to the last snapshot; the acked order
+        # before it is what the first server was sent.
+        history = list(range(200, 330)) + [7, 500, 3, 499] + rest
+        assert [e.vertex for e in entries] == \
+            history[-len(entries):]
+        rows = [graph.out_neighbors(v) for v in range(N)]
+        rows[7] = np.array([200, 201, 202, 203], dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+        one_pass = config.make().partition(ArrayStream(
+            indptr, np.concatenate(rows), order=history))
+        assert np.array_equal(route, one_pass.assignment.route)
 
 
 class TestFacade:
