@@ -869,13 +869,13 @@ class StreamingPartitioner(ABC):
         """
         state = self.make_state(stream)
         self._setup(stream, state)
-        return self.finish_pass(stream, state,
-                                instrumentation=instrumentation, fast=fast)
+        return self._finish_pass(stream, state,
+                                 instrumentation=instrumentation, fast=fast)
 
-    def finish_pass(self, stream: VertexStream, state: PartitionState, *,
-                    instrumentation=None, fast: bool | None = None,
-                    every: int | None = None, on_segment=None,
-                    elapsed: float = 0.0) -> StreamingResult:
+    def _finish_pass(self, stream: VertexStream, state: PartitionState, *,
+                     instrumentation=None, fast: bool | None = None,
+                     every: int | None = None, on_segment=None,
+                     elapsed: float = 0.0) -> StreamingResult:
         """Place the rest of ``stream`` into ``state`` and build the result.
 
         The body of :meth:`partition`, also driven by the checkpointing

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -155,17 +156,16 @@ def _finish(partitioner: StreamingPartitioner, stream: VertexStream,
     """Run the (remainder of the) pass with periodic snapshots.
 
     ``stream`` must already be seeked to the position matching ``state``.
-    The pass is :meth:`StreamingPartitioner.finish_pass` — the kernel
+    The pass is :meth:`StreamingPartitioner._finish_pass` — the kernel
     :meth:`~StreamingPartitioner.partition` itself runs — with a
     snapshot between segments of ``config.every`` records.
     """
     ckpt = Checkpointer(partitioner, config,
                         instrumentation=instrumentation)
-    result = partitioner.finish_pass(
+    result = partitioner._finish_pass(
         stream, state, instrumentation=instrumentation,
         every=config.every, elapsed=base_elapsed,
-        on_segment=lambda position, elapsed: ckpt.save(
-            state, position, elapsed))
+        on_segment=partial(ckpt.save, state))
     result.stats["checkpoints_written"] = ckpt.snapshots_written
     if resumed_from is not None:
         result.stats["resumed_from"] = resumed_from

@@ -1631,7 +1631,10 @@ class PlacementService:
         # (capacity, names) or monotonic counters safe to read racily.
         view = self._read_view
         summary = view.read_summary()
+        # Every placement since boot went through the kernel
+        # (sequential engine) or the grouped chunk loop.
         since_boot = summary["position"] - self._boot_position
+        kernel = self._place is not None
         state = self._state
         stats: dict[str, Any] = {
             "partitioner": self.partitioner.name,
@@ -1649,15 +1652,11 @@ class PlacementService:
             "uptime_seconds":
                 time.monotonic() - self._started_monotonic,
             "arrival_ordered": bool(self._arrival_ordered),
-            # Derived: every placement since boot went through the
-            # kernel (sequential engine) or the grouped chunk loop.
             "fast_path": {
-                "active": self._place is not None,
+                "active": kernel,
                 "cursor": int(self._next_expected),
-                "fused_placements":
-                    since_boot if self._place is not None else 0,
-                "record_placements":
-                    0 if self._place is not None else since_boot,
+                "fused_placements": since_boot if kernel else 0,
+                "record_placements": 0 if kernel else since_boot,
                 "fast_batches": int(self._kernel_requests),
             },
             "latency": self._latency.summary(),

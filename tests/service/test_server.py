@@ -162,16 +162,14 @@ def _wal_entries(state_dir):
     return list(replay_entries(state_dir, from_position=oldest))
 
 
-def _replayed_as_one_pass(graph, config, entries):
-    """``partition()`` over the graph in the WAL's (acked) order, with
-    any logged explicit neighbor lists standing in for the rows."""
+def _one_pass_route(graph, config, order, explicit):
+    """``partition()`` over the graph in ``order``, with the ``explicit``
+    neighbor lists (vertex -> list) standing in for those rows."""
     rows = [graph.out_neighbors(v) for v in range(graph.num_vertices)]
-    for entry in entries:
-        if entry.neighbors is not None:
-            rows[entry.vertex] = np.asarray(entry.neighbors, dtype=np.int64)
+    for vertex, neighbors in explicit.items():
+        rows[vertex] = np.asarray(neighbors, dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
-    stream = ArrayStream(indptr, np.concatenate(rows),
-                         order=[e.vertex for e in entries])
+    stream = ArrayStream(indptr, np.concatenate(rows), order=order)
     route = config.make().partition(stream).assignment.route
     # ... and as the reference implementation places them one by one.
     reference = config.make()
@@ -196,8 +194,13 @@ class TestEverythingPlacesThroughTheKernel:
         assert fast["record_placements"] == 0
         entries = _wal_entries(state_dir)
         assert [e.seq for e in entries] == list(range(N))
+        # The route is what one pass in the acked (WAL) order gives.
+        explicit = {e.vertex: e.neighbors for e in entries
+                    if e.neighbors is not None}
         assert np.array_equal(
-            svc._state.route, _replayed_as_one_pass(graph, config, entries))
+            svc._state.route,
+            _one_pass_route(graph, config, [e.vertex for e in entries],
+                            explicit))
 
     def test_out_of_band_requests_then_the_rest(self, graph, config,
                                                 tmp_path):
@@ -483,12 +486,8 @@ class TestDurability:
         history = list(range(200, 330)) + [7, 500, 3, 499] + rest
         assert [e.vertex for e in entries] == \
             history[-len(entries):]
-        rows = [graph.out_neighbors(v) for v in range(N)]
-        rows[7] = np.array([200, 201, 202, 203], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
-        one_pass = config.make().partition(ArrayStream(
-            indptr, np.concatenate(rows), order=history))
-        assert np.array_equal(route, one_pass.assignment.route)
+        assert np.array_equal(route, _one_pass_route(
+            graph, config, history, {7: [200, 201, 202, 203]}))
 
 
 class TestFacade:
