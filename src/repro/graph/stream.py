@@ -387,8 +387,8 @@ class FileStream(_Seekable):
         """Whether vertex ids in the file are strictly increasing.
 
         Determined during the constructor's pre-scan; when both totals
-        were supplied (no pre-scan happened) a dedicated id-only scan
-        runs once and is cached.  The memo is invalidated by
+        were supplied (no pre-scan happened) that same scan runs once,
+        on first use, and its verdict is cached.  The memo is invalidated by
         :meth:`seek` when the file's (size, mtime) signature changed, so
         resumed runs never trust a stale verdict.  Unordered files used
         to be reported as ordered unconditionally, which silently
@@ -400,12 +400,8 @@ class FileStream(_Seekable):
         return self._ordered
 
     def _scan_id_order(self) -> bool:
-        prev = -1
-        for vertex, _ in self._lines():
-            if vertex <= prev:
-                return False
-            prev = vertex
-        return True
+        from ..ingest.chunked import scan_adjacency_stats
+        return scan_adjacency_stats(self._path, policy=self._policy)[2]
 
     def _iterate_from(self, skip: int) -> Iterator[AdjacencyRecord]:
         """One pass over the file, dropping the first ``skip`` records."""

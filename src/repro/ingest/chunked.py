@@ -8,7 +8,9 @@ handful of NumPy passes:
 
 1. classify every byte once through a 256-entry lookup table
    (digit / whitespace / newline / other);
-2. locate newline positions → line starts and 1-based line numbers;
+2. locate newline positions → line starts and 1-based line numbers, and
+   count the newlines before every byte, so any byte's line is one
+   lookup (no sorted search anywhere below);
 3. locate digit runs → token ``[start, end)`` spans;
 4. evaluate all tokens at once: ``digit · 10^(end-1-i)`` per byte,
    reduced per run with ``np.add.reduceat``;
@@ -52,13 +54,14 @@ __all__ = [
 #: reader's double buffer stays cache- and memory-friendly.
 DEFAULT_CHUNK_BYTES = 1 << 20
 
-# Byte classes for the tokenizer lookup table.
+# Byte classes, and the 256-entry table ``bytes.translate`` maps a block
+# through.
 _OTHER, _DIGIT, _WS, _NL = 0, 1, 2, 3
-_CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-for _b in (9, 11, 12, 13, 32):  # tab, VT, FF, CR, space — str.split()'s set
-    _CLASS[_b] = _WS
-_CLASS[10] = _NL
+#: tab, VT, FF, CR, space — str.split()'s set.
+_WS_BYTES = bytes((9, 11, 12, 13, 32))
+_CLASS_TABLE = bytes(
+    _DIGIT if b in b"0123456789" else _WS if b in _WS_BYTES
+    else _NL if b == 10 else _OTHER for b in range(256))
 
 #: ``10**e`` for every in-range int64 exponent; token runs longer than 18
 #: digits can overflow and are routed to the ``int()`` fallback instead.
@@ -122,8 +125,17 @@ class TokenChunk:
     def raw_line(self, lineno: int) -> str:
         """Original text of 1-based file line ``lineno`` (with newline)."""
         i = lineno - self._base_line
-        raw = self._buf[self._line_starts[i]:self._nl_pos[i] + 1]
-        return raw.decode("utf-8", errors="replace")
+        return _decode_line(
+            self._buf[self._line_starts[i]:self._nl_pos[i] + 1])
+
+
+def _decode_line(raw: bytes) -> str:
+    """A newline-terminated fallback line as the seed parser's text-mode
+    read delivers it: ``\\r\\n`` folded to ``\\n``, undecodable bytes
+    replaced (the seed parser refuses those files outright)."""
+    if raw.endswith(b"\r\n"):
+        raw = raw[:-2] + b"\n"
+    return raw.decode("utf-8", errors="replace")
 
 
 def _iter_blocks(path: str | Path,
@@ -154,33 +166,44 @@ def _iter_blocks(path: str | Path,
 def _tokenize_block(buf: bytes, base_line: int) -> TokenChunk:
     """Vectorized tokenization of one newline-terminated block."""
     data = np.frombuffer(buf, dtype=np.uint8)
-    cls = _CLASS[data]
-    nl_pos = np.flatnonzero(cls == _NL)
+    cls = np.frombuffer(buf.translate(_CLASS_TABLE), dtype=np.uint8)
+    is_nl = cls == _NL
+    nl_pos = np.flatnonzero(is_nl)
     n_lines = len(nl_pos)
     line_starts = np.empty(n_lines, dtype=np.int64)
     if n_lines:
         line_starts[0] = 0
         line_starts[1:] = nl_pos[:-1] + 1
+    # Newlines at or before each byte: for any byte but a newline, the
+    # 0-based index of its line.  Every byte -> line lookup reads this.
+    line_of = is_nl.astype(np.int32 if len(buf) < 2 ** 31 else np.int64)
+    np.cumsum(line_of, out=line_of)
 
     # Comment lines: first significant (non-ws) byte is '#', '%', or "//".
-    sig_pos = np.flatnonzero((cls == _OTHER) | (cls == _DIGIT))
-    sig_line = np.searchsorted(nl_pos, sig_pos)
-    lines_with_sig, first_idx = np.unique(sig_line, return_index=True)
-    first_sig = sig_pos[first_idx]
-    first_byte = data[first_sig]
-    # first_sig + 1 is always in range: every line ends with '\n'.
-    is_comment = ((first_byte == _HASH) | (first_byte == _PERCENT)
-                  | ((first_byte == _SLASH)
-                     & (data[first_sig + 1] == _SLASH)))
-    comment_mask = np.zeros(n_lines, dtype=bool)
-    comment_mask[lines_with_sig[is_comment]] = True
+    # A line that opens with a digit is a row and one that opens with any
+    # other significant byte is decided by that byte; only a line that
+    # opens with whitespace has to be searched.
+    first_byte = data[line_starts]
+    comment_mask = (first_byte == _HASH) | (first_byte == _PERCENT)
+    slashed = np.flatnonzero(first_byte == _SLASH)
+    if len(slashed):
+        # + 1 is in range: the line's own '\n' follows at the latest.
+        double = data[line_starts[slashed] + 1] == _SLASH
+        comment_mask[slashed[double]] = True
+    indented = np.flatnonzero(cls[line_starts] == _WS)
+    for i, start, end in zip(indented.tolist(),
+                             line_starts[indented].tolist(),
+                             nl_pos[indented].tolist()):
+        head = buf[start:end].lstrip(_WS_BYTES)
+        if head[:1] in (b"#", b"%") or head[:2] == b"//":
+            comment_mask[i] = True
 
     # Bad lines: any non-comment line holding a byte outside
     # digit/whitespace (signs, letters, floats, invalid encodings, ...).
     bad_mask = np.zeros(n_lines, dtype=bool)
     other_pos = np.flatnonzero(cls == _OTHER)
     if len(other_pos):
-        bad_mask[np.searchsorted(nl_pos, other_pos)] = True
+        bad_mask[line_of[other_pos]] = True
 
     # Token spans: maximal digit runs.
     is_digit = cls == _DIGIT
@@ -194,7 +217,7 @@ def _tokenize_block(buf: bytes, base_line: int) -> TokenChunk:
     lengths = tok_end - tok_start
     too_long = lengths > _MAX_FAST_DIGITS
     if too_long.any():  # may overflow int64: punt to int() per line
-        bad_mask[np.searchsorted(nl_pos, tok_start[too_long])] = True
+        bad_mask[line_of[tok_start[too_long]]] = True
     bad_mask &= ~comment_mask
 
     if len(tok_start):
@@ -205,10 +228,13 @@ def _tokenize_block(buf: bytes, base_line: int) -> TokenChunk:
         np.subtract(exp, digit_pos, out=exp)
         np.minimum(exp, _MAX_FAST_DIGITS, out=exp)  # clamp over-long runs
         np.multiply(digits, _POW10[exp], out=digits)
-        values = np.add.reduceat(digits,
-                                 np.searchsorted(digit_pos, tok_start))
-        tok_line = np.searchsorted(nl_pos, tok_start)
-        keep = ~(bad_mask[tok_line] | comment_mask[tok_line])
+        # Tokens are digit runs, so token t's first digit sits in
+        # ``digits`` at the total length of the tokens before it.
+        first_digit = np.zeros(len(lengths), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=first_digit[1:])
+        values = np.add.reduceat(digits, first_digit)
+        tok_line = line_of[tok_start]
+        keep = ~(bad_mask | comment_mask)[tok_line]
         values = values[keep]
         tok_line = tok_line[keep]
     else:
@@ -224,9 +250,8 @@ def _tokenize_block(buf: bytes, base_line: int) -> TokenChunk:
 
     bad_lines: list[tuple[int, str]] = []
     for i in np.flatnonzero(bad_mask):
-        raw = buf[line_starts[i]:nl_pos[i] + 1]
         bad_lines.append((int(base_line + i),
-                          raw.decode("utf-8", errors="replace")))
+                          _decode_line(buf[line_starts[i]:nl_pos[i] + 1])))
     return TokenChunk(values, row_splits, line_numbers, bad_lines,
                       buf=buf, line_starts=line_starts, nl_pos=nl_pos,
                       base_line=base_line)
@@ -349,9 +374,12 @@ def iter_adjacency_rows(path: str | Path, *, policy=None,
     for event in iter_row_events(path, chunk_bytes=chunk_bytes):
         if event[0] == "rows":
             _, values, splits, _linenos, _chunk = event
-            for r in range(len(splits) - 1):
-                lo = splits[r]
-                yield int(values[lo]), values[lo + 1:splits[r + 1]]
+            # Python ints, once per segment: slicing with numpy scalars
+            # would convert two of them for every row.
+            bounds = splits.tolist()
+            vertices = values[splits[:-1]].tolist()
+            for vertex, lo, hi in zip(vertices, bounds, bounds[1:]):
+                yield vertex, values[lo + 1:hi]
         else:
             parsed = parse_adjacency_line(path, event[1], event[2], policy)
             if parsed is not None:

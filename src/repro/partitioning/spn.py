@@ -243,6 +243,17 @@ class SPNPartitioner(StreamingPartitioner):
         elif self.in_estimator == "neighborhood":
             def in_term_into(v, neighbors):
                 return gather_into(neighbors, in_buf)
+        elif isinstance(store, SlidingWindowStore):  # combined, windowed
+            # The window store hands the in-window test of the array it
+            # gathered to the record() that commits the same array, so
+            # the neighbors are gathered as they arrived and Γ(v) is
+            # added as a row (integer sums: exact and order-free).
+            row_buf = np.empty(self.num_partitions, dtype=np.int64)
+
+            def in_term_into(v, neighbors):
+                gather_into(neighbors, in_buf)
+                expectation_of_into(v, row_buf)
+                return np.add(in_buf, row_buf, out=in_buf)
         else:  # combined: Γ(v) + Σ_{u∈N_out(v)} Γ(u)
             # One gather over neighbors+[v]: integer column sums are
             # exact and order-free, so folding Γ(v) into the reduction

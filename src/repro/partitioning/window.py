@@ -21,6 +21,17 @@ Semantics implemented here (matching the paper's case analysis):
   graph grows (Fig. 7b).
 
 Peak memory is ``O(K·|V|/X)`` regardless of how far the stream advances.
+
+Layout.  The ring is **slot-major**, ``(W, K)`` like the dense store's
+``(|V|, K)``: slot ``id mod W`` is one contiguous K-row, so Γ(v) is a row
+copy, a neighborhood gather is a row ``take`` plus a column sum, and the
+usual slide of one vertex zeroes one row.  A placement step reads a
+record's neighbors twice — :meth:`~SlidingWindowStore.gather_into` when
+scoring, :meth:`~SlidingWindowStore.record` when committing — against
+the same window, so the in-window test (slots plus the case-2/case-3
+counts) is computed once and handed from the first call to the second.
+Checkpoints keep the partition-major ``(K, W)`` table they always held;
+:meth:`~SlidingWindowStore.state_dict` transposes at that boundary.
 """
 
 from __future__ import annotations
@@ -30,6 +41,10 @@ import math
 import numpy as np
 
 __all__ = ["SlidingWindowStore", "default_num_shards"]
+
+#: The increment in the ring's own dtype: ``np.add.at`` takes its
+#: indexed fast path only when no cast stands between it and the table.
+_ONE = np.int32(1)
 
 
 def default_num_shards(num_vertices: int, num_partitions: int, *,
@@ -78,8 +93,17 @@ class SlidingWindowStore:
         self.num_shards = num_shards
         self.window_size = max(1, math.ceil(num_vertices / num_shards))
         self._low = 0  # smallest id currently covered by the window
-        self._table = np.zeros((num_partitions, self.window_size),
+        # Slot-major ring: the counters of id ``u`` are row ``u mod W``.
+        self._table = np.zeros((self.window_size, num_partitions),
                                dtype=np.int32)
+        self._gather_buf: np.ndarray | None = None
+        # The in-window test gather_into() made last, kept for the
+        # record() of the same placement step: ``(neighbors, low, slots,
+        # past, future)``.  One attribute, assigned whole, so the tuple
+        # stays consistent when threaded workers score concurrently;
+        # record() trusts it only for the same array object at the same
+        # ``low`` and drops it on read.
+        self._window_memo = None
         # Diagnostics surfaced in benchmark reports (Fig. 7 analysis).
         self.skipped_future = 0   # case-3 losses
         self.skipped_past = 0     # case-2 (harmless) drops
@@ -101,7 +125,9 @@ class SlidingWindowStore:
         Rotates the ring in place: slots vacated by ids falling off the
         back are zeroed and immediately reused for the ids entering at the
         front (the paper's "logically implemented by rotating over a
-        fixed-size array").
+        fixed-size array").  The expired slots are contiguous modulo
+        ``W`` — one row for the usual step of one vertex, at most two
+        row slices for a gap.
 
         A ``vertex`` behind the current window is a no-op rather than an
         error: the parallel executor re-scores *delayed* vertices after
@@ -109,57 +135,100 @@ class SlidingWindowStore:
         simply "read whatever counters remain".  (Streams that are not
         id-ordered at all are rejected earlier, at partitioner setup.)
         """
-        if vertex < self._low:
+        low = self._low
+        steps = vertex - low
+        if steps <= 0:
             return
-        steps = vertex - self._low
-        if steps == 0:
-            return
-        if steps >= self.window_size:
-            self._table[:] = 0  # the whole window content expired
+        size = self.window_size
+        table = self._table
+        if steps == 1:
+            table[low % size] = 0
+        elif steps >= size:
+            table[:] = 0  # the whole window content expired
         else:
-            expired = np.arange(self._low, vertex) % self.window_size
-            self._table[:, expired] = 0
+            first = low % size
+            last = first + steps
+            table[first:last] = 0
+            if last > size:  # the expired run wraps around the ring
+                table[:last - size] = 0
         self._low = vertex
 
-    def _in_window(self, ids: np.ndarray) -> np.ndarray:
-        return (ids >= self._low) & (ids < self._low + self.window_size)
+    def _classify(self, neighbors) -> tuple[np.ndarray, int, int]:
+        """The in-window test: ``(slots, past, future)`` for ``neighbors``.
+
+        ``slots`` are the ring rows of the ids inside the window (case
+        1, duplicates kept), ``past``/``future`` the number of ids behind
+        (case 2) and beyond (case 3) it.  Ids are compared as int64
+        whatever the caller's dtype (lists and narrower or unsigned
+        arrays included; int64 input is not copied).
+        """
+        ids = np.asarray(neighbors, dtype=np.int64)
+        low = self._low
+        size = self.window_size
+        total = len(ids)
+        reached = ids >= low
+        live = int(np.count_nonzero(reached))
+        if live != total:
+            ids = ids.compress(reached)
+        beyond = ids >= low + size
+        future = int(np.count_nonzero(beyond))
+        if future:
+            np.logical_not(beyond, out=beyond)
+            ids = ids.compress(beyond)
+        return ids % size, total - live, future
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         """``Γ_i(vertex)``; zero vector if the id is outside the window."""
         if not (self._low <= vertex < self._low + self.window_size):
             return np.zeros(self.num_partitions, dtype=np.int64)
-        return self._table[:, vertex % self.window_size].astype(np.int64)
+        return self._table[vertex % self.window_size].astype(np.int64)
 
     def expectation_of_into(self, vertex: int, out: np.ndarray) -> np.ndarray:
         """:meth:`expectation_of` into a preallocated buffer."""
         if not (self._low <= vertex < self._low + self.window_size):
             out[:] = 0
             return out
-        np.copyto(out, self._table[:, vertex % self.window_size])
+        np.copyto(out, self._table[vertex % self.window_size])
         return out
 
     def gather(self, neighbors: np.ndarray) -> np.ndarray:
-        """Sum of in-window expectations over ``neighbors``, per partition."""
+        """Sum of in-window expectations over ``neighbors``, per partition.
+
+        The allocating reference: it shares no buffer and leaves no
+        memo, so concurrent scorers may call it against one store.
+        """
         if len(neighbors) == 0:
             return np.zeros(self.num_partitions, dtype=np.int64)
-        inside = neighbors[self._in_window(neighbors)]
-        if len(inside) == 0:
-            return np.zeros(self.num_partitions, dtype=np.int64)
-        cols = inside % self.window_size
-        return self._table[:, cols].sum(axis=1, dtype=np.int64)
+        slots = self._classify(neighbors)[0]
+        return self._table[slots].sum(axis=0, dtype=np.int64)
 
     def gather_into(self, neighbors: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
-        """:meth:`gather` into a preallocated buffer (same reduction)."""
+        """:meth:`gather` into a preallocated buffer (same reduction).
+
+        Remembers the in-window test for the :meth:`record` call that
+        commits the same ``neighbors`` array at the same ``low``.
+        """
         if len(neighbors) == 0:
+            self._window_memo = None  # only ever the latest call's test
             out[:] = 0
             return out
-        inside = neighbors[self._in_window(neighbors)]
-        if len(inside) == 0:
+        slots, past, future = self._classify(neighbors)
+        self._window_memo = (neighbors, self._low, slots, past, future)
+        d = len(slots)
+        if d == 0:
             out[:] = 0
             return out
-        cols = inside % self.window_size
-        self._table[:, cols].sum(axis=1, dtype=np.int64, out=out)
+        buf = self._gather_buf
+        if buf is None or buf.shape[0] < d:
+            buf = np.empty((max(d, 64), self.num_partitions),
+                           dtype=self._table.dtype)
+            self._gather_buf = buf
+        rows = buf[:d]
+        # Slots are ``id mod W``, in range by construction; any mode but
+        # the bounds-checking default writes straight into ``rows``.
+        self._table.take(slots, axis=0, out=rows, mode="clip")
+        rows.sum(axis=0, dtype=np.int64, out=out)
         return out
 
     def record(self, pid: int, neighbors: np.ndarray) -> None:
@@ -168,17 +237,20 @@ class SlidingWindowStore:
         Out-of-window neighbors are tallied into the case-2/case-3 loss
         counters instead of being stored.
         """
+        memo = self._window_memo
+        self._window_memo = None  # one shot: never replayed
         if len(neighbors) == 0:
             return
-        mask = self._in_window(neighbors)
-        outside = neighbors[~mask]
-        if len(outside):
-            past = int(np.sum(outside < self._low))
+        if memo is not None and memo[0] is neighbors \
+                and memo[1] == self._low:
+            slots, past, future = memo[2:]
+        else:
+            slots, past, future = self._classify(neighbors)
+        if past or future:
             self.skipped_past += past
-            self.skipped_future += len(outside) - past
-        inside = neighbors[mask]
-        if len(inside):
-            np.add.at(self._table[pid], inside % self.window_size, 1)
+            self.skipped_future += future
+        if len(slots):
+            np.add.at(self._table[:, pid], slots, _ONE)
 
     def nbytes(self) -> int:
         """Bytes held by the rotating counter array."""
@@ -189,12 +261,16 @@ class SlidingWindowStore:
         return int(self._table.size)
 
     def state_dict(self) -> dict:
-        """Ring contents plus cursor and loss diagnostics."""
+        """Ring contents plus cursor and loss diagnostics.
+
+        ``table`` is the partition-major ``(K, W)`` array checkpoints
+        have always held, so snapshots move freely between versions.
+        """
         return {
             "kind": "window",
             "num_shards": int(self.num_shards),
             "window_size": int(self.window_size),
-            "table": self._table.copy(),
+            "table": np.ascontiguousarray(self._table.T),
             "low": int(self._low),
             "skipped_future": int(self.skipped_future),
             "skipped_past": int(self.skipped_past),
@@ -211,11 +287,13 @@ class SlidingWindowStore:
                 f"match this run's {self.window_size} "
                 f"(X={payload.get('num_shards')} vs {self.num_shards})")
         table = payload["table"]
-        if table.shape != self._table.shape:
+        ring_shape = (self.num_partitions, self.window_size)
+        if table.shape != ring_shape:
             raise ValueError(
                 f"snapshot Γ ring shape {table.shape} does not match "
-                f"{self._table.shape}")
-        np.copyto(self._table, table)
+                f"{ring_shape}")
+        np.copyto(self._table, table.T)
         self._low = int(payload["low"])
         self.skipped_future = int(payload["skipped_future"])
         self.skipped_past = int(payload["skipped_past"])
+        self._window_memo = None

@@ -155,3 +155,72 @@ class TestEquivalenceWithFullStore:
                     <= full.gather(neighbors)).all()
             full.record(pid, neighbors)
             windowed.record(pid, neighbors)
+
+
+def _as_list(ids):
+    return [int(u) for u in ids]
+
+
+class TestNeighborContainers:
+    """Whatever holds the ids — a list, a narrower or an unsigned array —
+    the window test compares them as integers (an unsigned ``id - low``
+    would wrap a behind-window id round to "beyond")."""
+
+    @pytest.mark.parametrize("convert", [
+        _as_list,
+        lambda ids: np.asarray(ids, dtype=np.int32),
+        lambda ids: np.asarray(ids, dtype=np.uint32),
+        lambda ids: np.asarray(ids, dtype=np.int64),
+    ], ids=["list", "int32", "uint32", "int64"])
+    def test_window_matches_dense_on_live_ids(self, convert, rng):
+        n, k, shards = 120, 3, 4  # W = 30
+        dense = FullExpectationStore(k, n)
+        windowed = SlidingWindowStore(k, n, num_shards=shards)
+        size = windowed.window_size
+        scratch = np.empty(k, dtype=np.int64)
+        past = future = 0
+        for v in range(0, n, 2):
+            dense.advance_to(v)
+            windowed.advance_to(v)
+            ids = rng.integers(0, n, size=int(rng.integers(1, 9)))
+            live = ids[(ids >= v) & (ids < v + size)]
+            # reads: ids outside the window contribute nothing
+            expected = dense.gather(live)
+            assert np.array_equal(windowed.gather(convert(ids)), expected)
+            neighbors = convert(ids)
+            assert np.array_equal(
+                windowed.gather_into(neighbors, scratch), expected)
+            pid = int(rng.integers(0, k))
+            windowed.record(pid, neighbors)  # the gathered array itself
+            dense.record(pid, live)
+            past += int((ids < v).sum())
+            future += int((ids >= v + size).sum())
+            assert (windowed.skipped_past, windowed.skipped_future) \
+                == (past, future)
+            # a second container of the same ids: no scoring call first
+            windowed.record(pid, convert(ids))
+            dense.record(pid, live)
+            past += int((ids < v).sum())
+            future += int((ids >= v + size).sum())
+        assert past and future
+        assert (windowed.skipped_past, windowed.skipped_future) \
+            == (past, future)
+        for u in range(v, min(v + size, n)):
+            assert np.array_equal(windowed.expectation_of(u),
+                                  dense.expectation_of(u))
+
+    @pytest.mark.parametrize("empty", [
+        [], np.empty(0, dtype=np.int32), np.empty(0, dtype=np.uint32),
+        np.empty(0, dtype=np.int64),
+    ], ids=["list", "int32", "uint32", "int64"])
+    def test_empty_row_is_a_no_op(self, empty):
+        store = SlidingWindowStore(2, 10, num_shards=2)
+        store.record(1, np.array([1, 3]))
+        before = store.state_dict()
+        scratch = np.full(2, 99, dtype=np.int64)
+        assert list(store.gather(empty)) == [0, 0]
+        assert list(store.gather_into(empty, scratch)) == [0, 0]
+        store.record(0, empty)
+        after = store.state_dict()
+        assert np.array_equal(before.pop("table"), after.pop("table"))
+        assert before == after

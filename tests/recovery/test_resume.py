@@ -16,6 +16,7 @@ from repro.partitioning.registry import (
     make_partitioner,
     resolve,
 )
+from repro.partitioning.window import SlidingWindowStore
 from repro.recovery import (
     CheckpointConfig,
     latest_snapshot,
@@ -109,6 +110,77 @@ class TestRecordPathResume:
             np.testing.assert_array_equal(
                 resumed.assignment.route, baselines[name],
                 err_msg=f"{name} record-path resume from {snap.name}")
+
+
+class TestWindowedResume:
+    """``num_shards > 1``: the Γ ring, its cursor and the loss counters
+    cross the checkpoint, in the partition-major ``(K, W)`` table every
+    snapshot has held."""
+
+    SHARDS = 8
+
+    @pytest.fixture(scope="class")
+    def adj_file(self, graph, tmp_path_factory):
+        path = tmp_path_factory.mktemp("window") / "g.adj"
+        write_adjacency(graph, path)
+        return path
+
+    def _make(self):
+        return make_partitioner("spnl", K, num_shards=self.SHARDS)
+
+    def test_file_stream_resume_matches_uninterrupted_run(
+            self, adj_file, tmp_path):
+        plain = self._make().partition(FileStream(adj_file))
+        assert plain.stats["num_shards"] == self.SHARDS
+        assert plain.stats["skipped_past"] and plain.stats["skipped_future"]
+        partition_with_checkpoints(self._make(), FileStream(adj_file),
+                                   tmp_path, every=123, keep=100)
+        snaps = sorted(tmp_path.glob("ckpt-*.snap"))
+        assert len(snaps) >= 2
+        for snap in snaps:
+            resumed = resume_partition(
+                self._make(), FileStream(adj_file), snap,
+                config=CheckpointConfig(tmp_path / "r", keep=100))
+            assert resumed.stats["fast_path"] is False
+            np.testing.assert_array_equal(
+                resumed.assignment.route, plain.assignment.route,
+                err_msg=f"windowed resume from {snap.name}")
+            for key in ("skipped_past", "skipped_future"):
+                assert resumed.stats[key] == plain.stats[key], snap.name
+
+    def test_snapshot_table_is_partition_major(self, adj_file, graph,
+                                               tmp_path):
+        partition_with_checkpoints(self._make(), FileStream(adj_file),
+                                   tmp_path, every=150)
+        store = read_snapshot(
+            snapshot_path(tmp_path, 150))["heuristic"]["store"]
+        window = -(-graph.num_vertices // self.SHARDS)
+        assert store["table"].shape == (K, window)
+        assert store["low"] == 149  # the last vertex streamed
+
+    def test_old_layout_payload_loads(self):
+        """A payload as written before the ring went slot-major."""
+        store = SlidingWindowStore(2, 12, num_shards=4)  # W = 3
+        table = np.array([[0, 5, 0],
+                          [7, 0, 1]], dtype=np.int32)  # [pid, id mod 3]
+        store.load_state({"kind": "window", "num_shards": 4,
+                          "window_size": 3, "table": table, "low": 4,
+                          "skipped_future": 2, "skipped_past": 9})
+        assert (store.low, store.high) == (4, 7)
+        assert list(store.expectation_of(4)) == [5, 0]  # slot 1
+        assert list(store.expectation_of(5)) == [0, 1]  # slot 2
+        assert list(store.expectation_of(6)) == [0, 7]  # slot 0
+        assert list(store.gather(np.array([3, 4, 6, 7]))) == [5, 7]
+        assert (store.skipped_future, store.skipped_past) == (2, 9)
+        np.testing.assert_array_equal(store.state_dict()["table"], table)
+
+    def test_wrong_shape_payload_still_rejected(self):
+        store = SlidingWindowStore(2, 12, num_shards=4)
+        payload = store.state_dict()
+        payload["table"] = np.zeros((3, 2), dtype=np.int32)  # slot-major
+        with pytest.raises(ValueError, match=r"snapshot Γ ring shape "
+                           r"\(3, 2\) does not match \(2, 3\)"):
+            store.load_state(payload)
 
 
 class TestResumeGuards:
