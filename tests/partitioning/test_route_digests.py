@@ -5,10 +5,13 @@ how records are scored, chosen or committed shows up as a different
 route table.  ``tests/fixtures/route_digests.json`` holds the sha256 of
 the route (little-endian int32 bytes, the benchmark's digest) for every
 registered vertex partitioner over three stream kinds, every
-``test_fastpath.VARIANTS`` config, and the benchmark's two in-process
-SPNL configurations.  A refactor of the placement path must leave every
-digest unchanged; a deliberate algorithm change regenerates the file
-with ``PYTHONPATH=src python -m tests.partitioning.test_route_digests``.
+``test_fastpath.VARIANTS`` config, the benchmark's two in-process SPNL
+configurations, and every registered vertex partitioner under the
+Sec. V-B group discipline (:class:`SimulatedParallelPartitioner`, M in
+{4, 16}, with and without the RCT).  A refactor of the placement path
+must leave every digest unchanged; a deliberate algorithm change
+regenerates the file with
+``PYTHONPATH=src python -m tests.partitioning.test_route_digests``.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from repro.graph import GraphStream, shuffled
 from repro.graph.generators import community_web_graph
 from repro.graph.io import write_adjacency
 from repro.graph.stream import FileStream
+from repro.parallel import SimulatedParallelPartitioner
 from repro.partitioning.registry import (
     available_partitioners,
     make_partitioner,
@@ -56,6 +60,18 @@ def _cases(workdir: Path):
                lambda n=name, kw=kwargs: _digest(
                    make_partitioner(n, 8, **kw).partition(
                        GraphStream(small))))
+
+    grouped = [(name, {}) for name in available_partitioners(kind="vertex")]
+    grouped.append(("spnl", {"num_shards": 8}))
+    for name, kwargs in grouped:
+        label = "".join(f",{k}={v}" for k, v in sorted(kwargs.items()))
+        for m in (4, 16):
+            for use_rct in (False, True):
+                yield (f"{name}/grouped/m={m},rct={int(use_rct)}{label}",
+                       lambda n=name, kw=kwargs, m=m, r=use_rct: _digest(
+                           SimulatedParallelPartitioner(
+                               make_partitioner(n, 8, **kw), parallelism=m,
+                               use_rct=r).partition(GraphStream(small))))
 
     def bench_dense():
         big = community_web_graph(20000, seed=7)

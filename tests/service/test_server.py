@@ -24,10 +24,14 @@ K = 8
 N = 600
 
 #: sha256 of the WAL an id-ordered ``place_batch``-of-128 run of the
-#: module's graph/config writes, recorded before the placement loops
-#: were collapsed into one kernel.
-ID_ORDERED_WAL_SHA256 = \
-    "e012e51c82fcb011857e703b8aa077a2de7908870f7d553d76692b1d53e5b41c"
+#: module's graph/config writes, by engine ``parallelism``: M=1 recorded
+#: before the placement loops were collapsed into one kernel, M=8 (the
+#: grouped engine, lines stamped with their scoring group) before the
+#: grouped engine was moved onto it.
+ID_ORDERED_WAL_SHA256 = {
+    1: "e012e51c82fcb011857e703b8aa077a2de7908870f7d553d76692b1d53e5b41c",
+    8: "44f73f6eb775a9df3c4f36edd8b789b9d71f76446b79695cdf75d0034b883e6c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -248,17 +252,20 @@ class TestEverythingPlacesThroughTheKernel:
             assert not errors
             self._check(graph, config, svc, state_dir)
 
+    @pytest.mark.parametrize("parallelism", sorted(ID_ORDERED_WAL_SHA256))
     def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
-                                                tmp_path):
+                                                tmp_path, parallelism):
         state_dir = tmp_path / "state"
         with PlacementService.start(graph, config=config,
-                                    snapshot_dir=state_dir) as svc:
+                                    snapshot_dir=state_dir,
+                                    parallelism=parallelism) as svc:
             with ServiceClient(*svc.address) as c:
                 for start in range(0, N, 128):
                     c.place_batch(list(range(start, min(N, start + 128))))
             blob = b"".join(p.read_bytes()
                             for p in sorted(state_dir.glob("wal-*")))
-        assert hashlib.sha256(blob).hexdigest() == ID_ORDERED_WAL_SHA256
+        assert hashlib.sha256(blob).hexdigest() == \
+            ID_ORDERED_WAL_SHA256[parallelism]
 
 
 class TestProtocolErrors:
