@@ -24,6 +24,15 @@ Two executors are provided:
   of Fig. 12 cannot materialize; the executor still faithfully exhibits
   the contention-side effects (rising overhead past the sweet spot) and
   the RCT quality behaviour.
+
+Who scores and who commits: a scored record becomes a placement in
+exactly one place, :class:`~repro.partitioning.base.PlacementKernel`'s
+``commit``, owned by the single committing thread.  The group loop of
+the simulated executor (:meth:`_ParallelBase._place_groups`, which the
+process-sharded executor drives too) also *scores* through the kernel;
+concurrent scorers — the threaded executor's workers, the pool's worker
+processes — call the heuristic's reference ``_score``, which reads live
+shared state and touches no kernel scratch.
 """
 
 from __future__ import annotations
@@ -35,10 +44,11 @@ from typing import Any
 
 import numpy as np
 
-from ..graph.digraph import AdjacencyRecord
 from ..graph.stream import VertexStream
+from ..partitioning.assignment import UNASSIGNED
 from ..partitioning.base import (
     PartitionState,
+    PlacementKernel,
     StreamingPartitioner,
     StreamingResult,
 )
@@ -79,6 +89,108 @@ class _ParallelBase:
         )
         return stats
 
+    def _group_event(self, index: int) -> dict[str, Any]:
+        """Head of the per-group trace record: its type and index key."""
+        raise NotImplementedError
+
+    def _place_groups(self, stream: VertexStream, state: PartitionState,
+                      rct, score_group, *, instrumentation=None,
+                      ckpt=None, elapsed: float = 0.0
+                      ) -> tuple[float, int, int]:
+        """Place the rest of ``stream`` in groups of M (Sec. V-B).
+
+        The one group loop.  Per group: the RCT-delayed records carried
+        from the previous group first, then fresh ones up to M; every
+        vertex registered in ``rct``; the whole group scored against the
+        group-start state — the stale view concurrent workers observe —
+        by ``score_group(kernel, batch)``, ``batch`` being ``[(record,
+        delays)]`` and the scorer noting the fresh (``delays == 0``)
+        records' references its own way; then committed in arrival order
+        through the kernel, a record the RCT flags being carried over
+        (at most ``max_delays`` times) to be re-scored against fresh
+        state.  Who scores is the only thing a caller chooses.
+
+        ``ckpt`` (a :class:`~repro.recovery.checkpoint.Checkpointer`)
+        adds the snapshot barrier: every ``ckpt.config.every`` consumed
+        records the carried records are drained first, so the snapshot
+        is the plain sequential ``(state, position)`` pair; writing it
+        is not timed.  ``elapsed`` seeds the clock of a resumed pass.
+        Returns ``(elapsed, delayed, groups)``.
+        """
+        probe = instrumentation.stream_probe(self.base, state) \
+            if instrumentation is not None else None
+        kernel = PlacementKernel(
+            self.base, state,
+            observe=None if probe is None else probe.observe)
+        commit = kernel.commit
+        route = state.route
+        total = stream.num_vertices
+        consumed = stream.tell() if hasattr(stream, "tell") else 0
+        next_ckpt = consumed + ckpt.config.every if ckpt is not None \
+            else None
+        delayed_total = 0
+        groups = 0
+        carried: list[tuple[Any, int]] = []  # (record, delays)
+
+        def place_group(batch: list[tuple[Any, int]]) -> None:
+            nonlocal delayed_total, groups
+            if rct is not None:
+                for record, _ in batch:
+                    rct.register(record.vertex)
+            scores = score_group(kernel, batch)
+            delayed = 0
+            for (record, delays), row in zip(batch, scores):
+                vertex = record.vertex
+                if (rct is not None and delays < self.max_delays
+                        and rct.should_delay(vertex)):
+                    carried.append((record, delays + 1))
+                    delayed += 1
+                    continue
+                if route[vertex] != UNASSIGNED:
+                    raise ValueError(f"vertex {vertex} placed twice")
+                commit(vertex, record.neighbors, row)
+                if rct is not None:
+                    rct.remove(vertex)
+                    rct.release_references(record.neighbors)
+            delayed_total += delayed
+            groups += 1
+            if instrumentation is not None:
+                event = self._group_event(groups)
+                event.update(batch_size=len(batch), delayed=delayed,
+                             placements=int(state.placed_vertices))
+                instrumentation.emit(event)
+
+        iterator = iter(stream)
+        exhausted = False
+        seg_start = time.perf_counter()
+        while not exhausted or carried:
+            batch, carried = carried, []
+            while len(batch) < self.parallelism and not exhausted:
+                try:
+                    batch.append((next(iterator), 0))
+                    consumed += 1
+                except StopIteration:
+                    exhausted = True
+            if not batch:
+                break
+            place_group(batch)
+            if ckpt is not None and next_ckpt <= consumed < total:
+                while carried:
+                    batch, carried = carried, []
+                    place_group(batch)
+                elapsed += time.perf_counter() - seg_start
+                ckpt.save(state, consumed, elapsed)
+                seg_start = time.perf_counter()
+                next_ckpt = consumed + ckpt.config.every
+        elapsed += time.perf_counter() - seg_start
+        if probe is not None:
+            probe.finish(elapsed)
+            instrumentation.count("parallel.delayed", delayed_total)
+            if rct is not None:
+                instrumentation.gauge("parallel.conflicts",
+                                      rct.total_conflicts)
+        return elapsed, delayed_total, groups
+
 
 class SimulatedParallelPartitioner(_ParallelBase):
     """Deterministic batch model of M-way concurrent placement.
@@ -95,6 +207,9 @@ class SimulatedParallelPartitioner(_ParallelBase):
     def name(self) -> str:
         return f"{self.base.name}-par{self.parallelism}(sim)"
 
+    def _group_event(self, index: int) -> dict[str, Any]:
+        return {"type": "parallel_batch", "batch": index}
+
     def partition(self, stream: VertexStream, *,
                   instrumentation=None) -> StreamingResult:
         base = self.base
@@ -103,96 +218,33 @@ class SimulatedParallelPartitioner(_ParallelBase):
         rct = ReversedCountingTable(self.parallelism,
                                     epsilon=self.epsilon) \
             if self.use_rct else None
-        delayed_total = 0
-        probe = instrumentation.stream_probe(base, state) \
-            if instrumentation is not None else None
-        batch_index = 0
+        block = np.empty((self.parallelism, base.num_partitions))
 
-        start = time.perf_counter()
-        carried: list[tuple[AdjacencyRecord, int]] = []  # (record, delays)
-        iterator = iter(stream)
-        exhausted = False
-        while not exhausted or carried:
-            # Assemble the next concurrent batch: carried-over delayed
-            # records first, then fresh records from the buffer.
-            batch: list[tuple[AdjacencyRecord, int]] = carried
-            carried = []
-            while len(batch) < self.parallelism and not exhausted:
-                try:
-                    batch.append((next(iterator), 0))
-                except StopIteration:
-                    exhausted = True
-            if not batch:
-                break
+        def score_group(kernel: PlacementKernel, batch) -> np.ndarray:
+            score = kernel.score
+            for row, (record, delays) in zip(block, batch):
+                # Only *fresh* records note their references: a
+                # carried record's notes from its first batch are
+                # still outstanding (they drain on commit), so
+                # re-noting every batch would inflate neighbor
+                # counters without bound and keep the delay
+                # threshold artificially hot — an adversarial hub
+                # could then hold the whole table above threshold
+                # until every record burned its full delay budget.
+                if rct is not None and delays == 0:
+                    rct.note_references(record.neighbors)
+                row[:] = score(record.vertex, record.neighbors)
+            return block
 
-            if rct is not None:
-                for record, _ in batch:
-                    rct.register(record.vertex)
-                for record, delays in batch:
-                    # Only *fresh* records note their references: a
-                    # carried record's notes from its first batch are
-                    # still outstanding (they drain on commit), so
-                    # re-noting every batch would inflate neighbor
-                    # counters without bound and keep the delay
-                    # threshold artificially hot — an adversarial hub
-                    # could then hold the whole table above threshold
-                    # until every record burned its full delay budget.
-                    if delays == 0:
-                        rct.note_references(record.neighbors)
-
-            # Phase 1 — concurrent scoring against batch-start state.
-            scored: list[tuple[AdjacencyRecord, int, np.ndarray]] = []
-            for record, delays in batch:
-                scores = base._score(record, state)
-                scored.append((record, delays, scores))
-
-            # Phase 2 — commit, deferring heavy-dependency records.
-            batch_delayed = 0
-            for record, delays, scores in scored:
-                if (rct is not None and delays < self.max_delays
-                        and rct.should_delay(record.vertex)):
-                    carried.append((record, delays + 1))
-                    delayed_total += 1
-                    batch_delayed += 1
-                    continue
-                if probe is None:
-                    pid = base.choose(scores, state)
-                else:
-                    pid, margin = base.choose_with_margin(scores, state)
-                state.commit(record, pid)
-                base._after_commit(record, pid, state)
-                if probe is not None:
-                    # The batch-stale scores mean the cached neighbor tally
-                    # (if any) predates other commits in this batch; the
-                    # probe recomputes when the memo has been consumed.
-                    probe.observe(record.vertex, record.neighbors,
-                                  pid, margin)
-                if rct is not None:
-                    rct.remove(record.vertex)
-                    rct.release_references(record.neighbors)
-            if instrumentation is not None:
-                batch_index += 1
-                instrumentation.emit({
-                    "type": "parallel_batch",
-                    "batch": batch_index,
-                    "batch_size": len(scored),
-                    "delayed": batch_delayed,
-                    "placements": int(state.placed_vertices),
-                })
-
-        elapsed = time.perf_counter() - start
-        if probe is not None:
-            probe.finish(elapsed)
-            instrumentation.count("parallel.delayed", delayed_total)
-            if rct is not None:
-                instrumentation.gauge("parallel.conflicts",
-                                      rct.total_conflicts)
+        elapsed, delayed, _ = self._place_groups(
+            stream, state, rct, score_group,
+            instrumentation=instrumentation)
         return StreamingResult(
             assignment=state.to_assignment(),
             partitioner=self.name,
             elapsed_seconds=elapsed,
             num_partitions=base.num_partitions,
-            stats=self._stats(rct, delayed_total, state),
+            stats=self._stats(rct, delayed, state),
         )
 
 
@@ -250,6 +302,8 @@ class ThreadedParallelPartitioner(_ParallelBase):
         # the instrumented threaded run needs no extra synchronisation.
         probe = instrumentation.stream_probe(base, state) \
             if instrumentation is not None else None
+        kernel = PlacementKernel(
+            base, state, observe=None if probe is None else probe.observe)
         commit_lock = threading.Lock()
         count_lock = threading.Lock()
         # Delayed records are re-queued, so completion cannot be signalled
@@ -315,7 +369,10 @@ class ThreadedParallelPartitioner(_ParallelBase):
                         # crash mid-noting re-notes (rare, best-effort)
                         # rather than silently under-counting.
                         noted = True
-                    scores = base._score(record, state)
+                    # commit() destroys its scores and wants float64
+                    # (what choose() promoted to): hand it a copy.
+                    scores = np.array(base._score(record, state),
+                                      dtype=np.float64)
                     delay = (rct is not None and delays < self.max_delays
                              and rct.should_delay(record.vertex))
                 except BaseException as exc:
@@ -352,16 +409,11 @@ class ThreadedParallelPartitioner(_ParallelBase):
                         pass
                 try:
                     with commit_lock:
-                        if probe is None:
-                            pid = base.choose(scores, state)
-                        else:
-                            pid, margin = base.choose_with_margin(
-                                scores, state)
-                        state.commit(record, pid)
-                        base._after_commit(record, pid, state)
-                        if probe is not None:
-                            probe.observe(record.vertex, record.neighbors,
-                                          pid, margin)
+                        if state.route[record.vertex] != UNASSIGNED:
+                            raise ValueError(
+                                f"vertex {record.vertex} placed twice")
+                        kernel.commit(record.vertex, record.neighbors,
+                                      scores)
                 except BaseException as exc:
                     # Shared state may be half-updated; a retry could
                     # place the vertex twice.  Not survivable.

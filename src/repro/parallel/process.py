@@ -19,12 +19,15 @@ Execution model (one *group* = the paper's M concurrent records):
    against the shared (group-start) state, note RCT conflicts into
    private per-worker lanes, and write length-K score vectors into the
    slot's score block;
-3. after the barrier the parent folds the conflict lanes and replays
-   the exact commit discipline of
-   :class:`~repro.parallel.executor.SimulatedParallelPartitioner`:
-   commits are applied group-by-group in the group's arrival order
-   (id-sorted for the default id-ordered streams), deferring
-   heavily-depended vertices up to ``max_delays`` times.
+3. after the barrier the parent folds the conflict lanes and commits.
+   Steps 1 and 3 are not a copy of
+   :class:`~repro.parallel.executor.SimulatedParallelPartitioner`'s
+   loop, they *are* it (``_ParallelBase._place_groups``, parameterised
+   only by who scores the group): commits go through the parent's
+   :class:`~repro.partitioning.base.PlacementKernel` group-by-group in
+   the group's arrival order (id-sorted for the default id-ordered
+   streams), deferring heavily-depended vertices up to ``max_delays``
+   times.
 
 Because scoring is pure (workers write only their score block and
 conflict lane) and all state mutation happens in the parent between
@@ -715,111 +718,44 @@ class ProcessShardedPartitioner(_ParallelBase):
                           ring_slots=self.ring_slots)
 
     # ------------------------------------------------------------------
+    def _group_event(self, index: int) -> dict[str, Any]:
+        return {"type": "parallel_group", "group": index,
+                "workers": self.num_workers}
+
     def _drive(self, stream, state, lanes, pool: ShardedScorePool, *,
                instrumentation, ckpt_config, base_elapsed,
                resumed_from) -> StreamingResult:
         base = self.base
+        # Bind first: the group loop's kernel captures the state's
+        # arrays, which from here on are views of the shared segment.
         pool.bind_state(state, base, lanes)
         rct = pool.rct
-
-        # -- the group loop --------------------------------------------
-        probe = instrumentation.stream_probe(base, state) \
-            if instrumentation is not None else None
         ckpt = Checkpointer(base, ckpt_config,
                             instrumentation=instrumentation) \
             if ckpt_config is not None else None
-        total = stream.num_vertices
-        consumed = stream.tell() if hasattr(stream, "tell") else 0
-        next_ckpt = consumed + ckpt_config.every if ckpt else None
-        delayed_total = 0
-        group_index = 0
-        carried: list[tuple[AdjacencyRecord, int]] = []
-        iterator = iter(stream)
-        exhausted = [False]
-        elapsed = base_elapsed
-        seg_start = time.perf_counter()
 
-        def process_group(batch: list[tuple[AdjacencyRecord, int]]) -> None:
-            nonlocal delayed_total, group_index, carried
-            if rct is not None:
-                for record, _ in batch:
-                    rct.register(record.vertex)
-            scores_block = pool.score_group(
+        def score_group(kernel, batch) -> np.ndarray:
+            # The workers score (reference ``_score`` against the shared
+            # group-start state) and note the fresh records' conflicts
+            # into their lanes; the parent folds those at the barrier.
+            block = pool.score_group(
                 [record for record, _ in batch],
                 fresh=[delays == 0 for _, delays in batch])
             if rct is not None:
                 rct.fold_lanes()
-            # Commit phase — the simulated executor's discipline, verbatim.
-            batch_delayed = 0
-            for i, (record, delays) in enumerate(batch):
-                if (rct is not None and delays < self.max_delays
-                        and rct.should_delay(record.vertex)):
-                    carried.append((record, delays + 1))
-                    delayed_total += 1
-                    batch_delayed += 1
-                    continue
-                scores = scores_block[i]
-                if probe is None:
-                    pid = base.choose(scores, state)
-                else:
-                    pid, margin = base.choose_with_margin(scores, state)
-                state.commit(record, pid)
-                base._after_commit(record, pid, state)
-                if probe is not None:
-                    probe.observe(record.vertex, record.neighbors,
-                                  pid, margin)
-                if rct is not None:
-                    rct.remove(record.vertex)
-                    rct.release_references(record.neighbors)
-            group_index += 1
-            if instrumentation is not None:
-                instrumentation.emit({
-                    "type": "parallel_group",
-                    "group": group_index,
-                    "batch_size": len(batch),
-                    "delayed": batch_delayed,
-                    "placements": int(state.placed_vertices),
-                    "workers": self.num_workers,
-                })
+            return block
 
-        while not exhausted[0] or carried:
-            batch = carried
-            carried = []
-            while len(batch) < self.parallelism and not exhausted[0]:
-                try:
-                    batch.append((next(iterator), 0))
-                    consumed += 1
-                except StopIteration:
-                    exhausted[0] = True
-            if not batch:
-                break
-            process_group(batch)
-            if ckpt is not None and consumed < total \
-                    and consumed >= next_ckpt:
-                # Snapshot barrier: drain every in-flight record so the
-                # snapshot is a plain sequential (state, position) pair.
-                while carried:
-                    drain, carried = carried, []
-                    process_group(drain)
-                elapsed += time.perf_counter() - seg_start
-                ckpt.save(state, consumed, elapsed)
-                seg_start = time.perf_counter()
-                next_ckpt = consumed + ckpt_config.every
-
-        elapsed += time.perf_counter() - seg_start
-        if probe is not None:
-            probe.finish(elapsed)
-            instrumentation.count("parallel.delayed", delayed_total)
-            if rct is not None:
-                instrumentation.gauge("parallel.conflicts",
-                                      rct.total_conflicts)
+        elapsed, delayed, groups = self._place_groups(
+            stream, state, rct, score_group,
+            instrumentation=instrumentation, ckpt=ckpt,
+            elapsed=base_elapsed)
 
         assignment = state.to_assignment()
-        stats = self._stats(rct, delayed_total, state)
+        stats = self._stats(rct, delayed, state)
         stats.update(
             num_workers=self.num_workers,
             worker_restarts=pool.restarts,
-            groups=group_index,
+            groups=groups,
         )
         if ckpt is not None:
             stats["checkpoints_written"] = ckpt.snapshots_written

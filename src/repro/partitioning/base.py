@@ -251,7 +251,11 @@ class PartitionState:
         return memo[1], memo[2]
 
     def commit(self, record: AdjacencyRecord, pid: int) -> None:
-        """Apply a placement decision (Algorithm 1, lines 2–4)."""
+        """Apply a placement decision (Algorithm 1, lines 2–4).
+
+        The reference commit behind :meth:`StreamingPartitioner.place`;
+        a streaming pass commits through :class:`PlacementKernel`.
+        """
         if not 0 <= pid < self.num_partitions:
             raise ValueError(f"invalid partition id {pid}")
         if self.route[record.vertex] != UNASSIGNED:
@@ -324,18 +328,27 @@ class PartitionState:
 class PlacementKernel:
     """The one placement step (Algorithm 1, lines 2-7) over live state.
 
-    Built once per ``(partitioner, state)``; every sequential driver —
-    :meth:`StreamingPartitioner.partition`, the checkpointing driver,
-    the placement server at ``parallelism == 1`` — places each vertex by
-    calling :attr:`step`, in arrival order, with no contiguity
-    requirement on the ids.  ``step(v, neighbors) -> pid`` scores from
-    the local view, picks the argmax under capacity, commits the route
-    and the per-partition tallies, and lets the heuristic update its own
-    state.  It picks the *identical* partition as
-    :meth:`StreamingPartitioner.choose` for any score vector: same
-    capacity masking, same overflow safety valve, same
-    least-loaded-then-lowest-id tie-break (the frozen route digests and
-    the byte-identity suite rest on this).
+    Built once per ``(partitioner, state)``.  How a scored record
+    becomes a placement is decided here and nowhere else: every driver
+    of a streaming pass — :meth:`StreamingPartitioner.partition`, the
+    checkpointing driver, the placement server's apply and replay
+    loops, the parallel executors — places through the two halves
+
+    * ``score(v, neighbors) -> scores`` — the length-K score vector from
+      the local view.  It is a scratch row, overwritten by the next
+      call: copy it to keep it (a Sec. V-B group scores M records
+      against the group-start state before committing any);
+    * ``commit(v, neighbors, scores) -> pid`` — argmax under capacity,
+      route and per-partition tallies, the heuristic's own update, the
+      probe feed.  ``scores`` (float64) is destroyed.  It picks the
+      *identical* partition as :meth:`StreamingPartitioner.choose` for
+      any score vector: same capacity masking, same overflow safety
+      valve, same least-loaded-then-lowest-id tie-break (the frozen
+      route digests and the byte-identity suite rest on this);
+
+    and ``step(v, neighbors) -> pid`` is their composition, the group
+    of one.  Records are placed in arrival order with no contiguity
+    requirement on the ids.
 
     The scoring pair is the heuristic's hand-fused one
     (:meth:`StreamingPartitioner._fast_kernel`) when it ships one, else
@@ -345,21 +358,27 @@ class PlacementKernel:
     weights, η lanes) is initialised from the live state, so a kernel
     built over restored or replayed state continues the run exactly.
     The price is that nothing else may commit to ``state`` while the
-    kernel is in use.
+    kernel is in use, that loads only grow (the mask never clears a
+    lane), and that the kernel captures the state's arrays by
+    reference: rebind them (a shared-memory pool attaching or
+    detaching) and the kernel must be rebuilt.  Concurrent scorers
+    (worker threads and processes) therefore keep calling the
+    reference ``_score``, which reads live state and touches no
+    scratch; the single committer owns the kernel.
 
-    The ineligibility mask is maintained *incrementally*: loads are
-    monotone and only the committed lane changes per record, so the
-    K-wide ``>=`` scans (plus the ``-inf`` scatter while every lane is
-    still eligible — the overwhelmingly common regime) disappear from
-    the per-record cost.
+    The ineligibility mask is maintained *incrementally*: only the
+    committed lane changes per record, so the K-wide ``>=`` scans (plus
+    the ``-inf`` scatter while every lane is still eligible — the
+    overwhelmingly common regime) disappear from the per-record cost.
 
     ``observe(v, neighbors, pid, margin)`` (a
     :meth:`~repro.observability.StreamProbe.observe`) is called after
-    each commit with the argmax-vs-runner-up score margin under
-    :meth:`StreamingPartitioner.choose_with_margin`'s conventions.
+    each commit with the argmax-vs-runner-up score margin: ``0.0`` on a
+    tied argmax, ``None`` when fewer than two partitions were eligible
+    (no runner-up to compare against), finite otherwise.
     """
 
-    __slots__ = ("state", "step")
+    __slots__ = ("state", "score", "commit", "step")
 
     def __init__(self, partitioner: "StreamingPartitioner",
                  state: PartitionState, *, reference: bool = False,
@@ -386,9 +405,9 @@ class PlacementKernel:
             np.logical_or(inelig, scratch.inelig2, out=inelig)
         num_inelig = int(np.count_nonzero(inelig))
 
-        def step(v: int, neighbors: np.ndarray) -> int:
+        def commit(v: int, neighbors: np.ndarray,
+                   scores: np.ndarray) -> int:
             nonlocal num_inelig
-            scores = score_into(v, neighbors)  # destroyed below
             if num_inelig:
                 np.copyto(scores, neg_inf, where=inelig)
             pid = scores.argmax()
@@ -428,7 +447,12 @@ class PlacementKernel:
                 observe(v, neighbors, pid, margin)
             return pid
 
+        def step(v: int, neighbors: np.ndarray) -> int:
+            return commit(v, neighbors, score_into(v, neighbors))
+
         self.state = state
+        self.score = score_into
+        self.commit = commit
         self.step = step
 
     def run(self, source: VertexStream, *, every: int | None = None,
@@ -638,7 +662,12 @@ class StreamingPartitioner(ABC):
     @abstractmethod
     def _score(self, record: AdjacencyRecord,
                state: PartitionState) -> np.ndarray:
-        """Return the length-K placement score vector for one record."""
+        """Return the length-K placement score vector for one record.
+
+        The reference scorer: it reads only live state and allocates
+        its result, so worker threads and processes may call it
+        concurrently while the single committer owns the kernel.
+        """
 
     def _after_commit(self, record: AdjacencyRecord, pid: int,
                       state: PartitionState) -> None:
@@ -751,7 +780,14 @@ class StreamingPartitioner(ABC):
         state.capacity_overflows += 1
 
     def choose(self, scores: np.ndarray, state: PartitionState) -> int:
-        """Pick a partition from a score vector under the shared policy."""
+        """Pick a partition from a score vector under the shared policy.
+
+        The reference decision: it recomputes eligibility from the live
+        loads on every call, so it also holds where loads shrink.
+        :meth:`PlacementKernel.commit <PlacementKernel>` is the
+        incremental form every streaming pass runs and must agree with
+        it on any input.
+        """
         loads = state.loads()
         masked = np.where(state.eligible(), scores, -np.inf)
         best = masked.max()
@@ -763,41 +799,17 @@ class StreamingPartitioner(ABC):
             return int(candidates[0])
         return int(candidates[np.argmin(loads[candidates])])
 
-    def choose_with_margin(self, scores: np.ndarray, state: PartitionState
-                           ) -> tuple[int, float | None]:
-        """:meth:`choose`, plus the argmax-vs-runner-up score margin.
-
-        Must pick the *identical* partition as :meth:`choose` for any
-        input (the no-instrumentation byte-identity guarantee rests on
-        this; a regression test enforces it).  The margin is ``0.0`` on a
-        tied argmax, ``None`` when fewer than two partitions were
-        eligible (no runner-up to compare against), and finite otherwise
-        — callers may skip NaN/inf checks.
-
-        The argmax/scrub/second-max order below makes the instrumented
-        decision no dearer than :meth:`choose` in the common untied case
-        (one argmax + one max, versus choose's max + equality scan), so
-        the margin is effectively free; only a tied argmax pays for the
-        full candidate reconstruction.
-        """
-        loads = state.loads()
-        masked = np.where(state.eligible(), scores, -np.inf)
-        pid = int(masked.argmax())
-        best = masked[pid]
-        if not np.isfinite(best):
-            self._note_overflow(state)
-            return int(np.argmin(loads)), None
-        masked[pid] = -np.inf  # masked is fresh from np.where; safe to scrub
-        runner_up = masked.max()
-        if runner_up == best:  # tied argmax: replay choose's tiebreak
-            masked[pid] = best
-            candidates = np.nonzero(masked == best)[0]
-            return int(candidates[np.argmin(loads[candidates])]), 0.0
-        margin = float(best - runner_up) if np.isfinite(runner_up) else None
-        return pid, margin
-
     def place(self, record: AdjacencyRecord, state: PartitionState) -> int:
-        """Score + choose + commit + heuristic update for one record."""
+        """Score + choose + commit + heuristic update for one record.
+
+        The reference placement, kept on purpose: the byte-identity
+        tests compare the kernel against it, and
+        :class:`~repro.partitioning.dynamic.DynamicPartitioner` and
+        :class:`~repro.partitioning.restreaming.RestreamingPartitioner`
+        run on it because they move vertices between partitions — loads
+        that shrink, which the kernel's grow-only mask does not support.
+        No streaming pass calls it.
+        """
         pid = self.choose(self._score(record, state), state)
         state.commit(record, pid)
         self._after_commit(record, pid, state)
@@ -823,10 +835,12 @@ class StreamingPartitioner(ABC):
         What heuristics without a fused pair run on, and what
         ``partition(fast=False)`` compares the fused ones against.  The
         scores are copied into the kernel's float64 buffer (``choose``
-        promotes the same way) because the kernel destroys them.  The
+        promotes the same way) because the kernel destroys them.  A
         step scores a record, then commits that same record, so
         ``after_commit`` reuses the one ``score_into`` built (with the
-        Python-int vertex id a record stream would have delivered).
+        Python-int vertex id a record stream would have delivered); a
+        group commits records other than the last one scored, and those
+        get a record of their own.
         """
         scores = state.ensure_scratch().scores
         record = None
@@ -838,7 +852,11 @@ class StreamingPartitioner(ABC):
             return scores
 
         def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
-            self._after_commit(record, pid, state)
+            scored = record
+            if scored is None or scored.neighbors is not neighbors \
+                    or scored.vertex != v:
+                scored = AdjacencyRecord(int(v), neighbors)
+            self._after_commit(scored, pid, state)
 
         return score_into, after_commit
 

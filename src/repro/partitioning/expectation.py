@@ -34,6 +34,10 @@ import numpy as np
 __all__ = ["ExpectationStore", "FullExpectationStore",
            "HashedExpectationStore"]
 
+#: The increment in the tables' own dtype: ``np.add.at`` takes its
+#: indexed fast path only when no cast stands between it and the table.
+_ONE = np.int32(1)
+
 
 class ExpectationStore(Protocol):
     """Interface shared by the full and windowed Γ implementations."""
@@ -143,7 +147,7 @@ class FullExpectationStore:
     def record(self, pid: int, neighbors: np.ndarray) -> None:
         if len(neighbors) == 0:
             return
-        np.add.at(self._table[:, pid], neighbors, 1)
+        np.add.at(self._table[:, pid], neighbors, _ONE)
 
     def nbytes(self) -> int:
         return int(self._table.nbytes)
@@ -288,7 +292,7 @@ class HashedExpectationStore:
     def record(self, pid: int, neighbors: np.ndarray) -> None:
         if len(neighbors) == 0:
             return
-        np.add.at(self._table[:, pid], self._buckets(neighbors), 1)
+        np.add.at(self._table[:, pid], self._buckets(neighbors), _ONE)
 
     def nbytes(self) -> int:
         return int(self._table.nbytes)

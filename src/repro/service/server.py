@@ -336,16 +336,13 @@ class _WalCommitter:
 
     The engine applies a group in memory, captures the ack payloads and
     an acked-state scalar snapshot, and hands everything here; this
-    thread appends + fsyncs the WAL, publishes the read view, and only
-    then releases the acks.  The bounded queue (one committing + one
-    queued) is the double buffer — a third group's ``submit`` blocks the
-    engine, bounding how far in-memory state can run ahead of the log.
-
-    A failed append parks the entries in the service's
-    ``_pending_entries`` (in sequence order), fails the riding requests
-    with ``read_only`` and degrades health — the synchronous path's
-    behavior, moved off the scoring thread.  While broken, every later
-    commit parks the same way so the log never gains a gap.
+    thread runs the service's one durable-commit routine
+    (:meth:`PlacementService._commit_durably`: append + fsync, publish
+    the read view, only then release the acks — or park, fail and
+    degrade) off the scoring thread.  The bounded queue (one committing
+    + one queued) is the double buffer — a third group's ``submit``
+    blocks the engine, bounding how far in-memory state can run ahead
+    of the log.
     """
 
     def __init__(self, service: "PlacementService") -> None:
@@ -354,7 +351,6 @@ class _WalCommitter:
         self._inflight_lock = threading.Lock()
         self._inflight_requests = 0
         self.committed_groups = 0
-        self.broken = False
         self._aborted = False
         self._thread = threading.Thread(target=self._loop,
                                         name="placement-wal-commit",
@@ -417,43 +413,9 @@ class _WalCommitter:
             if isinstance(item, threading.Event):
                 item.set()
                 continue
-            if self._aborted:
-                self._add_inflight(-item.requests)
-                continue
-            self._commit(item)
+            if not self._aborted and self._service._commit_durably(item):
+                self.committed_groups += 1
             self._add_inflight(-item.requests)
-
-    def _commit(self, item: _Commit) -> None:
-        service = self._service
-        entries = item.entries
-        if self.broken or service._pending_entries:
-            # The log is already behind; appending around the gap would
-            # corrupt the sequence.  Park in order, fail the riders.
-            service._pending_entries.extend(entries)
-            for work, _results in item.applied:
-                work.fail(
-                    "read_only",
-                    "placement could not be made durable (log is "
-                    "recovering); server is read-only until it flushes")
-            return
-        try:
-            if service._wal is not None and entries:
-                service._wal.append_batch(entries)
-        except Exception as exc:
-            self.broken = True
-            service._pending_entries.extend(entries)
-            service._health.transition(READ_ONLY, "wal_append_failed",
-                                       detail=str(exc))
-            for work, _results in item.applied:
-                work.fail(
-                    "read_only",
-                    f"placement could not be made durable ({exc}); "
-                    f"server is read-only until the log recovers")
-            return
-        service._publish_entries(entries, item.scalars)
-        for work, results in item.applied:
-            work.resolve(results)
-        self.committed_groups += 1
 
 
 def _resolve_graph(graph: Any) -> DiGraph:
@@ -687,13 +649,6 @@ class PlacementService:
         #: Placements made before this process booted (snapshot + WAL
         #: replay); everything past it went through this engine.
         self._boot_position = self._position
-        # The sequential engine's one placement step, built from live
-        # (possibly replayed) state.  Grouped engines never use it:
-        # every commit goes through the score-then-commit chunk loop,
-        # so the sharded and single-engine modes share one code path
-        # (and one WAL shape).
-        self._place = PlacementKernel(partitioner, self._state).step \
-            if self._parallelism == 1 else None
 
         # Worker pool (processes > 1): the canonical state moves into
         # the pool's shared segment so workers score against it live.
@@ -721,6 +676,17 @@ class PlacementService:
                 raise
             self._pool = pool
         self._pool_failed = False
+        # The engine's one way to place a vertex, whatever M: built
+        # from live (possibly replayed) state, and only after the pool
+        # moved that state into its segment — the kernel captures the
+        # route table, the tallies and the heuristic's lanes by
+        # reference.  Dropped again when the pool detaches.
+        self._kernel: PlacementKernel | None = PlacementKernel(
+            partitioner, self._state)
+        # Rows for a chunk scored in the engine thread (kernel.score
+        # hands out one scratch row; a chunk keeps M of them).
+        self._score_block = np.empty(
+            (self._parallelism, partitioner.num_partitions))
 
         # Lock-free read path: connection threads answer lookup/stats
         # from this seqlock view, never from live engine state.
@@ -815,12 +781,16 @@ class PlacementService:
     def _resume(self, source: Path) -> None:
         """Restore the newest snapshot under ``source``, replay the WAL.
 
-        Replay re-runs every logged placement through the partitioner's
-        reference ``place`` path and checks the deterministic choice
-        equals the logged pid — a mismatch means the log and code
-        disagree and serving on would hand out wrong ``lookup`` answers.
-        The placement kernel is built afterwards, from the replayed
-        state.
+        Replay re-runs every logged placement through a placement
+        kernel built over the restored state — the step the engine
+        itself places with — and checks the deterministic choice equals
+        the logged pid: a mismatch means the log and code disagree and
+        serving on would hand out wrong ``lookup`` answers.  The lines
+        say how they were scored: those sharing a group stamp were one
+        chunk (scored whole against chunk-start state, committed in
+        logged order), an unstamped line (``parallelism == 1``) is the
+        chunk of one.  The engine's own kernel is built afterwards,
+        from the replayed state.
         """
         directory = source if source.is_dir() else source.parent
         snapshot = source if source.is_file() else latest_snapshot(source)
@@ -833,54 +803,42 @@ class PlacementService:
             self._state = self.partitioner.make_state(self._stream)
             self.partitioner._setup(self._stream, self._state)
             self._position = 0
+        kernel = PlacementKernel(self.partitioner, self._state)
         replayed = 0
-        group_buf: list[tuple[WalEntry, AdjacencyRecord]] = []
+        chunk: list[tuple[WalEntry, np.ndarray]] = []
         last_gid = -1
 
-        def flush_group() -> None:
-            # Grouped entries replay under the discipline that produced
-            # them: score the whole group against group-start state,
-            # then choose/verify/commit in logged order.
-            if not group_buf:
-                return
-            scored = [(entry, record,
-                       self.partitioner._score(record, self._state))
-                      for entry, record in group_buf]
-            for entry, record, scores in scored:
-                pid = int(self.partitioner.choose(scores, self._state))
+        def replay_chunk() -> None:
+            rows = [kernel.score(entry.vertex, neighbors).copy()
+                    for entry, neighbors in chunk]
+            for (entry, neighbors), row in zip(chunk, rows):
+                pid = kernel.commit(entry.vertex, neighbors, row)
                 if pid != entry.pid:
                     raise ValueError(
                         f"WAL replay diverged at seq {entry.seq}: vertex "
                         f"{entry.vertex} re-places to {pid}, log says "
                         f"{entry.pid}")
-                self._state.commit(record, pid)
-                self.partitioner._after_commit(record, pid, self._state)
-            self._note_chunk(len(group_buf))
-            group_buf.clear()
+            if chunk[0][0].group is not None:
+                self._note_chunk(len(chunk))
+            chunk.clear()
 
         for entry in replay_entries(directory,
                                     from_position=self._position):
+            if chunk and entry.group != chunk[0][0].group:
+                replay_chunk()
             if entry.neighbors is None:
                 neighbors = self.graph.out_neighbors(entry.vertex)
             else:
                 neighbors = np.asarray(entry.neighbors, dtype=np.int64)
-            record = AdjacencyRecord(entry.vertex, neighbors)
+            chunk.append((entry, neighbors))
             if entry.group is None:
-                flush_group()
-                pid = self.partitioner.place(record, self._state)
-                if pid != entry.pid:
-                    raise ValueError(
-                        f"WAL replay diverged at seq {entry.seq}: vertex "
-                        f"{entry.vertex} re-places to {pid}, log says "
-                        f"{entry.pid}")
+                replay_chunk()
             else:
-                if group_buf and entry.group != last_gid:
-                    flush_group()
-                last_gid = max(last_gid, int(entry.group))
-                group_buf.append((entry, record))
+                last_gid = max(last_gid, entry.group)
             self._position += 1
             replayed += 1
-        flush_group()
+        if chunk:
+            replay_chunk()
         if last_gid >= 0:
             # Resume group ids past the log's highest so a re-replay
             # after the next crash never merges pre- and post-restart
@@ -978,53 +936,17 @@ class PlacementService:
             key=lambda w: w.placements[0][0] if w.placements else -1)
         now = time.monotonic()
         with self._state_lock:
-            if self._parallelism > 1:
-                applied, entries, placements, ok = \
-                    self._apply_group_grouped(place_works, now)
-            else:
-                applied, entries, placements, ok = \
-                    self._apply_group_sequential(place_works, now)
-            if self._committer is not None:
-                # Pipelined commit: hand the fsync to the committer and
-                # return to scoring; it publishes the read view and
-                # releases (or parks) the acks once the bytes are down.
-                if applied or entries:
-                    self._committer.submit(_Commit(
-                        entries, applied, self._ack_scalars(),
-                        len(applied)))
-            else:
-                wal_error: Exception | None = None
-                if self._wal is not None and entries:
-                    try:
-                        self._wal.append_batch(entries)
-                    except Exception as exc:
-                        wal_error = exc
-                        self._pending_entries.extend(entries)
-                        self._health.transition(
-                            READ_ONLY, "wal_append_failed",
-                            detail=str(exc))
-                if wal_error is None:
-                    if entries:
-                        self._publish_entries(entries,
-                                              self._ack_scalars())
-                    for work, results in applied:
-                        work.resolve(results)
-                else:
-                    # The placements are applied in memory but NOT
-                    # durable.  The ack contract (acked == fsynced)
-                    # forbids resolving them; the entries wait in
-                    # _pending_entries and flush before the server
-                    # accepts mutations again, so a later idempotent
-                    # retry's cached ack is backed by the log.  The
-                    # read view is not published either — readers must
-                    # never see a placement that was not acked.
+            applied, entries, placements, ok = \
+                self._apply_group(place_works, now)
+            if applied or entries:
+                commit = _Commit(entries, applied, self._ack_scalars(),
+                                 len(applied))
+                if self._committer is not None:
+                    # Pipelined: the committer fsyncs, publishes and
+                    # acks while the engine returns to scoring.
+                    self._committer.submit(commit)
+                elif not self._commit_durably(commit):
                     ok = False
-                    for work, _results in applied:
-                        work.fail(
-                            "read_only",
-                            f"placement could not be made durable "
-                            f"({wal_error}); server is read-only until "
-                            f"the log recovers")
             for work in other_works:
                 if work.kind == "recover":
                     try:
@@ -1067,19 +989,41 @@ class PlacementService:
                 "queue_depth": int(self._queue.qsize()),
                 "elapsed_seconds": elapsed,
                 "ok": ok,
-                "fused": len(entries) if self._place is not None else 0,
+                "fused": len(entries),
                 "shed": int(shed_delta),
             })
 
-    def _apply_group_sequential(
+    def _apply_group(
             self, place_works: list[_Work], now: float
     ) -> tuple[list[tuple[_Work, list[dict[str, Any]]]],
                list[WalEntry], int, bool]:
-        """The classic M=1 apply loop: one work at a time, in order."""
+        """Apply the drained place requests: the one apply loop.
+
+        Every live placement flows, in arrival order, through one
+        chunker: a chunk closes at M records, or earlier when the next
+        record would blow the flat-neighbor budget (mirroring the worker
+        ring's capacity so chunk boundaries are identical with and
+        without a pool).  Each chunk is scored whole against chunk-start
+        state — by the kernel here, or by the pool's workers — and
+        committed in arrival order through ``kernel.commit``: the
+        :class:`~repro.parallel.executor.SimulatedParallelPartitioner`
+        discipline at ``use_rct=False``.  ``parallelism == 1`` is the
+        chunk of one, which is ``kernel.step``; its WAL lines carry no
+        group stamp.  Idempotent: an already-placed vertex answers its
+        existing pid with ``cached: true`` and writes no WAL line.
+
+        What committed stays committed: the returned entries hold a
+        line for every commit made — also those of a request that
+        failed further on, which must reach the log because a retry
+        will answer them ``cached`` — and a request acks only when
+        every one of its placements committed.  After an error the rest
+        of the group fails with it.
+        """
         applied: list[tuple[_Work, list[dict[str, Any]]]] = []
         entries: list[WalEntry] = []
         placements = 0
         ok = True
+        live: list[tuple[_Work, list[dict[str, Any] | None]]] = []
         for work in place_works:
             if work.deadline is not None and now >= work.deadline:
                 # The budget died in the queue; applying now would
@@ -1101,165 +1045,111 @@ class PlacementService:
                           f"applied")
                 continue
             placements += len(work.placements)
-            try:
-                results, work_entries = self._apply_placements(
-                    work.placements)
-            except Exception as exc:
-                ok = False
-                work.fail("internal", f"placement failed: {exc}")
-                continue
-            entries.extend(work_entries)
-            applied.append((work, results))
-        return applied, entries, placements, ok
-
-    def _apply_group_grouped(
-            self, place_works: list[_Work], now: float
-    ) -> tuple[list[tuple[_Work, list[dict[str, Any]]]],
-               list[WalEntry], int, bool]:
-        """Score-then-commit the drained group in M-record chunks.
-
-        Every live placement in the group flows through one shared
-        chunker: flush at M records, or earlier when the next record
-        would blow the flat-neighbor budget (mirroring the worker
-        ring's capacity so chunk boundaries are identical with and
-        without a pool).  Each chunk is scored whole against
-        chunk-start state and committed in arrival order — the
-        :class:`~repro.parallel.executor.SimulatedParallelPartitioner`
-        discipline at ``use_rct=False``.  A work's results assemble
-        across chunks; it acks only when every one of its placements
-        committed.
-        """
-        applied: list[tuple[_Work, list[dict[str, Any]]]] = []
-        entries: list[WalEntry] = []
-        placements = 0
-        ok = True
-        live: list[_Work] = []
-        for work in place_works:
-            if work.deadline is not None and now >= work.deadline:
-                ok = False
-                self._deadline_expired += 1
-                work.fail("deadline_exceeded",
-                          "deadline budget expired while the request "
-                          "was queued; placement not applied")
-                continue
-            if not self._health.allows_mutation:
-                ok = False
-                work.fail("read_only",
-                          f"server went {self._health.state} while "
-                          f"the request was queued; placement not "
-                          f"applied")
-                continue
-            placements += len(work.placements)
-            live.append(work)
-        if not live:
-            return applied, entries, placements, ok
-        results_by_work: list[list[dict[str, Any] | None]] = \
-            [[None] * len(w.placements) for w in live]
-        state = self._state
-        route = state.route
-        chunk: list[tuple[int, int, AdjacencyRecord,
+            live.append((work, [None] * len(work.placements)))
+        route = self._state.route
+        indptr, indices = self._stream.indptr, self._stream.indices
+        kernel = self._kernel
+        step = kernel.step
+        parallelism = self._parallelism
+        clock = time.perf_counter
+        # One chunk in the making: (results, slot, record, neighbors as
+        # the client sent them) per record, and its flat-neighbor count.
+        chunk: list[tuple[list, int, AdjacencyRecord,
                           list[int] | None]] = []
         chunk_edges = 0
-        t0 = time.perf_counter()
         error: Exception | None = None
+
+        def committed(results, slot, vertex, neighbors, pid, gid) -> None:
+            results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
+            entries.append(
+                WalEntry(self._position, vertex, neighbors, pid, gid))
+            self._position += 1
+            if self._arrival_ordered:
+                if vertex == self._next_expected:
+                    self._next_expected += 1
+                else:
+                    self._arrival_ordered = False
+
+        def commit_chunk() -> None:
+            nonlocal chunk_edges
+            gid = self._chunk_seq
+            self._chunk_seq += 1
+            self._note_chunk(len(chunk))
+            t0 = clock()
+            pool = self._pool
+            if pool is not None and not self._pool_failed \
+                    and chunk_edges <= pool.neighbor_capacity:
+                rows: Any = pool.score_group(
+                    [record for _, _, record, _ in chunk])
+                self._pool_chunks += 1
+            else:
+                # No pool, pool down, or an oversize explicit-neighbor
+                # chunk that cannot fit a ring slot: score in the
+                # engine.  The fused and the reference scores are
+                # bit-identical, so byte-parity is unaffected.
+                rows = self._score_block
+                for row, (_, _, record, _) in zip(rows, chunk):
+                    row[:] = kernel.score(record.vertex, record.neighbors)
+            for (results, slot, record, neighbors), row in zip(chunk, rows):
+                vertex = record.vertex
+                if route[vertex] != UNASSIGNED:
+                    # Duplicate within the chunk: an earlier occurrence
+                    # just committed; answer cached, drop the stale score.
+                    results[slot] = {"vertex": vertex,
+                                     "pid": int(route[vertex]),
+                                     "cached": True}
+                    continue
+                committed(results, slot, vertex, neighbors,
+                          kernel.commit(vertex, record.neighbors, row), gid)
+            self._elapsed += clock() - t0
+            chunk.clear()
+            chunk_edges = 0
+
         try:
-            for wi, work in enumerate(live):
-                for si, (vertex, neighbors) in enumerate(work.placements):
+            for work, results in live:
+                self._kernel_requests += 1
+                for slot, (vertex, neighbors) in enumerate(work.placements):
                     if route[vertex] != UNASSIGNED:
-                        # Already committed before this chunk formed —
-                        # idempotent cached answer, no WAL line.
-                        results_by_work[wi][si] = {
-                            "vertex": vertex, "pid": int(route[vertex]),
-                            "cached": True}
+                        # Committed before this chunk formed.
+                        results[slot] = {"vertex": vertex,
+                                         "pid": int(route[vertex]),
+                                         "cached": True}
                         continue
                     if neighbors is None:
-                        nbrs = self.graph.out_neighbors(vertex)
-                        logged = None
+                        nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
                     else:
                         nbrs = np.asarray(neighbors, dtype=np.int64)
-                        logged = [int(u) for u in neighbors]
-                    degree = int(len(nbrs))
-                    if chunk and chunk_edges + degree > self._chunk_budget:
-                        self._commit_chunk(chunk, chunk_edges,
-                                           results_by_work, entries)
-                        chunk, chunk_edges = [], 0
-                    chunk.append((wi, si,
-                                  AdjacencyRecord(vertex, nbrs), logged))
-                    chunk_edges += degree
-                    if len(chunk) >= self._parallelism:
-                        self._commit_chunk(chunk, chunk_edges,
-                                           results_by_work, entries)
-                        chunk, chunk_edges = [], 0
+                    if parallelism == 1:
+                        t0 = clock()
+                        pid = step(vertex, nbrs)
+                        self._elapsed += clock() - t0
+                        committed(results, slot, vertex, neighbors, pid,
+                                  None)
+                        continue
+                    if chunk and chunk_edges + len(nbrs) > self._chunk_budget:
+                        commit_chunk()
+                    chunk.append((results, slot,
+                                  AdjacencyRecord(vertex, nbrs), neighbors))
+                    chunk_edges += len(nbrs)
+                    if len(chunk) >= parallelism:
+                        commit_chunk()
             if chunk:
-                self._commit_chunk(chunk, chunk_edges,
-                                   results_by_work, entries)
+                commit_chunk()
         except WorkerCrashedError as exc:
-            # The pool is unusable until recovery resets it; committed
-            # chunks stay committed (their entries are in ``entries``
-            # and must reach the log), the rest of the group fails.
+            # The pool is unusable until recovery resets it.
             error = exc
             self._pool_failed = True
             self._health.transition(READ_ONLY, "worker_pool_failed",
                                     detail=str(exc))
         except Exception as exc:
             error = exc
-        self._elapsed += time.perf_counter() - t0
-        for wi, work in enumerate(live):
-            results = results_by_work[wi]
-            if all(r is not None for r in results):
-                applied.append((work, results))
-            else:
+        for work, results in live:
+            if None in results:
                 ok = False
                 work.fail("internal", f"placement failed: {error}")
-        return applied, entries, placements, ok
-
-    def _commit_chunk(self, chunk, chunk_edges: int, results_by_work,
-                      entries: list[WalEntry]) -> None:
-        """Score one chunk against chunk-start state, commit in order."""
-        gid = self._chunk_seq
-        self._chunk_seq += 1
-        self._note_chunk(len(chunk))
-        base = self.partitioner
-        state = self._state
-        records = [record for _, _, record, _ in chunk]
-        pool = self._pool
-        if pool is not None and not self._pool_failed \
-                and chunk_edges <= pool.neighbor_capacity:
-            scores_block: Any = pool.score_group(records)
-            self._pool_chunks += 1
-        else:
-            # No pool, pool down, or an oversize explicit-neighbor
-            # chunk that cannot fit a ring slot: score in the engine.
-            # Scoring is pure, so byte-parity is unaffected.
-            scores_block = [base._score(record, state)
-                            for record in records]
-        route = state.route
-        for i, (wi, si, record, logged) in enumerate(chunk):
-            vertex = record.vertex
-            if route[vertex] != UNASSIGNED:
-                # Duplicate within the chunk: an earlier occurrence
-                # just committed; answer cached, drop the stale score.
-                results_by_work[wi][si] = {
-                    "vertex": vertex, "pid": int(route[vertex]),
-                    "cached": True}
-                continue
-            pid = int(base.choose(scores_block[i], state))
-            state.commit(record, pid)
-            base._after_commit(record, pid, state)
-            results_by_work[wi][si] = {"vertex": vertex, "pid": pid,
-                                       "cached": False}
-            entries.append(WalEntry(self._position, vertex, logged, pid,
-                                    group=gid))
-            self._position += 1
-            self._note_arrival(vertex)
-
-    def _note_arrival(self, vertex: int) -> None:
-        """Track whether placements still arrive in exact id order."""
-        if self._arrival_ordered:
-            if vertex == self._next_expected:
-                self._next_expected += 1
             else:
-                self._arrival_ordered = False
+                applied.append((work, results))
+        return applied, entries, placements, ok
 
     def _note_chunk(self, size: int) -> None:
         """Track whether chunking still matches exact M-batching.
@@ -1291,6 +1181,49 @@ class PlacementService:
             "placements": int(state.placed_vertices),
             "overflows": int(state.capacity_overflows),
         }
+
+    def _commit_durably(self, commit: _Commit) -> bool:
+        """Make one applied group durable, then visible, then acked.
+
+        The one ack routine, run by whichever thread owns the commit:
+        the WAL committer when the log is pipelined, else the engine.
+        Append + fsync, only then publish the read view, only then
+        release the acks; returns whether the group was acked.
+
+        When the append fails — or an earlier one did and its entries
+        still wait in ``_pending_entries``, where appending around the
+        gap would corrupt the sequence — the placements are applied in
+        memory but NOT durable.  The ack contract (acked == fsynced)
+        forbids resolving them: the entries are parked in sequence
+        order and flush before the server accepts mutations again, so a
+        later idempotent retry's cached ack is backed by the log; the
+        riders fail ``read_only``; and the read view is not published —
+        readers must never see a placement that was not acked.
+        """
+        entries = commit.entries
+        fault: str | None = None
+        if self._pending_entries:
+            fault = "log is recovering"
+        elif self._wal is not None and entries:
+            try:
+                self._wal.append_batch(entries)
+            except Exception as exc:
+                fault = str(exc)
+                self._health.transition(READ_ONLY, "wal_append_failed",
+                                        detail=fault)
+        if fault is not None:
+            self._pending_entries.extend(entries)
+            for work, _results in commit.applied:
+                work.fail(
+                    "read_only",
+                    f"placement could not be made durable ({fault}); "
+                    f"server is read-only until the log recovers")
+            return False
+        if entries:
+            self._publish_entries(entries, commit.scalars)
+        for work, results in commit.applied:
+            work.resolve(results)
+        return True
 
     def _publish_entries(self, entries: list[WalEntry],
                          scalars: dict[str, Any]) -> None:
@@ -1327,46 +1260,12 @@ class PlacementService:
         if pool is None:
             return
         self._pool = None
+        self._kernel = None  # its arrays are views of the segment
         try:
             pool.detach_state(self._state, self.partitioner)
         except Exception:
             pass
         pool.close()
-
-    def _apply_placements(
-            self, placements: list[tuple[int, list[int] | None]]
-    ) -> tuple[list[dict[str, Any]], list[WalEntry]]:
-        """Apply one request's placements; returns (results, WAL entries).
-
-        Idempotent: an already-placed vertex answers its existing pid
-        with ``cached: true`` and writes no WAL line.  Everything else
-        goes through the placement kernel's step in arrival order,
-        whatever the ids and whoever supplied the neighbors.
-        """
-        route = self._state.route
-        indptr, indices = self._stream.indptr, self._stream.indices
-        place = self._place
-        results: list[dict[str, Any]] = []
-        entries: list[WalEntry] = []
-        self._kernel_requests += 1
-        for vertex, neighbors in placements:
-            if route[vertex] != UNASSIGNED:
-                results.append({"vertex": vertex,
-                                "pid": int(route[vertex]),
-                                "cached": True})
-                continue
-            if neighbors is None:
-                nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
-            else:
-                nbrs = np.asarray(neighbors, dtype=np.int64)
-            t0 = time.perf_counter()
-            pid = place(vertex, nbrs)
-            self._elapsed += time.perf_counter() - t0
-            results.append({"vertex": vertex, "pid": pid, "cached": False})
-            entries.append(WalEntry(self._position, vertex, neighbors, pid))
-            self._position += 1
-            self._note_arrival(vertex)
-        return results, entries
 
     def _snapshot_now(self) -> dict[str, Any]:
         """Write a snapshot + rotate/prune the WAL (engine thread only)."""
@@ -1441,8 +1340,6 @@ class PlacementService:
             # that crashed; tear the pool down and respawn fresh.
             self._pool.reset()
             self._pool_failed = False
-        if self._committer is not None:
-            self._committer.broken = False
         self._snapshot_failures = 0
         self._health.transition(HEALTHY, "recovered")
         # The flushed entries are durable now; let readers see them.
@@ -1631,10 +1528,9 @@ class PlacementService:
         # (capacity, names) or monotonic counters safe to read racily.
         view = self._read_view
         summary = view.read_summary()
-        # Every placement since boot went through the kernel
-        # (sequential engine) or the grouped chunk loop.
+        # Every placement since boot went through the kernel, whatever
+        # the engine mode.
         since_boot = summary["position"] - self._boot_position
-        kernel = self._place is not None
         state = self._state
         stats: dict[str, Any] = {
             "partitioner": self.partitioner.name,
@@ -1653,10 +1549,10 @@ class PlacementService:
                 time.monotonic() - self._started_monotonic,
             "arrival_ordered": bool(self._arrival_ordered),
             "fast_path": {
-                "active": kernel,
+                "active": True,
                 "cursor": int(self._next_expected),
-                "fused_placements": since_boot if kernel else 0,
-                "record_placements": 0 if kernel else since_boot,
+                "fused_placements": since_boot,
+                "record_placements": 0,
                 "fast_batches": int(self._kernel_requests),
             },
             "latency": self._latency.summary(),

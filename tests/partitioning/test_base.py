@@ -10,6 +10,7 @@ from repro.partitioning import (
     PartitionState,
     StreamingPartitioner,
 )
+from repro.partitioning.base import PlacementKernel
 
 
 def record(v, neighbors=()):
@@ -153,8 +154,22 @@ class TestPartitionDriver:
         assert "LDG" in repr(LDGPartitioner(4))
 
 
-class TestChooseWithMargin:
-    """choose_with_margin must pick exactly what choose picks."""
+def _commit_kernel(partitioner, state):
+    """A kernel over ``state`` plus the list its probe feed fills with
+    ``(vertex, pid, margin)``."""
+    fed = []
+    kernel = PlacementKernel(
+        partitioner, state,
+        observe=lambda v, neighbors, pid, margin: fed.append(
+            (v, pid, margin)))
+    return kernel, fed
+
+
+class TestCommitMargin:
+    """``PlacementKernel.commit`` must pick exactly what ``choose``
+    picks, and feed the probe the argmax-vs-runner-up margin."""
+
+    EMPTY = np.array([], dtype=np.int64)
 
     def test_identical_picks_randomized(self):
         rng = np.random.default_rng(7)
@@ -165,32 +180,37 @@ class TestChooseWithMargin:
                 state.commit(record(v), int(rng.integers(0, 8)))
             # quantized scores force frequent exact ties
             scores = rng.integers(0, 4, size=8).astype(float)
-            overflow_before = state.capacity_overflows
-            pid, margin = p.choose_with_margin(scores.copy(), state)
-            state.capacity_overflows = overflow_before
-            assert pid == p.choose(scores.copy(), state), trial
+            expected = p.choose(scores.copy(), state)
+            kernel, fed = _commit_kernel(p, state)
+            assert kernel.commit(39, self.EMPTY, scores) == expected, trial
+            [(vertex, pid, margin)] = fed
+            assert (vertex, pid) == (39, expected)
             if margin is not None:
                 assert margin >= 0.0
                 assert np.isfinite(margin)
 
     def test_margin_values(self):
-        p = LDGPartitioner(3)
-        state = PartitionState(3, 10, 0)
-        pid, margin = p.choose_with_margin(np.array([0.1, 0.9, 0.3]), state)
-        assert (pid, margin) == (1, pytest.approx(0.6))
-        pid, margin = p.choose_with_margin(np.array([1.0, 1.0, 0.2]), state)
-        assert margin == 0.0  # tied argmax
-        p1 = LDGPartitioner(1)
-        state1 = PartitionState(1, 10, 0)
-        pid, margin = p1.choose_with_margin(np.array([0.5]), state1)
-        assert (pid, margin) == (0, None)  # no runner-up exists
+        kernel, fed = _commit_kernel(LDGPartitioner(3),
+                                     PartitionState(3, 10, 0))
+        assert kernel.commit(0, self.EMPTY, np.array([0.1, 0.9, 0.3])) == 1
+        assert fed[-1] == (0, 1, pytest.approx(0.6))
+        kernel.commit(1, self.EMPTY, np.array([1.0, 1.0, 0.2]))
+        assert fed[-1][2] == 0.0  # tied argmax
+        kernel1, fed1 = _commit_kernel(LDGPartitioner(1),
+                                       PartitionState(1, 10, 0))
+        kernel1.commit(0, self.EMPTY, np.array([0.5]))
+        assert fed1 == [(0, 0, None)]  # no runner-up exists
 
     def test_all_full_counts_overflow_and_matches_choose(self):
-        p = LDGPartitioner(2, slack=1.0)
-        state = PartitionState(2, 2, 0, slack=1.0)
-        state.commit(record(0), 0)
-        state.commit(record(1), 1)
-        pid, margin = p.choose_with_margin(np.array([0.0, 0.0]), state)
-        assert pid in (0, 1)
-        assert margin is None
+        p = LDGPartitioner(2, balance="edge", slack=1.0)
+        state = PartitionState(2, 3, 4, balance=BalanceMode.EDGE,
+                               slack=1.0)
+        state.commit(record(0, [1, 2]), 0)
+        state.commit(record(1, [0, 2]), 1)  # both at their 2-edge cap
+        expected = p.choose(np.array([0.0, 0.0]), state)
         assert state.capacity_overflows == 1
+        kernel, fed = _commit_kernel(p, state)
+        pid = kernel.commit(2, self.EMPTY, np.array([0.0, 0.0]))
+        assert pid == expected
+        assert fed == [(2, pid, None)]
+        assert state.capacity_overflows == 2

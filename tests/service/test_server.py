@@ -497,6 +497,65 @@ class TestDurability:
             graph, config, history, {7: [200, 201, 202, 203]}))
 
 
+class TestFailedRequestKeepsItsCommits:
+    """A ``place_batch`` whose k-th item raises: items 0..k-1 are
+    committed in memory, so they must reach the log and the read view
+    although the request itself fails — a retry answers them ``cached``,
+    and that ack has to be backed by an fsynced line."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_committed_prefix_is_logged_published_and_resumed(
+            self, graph, tmp_path, parallelism):
+        # Edge balance, K=2, strict overflow: two 4000-edge rows fill
+        # both partitions (capacity 2649 edges), the third item raises.
+        config = PartitionConfig(method="spnl", num_partitions=2,
+                                 balance="edge", overflow="strict")
+        row = [(7 * i) % N for i in range(4000)]
+        items = [{"vertex": v, "neighbors": row} for v in range(6)]
+        state_dir = tmp_path / "state"
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=state_dir,
+                                     parallelism=parallelism)
+        with ServiceClient(*svc.address) as c:
+            with pytest.raises(ServiceError) as err:
+                c.place_batch(items)
+            assert err.value.code == "internal"
+            committed = [v for v in range(6) if svc._state.route[v] != -1]
+            assert committed == [0, 1]
+            # The retry rides the same commit queue as the failed
+            # request's lines, so its ack also orders them before the
+            # reads below.
+            retry = c.place_batch(items[:2])
+            assert [r["cached"] for r in retry] == [True, True]
+            stats = c.stats()
+            assert stats["durability"]["wal_appended"] \
+                == stats["position"] == stats["placements"] == 2
+            assert stats["durability"]["wal_pending"] == 0
+            assert stats["health"]["health_state"] == "healthy"
+            entries = _wal_entries(state_dir)
+            assert [e.vertex for e in entries] == committed
+            for entry, result in zip(entries, retry):
+                assert c.lookup(entry.vertex) == entry.pid == result["pid"]
+            # No line, no cached ack: the item that raised raises again.
+            with pytest.raises(ServiceError) as err:
+                c.place_batch(items[2:3])
+            assert err.value.code == "internal"
+            assert c.lookup(2) is None
+        with ServiceClient(*svc.address) as other:
+            assert other.place(0)["cached"] is True
+            assert other.stats()["position"] == 2
+        route = svc._state.route.copy()
+        svc._listener.close()  # crash: no drain, no final snapshot
+
+        revived = PlacementService(graph, config=config,
+                                   resume_from=state_dir)
+        try:
+            assert revived._position == 2
+            assert np.array_equal(revived._state.route, route)
+        finally:
+            revived.close()
+
+
 class TestFacade:
     def test_serve_connect_compose(self, graph, config):
         with repro.serve(graph, config) as service, \
