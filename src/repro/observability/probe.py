@@ -85,12 +85,11 @@ class StreamProbe:
                 margin: float | None = None) -> None:
         """Account one committed placement (call *after* the commit).
 
-        Fed by the placement kernel's step — the path production runs —
-        and by the parallel executors.  ``margin`` is the
-        argmax-vs-runner-up score gap when the caller computed one
-        (``None`` when there was no runner-up to compare against);
-        ``choose_with_margin`` guarantees it finite, so no NaN/inf
-        screening happens here.
+        Fed by the placement kernel's ``commit`` — the path production
+        runs, sequential or grouped.  ``margin`` is the
+        argmax-vs-runner-up score gap (``None`` when there was no
+        runner-up to compare against); the kernel guarantees it finite,
+        so no NaN/inf screening happens here.
         """
         if len(neighbors):
             memo = self.state.consume_neighbor_counts(neighbors)

@@ -19,6 +19,15 @@ and absorbs graph growth without full re-partitioning:
 
 The Γ store here is always the dense table: windowing assumes a single
 forward pass, which an online service by definition does not have.
+
+Placement runs on the reference hooks (``place()``, ``_score`` +
+``choose``) on purpose, not on the
+:class:`~repro.partitioning.base.PlacementKernel` every streaming pass
+uses: re-streaming *moves* vertices, so loads shrink as well as grow,
+and the kernel's incrementally maintained eligibility mask (like the
+fused scorers' maintained route and weight images) only follows
+commits it made itself.  ``choose`` recomputes eligibility from the
+live loads on every call.
 """
 
 from __future__ import annotations

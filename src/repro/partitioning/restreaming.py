@@ -10,6 +10,14 @@ multi-pass LDG territory (ablation benchmark).
 
 Works with any :class:`~repro.partitioning.base.StreamingPartitioner` —
 including SPN/SPNL, whose Γ tables are rebuilt per pass.
+
+The passes run on the reference hooks (``place()``,
+``PartitionState.commit`` + ``_after_commit``) on purpose, not on the
+:class:`~repro.partitioning.base.PlacementKernel` a single streaming
+pass uses: a later pass starts from a route table that is already full,
+overwrites placements, and commits kept vertices to a *given* partition
+— none of which the kernel's commit (argmax, and images maintained only
+from its own first-time commits) expresses.
 """
 
 from __future__ import annotations

@@ -22,14 +22,17 @@ Architecture — one engine, many connections::
   ``code: "backpressure"`` with a ``retry_after_ms`` hint instead of
   buffering without limit.  Slow consumers shed load explicitly.
 * The engine drains up to ``batch_max`` queued requests per wake-up and
-  applies their placements as one group.  At ``parallelism == 1`` every
+  applies their placements as one group, through one apply loop.  Every
   placement — batched or single, in id order or not, with the graph's
-  adjacency or an explicit neighbor list, from any number of clients —
-  goes through the one
-  :class:`~repro.partitioning.base.PlacementKernel` step that
-  ``partition()`` runs, in arrival order.  The kernel is built once,
-  from live state, after boot or WAL replay; the engine thread is the
-  only committer, which is what keeps its maintained images exact.
+  adjacency or an explicit neighbor list, from any number of clients,
+  at any ``parallelism`` — is scored and committed, in arrival order,
+  by the one :class:`~repro.partitioning.base.PlacementKernel` that
+  ``partition()`` runs: chunks of up to M records are scored against
+  chunk-start state and committed through ``kernel.commit``, and
+  ``parallelism == 1`` is the chunk of one, ``kernel.step``.  The
+  kernel is built once, from live state, after boot or WAL replay; the
+  engine thread is the only committer, which is what keeps its
+  maintained images exact.
 * Durability is snapshot + WAL (:mod:`repro.service.wal`): the engine
   applies a group, appends it to the fsynced placement log, and only
   then acks.  Periodic snapshots (the recovery layer's
@@ -71,13 +74,15 @@ Multicore serving (revision 1.2 of the protocol):
   in M-record chunks against chunk-start state and commits them in
   arrival order, the exact discipline of
   :class:`~repro.parallel.executor.SimulatedParallelPartitioner` at
-  ``use_rct=False``.  ``processes N > 1`` dispatches those same chunks
-  to a :class:`~repro.parallel.process.ShardedScorePool` of worker
-  processes over one shared-memory segment; because the chunker and
-  the commit loop are shared, the sharded server is **byte-parity**
-  (route table and WAL bytes) with the single-engine server at the
-  same M.  Grouped WAL lines carry the scoring-group id so a restarted
-  server replays groups under the discipline that produced them.
+  ``use_rct=False``.  ``processes N > 1`` has those same chunks scored
+  by a :class:`~repro.parallel.process.ShardedScorePool` of worker
+  processes over one shared-memory segment (they call the heuristic's
+  reference ``_score``; the engine commits through its kernel either
+  way); because who scores is the only difference, the sharded server
+  is **byte-parity** (route table and WAL bytes) with the
+  single-engine server at the same M.  Grouped WAL lines carry the
+  scoring-group id so a restarted server replays groups under the
+  discipline that produced them.
 * **Lock-free reads** — ``lookup``/``stats``/``health`` are answered
   by connection threads against a seqlock-versioned
   :class:`_RouteReadView` published *after* each group's fsync and
@@ -506,12 +511,11 @@ class PlacementService:
         :class:`~repro.recovery.chaos.FlakyWAL`.
     parallelism:
         The paper's M — queued placements scored concurrently per
-        chunk.  ``None`` picks 1 (the sequential engine: every
-        placement through the kernel) unless ``processes > 1``, where
-        it defaults to ``16 * processes``.  Values > 1 switch the
-        engine to grouped
-        scoring (score an M-chunk against chunk-start state, commit in
-        order) whether or not worker processes are attached, so the
+        chunk.  ``None`` picks 1 (the sequential engine: score and
+        commit record by record) unless ``processes > 1``, where
+        it defaults to ``16 * processes``.  Values > 1 score an
+        M-chunk against chunk-start state before committing it in
+        order, whether or not worker processes are attached, so the
         single-engine grouped server is the byte-parity reference for
         the sharded one.
     processes:

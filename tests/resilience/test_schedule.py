@@ -126,6 +126,21 @@ class TestServiceSchedules:
         assert len(entered) == 2
         assert len(recovered) == 2
 
+    @pytest.mark.parametrize("scenario", ["wal-outage", "wal-flap"])
+    def test_wal_faults_on_the_grouped_engine(self, graph, config,
+                                              tmp_path, scenario):
+        """``parallelism=8`` without a pool: the same apply loop at
+        M > 1, which the ``chaos`` CLI cannot reach (it forwards
+        ``--parallelism`` only with ``--processes > 1``)."""
+        report = run_schedule(SCENARIOS[scenario](), graph,
+                              workdir=tmp_path, config=config,
+                              server_kwargs={"parallelism": 8})
+        assert report.ok, report.invariants
+        assert ("healthy", "read_only", "wal_append_failed") \
+            in report.health_transitions
+        assert ("read_only", "healthy", "recovered") \
+            in report.health_transitions
+
     def test_report_to_dict_is_json_serializable(self, graph, config,
                                                  tmp_path):
         report = run_schedule(SCENARIOS["wal-outage"](), graph,

@@ -252,10 +252,7 @@ class TestEverythingPlacesThroughTheKernel:
             assert not errors
             self._check(graph, config, svc, state_dir)
 
-    @pytest.mark.parametrize("parallelism", sorted(ID_ORDERED_WAL_SHA256))
-    def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
-                                                tmp_path, parallelism):
-        state_dir = tmp_path / "state"
+    def _id_ordered_wal_sha256(self, graph, config, state_dir, parallelism):
         with PlacementService.start(graph, config=config,
                                     snapshot_dir=state_dir,
                                     parallelism=parallelism) as svc:
@@ -264,8 +261,19 @@ class TestEverythingPlacesThroughTheKernel:
                     c.place_batch(list(range(start, min(N, start + 128))))
             blob = b"".join(p.read_bytes()
                             for p in sorted(state_dir.glob("wal-*")))
-        assert hashlib.sha256(blob).hexdigest() == \
-            ID_ORDERED_WAL_SHA256[parallelism]
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
+                                                tmp_path):
+        assert self._id_ordered_wal_sha256(
+            graph, config, tmp_path / "state", 1) \
+            == ID_ORDERED_WAL_SHA256[1]
+
+    def test_grouped_id_ordered_wal_bytes_are_unchanged(self, graph, config,
+                                                        tmp_path):
+        assert self._id_ordered_wal_sha256(
+            graph, config, tmp_path / "state", 8) \
+            == ID_ORDERED_WAL_SHA256[8]
 
 
 class TestProtocolErrors:
