@@ -1063,6 +1063,10 @@ class PlacementService:
         chunk_edges = 0
         error: Exception | None = None
 
+        def cached(vertex: int) -> dict[str, Any]:
+            return {"vertex": vertex, "pid": int(route[vertex]),
+                    "cached": True}
+
         def committed(results, slot, vertex, neighbors, pid, gid) -> None:
             results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
             entries.append(
@@ -1083,7 +1087,7 @@ class PlacementService:
             pool = self._pool
             if pool is not None and not self._pool_failed \
                     and chunk_edges <= pool.neighbor_capacity:
-                rows: Any = pool.score_group(
+                rows = pool.score_group(
                     [record for _, _, record, _ in chunk])
                 self._pool_chunks += 1
             else:
@@ -1099,9 +1103,7 @@ class PlacementService:
                 if route[vertex] != UNASSIGNED:
                     # Duplicate within the chunk: an earlier occurrence
                     # just committed; answer cached, drop the stale score.
-                    results[slot] = {"vertex": vertex,
-                                     "pid": int(route[vertex]),
-                                     "cached": True}
+                    results[slot] = cached(vertex)
                     continue
                 committed(results, slot, vertex, neighbors,
                           kernel.commit(vertex, record.neighbors, row), gid)
@@ -1115,9 +1117,7 @@ class PlacementService:
                 for slot, (vertex, neighbors) in enumerate(work.placements):
                     if route[vertex] != UNASSIGNED:
                         # Committed before this chunk formed.
-                        results[slot] = {"vertex": vertex,
-                                         "pid": int(route[vertex]),
-                                         "cached": True}
+                        results[slot] = cached(vertex)
                         continue
                     if neighbors is None:
                         nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
