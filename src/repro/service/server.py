@@ -423,6 +423,11 @@ class _WalCommitter:
             self._add_inflight(-item.requests)
 
 
+def _cached(route: np.ndarray, vertex: int) -> dict[str, Any]:
+    """The idempotent answer for an already-placed vertex."""
+    return {"vertex": vertex, "pid": int(route[vertex]), "cached": True}
+
+
 def _resolve_graph(graph: Any) -> DiGraph:
     """Accept a ready graph or a path (loaded via the CSR cache)."""
     if isinstance(graph, DiGraph):
@@ -1052,8 +1057,8 @@ class PlacementService:
             live.append((work, [None] * len(work.placements)))
         route = self._state.route
         indptr, indices = self._stream.indptr, self._stream.indices
-        kernel = self._kernel
-        step = kernel.step
+        step = self._kernel.step
+        log_commit = self._log_commit
         parallelism = self._parallelism
         clock = time.perf_counter
         # One chunk in the making: (results, slot, record, neighbors as
@@ -1062,62 +1067,13 @@ class PlacementService:
                           list[int] | None]] = []
         chunk_edges = 0
         error: Exception | None = None
-
-        def cached(vertex: int) -> dict[str, Any]:
-            return {"vertex": vertex, "pid": int(route[vertex]),
-                    "cached": True}
-
-        def committed(results, slot, vertex, neighbors, pid, gid) -> None:
-            results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
-            entries.append(
-                WalEntry(self._position, vertex, neighbors, pid, gid))
-            self._position += 1
-            if self._arrival_ordered:
-                if vertex == self._next_expected:
-                    self._next_expected += 1
-                else:
-                    self._arrival_ordered = False
-
-        def commit_chunk() -> None:
-            nonlocal chunk_edges
-            gid = self._chunk_seq
-            self._chunk_seq += 1
-            self._note_chunk(len(chunk))
-            t0 = clock()
-            pool = self._pool
-            if pool is not None and not self._pool_failed \
-                    and chunk_edges <= pool.neighbor_capacity:
-                rows = pool.score_group(
-                    [record for _, _, record, _ in chunk])
-                self._pool_chunks += 1
-            else:
-                # No pool, pool down, or an oversize explicit-neighbor
-                # chunk that cannot fit a ring slot: score in the
-                # engine.  The fused and the reference scores are
-                # bit-identical, so byte-parity is unaffected.
-                rows = self._score_block
-                for row, (_, _, record, _) in zip(rows, chunk):
-                    row[:] = kernel.score(record.vertex, record.neighbors)
-            for (results, slot, record, neighbors), row in zip(chunk, rows):
-                vertex = record.vertex
-                if route[vertex] != UNASSIGNED:
-                    # Duplicate within the chunk: an earlier occurrence
-                    # just committed; answer cached, drop the stale score.
-                    results[slot] = cached(vertex)
-                    continue
-                committed(results, slot, vertex, neighbors,
-                          kernel.commit(vertex, record.neighbors, row), gid)
-            self._elapsed += clock() - t0
-            chunk.clear()
-            chunk_edges = 0
-
         try:
             for work, results in live:
                 self._kernel_requests += 1
                 for slot, (vertex, neighbors) in enumerate(work.placements):
                     if route[vertex] != UNASSIGNED:
                         # Committed before this chunk formed.
-                        results[slot] = cached(vertex)
+                        results[slot] = _cached(route, vertex)
                         continue
                     if neighbors is None:
                         nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
@@ -1127,18 +1083,20 @@ class PlacementService:
                         t0 = clock()
                         pid = step(vertex, nbrs)
                         self._elapsed += clock() - t0
-                        committed(results, slot, vertex, neighbors, pid,
-                                  None)
+                        log_commit(entries, results, slot, vertex,
+                                   neighbors, pid, None)
                         continue
                     if chunk and chunk_edges + len(nbrs) > self._chunk_budget:
-                        commit_chunk()
+                        self._commit_chunk(chunk, chunk_edges, entries)
+                        chunk_edges = 0
                     chunk.append((results, slot,
                                   AdjacencyRecord(vertex, nbrs), neighbors))
                     chunk_edges += len(nbrs)
                     if len(chunk) >= parallelism:
-                        commit_chunk()
+                        self._commit_chunk(chunk, chunk_edges, entries)
+                        chunk_edges = 0
             if chunk:
-                commit_chunk()
+                self._commit_chunk(chunk, chunk_edges, entries)
         except WorkerCrashedError as exc:
             # The pool is unusable until recovery resets it.
             error = exc
@@ -1154,6 +1112,56 @@ class PlacementService:
             else:
                 applied.append((work, results))
         return applied, entries, placements, ok
+
+    def _commit_chunk(self, chunk: list, chunk_edges: int,
+                      entries: list[WalEntry]) -> None:
+        """Score ``chunk`` against chunk-start state, commit it in
+        order through the kernel, and empty it."""
+        gid = self._chunk_seq
+        self._chunk_seq += 1
+        self._note_chunk(len(chunk))
+        kernel = self._kernel
+        route = self._state.route
+        t0 = time.perf_counter()
+        pool = self._pool
+        if pool is not None and not self._pool_failed \
+                and chunk_edges <= pool.neighbor_capacity:
+            rows = pool.score_group([record for _, _, record, _ in chunk])
+            self._pool_chunks += 1
+        else:
+            # No pool, pool down, or an oversize explicit-neighbor
+            # chunk that cannot fit a ring slot: score in the engine.
+            # The fused and the reference scores are bit-identical, so
+            # byte-parity is unaffected.
+            rows = self._score_block
+            for row, (_, _, record, _) in zip(rows, chunk):
+                row[:] = kernel.score(record.vertex, record.neighbors)
+        for (results, slot, record, neighbors), row in zip(chunk, rows):
+            vertex = record.vertex
+            if route[vertex] != UNASSIGNED:
+                # Duplicate within the chunk: an earlier occurrence
+                # just committed; answer cached, drop the stale score.
+                results[slot] = _cached(route, vertex)
+                continue
+            self._log_commit(
+                entries, results, slot, vertex, neighbors,
+                kernel.commit(vertex, record.neighbors, row), gid)
+        self._elapsed += time.perf_counter() - t0
+        chunk.clear()
+
+    def _log_commit(self, entries: list[WalEntry], results: list,
+                    slot: int, vertex: int, neighbors: list[int] | None,
+                    pid: int, gid: int | None) -> None:
+        """Book one commit: its answer, its WAL line, the position and
+        whether arrival is still in exact id order."""
+        results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
+        entries.append(WalEntry(self._position, vertex, neighbors, pid, gid))
+        self._position += 1
+        if self._arrival_ordered:
+            if vertex == self._next_expected:
+                self._next_expected += 1
+            else:
+                self._arrival_ordered = False
 
     def _note_chunk(self, size: int) -> None:
         """Track whether chunking still matches exact M-batching.
