@@ -7,6 +7,7 @@ well-defined for caching and property tests.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -14,6 +15,36 @@ import numpy as np
 from .digraph import DiGraph
 
 __all__ = ["GraphBuilder", "from_edges", "from_adjacency"]
+
+#: Largest vertex count whose ``src * n + dst`` edge keys fit ``int64``
+#: (the biggest key is ``n * n - 1``): 3 037 000 499.
+_MAX_KEY_VERTICES = math.isqrt(2 ** 63)
+
+
+def _sorted_edges(src: np.ndarray, dst: np.ndarray, n: int,
+                  dedupe: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` ordered by source, then target; duplicates dropped.
+
+    Every id is below ``n``, so the single key ``src * n + dst`` orders
+    the pairs exactly as the pairs order themselves: one ``int64`` sort
+    and one ``divmod`` replace a two-key ``lexsort`` and two gathers.
+    ``src`` is overwritten with the key.
+    """
+    if n > _MAX_KEY_VERTICES:
+        raise ValueError(f"num_vertices={n} exceeds {_MAX_KEY_VERTICES}, "
+                         "the largest id space whose edge keys fit int64")
+    if not len(src):
+        return src, dst
+    key = src
+    key *= n
+    key += dst
+    key.sort()
+    if dedupe:
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    return np.divmod(key, n)
 
 
 class GraphBuilder:
@@ -138,15 +169,7 @@ class GraphBuilder:
                 [src] + [s for s, _ in self._array_chunks])
             dst = np.concatenate(
                 [dst] + [t for _, t in self._array_chunks])
-        if len(src):
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            if self._dedupe:
-                keep = np.empty(len(src), dtype=bool)
-                keep[0] = True
-                np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1],
-                              out=keep[1:])
-                src, dst = src[keep], dst[keep]
+        src, dst = _sorted_edges(src, dst, n, self._dedupe)
         indptr = np.zeros(n + 1, dtype=np.int64)
         if len(src):
             np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])

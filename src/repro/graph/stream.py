@@ -31,8 +31,12 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
+from ..ingest.chunked import (
+    iter_row_events,
+    parse_adjacency_line,
+    scan_adjacency_stats,
+)
 from .digraph import AdjacencyRecord, DiGraph
-from .io import iter_adjacency_lines
 
 __all__ = ["VertexStream", "GraphStream", "ArrayStream", "FileStream",
            "as_array_stream", "shuffled"]
@@ -332,7 +336,6 @@ class FileStream(_Seekable):
                                       seed=retry_seed)
         self._policy = policy
         if num_vertices is None or num_edges is None:
-            from ..ingest.chunked import scan_adjacency_stats
             max_id, edge_count, ordered, _rows = scan_adjacency_stats(
                 self._path, policy=self._policy)
             self._set_ordered(ordered)
@@ -341,9 +344,6 @@ class FileStream(_Seekable):
             num_edges = num_edges if num_edges is not None else edge_count
         self._num_vertices = num_vertices
         self._num_edges = num_edges
-
-    def _lines(self):
-        return iter_adjacency_lines(self._path, policy=self._policy)
 
     def _file_sig(self) -> tuple[int, int] | None:
         """(size, mtime_ns) of the backing file, or None if unreadable."""
@@ -400,30 +400,63 @@ class FileStream(_Seekable):
         return self._ordered
 
     def _scan_id_order(self) -> bool:
-        from ..ingest.chunked import scan_adjacency_stats
         return scan_adjacency_stats(self._path, policy=self._policy)[2]
 
-    def _iterate_from(self, skip: int) -> Iterator[AdjacencyRecord]:
-        """One pass over the file, dropping the first ``skip`` records."""
+    def _order_changed(self, vertex: int, prev: int) -> ValueError:
+        # The pre-scan saw an ordered file but iteration does not: the
+        # file changed underneath us.  Consumers may have sized windows
+        # from the stale claim — fail loud.
+        return ValueError(
+            f"{self._path} is no longer id-ordered (vertex {vertex} "
+            f"arrived after {prev}); the file changed since it was scanned")
+
+    def _record_segments(self, skip: int
+                         ) -> Iterator[list[AdjacencyRecord]]:
+        """One pass over the file, less its first ``skip`` records, as
+        one list of records per run of clean rows or per fallback line.
+
+        This is the seam :class:`~repro.recovery.chaos.FlakyFileStream`
+        injects read failures at.
+        """
+        if self._policy is not None:
+            self._policy.begin_scan(self._path)
         claim_ordered = self._ordered
-        prev = -1
         ordered = True
-        index = 0
-        for vertex, neighbors in self._lines():
-            if vertex <= prev:
-                ordered = False
-                if claim_ordered:
-                    # The pre-scan saw an ordered file but iteration does
-                    # not: the file changed underneath us.  Consumers may
-                    # have sized windows from the stale claim — fail loud.
-                    raise ValueError(
-                        f"{self._path} is no longer id-ordered (vertex "
-                        f"{vertex} arrived after {prev}); the file changed "
-                        "since it was scanned")
-            prev = vertex
-            if index >= skip:
-                yield AdjacencyRecord(vertex, neighbors)
-            index += 1
+        prev = -1
+        for event in iter_row_events(self._path):
+            if event[0] == "rows":
+                values, splits = event[1], event[2]
+                vertices = values[splits[:-1]]
+                first = min(skip, len(vertices))
+                skip -= first
+                stop = len(vertices)
+                late = np.flatnonzero(np.diff(vertices, prepend=prev) <= 0)
+                if len(late):
+                    ordered = False
+                    if claim_ordered:  # deliver what precedes, then raise
+                        stop = int(late[0])
+                if first < stop:
+                    yield _segment_records(values, splits[first:stop + 1])
+                if stop < len(vertices):
+                    raise self._order_changed(
+                        int(vertices[stop]),
+                        int(vertices[stop - 1]) if stop else prev)
+                prev = int(vertices[-1])
+            else:
+                parsed = parse_adjacency_line(self._path, event[1],
+                                              event[2], self._policy)
+                if parsed is None:
+                    continue
+                vertex = parsed[0]
+                if vertex <= prev:
+                    ordered = False
+                    if claim_ordered:
+                        raise self._order_changed(vertex, prev)
+                prev = vertex
+                if skip:
+                    skip -= 1
+                else:
+                    yield [AdjacencyRecord(*parsed)]
         if self._ordered is None:
             self._set_ordered(ordered)
 
@@ -432,9 +465,11 @@ class FileStream(_Seekable):
         attempts = 0
         while True:
             try:
-                for record in self._iterate_from(self._position + delivered):
-                    yield record
-                    delivered += 1
+                for records in self._record_segments(
+                        self._position + delivered):
+                    for record in records:
+                        yield record
+                        delivered += 1
                 return
             except OSError:
                 # Transient read failures are retried from where the
@@ -444,6 +479,19 @@ class FileStream(_Seekable):
                 if attempts > self._retries:
                     raise
                 time.sleep(self._backoff.delay(attempts))
+
+
+def _segment_records(values: np.ndarray,
+                     splits: np.ndarray) -> list[AdjacencyRecord]:
+    """The records of one tokenizer segment: row ``r`` is
+    ``values[splits[r]:splits[r + 1]]``, its vertex first; neighbor
+    arrays are zero-copy views into ``values``."""
+    # Python ints, once per segment: slicing with numpy scalars would
+    # convert two of them for every row.
+    bounds = splits.tolist()
+    return [AdjacencyRecord(vertex, values[lo + 1:hi])
+            for vertex, lo, hi in zip(values[splits[:-1]].tolist(),
+                                      bounds, bounds[1:])]
 
 
 def shuffled(graph: DiGraph, seed: int = 0) -> GraphStream:

@@ -3,18 +3,20 @@
 The seed readers in :mod:`repro.graph.io` walked files one Python string
 at a time: ``str.split`` plus an ``int()`` per token, i.e. two heap
 allocations and an interpreter round-trip per number.  This module reads
-the file in megabyte byte blocks instead and tokenizes each block with a
-handful of NumPy passes:
+the file in cache-sized byte blocks (128 KiB) instead and tokenizes each
+block with a handful of passes at C speed:
 
 1. classify every byte once through a 256-entry lookup table
-   (digit / whitespace / newline / other);
-2. locate newline positions → line starts and 1-based line numbers, and
-   count the newlines before every byte, so any byte's line is one
-   lookup (no sorted search anywhere below);
-3. locate digit runs → token ``[start, end)`` spans;
-4. evaluate all tokens at once: ``digit · 10^(end-1-i)`` per byte,
-   reduced per run with ``np.add.reduceat``;
-5. group tokens into rows by the line each token starts on.
+   (digit / whitespace / line terminator / other);
+2. locate the terminators → line starts and 1-based line numbers;
+3. mark where digit runs start; one ``np.add.reduceat`` of that mask
+   over the line starts counts the tokens of every line;
+4. evaluate all tokens at once with text-mode ``np.fromstring`` over the
+   block's bytes — exact on digits and whitespace, which is all that is
+   left once the lines of the next paragraph are blanked out of a copy;
+   the number of values it returns is checked against the counts of
+   step 3, never trusted;
+5. group tokens into rows by those counts.
 
 Lines the vectorized path cannot prove clean — any byte that is neither
 digit, whitespace, nor part of a comment line, or a digit run too long
@@ -27,9 +29,17 @@ but the fast path does not).  Clean rows and fallback lines are
 processed in file order, so strict mode still raises *before* any later
 row is delivered.
 
-Blocks are cut at the last newline and the partial tail line is carried
-into the next block, so tokens never straddle a block boundary; a final
-line without a trailing newline is handled by appending one.
+Lines end where the seed parser's text-mode read ends them: at ``\n``,
+at ``\r\n`` (one terminator) and at a bare ``\r``.  Blocks are cut
+after the last terminator and the partial tail line is carried into the
+next block, so tokens never straddle a block boundary; a final line
+without a terminator is handled by appending one.
+
+What a block costs in memory is a multiple of the block, not of the
+file: byte-sized masks, one position per token and per line, and the
+token values — under 20 bytes per input byte
+(``tests/ingest/test_memory_bound.py``), so about 2 MiB at the default
+block size whatever is being read.
 """
 
 from __future__ import annotations
@@ -49,26 +59,28 @@ __all__ = [
     "scan_adjacency_stats",
 ]
 
-#: Default block size fed to the tokenizer.  Large enough to amortize
-#: the fixed per-block NumPy pass cost, small enough that the prefetch
-#: reader's double buffer stays cache- and memory-friendly.
-DEFAULT_CHUNK_BYTES = 1 << 20
+#: Default block size fed to the tokenizer: the block and its byte-sized
+#: masks stay in cache (measured faster than 1 MiB blocks), and the
+#: tokenizer's temporaries stay near 2 MiB.
+DEFAULT_CHUNK_BYTES = 1 << 17
 
 # Byte classes, and the 256-entry table ``bytes.translate`` maps a block
-# through.
+# through.  ``_OTHER`` must stay the smallest: one ``minimum`` finds it.
 _OTHER, _DIGIT, _WS, _NL = 0, 1, 2, 3
-#: tab, VT, FF, CR, space — str.split()'s set.
-_WS_BYTES = bytes((9, 11, 12, 13, 32))
+#: tab, VT, FF, space — str.split()'s ASCII set less the terminators.
+_WS_BYTES = bytes((9, 11, 12, 32))
 _CLASS_TABLE = bytes(
     _DIGIT if b in b"0123456789" else _WS if b in _WS_BYTES
-    else _NL if b == 10 else _OTHER for b in range(256))
+    else _NL if b in b"\n\r" else _OTHER for b in range(256))
 
-#: ``10**e`` for every in-range int64 exponent; token runs longer than 18
-#: digits can overflow and are routed to the ``int()`` fallback instead.
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+#: Digit runs longer than this may overflow ``int64`` and are routed to
+#: the ``int()`` fallback instead.
 _MAX_FAST_DIGITS = 18
+#: Eight ``True`` bytes of a boolean mask, read as one word.
+_EIGHT_DIGITS = np.uint64(0x0101010101010101)
 
-_HASH, _PERCENT, _SLASH = ord("#"), ord("%"), ord("/")
+_HASH, _PERCENT, _SLASH, _SPACE = ord("#"), ord("%"), ord("/"), ord(" ")
+_COMMENT_PREFIXES = ("#", "%", "//")
 
 
 def _open_binary(path: str | Path) -> IO[bytes]:
@@ -92,13 +104,16 @@ class TokenChunk:
         1-based file line number of each clean row.
     bad_lines:
         ``(line_number, raw_text)`` for every line the vectorized parse
-        could not prove clean, in file order.  ``raw_text`` keeps its
-        trailing newline so fallback error messages match the seed
-        parser byte-for-byte.
+        could not prove clean, in file order.  ``raw_text`` ends in
+        ``\n`` whatever terminated the line, so fallback error messages
+        match the seed parser byte-for-byte.
+    num_lines:
+        Lines in the block, blank and comment lines included.
     """
 
     __slots__ = ("values", "row_splits", "line_numbers", "bad_lines",
-                 "_buf", "_line_starts", "_nl_pos", "_base_line")
+                 "num_lines", "_buf", "_line_starts", "_nl_pos",
+                 "_base_line")
 
     def __init__(self, values: np.ndarray, row_splits: np.ndarray,
                  line_numbers: np.ndarray,
@@ -109,6 +124,7 @@ class TokenChunk:
         self.row_splits = row_splits
         self.line_numbers = line_numbers
         self.bad_lines = bad_lines
+        self.num_lines = len(nl_pos)
         self._buf = buf
         self._line_starts = line_starts
         self._nl_pos = nl_pos
@@ -125,25 +141,30 @@ class TokenChunk:
     def raw_line(self, lineno: int) -> str:
         """Original text of 1-based file line ``lineno`` (with newline)."""
         i = lineno - self._base_line
-        return _decode_line(
-            self._buf[self._line_starts[i]:self._nl_pos[i] + 1])
+        return _line_text(self._buf, self._line_starts[i], self._nl_pos[i])
 
 
-def _decode_line(raw: bytes) -> str:
-    """A newline-terminated fallback line as the seed parser's text-mode
-    read delivers it: ``\\r\\n`` folded to ``\\n``, undecodable bytes
-    replaced (the seed parser refuses those files outright)."""
-    if raw.endswith(b"\r\n"):
-        raw = raw[:-2] + b"\n"
-    return raw.decode("utf-8", errors="replace")
+def _line_text(buf: bytes, start: int, end: int) -> str:
+    """Line ``buf[start:end]``, ``end`` at its terminator, as the seed
+    parser's text-mode read delivers it: the terminator folded to
+    ``\n``, undecodable bytes replaced (the seed parser refuses those
+    files outright)."""
+    line = buf[start:end]
+    if line.endswith(b"\r"):  # only ever the first half of a '\r\n'
+        line = line[:-1]
+    return (line + b"\n").decode("utf-8", errors="replace")
 
 
-def _iter_blocks(path: str | Path,
-                 chunk_bytes: int) -> Iterator[tuple[bytes, int]]:
-    """Yield ``(block, first_line_number)`` with newline-aligned blocks."""
+def _is_comment(text: str) -> bool:
+    """The seed parser's test for a line it skips."""
+    stripped = text.lstrip()
+    return not stripped or stripped.startswith(_COMMENT_PREFIXES)
+
+
+def _iter_blocks(path: str | Path, chunk_bytes: int) -> Iterator[bytes]:
+    """Yield the file as blocks that end on a line terminator."""
     if chunk_bytes < 1:
         raise ValueError("chunk_bytes must be >= 1")
-    base_line = 1
     carry = b""
     with _open_binary(path) as fh:
         while True:
@@ -151,108 +172,105 @@ def _iter_blocks(path: str | Path,
             if not block:
                 break
             data = carry + block
-            cut = data.rfind(b"\n")
+            # A '\r' in the last byte may be the first half of a '\r\n'
+            # whose '\n' has not been read yet: it stays in the carry.
+            cut = max(data.rfind(b"\n"),
+                      data.rfind(b"\r", 0, len(data) - 1))
             if cut < 0:
                 carry = data
                 continue
-            buf = data[:cut + 1]
-            yield buf, base_line
-            base_line += buf.count(b"\n")
+            yield data[:cut + 1]
             carry = data[cut + 1:]
     if carry:
-        yield carry + b"\n", base_line
+        yield carry + b"\n"
 
 
 def _tokenize_block(buf: bytes, base_line: int) -> TokenChunk:
-    """Vectorized tokenization of one newline-terminated block."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    cls = np.frombuffer(buf.translate(_CLASS_TABLE), dtype=np.uint8)
-    is_nl = cls == _NL
-    nl_pos = np.flatnonzero(is_nl)
+    """Vectorized tokenization of one terminator-aligned block."""
+    # A same-length rewrite, so every offset below is an offset into
+    # ``buf`` too: '\r\n' becomes ' \n', and any '\r' still standing
+    # is a terminator of its own.
+    text = buf.replace(b"\r\n", b" \n") if b"\r" in buf else buf
+    data = np.frombuffer(text, dtype=np.uint8)
+    cls = np.frombuffer(text.translate(_CLASS_TABLE), dtype=np.uint8)
+    nl_pos = np.flatnonzero(cls == _NL)
     n_lines = len(nl_pos)
     line_starts = np.empty(n_lines, dtype=np.int64)
-    if n_lines:
-        line_starts[0] = 0
-        line_starts[1:] = nl_pos[:-1] + 1
-    # Newlines at or before each byte: for any byte but a newline, the
-    # 0-based index of its line.  Every byte -> line lookup reads this.
-    line_of = is_nl.astype(np.int32 if len(buf) < 2 ** 31 else np.int64)
-    np.cumsum(line_of, out=line_of)
+    line_starts[0] = 0
+    np.add(nl_pos[:-1], 1, out=line_starts[1:])
 
-    # Comment lines: first significant (non-ws) byte is '#', '%', or "//".
-    # A line that opens with a digit is a row and one that opens with any
-    # other significant byte is decided by that byte; only a line that
-    # opens with whitespace has to be searched.
-    first_byte = data[line_starts]
-    comment_mask = (first_byte == _HASH) | (first_byte == _PERCENT)
-    slashed = np.flatnonzero(first_byte == _SLASH)
-    if len(slashed):
-        # + 1 is in range: the line's own '\n' follows at the latest.
-        double = data[line_starts[slashed] + 1] == _SLASH
-        comment_mask[slashed[double]] = True
-    indented = np.flatnonzero(cls[line_starts] == _WS)
-    for i, start, end in zip(indented.tolist(),
-                             line_starts[indented].tolist(),
-                             nl_pos[indented].tolist()):
-        head = buf[start:end].lstrip(_WS_BYTES)
-        if head[:1] in (b"#", b"%") or head[:2] == b"//":
-            comment_mask[i] = True
+    # ``drop``: lines whose bytes must not reach the evaluator; ``bad``:
+    # those of them the per-line parser has to see.
+    drop = np.zeros(n_lines, dtype=bool)
+    bad = np.zeros(n_lines, dtype=bool)
+    if cls.min() == _OTHER:
+        # A comment marker is neither digit nor whitespace, so only a
+        # line holding such a byte can be a comment or malformed (signs,
+        # letters, floats, invalid encodings, ...).
+        drop = np.minimum.reduceat(cls, line_starts) == _OTHER
+        suspects = np.flatnonzero(drop)
+        starts = line_starts[suspects]
+        first = data[starts]
+        # + 1 is in range: the line's own terminator follows at the latest.
+        comment = (first == _HASH) | (first == _PERCENT) | (
+            (first == _SLASH) & (data[starts + 1] == _SLASH))
+        # Indented or malformed: the seed parser's own test decides.
+        for i in suspects[~comment].tolist():
+            if not _is_comment(_line_text(buf, line_starts[i], nl_pos[i])):
+                bad[i] = True
 
-    # Bad lines: any non-comment line holding a byte outside
-    # digit/whitespace (signs, letters, floats, invalid encodings, ...).
-    bad_mask = np.zeros(n_lines, dtype=bool)
-    other_pos = np.flatnonzero(cls == _OTHER)
-    if len(other_pos):
-        bad_mask[line_of[other_pos]] = True
-
-    # Token spans: maximal digit runs.
+    # Tokens are maximal digit runs; a run starts at a digit that does
+    # not follow one.  int32 holds a line's token count unless the block
+    # is a single line of gigabytes.
     is_digit = cls == _DIGIT
-    shifted = np.empty_like(is_digit)
-    shifted[0] = False
-    shifted[1:] = is_digit[:-1]
-    tok_start = np.flatnonzero(is_digit & ~shifted)
-    shifted[-1] = False
-    shifted[:-1] = is_digit[1:]
-    tok_end = np.flatnonzero(is_digit & ~shifted) + 1
-    lengths = tok_end - tok_start
-    too_long = lengths > _MAX_FAST_DIGITS
-    if too_long.any():  # may overflow int64: punt to int() per line
-        bad_mask[line_of[tok_start[too_long]]] = True
-    bad_mask &= ~comment_mask
+    tok_mask = np.empty_like(is_digit)
+    tok_mask[0] = is_digit[0]
+    np.greater(is_digit[1:], is_digit[:-1], out=tok_mask[1:])
+    counts = np.add.reduceat(
+        tok_mask, line_starts,
+        dtype=np.int32 if len(buf) < 2 ** 31 else np.int64)
+    # A run of more than 18 digits may overflow int64: punt its line to
+    # int().  Such a run covers an aligned 8-byte word whole, which is a
+    # cheap thing to rule out; only a block that has one is searched.
+    words = is_digit[:len(buf) & ~7].view(np.uint64)
+    if (words == _EIGHT_DIGITS).any():
+        # Runs are separated by at least one byte, so a run that long has
+        # its successor (or the block's end) 20 bytes on or more; for
+        # those, the byte 18 past the start says if the run got that far.
+        tok_start = np.flatnonzero(tok_mask)
+        wide = np.flatnonzero(
+            np.diff(tok_start, append=len(buf)) > _MAX_FAST_DIGITS + 1)
+        wide = tok_start[wide]
+        wide = wide[cls[wide + _MAX_FAST_DIGITS] == _DIGIT]
+        lines = np.searchsorted(nl_pos, wide)
+        bad[lines] |= ~drop[lines]  # a comment may hold any digits
+        drop[lines] = True
+    del is_digit, tok_mask, words
 
-    if len(tok_start):
-        digit_pos = np.flatnonzero(is_digit)
-        digits = (data[digit_pos] - 48).astype(np.int64)
-        exp = np.repeat(tok_end, lengths)
-        np.subtract(exp, 1, out=exp)
-        np.subtract(exp, digit_pos, out=exp)
-        np.minimum(exp, _MAX_FAST_DIGITS, out=exp)  # clamp over-long runs
-        np.multiply(digits, _POW10[exp], out=digits)
-        # Tokens are digit runs, so token t's first digit sits in
-        # ``digits`` at the total length of the tokens before it.
-        first_digit = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=first_digit[1:])
-        values = np.add.reduceat(digits, first_digit)
-        tok_line = line_of[tok_start]
-        keep = ~(bad_mask | comment_mask)[tok_line]
-        values = values[keep]
-        tok_line = tok_line[keep]
-    else:
-        values = np.empty(0, dtype=np.int64)
-        tok_line = np.empty(0, dtype=np.int64)
+    counts[drop] = 0
+    expected = int(counts.sum())
+    values = np.empty(0, dtype=np.int64)
+    if expected:
+        if drop.any():
+            scratch = data.copy()
+            scratch[np.repeat(drop, nl_pos - line_starts + 1)] = _SPACE
+            text = scratch.tobytes()
+            del scratch
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        if len(values) != expected:
+            # Not the tokens the bytes prove: believe none of them and
+            # let the per-line parser read every row of the block.
+            values = values[:0]
+            bad |= counts > 0
+            counts[:] = 0
 
-    counts = np.bincount(tok_line, minlength=n_lines) if len(tok_line) \
-        else np.zeros(n_lines, dtype=np.int64)
     row_lines = np.flatnonzero(counts)
     row_splits = np.zeros(len(row_lines) + 1, dtype=np.int64)
     np.cumsum(counts[row_lines], out=row_splits[1:])
-    line_numbers = row_lines + base_line
-
-    bad_lines: list[tuple[int, str]] = []
-    for i in np.flatnonzero(bad_mask):
-        bad_lines.append((int(base_line + i),
-                          _decode_line(buf[line_starts[i]:nl_pos[i] + 1])))
-    return TokenChunk(values, row_splits, line_numbers, bad_lines,
+    bad_lines = [
+        (base_line + i, _line_text(buf, line_starts[i], nl_pos[i]))
+        for i in np.flatnonzero(bad).tolist()]
+    return TokenChunk(values, row_splits, row_lines + base_line, bad_lines,
                       buf=buf, line_starts=line_starts, nl_pos=nl_pos,
                       base_line=base_line)
 
@@ -261,16 +279,19 @@ def iter_token_chunks(path: str | Path, *,
                       chunk_bytes: int = DEFAULT_CHUNK_BYTES
                       ) -> Iterator[TokenChunk]:
     """Tokenize ``path`` block by block (format-agnostic layer)."""
-    for buf, base_line in _iter_blocks(path, chunk_bytes):
-        yield _tokenize_block(buf, base_line)
+    base_line = 1
+    for buf in _iter_blocks(path, chunk_bytes):
+        chunk = _tokenize_block(buf, base_line)
+        yield chunk
+        base_line += chunk.num_lines
 
 
 def _segments(chunk: TokenChunk):
     """Split a chunk into file-ordered events around fallback lines.
 
-    Yields ``("rows", values, row_splits, line_numbers)`` for maximal
-    runs of clean rows and ``("bad", line_number, raw)`` for fallback
-    lines, interleaved exactly as they appear in the file — strict-mode
+    Yields ``("rows", values, row_splits, line_numbers, chunk)`` for
+    maximal runs of clean rows and ``("bad", line_number, raw)`` for
+    fallback lines, interleaved exactly as they appear in the file — strict-mode
     errors therefore fire before any later row is delivered, and lenient
     error budgets are charged in file order.
     """

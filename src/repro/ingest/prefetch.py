@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import _Seekable
+from ..graph.stream import _Seekable, _segment_records
 from .chunked import (
     DEFAULT_CHUNK_BYTES,
     iter_row_events,
@@ -150,10 +150,8 @@ class PrefetchStream(_Seekable):
                     if skip >= nrows:
                         skip -= nrows
                         continue
-                    if skip:
-                        base = splits[skip]
-                        values = values[base:]
-                        splits = splits[skip:] - base
+                    if skip:  # the rows left still index values
+                        splits = splits[skip:]
                         skip = 0
                     self._stats["segments"] += 1
                     self._stats["producer_busy_seconds"] += \
@@ -197,12 +195,9 @@ class PrefetchStream(_Seekable):
                 stats["consumer_wait_seconds"] += \
                     time.perf_counter() - waited
                 if kind == "rows":
-                    values, splits = payload
-                    for r in range(len(splits) - 1):
-                        lo = splits[r]
-                        yield AdjacencyRecord(int(values[lo]),
-                                              values[lo + 1:splits[r + 1]])
-                    stats["records"] += len(splits) - 1
+                    records = _segment_records(*payload)
+                    yield from records
+                    stats["records"] += len(records)
                 elif kind == "one":
                     vertex, neighbors = payload
                     stats["records"] += 1

@@ -70,8 +70,8 @@ def save_assignment(assignment: PartitionAssignment, path: str | Path, *,
     # (or nothing), never a truncated one a scheduler could half-load.
     with atomic_writer(path, "w") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for pid in assignment.route:
-            fh.write(f"{int(pid)}\n")
+        if assignment.num_vertices:  # one write, not one per vertex
+            fh.write("\n".join(map(str, assignment.route.tolist())) + "\n")
 
 
 def load_assignment(path: str | Path

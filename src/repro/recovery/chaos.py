@@ -118,14 +118,17 @@ class FlakyFileStream(FileStream):
         super().__init__(path, **kwargs)
         self._armed = True
 
-    def _lines(self):
-        for item in super()._lines():
-            if (self._armed and self.failures_left > 0
-                    and self._rng.random() < self.failure_rate):
-                self.failures_left -= 1
-                self.failures_injected += 1
-                raise OSError("injected transient read failure")
-            yield item
+    def _record_segments(self, skip: int):
+        for records in super()._record_segments(skip):
+            for i in range(len(records)):
+                if (self._armed and self.failures_left > 0
+                        and self._rng.random() < self.failure_rate):
+                    self.failures_left -= 1
+                    self.failures_injected += 1
+                    if i:
+                        yield records[:i]
+                    raise OSError("injected transient read failure")
+            yield records
 
 
 class FlakyScorer:

@@ -133,8 +133,12 @@ class TestFileStream:
         stream = FileStream(path)
         assert stream.is_id_ordered
         path.write_text("1 2\n0 1\n2 0\n")
-        with pytest.raises(ValueError, match="no longer id-ordered"):
-            list(stream)
+        seen = []
+        with pytest.raises(ValueError, match="no longer id-ordered "
+                           r"\(vertex 0 arrived after 1\)"):
+            for record in stream:
+                seen.append(record.vertex)
+        assert seen == [1]  # what precedes the disorder still arrives
 
 
 class TestShuffled:

@@ -127,9 +127,47 @@ class TestAdjacencyParity:
         fast = _rows(iter_adjacency_rows(path))
         assert fast == seed == [(0, [10, 2])]
 
+    def test_bare_cr_ends_a_row(self, tmp_path):
+        """Regression: ``\\r`` was classed as whitespace, so rows ended
+        by a bare CR merged into one — silently, a different graph."""
+        path = tmp_path / "cr.adj"
+        path.write_bytes(b"0 1\r2 3\r")
+        assert _rows(iter_adjacency_rows(path)) == [(0, [1]), (2, [3])]
+        seed = read_adjacency(path, engine="python")
+        fast = read_adjacency(path)
+        np.testing.assert_array_equal(seed.indptr, fast.indptr)
+        np.testing.assert_array_equal(seed.indices, fast.indices)
+        assert scan_adjacency_stats(path) == (3, 2, True, 2)
+
+    def test_value_count_is_checked_not_trusted(self, tmp_path, monkeypatch):
+        """Should the evaluator ever return other tokens than the bytes
+        hold, every row of the block goes to the per-line parser."""
+        path = _write(tmp_path, "g.adj", ADJ_TEXT)
+        seed = _rows(iter_adjacency_lines(path, engine="python"))
+        real = np.fromstring
+        monkeypatch.setattr(
+            np, "fromstring", lambda *a, **kw: real(*a, **kw)[:-1])
+        assert _rows(iter_adjacency_rows(path)) == seed
+        assert scan_adjacency_stats(path) == (4, 8, True, 5)
+
 
 class TestEdgeListParity:
     EDGES = "0 1\n1 2\n# c\n2 0\nbroken\n3 0\n"
+
+    @pytest.mark.parametrize("text", [
+        b"0 1\r1 2\r\n2 0\r", b"0 1\r7\r2 0", b"0 1\r\n1 x\r2 0\r"])
+    def test_every_terminator(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text)
+        outcomes = []
+        for engine in ("python", "chunked"):
+            qpath = tmp_path / f"quarantine-{engine}.log"
+            policy = IngestionPolicy("lenient", quarantine=qpath)
+            graph = read_edge_list(path, policy=policy, engine=engine)
+            policy.close()
+            outcomes.append((graph.indptr.tolist(), graph.indices.tolist(),
+                             qpath.read_bytes() if qpath.exists() else b""))
+        assert outcomes[0] == outcomes[1]
 
     def test_lenient_graph_identical(self, tmp_path):
         path = _write(tmp_path, "g.edges", self.EDGES)

@@ -2,13 +2,16 @@
 
 Hypothesis writes adjacency text out of everything the format allows and
 the things real dumps get wrong — ``#``/``%``/``//`` comments, indented
-comments and rows, blank and whitespace-only lines, CRLF and tabs,
-``+5`` and ``1_000`` (which ``int()`` accepts), 19-digit tokens on both
-sides of ``int64``, a lone ``/``, bytes that are not UTF-8, a last line
-without its newline — and reads it with ``engine="python"`` and with the
-tokenizer at block sizes from one byte up.  Rows, the strict error (type,
-text, 1-based line), the lenient quarantine file and error count, and
-the pre-scan's totals must be the same.
+comments and rows, blank and whitespace-only lines, tabs, all three
+line terminators (``\n``, ``\r\n`` and a bare ``\r``, which text mode
+ends a line at wherever it stands — between two tokens too), ``+5`` and
+``1_000`` (which ``int()`` accepts), leading zeros, 18- to 23-digit
+tokens on both sides of ``int64``, a lone ``/``, bytes that are not
+UTF-8, a last line without its terminator — and reads it with
+``engine="python"`` and with the tokenizer at block sizes from one byte
+up.  Rows, the strict error (type, text, 1-based line), the lenient
+quarantine file and error count, the pre-scan's totals and the CSR
+arrays ``read_adjacency`` builds must be the same.
 
 One deliberate difference is normalised away: the python engine opens
 the file as UTF-8 text and refuses a file with an undecodable byte
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.io import iter_adjacency_lines
+from repro.graph.io import iter_adjacency_lines, read_adjacency
 from repro.ingest.chunked import (
     DEFAULT_CHUNK_BYTES,
     iter_adjacency_rows,
@@ -34,7 +37,8 @@ from repro.ingest.chunked import (
 )
 from repro.recovery.lenient import IngestionPolicy
 
-_gap = st.sampled_from([b" ", b" ", b"\t", b"  ", b" \t ", b"\x0b", b"\x0c"])
+_gap = st.sampled_from([b" ", b" ", b" ", b"\t", b"  ", b" \t ", b"\x0b",
+                        b"\x0c", b"\r", b" \r "])
 _indent = st.sampled_from([b"", b"", b"", b" ", b"\t", b"   "])
 _tail = st.sampled_from([b"", b"", b" ", b"\t", b"\r", b" \r"])
 
@@ -42,11 +46,14 @@ _number = st.one_of(
     st.integers(0, 40).map(lambda v: str(v).encode()),
     st.integers(0, 10 ** 6).map(lambda v: str(v).encode()),
     st.sampled_from([
-        b"007", b"0",
+        b"007", b"0", b"00",
+        b"000000000000000012",    # 18 digits, most of them zeros
+        b"00000000000000000000012",   # 23: off the fast path, fits
         b"999999999999999999",    # 18 digits: the fast path's widest
         b"1000000000000000000",   # 19 digits, fits int64
         b"9223372036854775807",   # int64 max
         b"9223372036854775808",   # one past it
+        b"99999999999999999999",  # 20 digits
     ]))
 _odd_token = st.sampled_from([
     b"+5", b"1_000", b"-3", b"-0", b"1__0", b"_1", b"1.5", b"abc", b"0x10",
@@ -89,12 +96,17 @@ _line = st.one_of(_clean_row(), _clean_row(), _clean_row(), _row(),
                   _comment(), _blank, _slash)
 
 
+_terminator = st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"])
+
+
 @st.composite
 def adjacency_bytes(draw):
-    lines = draw(st.lists(_line, min_size=0, max_size=12))
-    text = b"\n".join(lines)
+    lines = draw(st.one_of(
+        st.lists(_line, max_size=12),
+        st.lists(_comment(), min_size=1, max_size=6)))  # nothing to parse
+    text = b"".join(line + draw(_terminator) for line in lines)
     if lines and draw(st.booleans()):
-        text += b"\n"
+        text = text[:-1]  # no last terminator, or half of a '\r\n'
     return text
 
 
@@ -140,6 +152,15 @@ def _python(path, policy):
     return iter_adjacency_lines(path, policy=policy, engine="python")
 
 
+def _csr(path, engine):
+    """The built graph, which the bulk reader assembles from whole
+    token segments rather than from the rows compared above."""
+    def build():
+        graph = read_adjacency(path, engine=engine)
+        return graph.indptr.tobytes(), graph.indices.tobytes()
+    return _outcome(build)
+
+
 CHUNK_SIZES = (1, 7, 64, DEFAULT_CHUNK_BYTES)
 
 
@@ -149,8 +170,10 @@ def _assert_engines_agree(text: bytes, tmp: Path, budget: int) -> None:
     strict = _strict(path, _python)
     lenient = _lenient(path, _python, tmp, budget)
     stats = ("ok", _stats_of(strict[1])) if strict[0] == "ok" else strict
+    csr = _csr(path, "python")
 
     path.write_bytes(text)
+    assert _csr(path, "chunked") == csr
     for chunk_bytes in CHUNK_SIZES:
         def chunked(p, policy):
             return iter_adjacency_rows(p, policy=policy,
@@ -183,6 +206,18 @@ def test_tokenizer_matches_line_parser(text, budget):
     b"# 99999999999999999999\n0 1\n",     # ... but not inside a comment
     b"0 \xff\n1 2\n",                     # not UTF-8, in a row
     b"# \xff\n1 2\n",                     # not UTF-8, in a comment
+    b"0 1\r2 3\r",                        # bare CR ends a line ...
+    b"0 1\r2 3",                          # ... also between two tokens
+    b"0 1\r\r\n2 3\n\r4",                 # CR, CRLF, LF, CR: five lines
+    b"\r",                                # one empty line
+    b"1 x\r2 y\r\n3 4\r",                 # quarantined text loses its CR
+    b"# c\r  // d\r1 2\r",                # comments end at a CR too
+    b"# a\n% b\n  // c\n#\n",             # nothing but comments
+    b"1 2\n3 999999999999999999 4\n5 6\n",        # 18 digits: fast path
+    b"1 2\n3 1000000000000000000 4\n5 6\n",       # 19: blanked, int()
+    b"1 2\n3 0000000000000000000007 4\n5 6\n",    # 22 that spell 7
+    b"1 2\n# 99999999999999999999\n3 +4\n5 6\n",  # blanked side by side
+    b"1 2\n3 99999999999999999999\n5 6\n",        # 20: overflows after 1 2
 ])
 def test_corner_files(text, tmp_path):
     _assert_engines_agree(text, tmp_path, 100)

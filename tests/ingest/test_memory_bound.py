@@ -1,0 +1,106 @@
+"""The ingest path's memory is a multiple of the block, not of the file.
+
+Two bounds, both by ``tracemalloc`` (which sees numpy's buffers):
+
+* tokenizing one block peaks under 20 bytes per input byte — for a
+  realistic adjacency block and for the blocks that take the tokenizer's
+  other branches (every token one digit, nothing but comments, CRLF,
+  malformed and over-long lines blanked out of a copy);
+* a whole ``FileStream`` → SPNL ``num_shards=8`` pass peaks at the
+  partitioner's own state, which :func:`repro.memory.model.spnl_bytes`
+  predicts, plus a constant of that block size — at 5k, 20k and 80k
+  vertices, while the file grows from 0.3 to 6 MB.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from repro import PartitionConfig, community_web_graph
+from repro.graph.io import write_adjacency
+from repro.graph.stream import FileStream
+from repro.ingest.chunked import DEFAULT_CHUNK_BYTES, _tokenize_block
+from repro.memory.model import spnl_bytes
+
+BYTES_PER_INPUT_BYTE = 20
+K, SHARDS = 32, 8
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _fill(line: bytes) -> bytes:
+    return line * (DEFAULT_CHUNK_BYTES // len(line))
+
+
+@pytest.fixture(scope="module")
+def adjacency_block(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bound") / "g.adj"
+    write_adjacency(community_web_graph(4000, seed=7), path)
+    data = path.read_bytes()
+    return data[:data.rfind(b"\n", 0, DEFAULT_CHUNK_BYTES) + 1]
+
+
+BLOCKS = {
+    "one-digit tokens": _fill(b"0 1 2 3 4 5 6 7 8 9\n"),
+    "comments only": _fill(b"# 12 34\n%\n  // x\n"),
+    "crlf": _fill(b"10 11 12 13\r\n"),
+    "bare cr": _fill(b"10 11 12 13\r"),
+    "blanked lines": _fill(b"1 2 3\n4 +5 x\n6 1000000000000000000 7\n# c\n"),
+    "edge list": _fill(b"123456 654321\n"),
+}
+
+
+class TestTokenizerBlock:
+    def test_adjacency_block(self, adjacency_block):
+        assert len(adjacency_block) > DEFAULT_CHUNK_BYTES // 2
+        peak = _traced_peak(lambda: _tokenize_block(adjacency_block, 1))
+        assert peak <= BYTES_PER_INPUT_BYTE * len(adjacency_block)
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_other_branches(self, name):
+        block = BLOCKS[name]
+        peak = _traced_peak(lambda: _tokenize_block(block, 1))
+        assert peak <= BYTES_PER_INPUT_BYTE * len(block), \
+            peak / len(block)
+
+
+def test_stream_pass_peak_is_state_plus_a_block(tmp_path):
+    """``spnl_bytes`` counts the route table and the window Γ, 20 of the
+    about 28 bytes per vertex the implementation holds (SPNL's two |V|
+    images are not in Table IV); at these sizes the constant absorbs the
+    rest, and the scale ladder of ROADMAP item 6 owns that slope."""
+    constant = BYTES_PER_INPUT_BYTE * DEFAULT_CHUNK_BYTES + (1 << 20)
+    config = PartitionConfig(method="spnl", num_partitions=K,
+                             num_shards=SHARDS)
+    peaks, models, sizes = [], [], []
+    for n in (1000, 5000, 20000, 80000):  # the first warms every import
+        graph = community_web_graph(n, seed=7)
+        path = tmp_path / f"g{n}.adj"
+        write_adjacency(graph, path)
+        max_degree = graph.max_out_degree()
+        del graph
+
+        def one_pass():
+            result = config.make().partition(FileStream(path))
+            assert result.placements == n
+
+        peaks.append(_traced_peak(one_pass))
+        models.append(spnl_bytes(n, K, max_degree, SHARDS).total_bytes)
+        sizes.append(path.stat().st_size)
+        path.unlink()
+    for peak, model in zip(peaks[1:], models[1:]):
+        assert peak <= model + constant, (peak, model)
+    # 16x the vertices and 19x the file: the peak grows like the state.
+    assert sizes[-1] > 15 * sizes[1]
+    assert peaks[-1] - peaks[1] <= 1.5 * (models[-1] - models[1])

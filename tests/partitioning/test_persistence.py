@@ -56,6 +56,16 @@ class TestRoundtrip:
         assert first.startswith("# ")
         json.loads(first[2:])  # must parse
 
+    @pytest.mark.parametrize("route", [[0, 1, 2, 0, 1], [2, -1, 0], [7], []])
+    def test_body_is_one_pid_per_line(self, route, tmp_path):
+        """The file format: every pid on its own newline-terminated
+        line, unassigned (-1) included, nothing after an empty table."""
+        path = tmp_path / "routes.txt"
+        save_assignment(PartitionAssignment(route, 8), path)
+        header, _, body = path.read_text().partition("\n")
+        assert header.startswith("# ")
+        assert body == "".join(f"{pid}\n" for pid in route)
+
 
 class TestHeaderlessFiles:
     def test_numpy_dump_loads(self, tmp_path):
