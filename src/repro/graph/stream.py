@@ -31,11 +31,6 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from ..ingest.chunked import (
-    iter_row_events,
-    parse_adjacency_line,
-    scan_adjacency_stats,
-)
 from .digraph import AdjacencyRecord, DiGraph
 
 __all__ = ["VertexStream", "GraphStream", "ArrayStream", "FileStream",
@@ -336,6 +331,9 @@ class FileStream(_Seekable):
                                       seed=retry_seed)
         self._policy = policy
         if num_vertices is None or num_edges is None:
+            # Imported where used: ``import repro`` stays free of the
+            # tokenizer, which only a file-backed stream needs.
+            from ..ingest.chunked import scan_adjacency_stats
             max_id, edge_count, ordered, _rows = scan_adjacency_stats(
                 self._path, policy=self._policy)
             self._set_ordered(ordered)
@@ -400,6 +398,7 @@ class FileStream(_Seekable):
         return self._ordered
 
     def _scan_id_order(self) -> bool:
+        from ..ingest.chunked import scan_adjacency_stats
         return scan_adjacency_stats(self._path, policy=self._policy)[2]
 
     def _order_changed(self, vertex: int, prev: int) -> ValueError:
@@ -418,6 +417,7 @@ class FileStream(_Seekable):
         This is the seam :class:`~repro.recovery.chaos.FlakyFileStream`
         injects read failures at.
         """
+        from ..ingest.chunked import iter_row_events, parse_adjacency_line
         if self._policy is not None:
             self._policy.begin_scan(self._path)
         claim_ordered = self._ordered

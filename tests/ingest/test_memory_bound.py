@@ -14,8 +14,6 @@ Two bounds, both by ``tracemalloc`` (which sees numpy's buffers):
 
 from __future__ import annotations
 
-import tracemalloc
-
 import pytest
 
 from repro import PartitionConfig, community_web_graph
@@ -23,20 +21,14 @@ from repro.graph.io import write_adjacency
 from repro.graph.stream import FileStream
 from repro.ingest.chunked import DEFAULT_CHUNK_BYTES, _tokenize_block
 from repro.memory.model import spnl_bytes
+from repro.memory.tracker import measure_peak
 
 BYTES_PER_INPUT_BYTE = 20
 K, SHARDS = 32, 8
 
 
 def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return measure_peak(fn)[1]
 
 
 def _fill(line: bytes) -> bytes:
