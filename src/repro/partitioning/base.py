@@ -42,6 +42,9 @@ __all__ = ["BalanceMode", "CapacityOverflowError", "PartitionState",
 #: Valid values for the all-partitions-full overflow policy.
 OVERFLOW_POLICIES = ("least-loaded", "strict")
 
+#: Records whose CSR bounds :meth:`PlacementKernel.run` converts at once.
+_CSR_CHUNK = 1024
+
 
 class CapacityOverflowError(RuntimeError):
     """Raised under ``overflow="strict"`` when every partition is full.
@@ -74,18 +77,16 @@ class _Scratch:
     none; a served placement may carry its own neighbor list).
     """
 
-    __slots__ = ("scores", "f1", "f2", "f3", "f4", "f5", "i1",
+    __slots__ = ("scores", "f1", "f3", "i1", "i32",
                  "weights", "edge_weights", "inelig", "inelig2", "zeros_k")
 
     def __init__(self, num_partitions: int) -> None:
         k = num_partitions
         self.scores = np.empty(k, dtype=np.float64)
         self.f1 = np.empty(k, dtype=np.float64)
-        self.f2 = np.empty(k, dtype=np.float64)
         self.f3 = np.empty(k, dtype=np.float64)
-        self.f4 = np.empty(k, dtype=np.float64)
-        self.f5 = np.empty(k, dtype=np.float64)
         self.i1 = np.empty(k, dtype=np.int64)
+        self.i32 = np.empty(k, dtype=np.int32)
         self.weights = np.empty(k, dtype=np.float64)
         self.edge_weights = np.empty(k, dtype=np.float64)
         self.inelig = np.empty(k, dtype=bool)
@@ -404,44 +405,51 @@ class PlacementKernel:
                              out=scratch.inelig2)
             np.logical_or(inelig, scratch.inelig2, out=inelig)
         num_inelig = int(np.count_nonzero(inelig))
+        # One-lane reads and writes go through memoryviews of the same
+        # arrays: indexing one yields a Python int (or bool), where the
+        # array would box a numpy scalar at about three times the price.
+        vertex_lane = memoryview(vertex_counts)
+        edge_lane = memoryview(edge_counts)
+        load_lane, full = memoryview(loads), memoryview(inelig)
 
         def commit(v: int, neighbors: np.ndarray,
                    scores: np.ndarray) -> int:
             nonlocal num_inelig
             if num_inelig:
                 np.copyto(scores, neg_inf, where=inelig)
-            pid = scores.argmax()
+            pid = int(scores.argmax())
             best = scores[pid]
             margin = None
             if num_inelig and not isfinite(best):
                 partitioner._note_overflow(state)  # every partition full
-                pid = loads.argmin()
+                pid = int(loads.argmin())
             else:
                 # Scrub-and-rescan: cheap uniqueness test in the common
-                # untied case; the rescan is also the runner-up score.
+                # untied case; the rescan is also the runner-up score,
+                # read through ``argmax`` (a fifth of ``max()``'s price
+                # at K = 32, the same value).
                 scores[pid] = neg_inf
-                runner_up = scores.max()
+                runner_up = scores[scores.argmax()]
                 if runner_up == best:
                     scores[pid] = best
                     candidates = np.nonzero(scores == best)[0]
-                    pid = candidates[loads[candidates].argmin()]
+                    pid = int(candidates[loads[candidates].argmin()])
                     margin = 0.0
                 elif observe is not None and isfinite(runner_up):
                     margin = float(best - runner_up)
-            pid = int(pid)
             degree = len(neighbors)
             route[v] = pid
-            vertex_counts[pid] += 1
-            edge_counts[pid] += degree
+            vertex_lane[pid] += 1
+            edge_lane[pid] += degree
             state.placed_vertices += 1
             state.placed_edges += degree
             if after_commit is not None:
                 after_commit(v, neighbors, pid)
-            if not inelig[pid] and (
-                    loads[pid] >= capacity
+            if not full[pid] and (
+                    load_lane[pid] >= capacity
                     or (edge_capacity is not None
-                        and edge_counts[pid] >= edge_capacity)):
-                inelig[pid] = True
+                        and edge_lane[pid] >= edge_capacity)):
+                full[pid] = True
                 num_inelig += 1
             if observe is not None:
                 observe(v, neighbors, pid, margin)
@@ -483,9 +491,15 @@ class PlacementKernel:
             before = state.placed_vertices
             start_t = time.perf_counter()
             if csr:
-                for v in (range(position, stop) if order is None
-                          else order[position:stop]):
-                    step(v, indices[indptr[v]:indptr[v + 1]])
+                # Ids and slice bounds as Python ints, converted a
+                # bounded chunk at a time (nothing here is |V|-sized).
+                for lo in range(position, stop, _CSR_CHUNK):
+                    hi = min(stop, lo + _CSR_CHUNK)
+                    ids = np.arange(lo, hi) if order is None \
+                        else order[lo:hi]
+                    for v, a, b in zip(ids.tolist(), indptr[ids].tolist(),
+                                       indptr[ids + 1].tolist()):
+                        step(v, indices[a:b])
             else:
                 # The last segment drains the iterator, so generator
                 # streams run their end-of-stream accounting.
@@ -505,15 +519,15 @@ class PlacementKernel:
 
 
 def make_shifted_counter(state: PartitionState) -> tuple[
-        Callable[[np.ndarray], np.ndarray], Callable[[int, int], None]]:
+        Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """Neighbor tallies via a *maintained* shifted route table.
 
-    Returns ``(counts, note_commit)``.  ``counts(neighbors)`` equals
-    :meth:`PartitionState.neighbor_partition_counts` but against a
-    persistent ``route + 1`` image (``UNASSIGNED`` ⇒ slot 0, dropped
-    after the tally), so the per-record cost is one gather plus one
-    ``bincount`` — the ``+1`` shift moved to the single committed lane
-    via ``note_commit(v, pid)``.
+    Returns ``(counts, shifted)``.  ``counts(neighbors)`` equals
+    :meth:`PartitionState.neighbor_partition_counts` but against the
+    persistent ``route + 1`` image ``shifted`` (``UNASSIGNED`` ⇒ slot 0,
+    dropped after the tally), so the per-record cost is one gather plus
+    one ``bincount`` — the ``+1`` shift moved to the single committed
+    lane: the caller writes ``shifted[v] = pid + 1`` after each commit.
     """
     shifted = (state.route + 1).astype(np.int32)
     zeros_k = state.scratch.zeros_k
@@ -524,10 +538,7 @@ def make_shifted_counter(state: PartitionState) -> tuple[
             return zeros_k
         return np.bincount(shifted[neighbors], minlength=kp1)[1:]
 
-    def note_commit(v: int, pid: int) -> None:
-        shifted[v] = pid + 1
-
-    return counts, note_commit
+    return counts, shifted
 
 
 def make_weight_updater(state: PartitionState,
@@ -543,9 +554,12 @@ def make_weight_updater(state: PartitionState,
     ufuncs to a couple of scalar ops.
     """
     state.penalty_weights_into(weights)
-    loads = state.loads()
+    # Memoryviews hand out Python ints: the same correctly rounded
+    # quotient the int64 lanes give (loads are far below 2**53), without
+    # boxing numpy scalars.
+    loads = memoryview(state.loads())
     capacity = state.capacity
-    edge_counts = state.edge_counts
+    edge_counts = memoryview(state.edge_counts)
     edge_capacity = state.edge_capacity
 
     def update(pid: int) -> None:

@@ -32,11 +32,16 @@ from typing import Protocol
 import numpy as np
 
 __all__ = ["ExpectationStore", "FullExpectationStore",
-           "HashedExpectationStore"]
+           "HashedExpectationStore", "INT32_SUM_END"]
 
 #: The increment in the tables' own dtype: ``np.add.at`` takes its
 #: indexed fast path only when no cast stands between it and the table.
 _ONE = np.int32(1)
+
+#: A Γ counter never exceeds the edges recorded so far, so a sum of ``n``
+#: counters fits the tables' int32 while ``n · placed_edges`` stays below
+#: this; past it the scorers reduce into int64.
+INT32_SUM_END = 2 ** 31
 
 
 class ExpectationStore(Protocol):
@@ -68,8 +73,19 @@ class ExpectationStore(Protocol):
                     out: np.ndarray) -> np.ndarray:
         """:meth:`gather` written into the preallocated ``out``.
 
-        Bit-identical values to :meth:`gather` — same reduction, no
-        fresh result vector.
+        The rows are summed in ``out``'s dtype.  ``int64`` always holds
+        the sum; a caller that can bound it (each counter is at most
+        the edges recorded so far) may pass a buffer of the table's own
+        dtype, which skips the widening cast — an integer sum that fits
+        is exact at either width.
+        """
+
+    def combined_into(self, vertex: int, neighbors: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """``Γ(vertex) + Σ_{u ∈ neighbors} Γ(u)`` written into ``out``.
+
+        SPN's default in-term; summed in ``out``'s dtype like
+        :meth:`gather_into`.
         """
 
     def record(self, pid: int, neighbors: np.ndarray) -> None:
@@ -108,7 +124,6 @@ class FullExpectationStore:
         # chunks instead of K strided column picks.
         self._table = np.zeros((num_vertices, num_partitions),
                                dtype=np.int32)
-        self._gather_buf: np.ndarray | None = None
 
     def advance_to(self, vertex: int) -> None:
         """No-op: every vertex is always tracked."""
@@ -127,22 +142,18 @@ class FullExpectationStore:
 
     def gather_into(self, neighbors: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
-        d = len(neighbors)
-        if d == 0:
+        if len(neighbors) == 0:
             out[:] = 0
             return out
-        # Row gather through a reusable buffer: ``take(out=)`` avoids
-        # the fancy-index temporary; the reduction is the same integer
-        # sum over the same rows, so the result is bit-identical.
-        buf = self._gather_buf
-        if buf is None or buf.shape[0] < d:
-            buf = np.empty((max(d, 64), self.num_partitions),
-                           dtype=self._table.dtype)
-            self._gather_buf = buf
-        rows = buf[:d]
-        self._table.take(neighbors, axis=0, out=rows)
-        rows.sum(axis=0, dtype=np.int64, out=out)
-        return out
+        # A fresh d-row gather costs less than ``take(out=)``, whose
+        # bounds-checking mode copies through a bounce buffer.
+        return np.add.reduce(self._table.take(neighbors, axis=0),
+                             0, None, out)
+
+    def combined_into(self, vertex: int, neighbors: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        self.gather_into(neighbors, out)
+        return np.add(out, self._table[vertex], out=out)
 
     def record(self, pid: int, neighbors: np.ndarray) -> None:
         if len(neighbors) == 0:
@@ -168,7 +179,6 @@ class FullExpectationStore:
                 f"shared Γ lane {table.shape}/{table.dtype} does not "
                 f"match {self._table.shape}/{self._table.dtype}")
         self._table = table
-        self._gather_buf = None
 
     def state_dict(self) -> dict:
         return {"kind": "full", "table": self._table.copy()}
@@ -229,7 +239,6 @@ class HashedExpectationStore:
         # gather touches d contiguous K-rows.
         self._table = np.zeros((self.num_buckets, num_partitions),
                                dtype=np.int32)
-        self._gather_buf: np.ndarray | None = None
         self._idx_buf: np.ndarray | None = None
 
     # -- hashing -------------------------------------------------------
@@ -273,21 +282,17 @@ class HashedExpectationStore:
 
     def gather_into(self, neighbors: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
-        d = len(neighbors)
-        if d == 0:
+        if len(neighbors) == 0:
             out[:] = 0
             return out
-        buf = self._gather_buf
-        if buf is None or buf.shape[0] < d:
-            buf = np.empty((max(d, 64), self.num_partitions),
-                           dtype=self._table.dtype)
-            self._gather_buf = buf
-        rows = buf[:d]
-        self._table.take(self._buckets(neighbors).astype(np.int64,
-                                                         copy=False),
-                         axis=0, out=rows)
-        rows.sum(axis=0, dtype=np.int64, out=out)
-        return out
+        return np.add.reduce(self._table.take(
+            self._buckets(neighbors).astype(np.int64, copy=False), axis=0),
+            0, None, out)
+
+    def combined_into(self, vertex: int, neighbors: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        self.gather_into(neighbors, out)
+        return np.add(out, self._table[self._bucket_of(vertex)], out=out)
 
     def record(self, pid: int, neighbors: np.ndarray) -> None:
         if len(neighbors) == 0:
@@ -313,7 +318,6 @@ class HashedExpectationStore:
                 f"shared Γ lane {table.shape}/{table.dtype} does not "
                 f"match {self._table.shape}/{self._table.dtype}")
         self._table = table
-        self._gather_buf = None
 
     def state_dict(self) -> dict:
         return {"kind": "hashed", "table": self._table.copy(),

@@ -91,7 +91,7 @@ class FennelPartitioner(StreamingPartitioner):
         """
         scratch = state.ensure_scratch()
         scores, penalty = scratch.scores, scratch.f1
-        counts_fast, note_counts = make_shifted_counter(state)
+        counts_fast, shifted = make_shifted_counter(state)
         vertex_counts = state.vertex_counts
         exponent = self.gamma - 1.0
         # _score evaluates (α·γ)·pow left-to-right; the scalar product is
@@ -106,7 +106,7 @@ class FennelPartitioner(StreamingPartitioner):
             return scores
 
         def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
-            note_counts(v, pid)
+            shifted[v] = pid + 1
             penalty[pid] = np.power(vertex_counts[pid], exponent) \
                 * alpha_gamma
 

@@ -48,7 +48,7 @@ class LDGPartitioner(StreamingPartitioner):
         """
         scratch = state.ensure_scratch()
         scores, weights = scratch.scores, scratch.weights
-        counts_fast, note_counts = make_shifted_counter(state)
+        counts_fast, shifted = make_shifted_counter(state)
         update_weights = make_weight_updater(state, weights)
 
         def score_into(v: int, neighbors: np.ndarray) -> np.ndarray:
@@ -56,7 +56,7 @@ class LDGPartitioner(StreamingPartitioner):
             return scores
 
         def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
-            note_counts(v, pid)
+            shifted[v] = pid + 1
             update_weights(pid)
 
         return score_into, after_commit

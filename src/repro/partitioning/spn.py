@@ -42,8 +42,8 @@ from ..graph.digraph import AdjacencyRecord
 from ..graph.stream import VertexStream
 from .base import (FastKernel, PartitionState, StreamingPartitioner,
                    make_shifted_counter, make_weight_updater)
-from .expectation import (ExpectationStore, FullExpectationStore,
-                          HashedExpectationStore)
+from .expectation import (INT32_SUM_END, ExpectationStore,
+                          FullExpectationStore, HashedExpectationStore)
 from .registry import register
 from .window import SlidingWindowStore, default_num_shards
 
@@ -226,61 +226,40 @@ class SPNPartitioner(StreamingPartitioner):
         self.expectation_store.record(pid, record.neighbors)
 
     # -- fused scoring pair ---------------------------------------------
-    def _make_in_term_into(self, scratch) -> Any:
-        """Closure computing the in-neighbor term into ``scratch.i1``.
+    def _make_in_term_into(self) -> Any:
+        """``in_term_into(v, neighbors, out) -> out`` over the Γ store.
 
         Mirrors :meth:`_in_term` estimator-for-estimator with the Γ
         store's ``*_into`` kernels (integer sums — order-insensitive,
-        bit-identical).
+        bit-identical at any width that holds them).  The default
+        ``combined`` estimator is the store's own method, so the scorer
+        calls straight into it.
         """
         store = self.expectation_store
-        in_buf = scratch.i1
-        gather_into = store.gather_into
+        if self.in_estimator == "combined":
+            return store.combined_into
+        if self.in_estimator == "neighborhood":
+            gather_into = store.gather_into
+            return lambda v, neighbors, out: gather_into(neighbors, out)
         expectation_of_into = store.expectation_of_into
-        if self.in_estimator == "self":
-            def in_term_into(v, neighbors):
-                return expectation_of_into(v, in_buf)
-        elif self.in_estimator == "neighborhood":
-            def in_term_into(v, neighbors):
-                return gather_into(neighbors, in_buf)
-        elif isinstance(store, SlidingWindowStore):  # combined, windowed
-            # The window store hands the in-window test of the array it
-            # gathered to the record() that commits the same array, so
-            # the neighbors are gathered as they arrived and Γ(v) is
-            # added as a row (integer sums: exact and order-free).
-            row_buf = np.empty(self.num_partitions, dtype=np.int64)
+        return lambda v, neighbors, out: expectation_of_into(v, out)
 
-            def in_term_into(v, neighbors):
-                gather_into(neighbors, in_buf)
-                expectation_of_into(v, row_buf)
-                return np.add(in_buf, row_buf, out=in_buf)
-        else:  # combined: Γ(v) + Σ_{u∈N_out(v)} Γ(u)
-            # One gather over neighbors+[v]: integer column sums are
-            # exact and order-free, so folding Γ(v) into the reduction
-            # is bit-identical to summing the two vectors.
-            idx_buf = np.empty(64, dtype=np.int64)
-
-            def in_term_into(v, neighbors):
-                nonlocal idx_buf
-                d = len(neighbors)
-                if d >= len(idx_buf):
-                    idx_buf = np.empty(2 * d + 1, dtype=np.int64)
-                idx = idx_buf[:d + 1]
-                idx[:d] = neighbors
-                idx[d] = v
-                return gather_into(idx, in_buf)
-        return in_term_into
+    def _lam_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(λ, 1−λ)`` as 0-d arrays: a ufunc converts a Python float
+        operand on every call, an array never."""
+        return (np.array(self.lam, dtype=np.float64),
+                np.array(1.0 - self.lam))
 
     def _fast_kernel(self, state: PartitionState) -> FastKernel:
         """Fused Eq. 5: λ·|V∩N| + (1−λ)·Γ-term, zero temporaries."""
         scratch = state.ensure_scratch()
         store = self.expectation_store
-        in_term_into = self._make_in_term_into(scratch)
+        in_term_into = self._make_in_term_into()
         scores, weights, f1 = scratch.scores, scratch.weights, scratch.f1
-        counts_fast, note_counts = make_shifted_counter(state)
+        narrow, wide = scratch.i32, scratch.i1
+        counts_fast, shifted = make_shifted_counter(state)
         update_weights = make_weight_updater(state, weights)
-        lam = self.lam
-        one_minus_lam = 1.0 - self.lam
+        lam, one_minus_lam = self._lam_operands()
         advance_to = store.advance_to if store.needs_advance else None
         record_gamma = store.record
 
@@ -288,7 +267,10 @@ class SPNPartitioner(StreamingPartitioner):
             if advance_to is not None:
                 advance_to(v)
             out_term = counts_fast(neighbors)
-            in_term = in_term_into(v, neighbors)
+            in_term = in_term_into(
+                v, neighbors,
+                narrow if (len(neighbors) + 1) * state.placed_edges
+                < INT32_SUM_END else wide)
             np.multiply(out_term, lam, out=scores)
             np.multiply(in_term, one_minus_lam, out=f1)
             np.add(scores, f1, out=scores)
@@ -297,7 +279,7 @@ class SPNPartitioner(StreamingPartitioner):
 
         def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
             record_gamma(pid, neighbors)
-            note_counts(v, pid)
+            shifted[v] = pid + 1
             update_weights(pid)
 
         return score_into, after_commit

@@ -32,6 +32,7 @@ from ..graph.digraph import AdjacencyRecord
 from ..graph.stream import VertexStream
 from .assignment import UNASSIGNED
 from .base import FastKernel, PartitionState, make_weight_updater
+from .expectation import INT32_SUM_END
 from .eta import ETA_SCHEDULES, EtaSchedule, resolve_eta_schedule
 from .hashing import range_boundaries
 from .registry import register
@@ -172,26 +173,26 @@ class SPNLPartitioner(SPNPartitioner):
         each neighbor's tally id is its partition when placed, else
         ``K + logical_pid`` — the first K slots are ``|V_i^pt ∩ N|``,
         the next K are ``|V_i^lt ∩ N|`` (an unplaced neighbor is exactly
-        one still logically assigned to its Range home).  Under the
-        paper's schedule both ``η`` and ``1-η`` are *maintained* rather
-        than recomputed: a commit changes |V^pt| on one lane and |V^lt|
-        on one lane, so at most two lanes are refreshed per record with
-        the same scalar IEEE sequence (``max(lt,1)`` in the denominator
-        stands in for the seed's ``np.errstate`` masking, bit-identical
-        since masked lanes clamp to 0).  Other schedules run unfused to
-        stay pluggable.
+        one still logically assigned to its Range home) — and both are
+        weighted by **one** int→float multiply with the 2K coefficient
+        vector ``[1-η | η]``.  Under the paper's schedule that vector is
+        *maintained* rather than recomputed: a commit changes |V^pt| on
+        one lane and |V^lt| on one lane, so at most two lanes are
+        refreshed per record with the same scalar IEEE sequence
+        (``max(lt,1)`` in the denominator stands in for the seed's
+        ``np.errstate`` masking, bit-identical since masked lanes clamp
+        to 0).  Other schedules refill it per record to stay pluggable.
         """
         scratch = state.ensure_scratch()
         store = self.expectation_store
         k = self.num_partitions
         route = state.route
-        in_term_into = self._make_in_term_into(scratch)
+        in_term_into = self._make_in_term_into()
         scores, weights = scratch.scores, scratch.weights
-        f1, f2, f3 = scratch.f1, scratch.f2, scratch.f3
+        f1, f3 = scratch.f1, scratch.f3
+        narrow, wide = scratch.i32, scratch.i1
         update_weights = make_weight_updater(state, weights)
-        zeros_k = scratch.zeros_k
-        lam = self.lam
-        one_minus_lam = 1.0 - self.lam
+        lam, one_minus_lam = self._lam_operands()
         lt_counts = self._lt_counts
         vertex_counts = state.vertex_counts
         range_sizes = self._range_sizes
@@ -206,69 +207,66 @@ class SPNLPartitioner(SPNPartitioner):
         advance_to = store.advance_to if store.needs_advance else None
         record_gamma = store.record
         two_k = 2 * k
+        zeros_2k = np.zeros(two_k, dtype=np.int64)
+        coef, weighted = np.empty(two_k), np.empty(two_k)
+        one_minus_eta, eta_vec = coef[:k], coef[k:]
+        out_physical, out_logical = weighted[:k], weighted[k:]
 
         if paper_eta:
-            # Maintained η and 1-η (scratch.f4/f5): full fused compute
-            # once, then per-commit scalar lane refreshes.
-            eta_vec, one_minus_eta = scratch.f4, scratch.f5
+            # Full fused compute once, then per-commit lane refreshes.
             np.subtract(lt_counts, vertex_counts, out=eta_vec)
             np.maximum(lt_counts, 1, out=one_minus_eta)
             np.divide(eta_vec, one_minus_eta, out=eta_vec)
             np.maximum(eta_vec, 0.0, out=eta_vec)
             np.subtract(1.0, eta_vec, out=one_minus_eta)
 
-            def update_eta(i: int) -> None:
-                lt = lt_counts[i]
-                e = (lt - vertex_counts[i]) / (lt if lt > 1 else 1)
-                if e < 0.0:
-                    e = 0.0
-                eta_vec[i] = e
-                one_minus_eta[i] = 1.0 - e
+        # Memoryviews hand the lanes out as Python ints: the quotient
+        # the int64 lanes would give, without boxing numpy scalars.
+        lt_lane = memoryview(lt_counts)
+        vertex_lane = memoryview(vertex_counts)
+        home = memoryview(logical_pid)
+
+        def update_eta(i: int) -> None:
+            lt = lt_lane[i]
+            e = (lt - vertex_lane[i]) / (lt if lt > 1 else 1)
+            if e < 0.0:
+                e = 0.0
+            eta_vec[i] = e
+            one_minus_eta[i] = 1.0 - e
 
         def score_into(v: int, neighbors: np.ndarray) -> np.ndarray:
             if advance_to is not None:
                 advance_to(v)
-            in_term = in_term_into(v, neighbors)
-            if len(neighbors):
-                counts = np.bincount(combined[neighbors], minlength=two_k)
-                out_physical = counts[:k]
-                out_logical = counts[k:]
-            else:
-                out_physical = zeros_k
-                out_logical = zeros_k
-            if paper_eta:
-                eta = eta_vec
-                one_minus = one_minus_eta
-            else:
+            d = len(neighbors)
+            in_term = in_term_into(
+                v, neighbors,
+                narrow if (d + 1) * state.placed_edges < INT32_SUM_END
+                else wide)
+            if not paper_eta:
                 eta = eta_schedule(lt_counts, vertex_counts, range_sizes)
-                one_minus = np.subtract(1.0, eta, out=f3)
-            np.multiply(one_minus, out_physical, out=f3)
-            np.multiply(eta, out_logical, out=f2)
-            np.add(f3, f2, out=f3)  # Eq. 6's bracketed out-term
+                np.subtract(1.0, eta, out=one_minus_eta)
+                eta_vec[...] = eta
+            np.multiply(
+                np.bincount(combined[neighbors], minlength=two_k) if d
+                else zeros_2k, coef, out=weighted)
+            # Eq. 6's bracketed out-term
+            np.add(out_physical, out_logical, out=f3)
             np.multiply(in_term, one_minus_lam, out=f1)
             np.multiply(f3, lam, out=f3)
             np.add(f1, f3, out=scores)
             np.multiply(scores, weights, out=scores)
             return scores
 
-        if paper_eta:
-            def after_commit(v: int, neighbors: np.ndarray,
-                             pid: int) -> None:
-                record_gamma(pid, neighbors)
-                combined[v] = pid
-                lv = logical_pid[v]
-                lt_counts[lv] -= 1
+        def after_commit(v: int, neighbors: np.ndarray, pid: int) -> None:
+            record_gamma(pid, neighbors)
+            combined[v] = pid
+            lv = home[v]
+            lt_lane[lv] -= 1
+            if paper_eta:
                 update_eta(lv)
                 if lv != pid:
                     update_eta(pid)
-                update_weights(pid)
-        else:
-            def after_commit(v: int, neighbors: np.ndarray,
-                             pid: int) -> None:
-                record_gamma(pid, neighbors)
-                combined[v] = pid
-                lt_counts[logical_pid[v]] -= 1
-                update_weights(pid)
+            update_weights(pid)
 
         return score_into, after_commit
 

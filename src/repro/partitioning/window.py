@@ -96,7 +96,13 @@ class SlidingWindowStore:
         # Slot-major ring: the counters of id ``u`` are row ``u mod W``.
         self._table = np.zeros((self.window_size, num_partitions),
                                dtype=np.int32)
-        self._gather_buf: np.ndarray | None = None
+        # The window's bounds and size as 0-d arrays: a ufunc converts a
+        # Python int operand on every call, an array never.  ``low`` is
+        # written before ``end``, so a concurrent gather() sees at worst
+        # a narrower window.
+        self._low_arr = np.array(0, dtype=np.int64)
+        self._end_arr = np.array(self.window_size, dtype=np.int64)
+        self._size_arr = np.array(self.window_size, dtype=np.int64)
         # The in-window test gather_into() made last, kept for the
         # record() of the same placement step: ``(neighbors, low, slots,
         # past, future)``.  One attribute, assigned whole, so the tuple
@@ -152,6 +158,8 @@ class SlidingWindowStore:
             if last > size:  # the expired run wraps around the ring
                 table[:last - size] = 0
         self._low = vertex
+        self._low_arr[()] = vertex
+        self._end_arr[()] = vertex + size
 
     def _classify(self, neighbors) -> tuple[np.ndarray, int, int]:
         """The in-window test: ``(slots, past, future)`` for ``neighbors``.
@@ -160,22 +168,15 @@ class SlidingWindowStore:
         1, duplicates kept), ``past``/``future`` the number of ids behind
         (case 2) and beyond (case 3) it.  Ids are compared as int64
         whatever the caller's dtype (lists and narrower or unsigned
-        arrays included; int64 input is not copied).
+        arrays included).  Each side of the window is one compress
+        whose length is the count (no mask is counted or inverted).
         """
         ids = np.asarray(neighbors, dtype=np.int64)
-        low = self._low
-        size = self.window_size
         total = len(ids)
-        reached = ids >= low
-        live = int(np.count_nonzero(reached))
-        if live != total:
-            ids = ids.compress(reached)
-        beyond = ids >= low + size
-        future = int(np.count_nonzero(beyond))
-        if future:
-            np.logical_not(beyond, out=beyond)
-            ids = ids.compress(beyond)
-        return ids % size, total - live, future
+        ids = ids[ids >= self._low_arr]
+        live = len(ids)
+        ids = ids[ids < self._end_arr]
+        return ids % self._size_arr, total - live, live - len(ids)
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         """``Γ_i(vertex)``; zero vector if the id is outside the window."""
@@ -215,20 +216,20 @@ class SlidingWindowStore:
             return out
         slots, past, future = self._classify(neighbors)
         self._window_memo = (neighbors, self._low, slots, past, future)
-        d = len(slots)
-        if d == 0:
+        if len(slots) == 0:
             out[:] = 0
             return out
-        buf = self._gather_buf
-        if buf is None or buf.shape[0] < d:
-            buf = np.empty((max(d, 64), self.num_partitions),
-                           dtype=self._table.dtype)
-            self._gather_buf = buf
-        rows = buf[:d]
-        # Slots are ``id mod W``, in range by construction; any mode but
-        # the bounds-checking default writes straight into ``rows``.
-        self._table.take(slots, axis=0, out=rows, mode="clip")
-        rows.sum(axis=0, dtype=np.int64, out=out)
+        # Slots are ``id mod W``, in range by construction: no mode
+        # needs to check them.  Summed in ``out``'s dtype.
+        return np.add.reduce(
+            self._table.take(slots, axis=0, mode="clip"), 0, None, out)
+
+    def combined_into(self, vertex: int, neighbors: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """``Γ(vertex)`` (zero outside the window) plus :meth:`gather_into`."""
+        self.gather_into(neighbors, out)
+        if self._low <= vertex < self._low + self.window_size:
+            np.add(out, self._table[vertex % self.window_size], out=out)
         return out
 
     def record(self, pid: int, neighbors: np.ndarray) -> None:
@@ -294,6 +295,8 @@ class SlidingWindowStore:
                 f"{ring_shape}")
         np.copyto(self._table, table.T)
         self._low = int(payload["low"])
+        self._low_arr[()] = self._low
+        self._end_arr[()] = self._low + self.window_size
         self.skipped_future = int(payload["skipped_future"])
         self.skipped_past = int(payload["skipped_past"])
         self._window_memo = None

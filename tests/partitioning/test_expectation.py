@@ -1,9 +1,15 @@
 """Unit tests for the dense expectation store (Γ tables)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.graph import AdjacencyRecord
 from repro.partitioning import FullExpectationStore
+from repro.partitioning.base import PlacementKernel
+from repro.partitioning.expectation import INT32_SUM_END
+from repro.partitioning.registry import make_partitioner
 
 
 class TestFullStore:
@@ -64,3 +70,74 @@ class TestFullStore:
 
     def test_window_size_is_full_range(self):
         assert FullExpectationStore(2, 42).window_size == 42
+
+
+#: Near 2**30: four such counters sum past what the int32 tables hold.
+BIG = 2 ** 30 - 3
+
+
+def assert_exact_wide_sums(store, vertex, neighbors, lanes):
+    """Every read of ``store`` that sums rows returns the int64 total of
+    ``lanes`` (the planted per-partition counters, one value per row)."""
+    lanes = np.asarray(lanes, dtype=np.int64)
+    rows = len(neighbors)
+    gathered = store.gather(neighbors)
+    assert gathered.dtype == np.int64
+    assert gathered.tolist() == (rows * lanes).tolist()
+    out = np.empty(len(lanes), dtype=np.int64)
+    assert store.gather_into(neighbors, out) is out
+    assert out.tolist() == (rows * lanes).tolist()
+    assert store.combined_into(vertex, neighbors, out) is out
+    assert out.tolist() == ((rows + 1) * lanes).tolist()
+
+
+class TestSumWidth:
+    """A neighbourhood sum may pass 2**31 although no counter does."""
+
+    def test_dense_sums_are_exact_past_int32(self):
+        store = FullExpectationStore(3, 10)
+        store._table[:] = [BIG, BIG - 1, 7]
+        assert_exact_wide_sums(store, 0, np.array([1, 4, 4, 9]),
+                               [BIG, BIG - 1, 7])
+
+    @pytest.mark.parametrize("method", ["spn", "spnl"])
+    @pytest.mark.parametrize("gamma", [
+        {}, {"num_shards": 2},
+        {"gamma_store": "hashed", "gamma_buckets": 5}],
+        ids=["dense", "window", "hashed"])
+    @pytest.mark.parametrize("placed_edges,width", [
+        (INT32_SUM_END // 4 - 1, np.int32),   # 4·e = 2**31 - 4: proven
+        (INT32_SUM_END // 4, np.int64),       # 4·e = 2**31: not proven
+        (INT32_SUM_END // 4 + 1, np.int64),
+        (BIG, np.int64),
+    ], ids=["below", "at", "above", "far-above"])
+    def test_fused_in_term_width_follows_the_guard(
+            self, method, gamma, placed_edges, width):
+        """The fused scorer sums Γ(v) + three rows in the table's own
+        dtype only while ``rows · placed_edges`` proves the sum fits
+        (no counter exceeds the edges placed); planted at that bound,
+        the in-term is exact on either side of it."""
+        shape = SimpleNamespace(num_vertices=16, num_edges=64,
+                                is_id_ordered=True)
+        partitioner = make_partitioner(method, 3, **gamma)
+        state = partitioner.make_state(shape)
+        partitioner._setup(shape, state)
+        store = partitioner.expectation_store
+        store._table[:] = [placed_edges, placed_edges - 1, 5]
+        state.placed_edges = placed_edges
+        seen = []
+        combined_into = store.combined_into
+
+        def spy(vertex, neighbors, out):
+            result = combined_into(vertex, neighbors, out)
+            seen.append((out.dtype, result.tolist()))
+            return result
+
+        store.combined_into = spy  # the kernel binds it when it is built
+        neighbors = np.array([1, 2, 2])
+        kernel = PlacementKernel(partitioner, state)
+        scores = kernel.score(0, neighbors).copy()
+        assert seen == [(width, [4 * placed_edges, 4 * placed_edges - 4,
+                                 20])]
+        assert np.array_equal(scores, partitioner._score(
+            AdjacencyRecord(0, neighbors), state))

@@ -11,6 +11,8 @@ shows up as a route mismatch here.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import GraphStream, shuffled
 from repro.graph.generators import community_web_graph
@@ -19,6 +21,8 @@ from repro.partitioning.registry import (
     available_partitioners,
     make_partitioner,
 )
+
+from .test_kernel_groups import GAMMA  # dense, colliding hashed, window X=3
 
 ALL_VERTEX = available_partitioners(kind="vertex")
 
@@ -92,6 +96,46 @@ class TestVariantByteIdentity:
         # vertices landed.
         assert fast.stats.get("capacity_overflows") == \
             slow.stats.get("capacity_overflows")
+
+
+@st.composite
+def _multigraph_runs(draw):
+    """A small multigraph as raw CSR arrays (duplicate neighbours,
+    self-loops and zero-degree rows all occur) and a configuration."""
+    n = draw(st.integers(1, 60))
+    ids = st.integers(0, n - 1)
+    row = st.one_of(st.just([]), st.lists(ids, max_size=4),
+                    st.lists(ids, max_size=12))
+    rows = [draw(row) for _ in range(n)]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    indices = np.asarray([u for r in rows for u in r], dtype=np.int64)
+    method = draw(st.sampled_from(["spnl", "spnl", "spn"]))
+    kwargs = {"balance": draw(st.sampled_from(["vertex", "edge", "both"])),
+              "slack": draw(st.sampled_from([1.0, 1.1, 2.0]))}
+    if method == "spnl":
+        kwargs["eta_schedule"] = draw(
+            st.sampled_from(["paper", "frozen", "linear", 0.4]))
+    return indptr, indices, draw(st.integers(1, 5)), method, kwargs
+
+
+class TestFusedEqualsReferenceOverTheSpace:
+    """The variants above vary one option at a time on one simple graph;
+    this draws the graph and the rest of the configuration."""
+
+    @pytest.mark.parametrize("gamma", list(GAMMA))
+    @pytest.mark.parametrize("in_estimator",
+                             ["combined", "neighborhood", "self"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=_multigraph_runs())
+    def test_route_and_overflows_agree(self, gamma, in_estimator, run):
+        indptr, indices, k, method, kwargs = run
+        fast, slow = _both_paths(
+            method, lambda: ArrayStream(indptr, indices), k=k,
+            in_estimator=in_estimator, **GAMMA[gamma], **kwargs)
+        assert np.array_equal(fast.assignment.route, slow.assignment.route)
+        assert fast.stats["capacity_overflows"] == \
+            slow.stats["capacity_overflows"]
 
 
 class TestDegreeGrowth:

@@ -13,6 +13,8 @@ from repro.partitioning.expectation import (
 from repro.partitioning.registry import make_partitioner
 from repro.partitioning.spn import SPNPartitioner
 
+from .test_expectation import BIG, assert_exact_wide_sums
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -66,6 +68,15 @@ class TestStoreSemantics:
             HashedExpectationStore(2, 10, num_buckets=0)
         with pytest.raises(ValueError, match="invalid dimensions"):
             HashedExpectationStore(0, 10, num_buckets=4)
+
+    @pytest.mark.parametrize("buckets", [5, 64], ids=["hashed", "identity"])
+    def test_sums_are_exact_past_int32(self, buckets):
+        """Colliding or not, four bucket rows near 2**30 each sum to a
+        total that needs 64 bits."""
+        store = HashedExpectationStore(3, 40, num_buckets=buckets)
+        store._table[:] = [BIG, BIG - 1, 7]
+        assert_exact_wide_sums(store, 0, np.array([1, 17, 17, 39]),
+                               [BIG, BIG - 1, 7])
 
     def test_state_round_trip(self, rng):
         store = HashedExpectationStore(3, 100, num_buckets=32)

@@ -9,6 +9,8 @@ from repro.partitioning import (
     default_num_shards,
 )
 
+from .test_expectation import BIG, assert_exact_wide_sums
+
 
 class TestDefaultShards:
     def test_paper_formula(self):
@@ -115,6 +117,25 @@ class TestWindowSemantics:
         assert windowed.nbytes() < full.nbytes()
         assert windowed.nbytes() == pytest.approx(full.nbytes() / 10,
                                                   rel=0.05)
+
+
+class TestSumWidth:
+    def test_window_sums_are_exact_past_int32(self):
+        """Four in-window rows near 2**30 each (ids outside the window
+        add nothing): the total needs 64 bits."""
+        store = SlidingWindowStore(3, 40, num_shards=4)  # W = 10
+        store.advance_to(12)
+        store._table[:] = [BIG, BIG - 1, 7]
+        neighbors = np.array([3, 13, 21, 21, 30, 12])
+        assert store._classify(neighbors)[1:] == (1, 1)
+        live = neighbors[(neighbors >= 12) & (neighbors < 22)]
+        out = np.empty(3, dtype=np.int64)
+        assert store.gather_into(neighbors, out).tolist() == \
+            [4 * BIG, 4 * BIG - 4, 28]
+        assert_exact_wide_sums(store, 12, live, [BIG, BIG - 1, 7])
+        # Γ(v) of a vertex outside the window is zero, not a ring row
+        assert store.combined_into(30, live, out).tolist() == \
+            [4 * BIG, 4 * BIG - 4, 28]
 
 
 class TestEquivalenceWithFullStore:
