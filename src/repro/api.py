@@ -17,7 +17,7 @@ working but these are what notebooks should use):
     :mod:`repro.partitioning.registry`.
 
 ``partition_stream(graph, method="spnl", num_partitions=32, *,
-order=None, threads=1, instrumentation=None, **kwargs)``
+order=None, instrumentation=None, **kwargs)``
     One-call partitioning of a :class:`~repro.graph.digraph.DiGraph`
     (or an existing :class:`~repro.graph.stream.VertexStream`), returning
     a :class:`~repro.partitioning.base.StreamingResult` whatever the
@@ -52,7 +52,6 @@ def partition_stream(graph: DiGraph | VertexStream,
                      method: str | PartitionConfig = "spnl",
                      num_partitions: int = 32, *,
                      order: Any = None,
-                     threads: int = 1,
                      instrumentation: Any = None,
                      config: PartitionConfig | None = None,
                      **kwargs: Any) -> StreamingResult:
@@ -78,9 +77,6 @@ def partition_stream(graph: DiGraph | VertexStream,
     order:
         Optional arrival order forwarded to :class:`GraphStream` when a
         ``DiGraph`` is given.
-    threads:
-        ``> 1`` wraps a streaming method in the shared-memory
-        :class:`~repro.parallel.executor.ThreadedParallelPartitioner`.
     instrumentation:
         Optional :class:`~repro.observability.Instrumentation` hub; when
         given, the pass emits windowed trace records (see
@@ -95,7 +91,18 @@ def partition_stream(graph: DiGraph | VertexStream,
         forwarded to the constructor; unknown ones are dropped so the
         same call shape works across methods.  Deprecated in favour of
         ``config`` (one :class:`DeprecationWarning` per process).
+
+    The pass is sequential.  For parallel placement (Sec. V-B) wrap a
+    :func:`make_partitioner` result in a :mod:`repro.parallel` executor;
+    ``threads=`` raises :class:`TypeError` rather than being dropped.
     """
+    if "threads" in kwargs:
+        raise TypeError(
+            "partition_stream() takes no threads= argument; for parallel "
+            "placement wrap the partitioner in "
+            "repro.parallel.ProcessShardedPartitioner (worker processes) "
+            "or repro.parallel.SimulatedParallelPartitioner (the "
+            "deterministic model)")
     if isinstance(method, PartitionConfig):
         if config is not None:
             raise TypeError("pass the PartitionConfig as method= or "
@@ -124,10 +131,6 @@ def partition_stream(graph: DiGraph | VertexStream,
             with instrumentation.timer(f"partition.{method}"):
                 return partitioner.partition(target)
         return partitioner.partition(target)
-    if threads > 1:
-        from .parallel.executor import ThreadedParallelPartitioner
-        partitioner = ThreadedParallelPartitioner(partitioner,
-                                                  parallelism=threads)
     stream = graph if not isinstance(graph, DiGraph) \
         else GraphStream(graph, order=order)
     if instrumentation is None:

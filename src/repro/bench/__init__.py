@@ -38,7 +38,7 @@ from .figures import (
     fig7_window_sweep,
     fig8_9_k_sweep_streaming,
     fig10_11_k_sweep_offline,
-    fig12_thread_sweep,
+    fig12_worker_sweep,
 )
 from .harness import BenchRecord, run_many, run_partitioner
 from .micro import (
@@ -114,7 +114,7 @@ __all__ = [
     "fig7_window_sweep",
     "fig8_9_k_sweep_streaming",
     "fig10_11_k_sweep_offline",
-    "fig12_thread_sweep",
+    "fig12_worker_sweep",
     "format_markdown",
     "format_series",
     "format_table",

@@ -37,9 +37,9 @@ def _figure_sections(quick: bool) -> list[tuple[str, Callable[[], Any]]]:
          lambda: figures.fig10_11_k_sweep_offline("indo2004", ks=ks)),
         ("Fig. 11 — metrics vs K, offline (eu2015)",
          lambda: figures.fig10_11_k_sweep_offline("eu2015", ks=ks)),
-        ("Fig. 12 — PT vs threads (SPNL)",
-         lambda: figures.fig12_thread_sweep(
-             threads=(1, 4) if quick else (1, 2, 4, 8))),
+        ("Fig. 12 — PT vs worker processes (SPNL)",
+         lambda: figures.fig12_worker_sweep(
+             workers=(1, 2) if quick else (1, 2, 4, 8))),
         ("Ablation — RCT", lambda: figures.ablation_rct(
             parallelisms=(1, 4) if quick else (1, 2, 4, 8, 16))),
         ("Ablation — locality", figures.ablation_locality),

@@ -159,7 +159,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     from .graph.stream import GraphStream
-    from .parallel.executor import ThreadedParallelPartitioner
     from .partitioning.metrics import evaluate
     from .partitioning.registry import resolve
 
@@ -186,24 +185,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             f"error: {args.method} is offline; checkpoint/resume applies "
             "to streaming passes only")
     processes = getattr(args, "processes", 1)
-    if processes > 1 and args.threads > 1:
-        raise SystemExit(
-            "error: --threads and --processes are mutually exclusive; "
-            "pick one executor")
     if processes > 1 and is_offline:
         raise SystemExit(
             f"error: {args.method} is offline; --processes applies to "
             "streaming passes only")
-    if checkpointing and args.threads > 1:
-        raise SystemExit(
-            "error: --checkpoint-every/--resume-from are incompatible "
-            "with --threads (snapshots capture a single-writer pass)")
-    if args.threads > 1 and not is_offline:
-        partitioner = ThreadedParallelPartitioner(
-            partitioner, parallelism=args.threads)
-    elif processes > 1:
+    if processes > 1:
         # The sharded executor snapshots at drained group boundaries,
-        # so (unlike --threads) checkpoint/resume stays available.
+        # so checkpoint/resume stays available.
         from .parallel.process import ProcessShardedPartitioner
         try:
             partitioner = ProcessShardedPartitioner(
@@ -579,8 +567,8 @@ def _simple_bench_targets(args: argparse.Namespace) -> dict:
             for metric, fig in figures.fig10_11_k_sweep_offline(
                 "eu2015").items()),
         "fig12": lambda: report.format_table(
-            figures.fig12_thread_sweep(k=args.k).as_rows(),
-            title="Fig. 12 — thread sweep"),
+            figures.fig12_worker_sweep(k=args.k).as_rows(),
+            title="Fig. 12 — worker sweep"),
     }
 
 
@@ -957,9 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file or named dataset")
     p.add_argument("output", help="route-table output path")
     _add_heuristic_flags(p, methods=available_partitioners())
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel placement workers (threaded executor; "
-                        "GIL-bound)")
     p.add_argument("--processes", type=int, default=1, metavar="M",
                    help="score M records per group across worker "
                         "processes (sharded executor; deterministic, "

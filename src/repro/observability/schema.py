@@ -21,6 +21,9 @@ tooling (and enforced by the test suite over every emitted record):
 ``parallel_batch`` — one record per simulated-parallel batch:
     seq, batch, batch_size, delayed, placements.
 
+``parallel_group`` — one record per process-sharded group:
+    seq, group, workers, batch_size, delayed, placements.
+
 ``checkpoint`` — one record per snapshot written by the checkpointing
     driver: seq, position, placements, path, elapsed_seconds,
     partitioner.
@@ -125,6 +128,15 @@ TRACE_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], bool, bool]]] = {
         "type": (_STR, True, False),
         "seq": (_INT, True, False),
         "batch": (_INT, True, False),
+        "batch_size": (_INT, True, False),
+        "delayed": (_INT, True, False),
+        "placements": (_INT, True, False),
+    },
+    "parallel_group": {
+        "type": (_STR, True, False),
+        "seq": (_INT, True, False),
+        "group": (_INT, True, False),
+        "workers": (_INT, True, False),
         "batch_size": (_INT, True, False),
         "delayed": (_INT, True, False),
         "placements": (_INT, True, False),

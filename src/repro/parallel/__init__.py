@@ -1,6 +1,6 @@
 """Parallel streaming partitioning with RCT dependency detection."""
 
-from .executor import SimulatedParallelPartitioner, ThreadedParallelPartitioner
+from .executor import SimulatedParallelPartitioner
 from .process import ProcessShardedPartitioner, WorkerCrashedError
 from .rct import ReversedCountingTable
 from .shared import SharedArrayBlock, SharedConflictTable
@@ -11,6 +11,5 @@ __all__ = [
     "SharedArrayBlock",
     "SharedConflictTable",
     "SimulatedParallelPartitioner",
-    "ThreadedParallelPartitioner",
     "WorkerCrashedError",
 ]

@@ -1,8 +1,7 @@
 """Process-sharded parallel streaming partitioning (true multicore).
 
 :class:`ProcessShardedPartitioner` is the multicore realization of the
-paper's Sec. V-B design that the GIL denies
-:class:`~repro.parallel.executor.ThreadedParallelPartitioner`: N worker
+paper's Sec. V-B design, out of the GIL's reach: N worker
 *processes* score adjacency records against a
 ``multiprocessing.shared_memory``-backed route table and vertex-major
 (V, K) Γ lanes, while a sequential reader in the parent feeds record
@@ -36,9 +35,9 @@ the same ``parallelism`` — and byte-identical to the sequential record
 path at ``parallelism=1`` — while the scoring work spreads over real
 cores.  The registry-wide parity suite pins both properties.
 
-Fault tolerance mirrors the threaded executor's supervision, extended
-to processes: a worker that dies mid-group (even SIGKILL) is respawned
-with bounded restarts and its sub-range re-dispatched — safe because
+Workers are supervised: a worker that dies mid-group (even SIGKILL)
+or raises while scoring is respawned with bounded restarts and its
+sub-range re-dispatched — safe because
 workers are idempotent (re-scoring rewrites the same deterministic
 bytes) and no committed placement ever lives in a worker.  Checkpoints
 compose with the recovery layer: at snapshot barriers the parent drains
@@ -537,13 +536,16 @@ class ProcessShardedPartitioner(_ParallelBase):
         Worker processes the group is sharded over (the *throughput*
         knob).  Default: ``min(parallelism, usable CPUs)``.
     epsilon, use_rct, max_delays:
-        As in the other executors (RCT capacity ``ε·M``, delay budget).
+        As in the simulated executor (RCT capacity ``ε·M``, delay
+        budget).
     ring_slots:
         Slots in the bounded shared ring (≥ 1).  Slots are cycled
         round-robin; each holds one group's records and score block.
     max_worker_restarts, restart_backoff:
-        Supervision budget for dead workers (including SIGKILL) with
-        exponential backoff, mirroring the threaded executor.
+        Supervision budget for dead workers (SIGKILL, or an exception
+        raised while scoring) with exponential backoff between
+        restarts; once it is spent the run raises
+        :class:`WorkerCrashedError` naming the last worker error.
     worker_timeout:
         Seconds a live worker may stay silent on a dispatched range
         before the run aborts (guards against hung workers; deaths are

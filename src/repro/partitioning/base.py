@@ -159,9 +159,8 @@ class PartitionState:
         self.capacity_overflows = 0
         # Memo of the last neighbor tally, so an attached probe can reuse
         # what scoring already computed (see consume_neighbor_counts).
-        # One attribute holding a (neighbors, counts) pair: a single
-        # assignment keeps the pairing atomic under the GIL even when
-        # threaded workers score concurrently.
+        # One attribute holding a (neighbors, counts) pair, assigned
+        # whole, so the pair can never mismatch.
         self._nc_memo = None
         self.scratch: _Scratch | None = None
 
@@ -363,7 +362,7 @@ class PlacementKernel:
     lane), and that the kernel captures the state's arrays by
     reference: rebind them (a shared-memory pool attaching or
     detaching) and the kernel must be rebuilt.  Concurrent scorers
-    (worker threads and processes) therefore keep calling the
+    (worker processes) therefore keep calling the
     reference ``_score``, which reads live state and touches no
     scratch; the single committer owns the kernel.
 
@@ -679,8 +678,8 @@ class StreamingPartitioner(ABC):
         """Return the length-K placement score vector for one record.
 
         The reference scorer: it reads only live state and allocates
-        its result, so worker threads and processes may call it
-        concurrently while the single committer owns the kernel.
+        its result, so worker processes may call it concurrently
+        while the single committer owns the kernel.
         """
 
     def _after_commit(self, record: AdjacencyRecord, pid: int,

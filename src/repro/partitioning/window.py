@@ -97,18 +97,15 @@ class SlidingWindowStore:
         self._table = np.zeros((self.window_size, num_partitions),
                                dtype=np.int32)
         # The window's bounds and size as 0-d arrays: a ufunc converts a
-        # Python int operand on every call, an array never.  ``low`` is
-        # written before ``end``, so a concurrent gather() sees at worst
-        # a narrower window.
+        # Python int operand on every call, an array never.
         self._low_arr = np.array(0, dtype=np.int64)
         self._end_arr = np.array(self.window_size, dtype=np.int64)
         self._size_arr = np.array(self.window_size, dtype=np.int64)
         # The in-window test gather_into() made last, kept for the
         # record() of the same placement step: ``(neighbors, low, slots,
-        # past, future)``.  One attribute, assigned whole, so the tuple
-        # stays consistent when threaded workers score concurrently;
-        # record() trusts it only for the same array object at the same
-        # ``low`` and drops it on read.
+        # past, future)``.  One attribute, assigned whole; record()
+        # trusts it only for the same array object at the same ``low``
+        # and drops it on read.
         self._window_memo = None
         # Diagnostics surfaced in benchmark reports (Fig. 7 analysis).
         self.skipped_future = 0   # case-3 losses

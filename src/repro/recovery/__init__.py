@@ -18,8 +18,8 @@ without replaying the stream:
   malformed records into a side file under an error budget instead of
   aborting on the first bad line;
 * :mod:`repro.recovery.chaos` — seeded fault-injection wrappers
-  (crash-at-record-N, torn snapshots, flaky readers, dying workers)
-  backing the ``pytest -m chaos`` suite.
+  (crash-at-record-N, torn snapshots, flaky readers, a failing WAL, a
+  slow engine) backing the ``pytest -m chaos`` suite.
 """
 
 from .atomic import atomic_writer, atomic_write_bytes, atomic_write_text

@@ -11,9 +11,6 @@ chaos tests are exactly reproducible:
   exercising the retry-with-backoff path;
 * :func:`tear_snapshot` / :func:`corrupt_snapshot` — truncate or
   bit-flip a snapshot file, exercising the integrity checks;
-* :class:`FlakyScorer` — a partitioner wrapper whose scoring dies on
-  chosen vertices a bounded number of times, exercising the threaded
-  executor's supervised worker restarts;
 * :class:`FlakyWAL` — a :class:`~repro.service.wal.PlacementLog` whose
   ``append_batch`` raises ``OSError`` while armed (or once per listed
   sequence number), exercising the placement service's WAL-failure →
@@ -22,7 +19,7 @@ chaos tests are exactly reproducible:
   exercising admission control's lag watermark and deadline shedding.
 
 Wrappers subclass or delegate rather than monkeypatch, so they compose
-with any stream/partitioner — and, being distinct types, they are never
+with any stream or service — and, being distinct types, they are never
 read out of CSR arrays (``as_array_stream`` converts exact types
 only) but iterated, which is precisely what makes mid-iteration
 injection observable.
@@ -40,7 +37,7 @@ from ..graph.stream import FileStream, VertexStream
 from ..service.wal import PlacementLog, WalEntry
 
 __all__ = ["InjectedCrash", "CrashingStream", "FlakyFileStream",
-           "FlakyScorer", "FlakyWAL", "SlowEngine", "corrupt_snapshot",
+           "FlakyWAL", "SlowEngine", "corrupt_snapshot",
            "tear_snapshot"]
 
 
@@ -129,39 +126,6 @@ class FlakyFileStream(FileStream):
                         yield records[:i]
                     raise OSError("injected transient read failure")
             yield records
-
-
-class FlakyScorer:
-    """Partitioner wrapper whose ``_score`` dies on chosen vertices.
-
-    ``die_on`` maps vertex id → how many times scoring that vertex
-    raises before succeeding.  With a finite count the failure is
-    *transient* (a supervised restart retries the record and wins); an
-    effectively infinite count models a poison record that must exhaust
-    the restart budget and surface.  Everything else delegates to the
-    wrapped partitioner, so this drops into
-    :class:`~repro.parallel.executor.ThreadedParallelPartitioner`
-    unchanged.
-    """
-
-    def __init__(self, base, die_on: dict[int, int], *,
-                 error: type[Exception] = InjectedCrash) -> None:
-        self._base = base
-        self._die_on = dict(die_on)
-        self._error = error
-        self.deaths = 0
-
-    def __getattr__(self, attr):
-        return getattr(self._base, attr)
-
-    def _score(self, record, state):
-        remaining = self._die_on.get(record.vertex, 0)
-        if remaining > 0:
-            self._die_on[record.vertex] = remaining - 1
-            self.deaths += 1
-            raise self._error(
-                f"injected worker death scoring vertex {record.vertex}")
-        return self._base._score(record, state)
 
 
 class FlakyWAL(PlacementLog):

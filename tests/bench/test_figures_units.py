@@ -14,7 +14,7 @@ from repro.bench import (
     fig7_window_sweep,
     fig8_9_k_sweep_streaming,
     fig10_11_k_sweep_offline,
-    fig12_thread_sweep,
+    fig12_worker_sweep,
 )
 
 
@@ -53,13 +53,15 @@ class TestWindowSweep:
         assert mc[1] <= mc[0]
 
 
-class TestThreadSweep:
-    def test_structure(self):
-        fig = fig12_thread_sweep(datasets=("uk2005",), threads=(1, 2),
+class TestWorkerSweep:
+    def test_structure(self, shm_leak_check):
+        fig = fig12_worker_sweep(datasets=("uk2005",), workers=(1, 2),
                                  k=4)
         assert fig.x_values == [1, 2]
-        assert "PT(uk2005)" in fig.series
+        assert set(fig.series) == {"PT(uk2005)", "PT(uk2005, sequential)"}
         assert all(v > 0 for v in fig.series["PT(uk2005)"])
+        sequential = fig.series["PT(uk2005, sequential)"]
+        assert sequential[0] == sequential[1] > 0  # reference line
 
 
 class TestRctAblation:

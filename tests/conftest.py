@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,42 @@ def grid() -> DiGraph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+_SHM_DIR = "/dev/shm"
+#: Python's multiprocessing.shared_memory default name prefix plus the
+#: bare ``shm_`` some allocators use; anything else in /dev/shm (other
+#: tools, the OS) is not ours to police.
+_SHM_PREFIXES = ("psm_", "shm_")
+
+
+def _shm_segments() -> set[str]:
+    if not os.path.isdir(_SHM_DIR):  # non-Linux: nothing to check
+        return set()
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:
+        return set()
+    return {n for n in names if n.startswith(_SHM_PREFIXES)}
+
+
+@pytest.fixture
+def shm_leak_check():
+    """Fail the test that leaves a shared-memory segment in /dev/shm.
+
+    The process-sharded executor and the service's scoring pool
+    allocate POSIX shared memory (``psm_*`` segments on Linux).  A
+    segment that outlives its test is a real resource leak — on a
+    long-lived host the 64 MB tmpfs quota eventually fills and
+    *unrelated* allocations start failing — and it is exactly the
+    failure mode the teardown paths (pool close, crash teardown,
+    SIGKILL supervision) are supposed to prevent.  Naming the leaking
+    test beats a mysterious ENOSPC three suites later.
+    """
+    before = _shm_segments()
+    yield
+    leaked = _shm_segments() - before
+    assert not leaked, (
+        f"test leaked {len(leaked)} shared-memory segment(s) in "
+        f"{_SHM_DIR}: {sorted(leaked)} — a pool teardown path failed "
+        f"to unlink")

@@ -246,20 +246,29 @@ class TestParallelAndBSPTraces:
         assert batches[-1]["placements"] == web_graph.num_vertices
         assert result.stats["placements"] == web_graph.num_vertices
 
-    def test_threaded_parallel_traces_and_matches_placements(
-            self, web_graph):
-        from repro.parallel import ThreadedParallelPartitioner
+    def test_process_parallel_traces(self, web_graph, shm_leak_check):
+        from repro.parallel import (
+            ProcessShardedPartitioner,
+            SimulatedParallelPartitioner,
+        )
 
         sink = MemorySink()
         hub = Instrumentation([sink], probe_every=300)
-        par = ThreadedParallelPartitioner(make_partitioner("spnl", 8),
-                                          parallelism=2)
+        par = ProcessShardedPartitioner(
+            make_partitioner("spnl", 8, num_shards=1), parallelism=4,
+            num_workers=2)
         result = par.partition(GraphStream(web_graph), instrumentation=hub)
         for record in sink.records:
             validate_record(record)
+        groups = [r for r in sink.records if r["type"] == "parallel_group"]
+        assert groups and groups[-1]["workers"] == 2
         assert sink.records[-1]["type"] == "stream_summary"
         assert sink.records[-1]["placements"] == web_graph.num_vertices
-        assert result.stats["placements"] == web_graph.num_vertices
+        # Tracing changes no placement: same route as the untraced model.
+        reference = SimulatedParallelPartitioner(
+            make_partitioner("spnl", 8, num_shards=1),
+            parallelism=4).partition(GraphStream(web_graph))
+        assert result.assignment == reference.assignment
 
     def test_bsp_supersteps_traced(self, web_graph):
         from repro.runtime import BSPEngine

@@ -1,46 +1,15 @@
-"""Leak check: every test must leave /dev/shm the way it found it.
+"""Every test here must leave /dev/shm the way it found it.
 
-The process-sharded executor and the service's scoring pool allocate
-POSIX shared memory (``psm_*`` segments under /dev/shm on Linux).  A
-segment that outlives its test is a real resource leak — on a long-
-lived host the 64 MB tmpfs quota eventually fills and *unrelated*
-allocations start failing — and it is exactly the failure mode the
-teardown paths (pool close, crash teardown, SIGKILL supervision) are
-supposed to prevent.  This autouse fixture snapshots the segment names
-before each test and fails the test that leaked, naming the segments,
-instead of letting the leak surface as a mysterious ENOSPC three
-suites later.
+The process-sharded executor allocates a POSIX shared-memory segment
+per run; the root ``shm_leak_check`` fixture (``tests/conftest.py``)
+fails the test that leaks one.  Applied to the whole directory.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-_SHM_DIR = "/dev/shm"
-#: Python's multiprocessing.shared_memory default name prefix plus the
-#: bare ``shm_`` some allocators use; anything else in /dev/shm (other
-#: tools, the OS) is not ours to police.
-_PREFIXES = ("psm_", "shm_")
-
-
-def _shm_segments() -> set[str]:
-    if not os.path.isdir(_SHM_DIR):  # non-Linux: nothing to check
-        return set()
-    try:
-        names = os.listdir(_SHM_DIR)
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith(_PREFIXES)}
 
 
 @pytest.fixture(autouse=True)
-def shm_leak_check():
-    before = _shm_segments()
+def shm_leak_check(shm_leak_check):
     yield
-    leaked = _shm_segments() - before
-    assert not leaked, (
-        f"test leaked {len(leaked)} shared-memory segment(s) in "
-        f"{_SHM_DIR}: {sorted(leaked)} — a pool teardown path failed "
-        f"to unlink")

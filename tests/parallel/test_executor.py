@@ -1,14 +1,11 @@
 """Unit tests for the parallel streaming executors."""
 
-import threading
-
 import pytest
 
 from repro.graph import GraphStream, from_adjacency
 from repro.parallel import (
     ReversedCountingTable,
     SimulatedParallelPartitioner,
-    ThreadedParallelPartitioner,
 )
 from repro.partitioning import LDGPartitioner, SPNLPartitioner, evaluate
 
@@ -80,86 +77,11 @@ class TestSimulatedExecutor:
         assert p.name == "SPNL-par4(sim)"
 
 
-class TestThreadedExecutor:
-    def test_complete_assignment(self, web_graph):
-        p = ThreadedParallelPartitioner(
-            SPNLPartitioner(8, num_shards="auto"), parallelism=4)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-
-    def test_single_worker_complete(self, web_graph):
-        p = ThreadedParallelPartitioner(SPNLPartitioner(8), parallelism=1)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-
-    def test_quality_sane(self, web_graph):
-        """Threaded placement must stay in the serial ballpark (the RCT's
-        whole job); a 2x blowup would mean lost heuristic state."""
-        serial = evaluate(
-            web_graph,
-            SPNLPartitioner(8).partition(
-                GraphStream(web_graph)).assignment).ecr
-        p = ThreadedParallelPartitioner(SPNLPartitioner(8), parallelism=4)
-        threaded = evaluate(
-            web_graph,
-            p.partition(GraphStream(web_graph)).assignment).ecr
-        assert threaded <= serial * 1.5 + 0.05
-
-    def test_no_rct_mode(self, web_graph):
-        p = ThreadedParallelPartitioner(SPNLPartitioner(8), parallelism=2,
-                                        use_rct=False)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-        assert result.stats["conflicts"] == 0
-
-    def test_stats_shape(self, web_graph):
-        p = ThreadedParallelPartitioner(SPNLPartitioner(8), parallelism=2)
-        result = p.partition(GraphStream(web_graph))
-        assert {"parallelism", "use_rct", "delayed",
-                "conflicts"} <= set(result.stats)
-
-
-class _ExplodingLDG(LDGPartitioner):
-    """Scoring raises on every record — simulates a poisoned worker."""
-
-    def _score(self, record, state):
-        raise RuntimeError("injected score failure")
-
-
-class _DelayOnceRCT:
-    """RCT stand-in that delays every vertex exactly once (thread-safe),
-    making the expected ``delayed`` total exact: one per vertex."""
-
-    def __init__(self, parallelism, epsilon=2):
-        self.total_conflicts = 0
-        self._lock = threading.Lock()
-        self._seen = set()
-
-    def register(self, vertex):
-        return True
-
-    def note_references(self, neighbors):
-        return 0
-
-    def release_references(self, neighbors):
-        pass
-
-    def should_delay(self, vertex):
-        with self._lock:
-            if vertex in self._seen:
-                return False
-            self._seen.add(vertex)
-            return True
-
-    def remove(self, vertex):
-        pass
-
-
 class _NoteCountingRCT(ReversedCountingTable):
     """Real RCT that additionally counts ``note_references`` *calls*.
 
-    Exactly-once noting means one call per adjacency record — retries,
-    delays, and carried batches must not call again for the same record.
+    Exactly-once noting means one call per adjacency record — delays
+    and carried batches must not call again for the same record.
     """
 
     instances: list["_NoteCountingRCT"] = []
@@ -170,8 +92,7 @@ class _NoteCountingRCT(ReversedCountingTable):
         type(self).instances.append(self)
 
     def note_references(self, neighbors):
-        with self._lock:
-            self.note_calls += 1
+        self.note_calls += 1
         return super().note_references(neighbors)
 
 
@@ -230,104 +151,3 @@ class TestSimulatedCarriedRecords:
             return p.partition(GraphStream(graph)).assignment
 
         assert run() == run()
-
-
-class _CrashOnVertexLDG(LDGPartitioner):
-    """Scoring dies the first time it sees a chosen vertex, simulating
-    a worker crash mid-record; the retry must succeed."""
-
-    def __init__(self, *args, crash_vertex=37, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._crash_vertex = crash_vertex
-        self._crashed = threading.Event()
-
-    def _score(self, record, state):
-        if record.vertex == self._crash_vertex \
-                and not self._crashed.is_set():
-            self._crashed.set()
-            raise RuntimeError("injected one-shot score failure")
-        return super()._score(record, state)
-
-
-class TestThreadedExactlyOnceStats:
-    """Regression (satellite of the chaos suite): a record handed back
-    by a dying worker was re-noted on retry, so ``conflicts`` and the
-    delay behaviour of a crash-recovered run drifted from a clean run's.
-    The ``noted`` flag must make noting exactly-once across retries."""
-
-    def test_crash_recovered_run_notes_each_record_once(self, web_graph,
-                                                        counting_rct):
-        p = ThreadedParallelPartitioner(
-            _CrashOnVertexLDG(8), parallelism=2,
-            queue_capacity=web_graph.num_vertices + 8,
-            max_worker_restarts=2, restart_backoff=0.0)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-        assert result.stats["worker_restarts"] == 1
-        (rct,) = counting_rct
-        assert rct.note_calls == web_graph.num_vertices
-
-    def test_clean_run_notes_each_record_once(self, web_graph,
-                                              counting_rct):
-        p = ThreadedParallelPartitioner(
-            LDGPartitioner(8), parallelism=2,
-            queue_capacity=web_graph.num_vertices + 8)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-        (rct,) = counting_rct
-        assert rct.note_calls == web_graph.num_vertices
-
-
-class TestThreadedExecutorRegressions:
-    def test_worker_errors_do_not_deadlock_producer(self, web_graph):
-        """Regression: when every worker dies on an error while the
-        bounded buffer is full, the producer used to block forever in
-        ``buffer.put`` — nobody was left to drain it.  The bounded-
-        timeout put must notice the errors, abort the stream, and let
-        ``partition`` surface the original exception."""
-        p = ThreadedParallelPartitioner(
-            _ExplodingLDG(8), parallelism=2, queue_capacity=2,
-            use_rct=False)
-        outcome = {}
-
-        def run():
-            try:
-                p.partition(GraphStream(web_graph))
-                outcome["exc"] = None
-            except BaseException as exc:
-                outcome["exc"] = exc
-
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        t.join(timeout=20.0)
-        assert not t.is_alive(), \
-            "partition() deadlocked after all workers errored"
-        assert isinstance(outcome["exc"], RuntimeError)
-        assert "injected score failure" in str(outcome["exc"])
-
-    def test_worker_error_surfaces_with_roomy_queue(self, web_graph):
-        """Even without buffer pressure the injected error must reach
-        the caller, not vanish into a worker thread."""
-        p = ThreadedParallelPartitioner(
-            _ExplodingLDG(8), parallelism=2,
-            queue_capacity=web_graph.num_vertices + 8, use_rct=False)
-        with pytest.raises(RuntimeError, match="injected score failure"):
-            p.partition(GraphStream(web_graph))
-
-    def test_delayed_count_exact_under_contention(self, web_graph,
-                                                  monkeypatch):
-        """Regression: ``delayed_counter[0] += 1`` was an unguarded
-        read-modify-write, so racing workers lost increments.  With an
-        RCT that delays each vertex exactly once and a queue big enough
-        that every re-queue succeeds, the reported total must equal
-        |V| exactly — not approximately."""
-        from repro.parallel import executor as executor_module
-
-        monkeypatch.setattr(executor_module, "ReversedCountingTable",
-                            _DelayOnceRCT)
-        p = ThreadedParallelPartitioner(
-            LDGPartitioner(8), parallelism=8,
-            queue_capacity=web_graph.num_vertices + 16)
-        result = p.partition(GraphStream(web_graph))
-        result.assignment.validate(web_graph.num_vertices)
-        assert result.stats["delayed"] == web_graph.num_vertices

@@ -5,12 +5,19 @@ crash, a torn snapshot, a flaky disk, a dying worker, a garbage feed —
 and asserts the documented recovery behavior, deterministically.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.graph import GraphStream, community_web_graph, write_adjacency
 from repro.observability import Instrumentation, MemorySink
-from repro.parallel import ThreadedParallelPartitioner
+from repro.parallel import (
+    ProcessShardedPartitioner,
+    SimulatedParallelPartitioner,
+    WorkerCrashedError,
+)
 from repro.partitioning import SPNLPartitioner
 from repro.partitioning.registry import make_partitioner
 from repro.recovery import (
@@ -24,7 +31,6 @@ from repro.recovery import (
 from repro.recovery.chaos import (
     CrashingStream,
     FlakyFileStream,
-    FlakyScorer,
     InjectedCrash,
     tear_snapshot,
 )
@@ -91,34 +97,74 @@ class TestFlakyDisk:
             SPNLPartitioner(K).partition(stream)
 
 
+class _DiesOnVertex(SPNLPartitioner):
+    """SPNL whose reference ``_score`` — what pool workers call — raises
+    on one vertex.
+
+    Without a ``marker`` every attempt raises: a poison record.  With
+    one, only the first attempt anywhere raises: it creates the marker
+    file, which a respawned worker (a fresh fork that cannot remember
+    its predecessor dying) finds and scores past.
+    """
+
+    def __init__(self, *args, vertex=50, marker=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.vertex = vertex
+        self.marker = marker
+
+    def _score(self, record, state):
+        if record.vertex == self.vertex and self._dies():
+            raise InjectedCrash(
+                f"injected worker death scoring vertex {self.vertex}")
+        return super()._score(record, state)
+
+    def _dies(self) -> bool:
+        if self.marker is None:
+            return True
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return False
+        return True
+
+
 class TestDyingWorkers:
-    def test_transient_worker_death_is_survived(self, graph):
-        flaky = FlakyScorer(SPNLPartitioner(K), die_on={50: 1, 200: 1})
-        executor = ThreadedParallelPartitioner(
-            flaky, parallelism=2, max_worker_restarts=4,
+    """A pool worker that raises while scoring is respawned within the
+    restart budget; past it the run fails loudly, leaving no worker
+    process and no shared-memory segment behind."""
+
+    def test_transient_worker_death_is_survived(self, graph, tmp_path,
+                                                shm_leak_check):
+        reference = SimulatedParallelPartitioner(
+            SPNLPartitioner(K, num_shards=1),
+            parallelism=4).partition(GraphStream(graph))
+        executor = ProcessShardedPartitioner(
+            _DiesOnVertex(K, num_shards=1, marker=tmp_path / "died"),
+            parallelism=4, num_workers=2, max_worker_restarts=2,
             restart_backoff=0.0)
         sink = MemorySink()
         with Instrumentation([sink]) as hub:
             result = executor.partition(GraphStream(graph),
                                         instrumentation=hub)
-        assert flaky.deaths == 2
-        assert result.stats["worker_restarts"] >= 1
-        result.assignment.validate(graph.num_vertices)  # every vertex placed
-        restarts = [r for r in sink.records
-                    if r["type"] == "worker_restart"]
-        assert restarts and restarts[0]["backoff_seconds"] >= 0.0
+        assert result.stats["worker_restarts"] == 1
+        # Re-scoring is idempotent: the survivor is byte-identical.
+        np.testing.assert_array_equal(result.assignment.route,
+                                      reference.assignment.route)
+        (restart,) = [r for r in sink.records
+                      if r["type"] == "worker_restart"]
+        assert "vertex 50" in restart["error"]
+        assert multiprocessing.active_children() == []
 
-    def test_poison_record_exhausts_budget_and_surfaces(self, graph):
-        flaky = FlakyScorer(SPNLPartitioner(K), die_on={50: 10**9})
-        executor = ThreadedParallelPartitioner(
-            flaky, parallelism=2, max_worker_restarts=2,
-            restart_backoff=0.0)
-        with pytest.raises(InjectedCrash, match="vertex 50"):
+    def test_poison_record_exhausts_budget_and_surfaces(self, graph,
+                                                        shm_leak_check):
+        executor = ProcessShardedPartitioner(
+            _DiesOnVertex(K, num_shards=1), parallelism=4,
+            num_workers=2, max_worker_restarts=2, restart_backoff=0.0)
+        with pytest.raises(WorkerCrashedError,
+                           match="restart budget.*injected worker "
+                                 "death scoring vertex 50"):
             executor.partition(GraphStream(graph))
-        # At least the initial death plus the 2 budgeted restarts; the
-        # second (still-live) worker may also grab the requeued poison
-        # record before the abort lands, so the count is a lower bound.
-        assert flaky.deaths >= 3
+        assert multiprocessing.active_children() == []
 
 
 class TestGarbageFeed:

@@ -3,38 +3,16 @@
 A sharded :class:`~repro.service.PlacementService` owns a
 ``ShardedScorePool`` whose shared-memory segments must be unlinked on
 *every* teardown path — graceful close, boot failure, worker-pool
-failure, chaos crash-stop.  The autouse fixture fails any test that
-leaves a ``psm_*``/``shm_*`` segment behind (same rationale as
-``tests/parallel/conftest.py``: leaks surface as ENOSPC in unrelated
-suites, not where they were caused).
+failure, chaos crash-stop.  The root ``shm_leak_check`` fixture
+(``tests/conftest.py``) fails any test that leaves a ``psm_*``/``shm_*``
+segment behind; it is applied to every test here.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-_SHM_DIR = "/dev/shm"
-_PREFIXES = ("psm_", "shm_")
-
-
-def _shm_segments() -> set[str]:
-    if not os.path.isdir(_SHM_DIR):  # non-Linux: nothing to check
-        return set()
-    try:
-        names = os.listdir(_SHM_DIR)
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith(_PREFIXES)}
 
 
 @pytest.fixture(autouse=True)
-def shm_leak_check():
-    before = _shm_segments()
+def shm_leak_check(shm_leak_check):
     yield
-    leaked = _shm_segments() - before
-    assert not leaked, (
-        f"test leaked {len(leaked)} shared-memory segment(s) in "
-        f"{_SHM_DIR}: {sorted(leaked)} — a pool teardown path failed "
-        f"to unlink")

@@ -59,13 +59,6 @@ class TestPartitionEvaluateInfo:
             assert main(["partition", str(graph_file), str(routes),
                          "--method", method, "-k", "4"]) == 0
 
-    def test_threaded_partition(self, graph_file, tmp_path):
-        routes = tmp_path / "routes.txt"
-        assert main(["partition", str(graph_file), str(routes),
-                     "--method", "spnl", "-k", "4",
-                     "--threads", "2"]) == 0
-        assert len(np.loadtxt(routes, dtype=int)) == 800
-
     def test_process_sharded_partition(self, graph_file, tmp_path):
         routes = tmp_path / "routes.txt"
         assert main(["partition", str(graph_file), str(routes),
@@ -90,13 +83,6 @@ class TestPartitionEvaluateInfo:
         assert "resumed from" in capsys.readouterr().out
         np.testing.assert_array_equal(np.loadtxt(clean, dtype=int),
                                       np.loadtxt(resumed, dtype=int))
-
-    def test_processes_and_threads_are_exclusive(self, graph_file,
-                                                 tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["partition", str(graph_file),
-                  str(tmp_path / "r.txt"), "--method", "spnl",
-                  "-k", "4", "--threads", "2", "--processes", "2"])
 
     def test_processes_reject_offline_method(self, graph_file,
                                              tmp_path):
@@ -225,7 +211,8 @@ class TestTraceFlags:
         assert "[probe LDG]" in err
         assert "200 placed" in err
 
-    def test_threaded_trace(self, graph_file, tmp_path):
+    def test_processes_trace(self, graph_file, tmp_path, capsys,
+                             shm_leak_check):
         import json
 
         from repro.observability import validate_record
@@ -233,12 +220,15 @@ class TestTraceFlags:
         trace = tmp_path / "t.jsonl"
         assert main(["partition", str(graph_file),
                      str(tmp_path / "r.txt"), "--method", "spnl",
-                     "-k", "4", "--threads", "2",
+                     "-k", "4", "--processes", "2", "--shards", "1",
                      "--trace", str(trace), "--probe-every", "200"]) == 0
+        assert f"trace -> {trace}" in capsys.readouterr().out
         records = [json.loads(line)
                    for line in trace.read_text().splitlines()]
         for record in records:
             validate_record(record)
+        groups = [r for r in records if r["type"] == "parallel_group"]
+        assert groups and groups[-1]["placements"] == 800
         assert records[-1]["type"] == "stream_summary"
         assert records[-1]["placements"] == 800
 

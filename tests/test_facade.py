@@ -72,10 +72,12 @@ class TestPartitionStream:
         with pytest.raises(TypeError, match="DiGraph"):
             partition_stream(NotAGraph(), "metis", 4)
 
-    def test_threads_wrap_in_parallel_executor(self, web_graph):
-        result = partition_stream(web_graph, "spnl", 8, threads=2)
-        assert "par2" in result.partitioner
-        assert result.stats["placements"] == web_graph.num_vertices
+    def test_threads_kwarg_refused(self, web_graph):
+        # Not dropped with the other unknown kwargs: that would run
+        # sequentially without a word.
+        with pytest.raises(TypeError, match="ProcessShardedPartitioner.*"
+                                            "SimulatedParallelPartitioner"):
+            partition_stream(web_graph, "spnl", 8, threads=4)
 
     def test_unknown_method_lists_names(self, web_graph):
         with pytest.raises(ValueError, match="registered names"):

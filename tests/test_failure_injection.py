@@ -4,6 +4,8 @@ Production partitioners fail loudly and early; these tests pin the
 failure behavior rather than the happy path.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,11 @@ from repro.graph import (
     read_adjacency,
     read_edge_list,
 )
-from repro.parallel import ThreadedParallelPartitioner
+from repro.parallel import (
+    ProcessShardedPartitioner,
+    SimulatedParallelPartitioner,
+    WorkerCrashedError,
+)
 from repro.partitioning import (
     LDGPartitioner,
     SPNLPartitioner,
@@ -81,6 +87,10 @@ class _ExplodingPartitioner(StreamingPartitioner):
             raise RuntimeError("scoring blew up")
         return np.zeros(state.num_partitions)
 
+    def score_lanes(self):
+        # Stateless scoring, so pool workers can run it too.
+        return {}
+
 
 class TestStreamFailures:
     def test_serial_propagates_stream_error(self, web_graph):
@@ -88,23 +98,29 @@ class TestStreamFailures:
         with pytest.raises(IOError, match="died"):
             LDGPartitioner(4).partition(stream)
 
-    def test_threaded_producer_error_surfaces(self, web_graph):
-        """A dying producer must not hang the executor; the error (or a
-        partial-result failure) must reach the caller."""
+    @pytest.mark.parametrize("executor", [
+        SimulatedParallelPartitioner, ProcessShardedPartitioner],
+        ids=["simulated", "process"])
+    def test_parallel_stream_error_surfaces(self, web_graph, executor,
+                                            shm_leak_check):
+        """A stream dying mid-pass must not hang a parallel executor;
+        the stream's own error reaches the caller."""
         stream = _ExplodingStream(web_graph, fail_after=50)
-        executor = ThreadedParallelPartitioner(SPNLPartitioner(4),
-                                               parallelism=2)
-        with pytest.raises(Exception):
-            result = executor.partition(stream)
-            # if no exception was re-raised, the assignment must betray
-            # the truncation loudly on validation
-            result.assignment.validate(web_graph.num_vertices)
+        with pytest.raises(OSError, match="died"):
+            executor(SPNLPartitioner(4, num_shards=1),
+                     parallelism=4).partition(stream)
+        assert multiprocessing.active_children() == []
 
-    def test_threaded_worker_error_surfaces(self, web_graph):
-        executor = ThreadedParallelPartitioner(
-            _ExplodingPartitioner(4, poison=25), parallelism=2)
-        with pytest.raises(RuntimeError, match="blew up"):
+    def test_process_worker_error_surfaces(self, web_graph,
+                                           shm_leak_check):
+        """With no restart budget the first scoring error in a pool
+        worker ends the run, carrying the worker's message."""
+        executor = ProcessShardedPartitioner(
+            _ExplodingPartitioner(4, poison=25), parallelism=4,
+            num_workers=2, max_worker_restarts=0)
+        with pytest.raises(WorkerCrashedError, match="blew up"):
             executor.partition(GraphStream(web_graph))
+        assert multiprocessing.active_children() == []
 
     def test_serial_worker_error_propagates(self, web_graph):
         with pytest.raises(RuntimeError, match="blew up"):
