@@ -197,12 +197,9 @@ def extract_metrics(artifact: Mapping[str, Any]) -> dict[str, list[float]]:
     * ``streaming-hot-path`` → ``<method>/fast`` and ``<method>/seed``;
     * ``ingest-pipeline`` → ``<stage>/optimized`` and
       ``<stage>/baseline``;
-    * ``service-bench`` / ``service-bench-sharded`` →
-      ``<endpoint>/p50`` / ``/p95`` / ``/p99`` (per-repeat latency
-      percentiles of the placement service; throughput fields are
-      informational and not gated — the sharded engine is a distinct
-      kind so it gates against its own baseline, never across the
-      sequential/sharded regime boundary);
+    * ``service-bench`` → ``<endpoint>/p50`` / ``/p95`` / ``/p99``
+      (per-repeat latency percentiles of the placement service;
+      throughput fields are informational and not gated);
     * ``parallel-scaling`` → ``<method>/sequential`` and
       ``<method>/parallel`` (speedup/ECR fields are informational —
       the gate compares wall clock against a same-fingerprint
@@ -223,7 +220,7 @@ def extract_metrics(artifact: Mapping[str, Any]) -> dict[str, list[float]]:
             name = rec["stage"]
             metrics[f"{name}/optimized"] = list(rec["optimized"]["runs_s"])
             metrics[f"{name}/baseline"] = list(rec["baseline"]["runs_s"])
-    elif kind in ("service-bench", "service-bench-sharded"):
+    elif kind == "service-bench":
         for rec in artifact.get("results", []):
             name = rec["endpoint"]
             for quantile in ("p50", "p95", "p99"):
@@ -475,7 +472,7 @@ def compare_artifacts(baseline: Mapping[str, Any],
     cand_scaling = cand_cfg.get("scaling_expected")
     if (base_scaling is not None or cand_scaling is not None) \
             and bool(base_scaling) != bool(cand_scaling):
-        # A sharded service bench recorded on a single-core host
+        # A parallel-scaling bench recorded on a single-core host
         # (scaling_expected=false) and one from a multicore host live
         # in different performance regimes: comparing them measures the
         # host, not the change.  The generic config-mismatch warning

@@ -148,6 +148,8 @@ def _paired_runs(factory, stream_factory, *, warmup: int, repeats: int
 
 
 def _summary(times: list[float]) -> dict[str, Any]:
+    """The per-metric summary every bench artifact records (the ingest,
+    parallel-scaling and service benches import this one)."""
     return {
         "median_s": statistics.median(times),
         "stdev_s": statistics.stdev(times) if len(times) > 1 else 0.0,

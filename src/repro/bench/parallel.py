@@ -26,7 +26,6 @@ cores, never here.
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from pathlib import Path
 from typing import Any
@@ -34,19 +33,9 @@ from typing import Any
 import numpy as np
 
 from ..recovery.atomic import atomic_write_text
-from .micro import machine_fingerprint
+from .micro import _summary, machine_fingerprint
 
 __all__ = ["bench_parallel_method", "run_parallel_scaling_bench"]
-
-
-def _summary(times: list[float]) -> dict[str, Any]:
-    return {
-        "median_s": statistics.median(times),
-        "stdev_s": statistics.stdev(times) if len(times) > 1 else 0.0,
-        "min_s": min(times),
-        "max_s": max(times),
-        "runs_s": times,
-    }
 
 
 def bench_parallel_method(method: str, graph, k: int, *,

@@ -727,7 +727,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shed_watermark=args.shed_watermark,
             max_lag_seconds=args.max_lag_seconds,
             recovery_probe_interval=args.recovery_probe_interval,
-            parallelism=args.parallelism, processes=args.processes,
             wal_pipeline=not args.no_wal_pipeline,
             instrumentation=instrumentation)
     except (ValueError, OSError) as exc:
@@ -781,12 +780,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     profiler = None
     if getattr(args, "profile", None):
         from .bench.profile import BenchProfiler, default_profile_dir
-        bench_kind = ("service-bench-sharded" if args.processes > 1
-                      else "service-bench")
         profiler = BenchProfiler(
             args.profile,
             args.profile_dir or default_profile_dir(args.bench_out),
-            bench=bench_kind)
+            bench="service-bench")
     try:
         artifact = run_service_bench(
             graph, num_vertices=num_vertices, seed=args.seed,
@@ -796,7 +793,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             repeats=repeats, warmup=warmup, target_rps=args.target_rps,
             durable=not args.volatile, queue_depth=args.queue_depth,
             batch_max=args.batch_max,
-            processes=args.processes, parallelism=args.parallelism,
             overload=not args.no_overload,
             overload_queue_depth=args.overload_queue_depth,
             overload_throttle=args.overload_throttle,
@@ -865,17 +861,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 schedule, graph, method=config.method,
                 parallelism=args.parallelism, num_workers=args.workers,
                 max_worker_restarts=args.max_worker_restarts)
-        server_kwargs = {}
-        if args.processes > 1:
-            server_kwargs = {"processes": args.processes,
-                             "parallelism": args.parallelism}
         with tempfile.TemporaryDirectory(
                 prefix=f"repro-chaos-{tag}-") as tmp:
             return run_schedule(schedule, graph, workdir=tmp,
-                                config=config,
-                                server_kwargs=server_kwargs)
+                                config=config)
 
-    report = run_once("a")
+    try:
+        report = run_once("a")
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.replay_check and not args.executor:
         replay = run_once("b")
         report.check(
@@ -1125,14 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S",
                    help="while read-only, retry recovery every S "
                         "seconds (default 0: recover only on demand)")
-    p.add_argument("--processes", type=int, default=1, metavar="N",
-                   help="scoring worker processes (sharded engine; "
-                        "default 1: score in the engine thread)")
-    p.add_argument("--parallelism", type=int, default=None, metavar="M",
-                   help="scoring group size M (default: 16x --processes "
-                        "when sharded, else 1); M>1 scores groups "
-                        "against group-start state, byte-identical "
-                        "across --processes values at the same M")
     p.add_argument("--no-wal-pipeline", action="store_true",
                    help="disable the double-buffered WAL committer "
                         "(fsync inline in the engine thread)")
@@ -1158,9 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=int, default=4,
                    help="concurrent client connections (default 4)")
     p.add_argument("--batch-size", type=int, default=64,
-                   help="vertices per place_batch request (default 64; "
-                        "keep divisible by --parallelism so the parity "
-                        "check can gate)")
+                   help="vertices per place_batch request (default 64)")
     p.add_argument("--window", type=int, default=4, metavar="W",
                    help="pipelined requests in flight per connection "
                         "(open-loop depth, default 4; 1 = closed loop)")
@@ -1172,12 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RPS",
                    help="pace placement requests per second across all "
                         "clients (default: full speed)")
-    p.add_argument("--processes", type=int, default=1, metavar="N",
-                   help="scoring worker processes for the benched "
-                        "server (sharded engine; default 1)")
-    p.add_argument("--parallelism", type=int, default=None, metavar="M",
-                   help="scoring group size M for the benched server "
-                        "(default: 16x --processes when sharded)")
     p.add_argument("--volatile", action="store_true",
                    help="bench without snapshots/WAL (isolates protocol "
                         "+ engine cost)")
@@ -1227,8 +1205,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("wal-outage", "slow-engine", "wal-flap",
                                  "worker-kill"),
                         help="named built-in schedule (default "
-                             "wal-outage; worker-kill needs "
-                             "--processes >= 2 to bite)")
+                             "wal-outage; worker-kill runs with "
+                             "--executor)")
     source.add_argument("--schedule", default=None, metavar="FILE.json",
                         help="load a ChaosSchedule from JSON instead "
                              "(the to_dict format)")
@@ -1243,14 +1221,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic graph size when no graph is given")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--parallelism", type=int, default=4,
-                   help="--executor: logical shards; service mode with "
-                        "--processes: scoring group size M (default 4)")
+                   help="--executor: records scored per group M "
+                        "(default 4)")
     p.add_argument("--workers", type=int, default=2,
                    help="--executor: worker processes (default 2)")
-    p.add_argument("--processes", type=int, default=1, metavar="N",
-                   help="service mode: scoring worker processes for "
-                        "the chaos'd server (default 1; worker-kill "
-                        "events are a no-op below 2)")
     p.add_argument("--max-worker-restarts", type=int, default=4,
                    help="--executor: supervision budget (default 4)")
     p.add_argument("--out", default=None, metavar="REPORT.json",

@@ -135,5 +135,5 @@ class SPNLEdgePartitioner(HDRFPartitioner):
         stats: dict[str, Any] = {"mu": self.mu, "nu": self.nu}
         if self._store is not None:
             stats.update(window_size=self._store.window_size,
-                         expectation_bytes=self._store.nbytes())
+                         expectation_table_bytes=self._store.nbytes())
         return stats

@@ -201,10 +201,9 @@ class ShardedScorePool:
 
     The supervision machinery of :class:`ProcessShardedPartitioner` —
     spawn, respawn-with-budget, epoch-tagged redispatch, EOF-as-death
-    barrier waits — extracted into a standalone pool so the placement
-    service can shard its scoring over the same workers.  Consumers own
-    the state and every commit; the pool owns the segment, the workers,
-    and the per-group dispatch barrier.
+    barrier waits.  The executor owns the state and every commit; the
+    pool owns the segment, the workers, and the per-group dispatch
+    barrier.
 
     One call to :meth:`score_group` scores up to ``group_max`` records
     against the shared group-start state and returns the ``(n, K)``
@@ -278,15 +277,6 @@ class ShardedScorePool:
     def views(self) -> dict[str, np.ndarray]:
         return self.block.views
 
-    @property
-    def neighbor_capacity(self) -> int:
-        """Flat neighbor slots one ring slot holds (the chunk budget)."""
-        return int(self.views["ring_neighbors"].shape[1])
-
-    def worker_processes(self) -> list[Any]:
-        """Live process handles, indexed by worker id (None = unspawned)."""
-        return self._procs
-
     def bind_state(self, state, base: StreamingPartitioner, lanes) -> None:
         """Move the canonical state into the segment and rebind views."""
         views = self.views
@@ -314,26 +304,6 @@ class ShardedScorePool:
             self.rct.counts = np.array(self.rct.counts)
             self.rct.in_flight = np.array(self.rct.in_flight)
             self.rct.lanes = np.array(self.rct.lanes)
-
-    def prewarm(self) -> None:
-        """Spawn every worker now (serving wants no first-request stall)."""
-        for worker_id in range(self.num_workers):
-            if self._procs[worker_id] is None:
-                self._spawn(worker_id)
-
-    def reset(self) -> None:
-        """Terminate all workers and restore the restart budget.
-
-        The service's recovery path uses this after a
-        :class:`WorkerCrashedError` left the pool unusable: surviving
-        workers may still hold stale dispatches, so everything is torn
-        down and respawned lazily on the next group.
-        """
-        self._stop_workers()
-        self._procs = [None] * self.num_workers
-        self._conns = [None] * self.num_workers
-        self.restarts = 0
-        self._last_error.clear()
 
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
@@ -711,13 +681,6 @@ class ProcessShardedPartitioner(_ParallelBase):
                 base_elapsed=base_elapsed, resumed_from=resumed_from)
         finally:
             pool.close()
-
-    # ------------------------------------------------------------------
-    def _build_spec(self, meta: _StreamMeta, lanes: dict[str, np.ndarray]):
-        return _pool_spec(meta, lanes, num_partitions=self.num_partitions,
-                          group_max=self.parallelism,
-                          num_workers=self.num_workers,
-                          ring_slots=self.ring_slots)
 
     # ------------------------------------------------------------------
     def _group_event(self, index: int) -> dict[str, Any]:

@@ -288,9 +288,7 @@ class SPNPartitioner(StreamingPartitioner):
         store = self._store
         stats: dict[str, Any] = {"lambda": self.lam}
         if store is not None:
-            nbytes = store.nbytes()
-            stats["expectation_bytes"] = nbytes  # legacy key, kept stable
-            stats["expectation_table_bytes"] = nbytes
+            stats["expectation_table_bytes"] = store.nbytes()
             stats["expectation_table_entries"] = store.num_entries()
             if isinstance(store, SlidingWindowStore):
                 stats.update(

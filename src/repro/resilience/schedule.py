@@ -45,14 +45,10 @@ __all__ = ["ChaosReport", "ChaosSchedule", "FaultEvent", "run_schedule",
            "run_executor_schedule", "SCENARIOS"]
 
 #: Actions a service schedule understands, mapped to the injector each
-#: drives.  ``kill_worker`` fires against the sharded server's worker
-#: pool (no-op on a single-process server) — params: ``worker`` picks
-#: the victim, ``mid_group`` SIGKILLs *inside* the next scoring
-#: group's dispatch window instead of between steps.  It also runs
-#: executor-side (see :func:`run_executor_schedule`).
+#: drives.  ``kill_worker`` is executor-only: the server has no worker
+#: processes (see :func:`run_executor_schedule`).
 _SERVICE_ACTIONS = ("fail_wal", "restore_wal", "slow_engine",
-                    "restore_engine", "try_recover", "snapshot",
-                    "kill_worker")
+                    "restore_engine", "try_recover", "snapshot")
 _EXECUTOR_ACTIONS = ("kill_worker",)
 
 
@@ -239,29 +235,6 @@ def _fire(event: FaultEvent, service: Any, wal: Any,
         slow = slow_holder.pop("slow", None)
         if slow is not None:
             slow.restore()
-    elif event.action == "kill_worker":
-        import os
-        import signal
-        pool = getattr(service, "_pool", None)
-        if pool is None:
-            return  # single-process server: nothing to kill
-        procs = [p for p in pool.worker_processes()
-                 if p is not None and p.is_alive()]
-        if not procs:
-            return
-        victim = procs[int(event.params.get("worker", 0)) % len(procs)]
-        if event.params.get("mid_group"):
-            # One-shot barrier hook: the kill lands after the next
-            # chunk's dispatch and before its barrier — the worker dies
-            # holding a live sub-range, the hardest supervision case.
-            def hook(group_index: int, hook_procs: list[Any],
-                     _pool: Any = pool, _victim: Any = victim) -> None:
-                _pool.barrier_hook = None
-                if _victim.is_alive():
-                    os.kill(_victim.pid, signal.SIGKILL)
-            pool.barrier_hook = hook
-        else:
-            os.kill(victim.pid, signal.SIGKILL)
     elif event.action == "try_recover":
         service.try_recover()
     elif event.action == "snapshot":
@@ -303,11 +276,6 @@ def _crash_stop(service: Any, wal: Any) -> None:
         # floor — abort() models exactly that, leaving their clients
         # unanswered rather than acked.
         committer.abort()
-    if getattr(service, "_pool", None) is not None:
-        try:
-            service._teardown_pool()
-        except Exception:
-            pass  # shm cleanup is best-effort under crash semantics
     try:
         wal.restore()
         wal.close()
@@ -317,9 +285,7 @@ def _crash_stop(service: Any, wal: Any) -> None:
 
 
 def run_schedule(schedule: ChaosSchedule, graph: Any, *,
-                 workdir: str | Path, config: Any = None,
-                 server_kwargs: dict[str, Any] | None = None
-                 ) -> ChaosReport:
+                 workdir: str | Path, config: Any = None) -> ChaosReport:
     """Execute ``schedule`` against a live placement server.
 
     Boots a durable :class:`~repro.service.PlacementService` (WAL via
@@ -328,8 +294,16 @@ def run_schedule(schedule: ChaosSchedule, graph: Any, *,
     tears it down per the schedule and revives from durable state to
     verify the invariants.  Returns the :class:`ChaosReport`;
     invariant *violations* are reported, not raised — callers (the
-    chaos suite, the CLI) decide how loudly to fail.
+    chaos suite, the CLI) decide how loudly to fail.  A schedule holding
+    an executor-only action is refused before the server boots.
     """
+    foreign = sorted({e.action for e in schedule.events
+                      if e.action not in _SERVICE_ACTIONS})
+    if foreign:
+        raise ValueError(
+            f"schedule {schedule.name!r} holds executor-only action(s) "
+            f"{foreign}; replay it with run_executor_schedule "
+            f"(the chaos CLI's --executor)")
     from ..recovery.chaos import FlakyWAL
     from ..service.client import ServiceClient, ServiceError
     from ..service.server import PlacementService
@@ -345,10 +319,9 @@ def run_schedule(schedule: ChaosSchedule, graph: Any, *,
 
     report = ChaosReport(schedule)
     slow_holder: dict[str, Any] = {}
-    kwargs = dict(server_kwargs or {})
     service = PlacementService.start(
         graph, config=config, snapshot_dir=snap_dir,
-        wal_factory=wal_factory, **kwargs)
+        wal_factory=wal_factory)
     wal = holder["wal"]
     client = ServiceClient(*service.address)
     cursor = 0
@@ -516,18 +489,14 @@ def _wal_flap() -> ChaosSchedule:
 
 
 def _worker_kill() -> ChaosSchedule:
-    # Meaningful only against a sharded server (``--processes >= 2``):
-    # kill_worker is a documented no-op on a single-process engine.  The
-    # second kill lands mid-group via the pool's barrier hook — the
-    # worker dies holding a live sub-range, forcing the supervision path
-    # (respawn within budget) while acked placements stay durable.
+    # An executor schedule (``chaos --executor``): steps are dispatch
+    # group indices, and each kill lands inside the group's barrier
+    # window, so the worker dies holding a live sub-range and the
+    # supervision path must respawn it within budget.
     return ChaosSchedule(
         name="worker-kill", steps=10, batch=16, max_shed_rate=0.9,
         events=[FaultEvent(2, "kill_worker"),
-                FaultEvent(5, "kill_worker",
-                           {"worker": 1, "mid_group": True}),
-                FaultEvent(7, "try_recover"),
-                FaultEvent(8, "snapshot")])
+                FaultEvent(5, "kill_worker", {"worker": 1})])
 
 
 #: Named, ready-to-run schedules (the CLI's ``--scenario`` choices).

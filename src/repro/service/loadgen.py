@@ -11,8 +11,7 @@ no request/response matching beyond a deque.  A closed-loop generator
 (one request in flight per connection) cannot saturate a multicore
 server: its offered load is bounded by round trips, so every latency
 win looks like a throughput win and vice versa.  The windowed open loop
-decouples the two, which is what makes sharded-vs-sequential numbers
-comparable.
+decouples the two.
 
 Per repeat the per-connection latency lists are merged before the
 percentile cut — a per-connection cut would hide stragglers behind the
@@ -41,28 +40,17 @@ degraded half: p99 latency of *accepted* requests and the shed rate
 while offered load exceeds a deliberately throttled server's capacity
 (see :func:`_overload_round`).
 
-Sharded runs (``processes > 1``) record ``mode``/``processes``/
-``parallelism`` plus ``scaling_expected``: ``False`` on hosts with
-fewer than four CPUs, where process sharding cannot demonstrate a
-speedup and a regression gate against a multicore baseline would be
-comparing regimes (see the compare module's cross-machine warnings).
-
 A parity check runs after each repeat: the service's final route table
-is compared against the matching deterministic reference — a batch
-:func:`repro.partition_stream` pass at M=1, or
-:class:`~repro.parallel.SimulatedParallelPartitioner` at the same M for
-grouped engines.  The check gates only when every measured repeat's
-traffic reached the server in exact id order (``arrival_ordered``) and,
-for M>1, when the engine's chunk sequence stayed M-aligned
-(``m_aligned`` — pick ``batch_size`` divisible by M to keep it so);
-repeats where either flag raced are reported under
-``reordered_repeats`` instead of being allowed to flake the gate.
+is compared against a batch :func:`repro.partition_stream` pass.  The
+check gates only when every measured repeat's traffic reached the
+server in exact id order (``arrival_ordered``); repeats where arrival
+raced are reported under ``reordered_repeats`` instead of being allowed
+to flake the gate.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
 import statistics
 import tempfile
@@ -85,22 +73,11 @@ from .protocol import (
     decode_line,
     encode_message,
 )
-from .server import PlacementService, resolve_sharded_config
+from .server import PlacementService
 
 __all__ = ["DEFAULT_ARTIFACT", "run_service_bench"]
 
 DEFAULT_ARTIFACT = "BENCH_service.json"
-
-
-def _summary(times: list[float]) -> dict[str, Any]:
-    """The repo-standard per-metric summary (see bench.micro)."""
-    return {
-        "median_s": statistics.median(times),
-        "stdev_s": statistics.stdev(times) if len(times) > 1 else 0.0,
-        "min_s": min(times),
-        "max_s": max(times),
-        "runs_s": times,
-    }
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -342,19 +319,6 @@ def _overload_round(graph: DiGraph, config: PartitionConfig, *,
     return latencies, sheds, admission
 
 
-def _reference_route(graph: DiGraph, config: PartitionConfig,
-                     parallelism: int) -> np.ndarray:
-    """The deterministic route table this traffic should reproduce."""
-    if parallelism > 1:
-        from ..graph import GraphStream
-        from ..parallel import SimulatedParallelPartitioner
-        sim = SimulatedParallelPartitioner(
-            config.make(), parallelism=parallelism, use_rct=False)
-        return sim.partition(GraphStream(graph)).assignment.route
-    from ..api import partition_stream
-    return partition_stream(graph, config=config).assignment.route
-
-
 def run_service_bench(graph: DiGraph | None = None, *,
                       num_vertices: int = 20_000, seed: int = 7,
                       config: PartitionConfig | None = None,
@@ -365,8 +329,6 @@ def run_service_bench(graph: DiGraph | None = None, *,
                       target_rps: float | None = None,
                       durable: bool = True, queue_depth: int = 64,
                       batch_max: int = 256,
-                      processes: int = 1,
-                      parallelism: int | None = None,
                       overload: bool = False,
                       overload_queue_depth: int = 4,
                       overload_throttle: float = 0.002,
@@ -382,12 +344,6 @@ def run_service_bench(graph: DiGraph | None = None, *,
     connection, then issues ``lookups_per_client`` pipelined random
     lookups per client.  ``target_rps`` paces placement *requests* per
     second across all clients (``None`` = full speed).
-
-    ``processes``/``parallelism`` boot the sharded scoring engine
-    (see :class:`~repro.service.PlacementService`); the artifact then
-    records the engine shape and a ``scaling_expected`` flag that is
-    ``False`` below four CPUs — single-core hosts can demonstrate
-    correctness of the sharded path but not its speedup.
 
     ``overload=True`` appends an overload phase: per repeat, a fresh
     *throttled* server (``overload_throttle`` seconds per engine group,
@@ -417,19 +373,9 @@ def run_service_bench(graph: DiGraph | None = None, *,
         config = PartitionConfig(method="spnl", num_partitions=32)
     if window < 1:
         raise ValueError("window must be >= 1")
-    if processes < 1:
-        raise ValueError("processes must be >= 1")
-    resolved_m = parallelism if parallelism is not None else (
-        16 * processes if processes > 1 else 1)
-    mode = ("sharded" if processes > 1
-            else "grouped" if resolved_m > 1 else "sequential")
-    cpu_count = os.cpu_count() or 1
-    scaling_expected = processes > 1 and cpu_count >= 4
-    # Same Γ-store resolution the server applies (auto -> dense when
-    # sharded): the reference partitioner must score against the store
-    # the benched server actually uses or the parity flag lies.
-    config = resolve_sharded_config(config, processes)
-    reference = _reference_route(graph, config, resolved_m)
+    from ..api import partition_stream
+    # The deterministic route table id-ordered traffic must reproduce.
+    reference = partition_stream(graph, config=config).assignment.route
 
     pause = 0.0
     if target_rps is not None and target_rps > 0:
@@ -457,8 +403,7 @@ def run_service_bench(graph: DiGraph | None = None, *,
             service = PlacementService.start(
                 graph, config=config, port=0,
                 snapshot_dir=Path(tmp) / "state" if durable else None,
-                queue_depth=queue_depth, batch_max=batch_max,
-                processes=processes, parallelism=parallelism)
+                queue_depth=queue_depth, batch_max=batch_max)
             try:
                 feed = _ChunkFeed(graph.num_vertices, batch_size)
                 errors: list[str] = []
@@ -513,11 +458,9 @@ def run_service_bench(graph: DiGraph | None = None, *,
                 lookup_wait_frac = (
                     sum(conn.wait_seconds for conn in lookup_conns)
                     / (clients * lookup_wall)) if lookup_wall else 0.0
-                # Parity gates on exact-id-order arrival; grouped
-                # engines additionally need the chunk sequence to have
-                # stayed M-aligned (see the module docstring).
-                ordered = bool(service._arrival_ordered) and (
-                    resolved_m == 1 or bool(service._m_aligned))
+                # Parity gates on exact-id-order arrival (see the
+                # module docstring).
+                ordered = bool(service._arrival_ordered)
                 parity = bool(np.array_equal(
                     service._state.route, reference))
                 counters = service.stats()["fast_path"]
@@ -553,7 +496,9 @@ def run_service_bench(graph: DiGraph | None = None, *,
                   f"server-wait {wait_frac:.0%}"
                   f"{'' if ordered else ' (reordered)'}")
 
-    from ..bench.micro import machine_fingerprint
+    # Imported after the timed rounds: the bench package pulls in the
+    # executor stack, which the in-process server should not run beside.
+    from ..bench.micro import _summary, machine_fingerprint
     server_wait_median = statistics.median(wait_fractions)
     lookup_wait_median = statistics.median(lookup_wait_fractions)
     place_rec: dict[str, Any] = {
@@ -570,12 +515,10 @@ def run_service_bench(graph: DiGraph | None = None, *,
         "client_bound": server_wait_median < 0.5,
         "retried_requests": retried_requests,
         "reordered_repeats": reordered,
-        "scaling_expected": scaling_expected,
     }
-    # The parity flag gates only when arrival order (and, for grouped
-    # engines, M-alignment) held in every measured repeat; a raced
-    # arrival legitimately changes the assignment and must not flake
-    # the byte-identity pseudo-metric.
+    # The parity flag gates only when arrival order held in every
+    # measured repeat; a raced arrival legitimately changes the
+    # assignment and must not flake the byte-identity pseudo-metric.
     if identical_flags and reordered == 0:
         place_rec["identical"] = all(identical_flags)
 
@@ -589,7 +532,6 @@ def run_service_bench(graph: DiGraph | None = None, *,
         },
         "server_wait_fraction": lookup_wait_median,
         "client_bound": lookup_wait_median < 0.5,
-        "scaling_expected": scaling_expected,
     }
 
     overload_rec: dict[str, Any] | None = None
@@ -645,8 +587,7 @@ def run_service_bench(graph: DiGraph | None = None, *,
             return PlacementService.start(
                 graph, config=config, port=0,
                 snapshot_dir=Path(tmp) / "state" if durable else None,
-                queue_depth=queue_depth, batch_max=batch_max,
-                processes=processes, parallelism=parallelism)
+                queue_depth=queue_depth, batch_max=batch_max)
 
         def _place_pass(service: PlacementService) -> _ConnStats:
             feed = _ChunkFeed(graph.num_vertices, batch_size)
@@ -696,8 +637,6 @@ def run_service_bench(graph: DiGraph | None = None, *,
                     reference_s=place_ref_s,
                     check=lambda _res: bool(
                         prof_service._arrival_ordered
-                        and (resolved_m == 1
-                             or prof_service._m_aligned)
                         and np.array_equal(prof_service._state.route,
                                            reference)))
                 profile.profile_stage(
@@ -707,15 +646,8 @@ def run_service_bench(graph: DiGraph | None = None, *,
             finally:
                 prof_service.close()
 
-    # Sharded runs are their own benchmark kind: a sharded artifact
-    # gating against a sequential baseline (or vice versa) would be a
-    # cross-regime comparison, and the compare module's kind check
-    # turns that into a hard error instead of a quiet verdict.  It
-    # also gives the sharded baseline its own slot in the baseline
-    # store, which files baselines per (kind, fingerprint).
     artifact: dict[str, Any] = {
-        "benchmark": ("service-bench-sharded" if processes > 1
-                      else "service-bench"),
+        "benchmark": "service-bench",
         "created_unix": int(time.time()),
         "machine": machine_fingerprint(),
         "config": {
@@ -736,10 +668,6 @@ def run_service_bench(graph: DiGraph | None = None, *,
             "durable": durable,
             "queue_depth": queue_depth,
             "batch_max": batch_max,
-            "mode": mode,
-            "processes": processes,
-            "parallelism": resolved_m,
-            "scaling_expected": scaling_expected,
             "seed": seed,
             "overload": overload,
         },

@@ -46,13 +46,18 @@ exchange — the ``hello`` handshake exists exactly for that probe.
   ``health_state`` field, also new in 1.1.
 
 **Revision 1.2** (additive — still ``protocol: 1`` on the wire) adds
-the multicore-serving surface, all of it response-side:
+the read-path and engine surface, all of it response-side:
 
 * ``stats`` gains an ``engine`` object (``mode``/``parallelism``/
   ``processes``/``chunks_scored``/``pool_chunks``/``m_aligned``/
   ``worker_restarts``/``wal_pipeline``) describing the scoring
   engine's shape, and a ``read_view`` object (``seq``/``retries``)
-  for the seqlock read path.
+  for the seqlock read path.  The server once had grouped and
+  process-sharded engines; since their removal every ``engine`` field
+  is still sent (removing one would break version 1) and reads as the
+  one sequential engine: ``mode: "sequential"``, ``parallelism: 1``,
+  ``processes: 1``, ``chunks_scored: 0``, ``pool_chunks: 0``,
+  ``m_aligned: true``, ``worker_restarts: 0``.
 * ``stats.durability`` gains ``wal_pipelined_groups`` and
   ``wal_inflight_requests`` when the double-buffered WAL committer
   is active.
@@ -110,7 +115,7 @@ SUPPORTED_PROTOCOLS = (1,)
 #: Human-readable additive revision within :data:`PROTOCOL_VERSION`.
 #: Advertised in ``hello`` so clients can feature-detect the resilience
 #: surface (1.1: ``deadline_ms``, ``overloaded``/``deadline_exceeded``/
-#: ``read_only`` codes) and the multicore-serving stats surface (1.2:
+#: ``read_only`` codes) and the engine/read-path stats surface (1.2:
 #: ``engine``/``read_view`` objects) without a breaking version bump.
 PROTOCOL_REVISION = "1.2"
 

@@ -24,15 +24,13 @@ Architecture — one engine, many connections::
 * The engine drains up to ``batch_max`` queued requests per wake-up and
   applies their placements as one group, through one apply loop.  Every
   placement — batched or single, in id order or not, with the graph's
-  adjacency or an explicit neighbor list, from any number of clients,
-  at any ``parallelism`` — is scored and committed, in arrival order,
-  by the one :class:`~repro.partitioning.base.PlacementKernel` that
-  ``partition()`` runs: chunks of up to M records are scored against
-  chunk-start state and committed through ``kernel.commit``, and
-  ``parallelism == 1`` is the chunk of one, ``kernel.step``.  The
-  kernel is built once, from live state, after boot or WAL replay; the
-  engine thread is the only committer, which is what keeps its
-  maintained images exact.
+  adjacency or an explicit neighbor list, from any number of clients —
+  is placed record by record, in arrival order, by ``kernel.step`` of
+  the one :class:`~repro.partitioning.base.PlacementKernel` that
+  ``partition()`` runs, so each placement scores against every earlier
+  one.  The kernel is built once, from live state, after boot or WAL
+  replay; the engine thread is the only committer, which is what keeps
+  its maintained images exact.
 * Durability is snapshot + WAL (:mod:`repro.service.wal`): the engine
   applies a group, appends it to the fsynced placement log, and only
   then acks.  Periodic snapshots (the recovery layer's
@@ -68,21 +66,8 @@ protocol):
   failures degrade the same way.  Every transition emits a
   ``health_transition`` trace record.
 
-Multicore serving (revision 1.2 of the protocol):
+Read path and WAL pipeline (revision 1.2 of the protocol):
 
-* **Grouped scoring** — ``parallelism M > 1`` scores queued placements
-  in M-record chunks against chunk-start state and commits them in
-  arrival order, the exact discipline of
-  :class:`~repro.parallel.executor.SimulatedParallelPartitioner` at
-  ``use_rct=False``.  ``processes N > 1`` has those same chunks scored
-  by a :class:`~repro.parallel.process.ShardedScorePool` of worker
-  processes over one shared-memory segment (they call the heuristic's
-  reference ``_score``; the engine commits through its kernel either
-  way); because who scores is the only difference, the sharded server
-  is **byte-parity** (route table and WAL bytes) with the
-  single-engine server at the same M.  Grouped WAL lines carry the
-  scoring-group id so a restarted server replays groups under the
-  discipline that produced them.
 * **Lock-free reads** — ``lookup``/``stats``/``health`` are answered
   by connection threads against a seqlock-versioned
   :class:`_RouteReadView` published *after* each group's fsync and
@@ -98,7 +83,6 @@ Multicore serving (revision 1.2 of the protocol):
 
 from __future__ import annotations
 
-import copy
 import queue
 import socket
 import threading
@@ -110,14 +94,9 @@ from typing import Any
 import numpy as np
 
 from .. import __version__
-from ..graph.digraph import AdjacencyRecord, DiGraph
+from ..graph.digraph import DiGraph
 from ..graph.stream import ArrayStream
 from ..partitioning.assignment import UNASSIGNED
-from ..parallel.process import (
-    ShardedScorePool,
-    WorkerCrashedError,
-    _StreamMeta,
-)
 from ..partitioning.base import PlacementKernel, StreamingPartitioner
 from ..partitioning.config import PartitionConfig
 from ..partitioning.registry import resolve
@@ -439,25 +418,6 @@ def _resolve_graph(graph: Any) -> DiGraph:
         f"graph must be a DiGraph or a path, got {type(graph).__name__}")
 
 
-def resolve_sharded_config(config: PartitionConfig,
-                           processes: int) -> PartitionConfig:
-    """Resolve ``gamma_store="auto"`` for process-sharded serving.
-
-    The auto rule picks the sliding-window Γ store on large graphs, but
-    the window's rotation cursor is inherently sequential — pool workers
-    scoring against it would read stale shards.  ``"auto"`` means "pick
-    something that works", so sharded serving resolves it to the dense
-    store here; only an *explicit* ``gamma_store="window"`` request
-    still fails the shared-lane check in ``__init__``.  The resolved
-    config is what the server records (and what snapshots carry), so
-    the bench reference partitioner and a later single-process resume
-    score against the same store.
-    """
-    if processes > 1 and config.gamma_store in (None, "auto"):
-        return config.replace(gamma_store="dense")
-    return config
-
-
 class PlacementService:
     """A live, restartable placement server over one loaded graph.
 
@@ -514,26 +474,10 @@ class PlacementService:
         (``factory(directory, start=, fsync=) -> PlacementLog``);
         injection point for the chaos harness's
         :class:`~repro.recovery.chaos.FlakyWAL`.
-    parallelism:
-        The paper's M — queued placements scored concurrently per
-        chunk.  ``None`` picks 1 (the sequential engine: score and
-        commit record by record) unless ``processes > 1``, where
-        it defaults to ``16 * processes``.  Values > 1 score an
-        M-chunk against chunk-start state before committing it in
-        order, whether or not worker processes are attached, so the
-        single-engine grouped server is the byte-parity reference for
-        the sharded one.
-    processes:
-        Worker processes scoring each chunk
-        (:class:`~repro.parallel.process.ShardedScorePool`); 1 scores
-        in the engine thread.  ``> 1`` requires the heuristic to
-        declare shared score lanes (dense/hashed Γ stores).
     wal_pipeline:
         Overlap each group's WAL fsync with the next group's scoring
         (default on when durable).  ``False`` forces the synchronous
         append-then-ack path.
-    max_worker_restarts, worker_timeout:
-        Worker-pool supervision budget (``processes > 1`` only).
     """
 
     def __init__(self, graph: Any, *, config: PartitionConfig | None = None,
@@ -550,16 +494,11 @@ class PlacementService:
                  snapshot_failure_limit: int = 3,
                  recovery_probe_interval: float = 0.0,
                  wal_factory: Any = None,
-                 parallelism: int | None = None,
-                 processes: int = 1,
-                 wal_pipeline: bool = True,
-                 max_worker_restarts: int = 2,
-                 worker_timeout: float = 120.0) -> None:
+                 wal_pipeline: bool = True) -> None:
         if config is None:
             config = PartitionConfig()
         elif isinstance(config, dict):
             config = PartitionConfig.from_dict(config)
-        config = resolve_sharded_config(config, processes)
         if not resolve(config.method).is_streaming:
             raise ValueError(
                 f"the placement service needs a streaming method; "
@@ -568,19 +507,6 @@ class PlacementService:
             raise ValueError("queue_depth must be >= 1")
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-        if parallelism is None:
-            parallelism = 16 * processes if processes > 1 else 1
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if processes > 1 and parallelism < processes:
-            raise ValueError(
-                f"parallelism (M={parallelism}) must be >= processes "
-                f"(N={processes}); each worker scores at least one "
-                f"record per chunk")
-        self._parallelism = int(parallelism)
-        self._processes = int(processes)
         self.graph = _resolve_graph(graph)
         self.config = config
         self.instrumentation = instrumentation
@@ -614,10 +540,6 @@ class PlacementService:
             raise ValueError(
                 f"{config.method!r} did not build a StreamingPartitioner")
         self.partitioner = partitioner
-        # Pristine clone for pool workers, taken before _setup allocates
-        # the per-run structures (each worker reruns _setup itself).
-        self._worker_template = copy.deepcopy(partitioner) \
-            if processes > 1 else None
         self._stream = ArrayStream.from_graph(self.graph)
         self._state_lock = threading.Lock()
         self._elapsed = 0.0  # cumulative engine apply time (snapshot PT)
@@ -628,26 +550,6 @@ class PlacementService:
         # paper's streaming arrival model); bench parity checks read it.
         self._arrival_ordered = True
         self._next_expected = 0
-        # Grouped-scoring bookkeeping (parallelism M > 1).  _chunk_seq
-        # stamps WAL lines with a scoring-group id; _m_aligned tracks
-        # whether the chunk sequence so far matches what an M-batch
-        # executor over the same stream would have formed (bench parity
-        # against SimulatedParallelPartitioner gates on it).
-        self._chunk_seq = 0
-        self._chunks_scored = 0
-        self._pool_chunks = 0
-        self._m_aligned = True
-        self._m_tail_seen = False
-        meta = _StreamMeta(self._stream)
-        if meta.max_degree is not None:
-            budget = min(meta.num_edges,
-                         self._parallelism * meta.max_degree)
-        else:
-            budget = meta.num_edges
-        # Mirrors the pool's ring_neighbors capacity formula so chunk
-        # boundaries are identical with and without worker processes.
-        self._chunk_budget = max(int(budget), 1)
-        self._stream_meta = meta
 
         if resume_from is not None:
             self._resume(Path(resume_from))
@@ -659,43 +561,10 @@ class PlacementService:
         #: replay); everything past it went through this engine.
         self._boot_position = self._position
 
-        # Worker pool (processes > 1): the canonical state moves into
-        # the pool's shared segment so workers score against it live.
-        self._pool: ShardedScorePool | None = None
-        if processes > 1:
-            lanes = partitioner.score_lanes()
-            if lanes is None:
-                raise ValueError(
-                    f"{partitioner.name} does not declare shared score "
-                    "lanes and cannot serve process-sharded (sliding-"
-                    "window Γ stores are sequential by design; use "
-                    "gamma_store='dense' or 'hashed')")
-            pool = ShardedScorePool(
-                self._worker_template, self._stream_meta, lanes,
-                group_max=self._parallelism, num_workers=processes,
-                use_rct=False,
-                max_worker_restarts=max_worker_restarts,
-                worker_timeout=worker_timeout,
-                instrumentation=instrumentation)
-            try:
-                pool.bind_state(self._state, partitioner, lanes)
-                pool.prewarm()
-            except BaseException:
-                pool.close()
-                raise
-            self._pool = pool
-        self._pool_failed = False
-        # The engine's one way to place a vertex, whatever M: built
-        # from live (possibly replayed) state, and only after the pool
-        # moved that state into its segment — the kernel captures the
-        # route table, the tallies and the heuristic's lanes by
-        # reference.  Dropped again when the pool detaches.
-        self._kernel: PlacementKernel | None = PlacementKernel(
-            partitioner, self._state)
-        # Rows for a chunk scored in the engine thread (kernel.score
-        # hands out one scratch row; a chunk keeps M of them).
-        self._score_block = np.empty(
-            (self._parallelism, partitioner.num_partitions))
+        # The engine's one way to place a vertex: built from live
+        # (possibly replayed) state, whose route table, tallies and
+        # heuristic lanes it captures by reference.
+        self._kernel = PlacementKernel(partitioner, self._state)
 
         # Lock-free read path: connection threads answer lookup/stats
         # from this seqlock view, never from live engine state.
@@ -794,12 +663,9 @@ class PlacementService:
         kernel built over the restored state — the step the engine
         itself places with — and checks the deterministic choice equals
         the logged pid: a mismatch means the log and code disagree and
-        serving on would hand out wrong ``lookup`` answers.  The lines
-        say how they were scored: those sharing a group stamp were one
-        chunk (scored whole against chunk-start state, committed in
-        logged order), an unstamped line (``parallelism == 1``) is the
-        chunk of one.  The engine's own kernel is built afterwards,
-        from the replayed state.
+        serving on would hand out wrong ``lookup`` answers.  The
+        engine's own kernel is built afterwards, from the replayed
+        state.
         """
         directory = source if source.is_dir() else source.parent
         snapshot = source if source.is_file() else latest_snapshot(source)
@@ -812,47 +678,22 @@ class PlacementService:
             self._state = self.partitioner.make_state(self._stream)
             self.partitioner._setup(self._stream, self._state)
             self._position = 0
-        kernel = PlacementKernel(self.partitioner, self._state)
+        step = PlacementKernel(self.partitioner, self._state).step
         replayed = 0
-        chunk: list[tuple[WalEntry, np.ndarray]] = []
-        last_gid = -1
-
-        def replay_chunk() -> None:
-            rows = [kernel.score(entry.vertex, neighbors).copy()
-                    for entry, neighbors in chunk]
-            for (entry, neighbors), row in zip(chunk, rows):
-                pid = kernel.commit(entry.vertex, neighbors, row)
-                if pid != entry.pid:
-                    raise ValueError(
-                        f"WAL replay diverged at seq {entry.seq}: vertex "
-                        f"{entry.vertex} re-places to {pid}, log says "
-                        f"{entry.pid}")
-            if chunk[0][0].group is not None:
-                self._note_chunk(len(chunk))
-            chunk.clear()
-
         for entry in replay_entries(directory,
                                     from_position=self._position):
-            if chunk and entry.group != chunk[0][0].group:
-                replay_chunk()
             if entry.neighbors is None:
                 neighbors = self.graph.out_neighbors(entry.vertex)
             else:
                 neighbors = np.asarray(entry.neighbors, dtype=np.int64)
-            chunk.append((entry, neighbors))
-            if entry.group is None:
-                replay_chunk()
-            else:
-                last_gid = max(last_gid, entry.group)
+            pid = step(entry.vertex, neighbors)
+            if pid != entry.pid:
+                raise ValueError(
+                    f"WAL replay diverged at seq {entry.seq}: vertex "
+                    f"{entry.vertex} re-places to {pid}, log says "
+                    f"{entry.pid}")
             self._position += 1
             replayed += 1
-        if chunk:
-            replay_chunk()
-        if last_gid >= 0:
-            # Resume group ids past the log's highest so a re-replay
-            # after the next crash never merges pre- and post-restart
-            # entries into one scoring group.
-            self._chunk_seq = last_gid + 1
         # Arrival stayed in id order iff history is exactly the prefix
         # (every placement so far is vertex 0..p-1).
         route = self._state.route
@@ -1008,18 +849,11 @@ class PlacementService:
                list[WalEntry], int, bool]:
         """Apply the drained place requests: the one apply loop.
 
-        Every live placement flows, in arrival order, through one
-        chunker: a chunk closes at M records, or earlier when the next
-        record would blow the flat-neighbor budget (mirroring the worker
-        ring's capacity so chunk boundaries are identical with and
-        without a pool).  Each chunk is scored whole against chunk-start
-        state — by the kernel here, or by the pool's workers — and
-        committed in arrival order through ``kernel.commit``: the
-        :class:`~repro.parallel.executor.SimulatedParallelPartitioner`
-        discipline at ``use_rct=False``.  ``parallelism == 1`` is the
-        chunk of one, which is ``kernel.step``; its WAL lines carry no
-        group stamp.  Idempotent: an already-placed vertex answers its
-        existing pid with ``cached: true`` and writes no WAL line.
+        Every live placement goes, in arrival order, through
+        ``kernel.step`` — scored against every placement committed
+        before it, exactly as the one-pass ``partition()`` does.
+        Idempotent: an already-placed vertex answers its existing pid
+        with ``cached: true`` and writes no WAL line.
 
         What committed stays committed: the returned entries hold a
         line for every commit made — also those of a request that
@@ -1059,50 +893,24 @@ class PlacementService:
         indptr, indices = self._stream.indptr, self._stream.indices
         step = self._kernel.step
         log_commit = self._log_commit
-        parallelism = self._parallelism
         clock = time.perf_counter
-        # One chunk in the making: (results, slot, record, neighbors as
-        # the client sent them) per record, and its flat-neighbor count.
-        chunk: list[tuple[list, int, AdjacencyRecord,
-                          list[int] | None]] = []
-        chunk_edges = 0
         error: Exception | None = None
         try:
             for work, results in live:
                 self._kernel_requests += 1
                 for slot, (vertex, neighbors) in enumerate(work.placements):
                     if route[vertex] != UNASSIGNED:
-                        # Committed before this chunk formed.
                         results[slot] = _cached(route, vertex)
                         continue
                     if neighbors is None:
                         nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
                     else:
                         nbrs = np.asarray(neighbors, dtype=np.int64)
-                    if parallelism == 1:
-                        t0 = clock()
-                        pid = step(vertex, nbrs)
-                        self._elapsed += clock() - t0
-                        log_commit(entries, results, slot, vertex,
-                                   neighbors, pid, None)
-                        continue
-                    if chunk and chunk_edges + len(nbrs) > self._chunk_budget:
-                        self._commit_chunk(chunk, chunk_edges, entries)
-                        chunk_edges = 0
-                    chunk.append((results, slot,
-                                  AdjacencyRecord(vertex, nbrs), neighbors))
-                    chunk_edges += len(nbrs)
-                    if len(chunk) >= parallelism:
-                        self._commit_chunk(chunk, chunk_edges, entries)
-                        chunk_edges = 0
-            if chunk:
-                self._commit_chunk(chunk, chunk_edges, entries)
-        except WorkerCrashedError as exc:
-            # The pool is unusable until recovery resets it.
-            error = exc
-            self._pool_failed = True
-            self._health.transition(READ_ONLY, "worker_pool_failed",
-                                    detail=str(exc))
+                    t0 = clock()
+                    pid = step(vertex, nbrs)
+                    self._elapsed += clock() - t0
+                    log_commit(entries, results, slot, vertex, neighbors,
+                               pid)
         except Exception as exc:
             error = exc
         for work, results in live:
@@ -1113,49 +921,13 @@ class PlacementService:
                 applied.append((work, results))
         return applied, entries, placements, ok
 
-    def _commit_chunk(self, chunk: list, chunk_edges: int,
-                      entries: list[WalEntry]) -> None:
-        """Score ``chunk`` against chunk-start state, commit it in
-        order through the kernel, and empty it."""
-        gid = self._chunk_seq
-        self._chunk_seq += 1
-        self._note_chunk(len(chunk))
-        kernel = self._kernel
-        route = self._state.route
-        t0 = time.perf_counter()
-        pool = self._pool
-        if pool is not None and not self._pool_failed \
-                and chunk_edges <= pool.neighbor_capacity:
-            rows = pool.score_group([record for _, _, record, _ in chunk])
-            self._pool_chunks += 1
-        else:
-            # No pool, pool down, or an oversize explicit-neighbor
-            # chunk that cannot fit a ring slot: score in the engine.
-            # The fused and the reference scores are bit-identical, so
-            # byte-parity is unaffected.
-            rows = self._score_block
-            for row, (_, _, record, _) in zip(rows, chunk):
-                row[:] = kernel.score(record.vertex, record.neighbors)
-        for (results, slot, record, neighbors), row in zip(chunk, rows):
-            vertex = record.vertex
-            if route[vertex] != UNASSIGNED:
-                # Duplicate within the chunk: an earlier occurrence
-                # just committed; answer cached, drop the stale score.
-                results[slot] = _cached(route, vertex)
-                continue
-            self._log_commit(
-                entries, results, slot, vertex, neighbors,
-                kernel.commit(vertex, record.neighbors, row), gid)
-        self._elapsed += time.perf_counter() - t0
-        chunk.clear()
-
     def _log_commit(self, entries: list[WalEntry], results: list,
                     slot: int, vertex: int, neighbors: list[int] | None,
-                    pid: int, gid: int | None) -> None:
+                    pid: int) -> None:
         """Book one commit: its answer, its WAL line, the position and
         whether arrival is still in exact id order."""
         results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
-        entries.append(WalEntry(self._position, vertex, neighbors, pid, gid))
+        entries.append(WalEntry(self._position, vertex, neighbors, pid))
         self._position += 1
         if self._arrival_ordered:
             if vertex == self._next_expected:
@@ -1163,27 +935,12 @@ class PlacementService:
             else:
                 self._arrival_ordered = False
 
-    def _note_chunk(self, size: int) -> None:
-        """Track whether chunking still matches exact M-batching.
-
-        :class:`~repro.parallel.executor.SimulatedParallelPartitioner`
-        forms batches of exactly M records (one short tail at stream
-        end).  The service's chunks depend on arrival timing, so parity
-        checks (loadgen ``--verify``) gate on this flag: any chunk after
-        a short one means the sequences diverged.
-        """
-        self._chunks_scored += 1
-        if self._m_tail_seen:
-            self._m_aligned = False
-        if size < self._parallelism:
-            self._m_tail_seen = True
-
     def _ack_scalars(self) -> dict[str, Any]:
         """Copy the acked-state scalars for a read-view publish.
 
         Taken under the state lock at commit-capture time; copies, not
-        views — with a pool bound, the live arrays are shared-memory
-        views that keep mutating while a pipelined commit is in flight.
+        views — the engine keeps mutating the live arrays while a
+        pipelined commit is in flight.
         """
         state = self._state
         return {
@@ -1264,21 +1021,6 @@ class PlacementService:
         if self._committer is not None:
             self._committer.barrier()
 
-    def _teardown_pool(self) -> None:
-        """Release the worker pool; rebind state to private copies first
-        so post-close introspection (stats, parity checks) still works.
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        self._pool = None
-        self._kernel = None  # its arrays are views of the segment
-        try:
-            pool.detach_state(self._state, self.partitioner)
-        except Exception:
-            pass
-        pool.close()
-
     def _snapshot_now(self) -> dict[str, Any]:
         """Write a snapshot + rotate/prune the WAL (engine thread only)."""
         if self._checkpointer is None:
@@ -1347,11 +1089,6 @@ class PlacementService:
             self._wal.append_batch(list(self._pending_entries))
             flushed = len(self._pending_entries)
             self._pending_entries.clear()
-        if self._pool is not None and self._pool_failed:
-            # Surviving workers may hold stale dispatches from the group
-            # that crashed; tear the pool down and respawn fresh.
-            self._pool.reset()
-            self._pool_failed = False
         self._snapshot_failures = 0
         self._health.transition(HEALTHY, "recovered")
         # The flushed entries are durable now; let readers see them.
@@ -1571,20 +1308,17 @@ class PlacementService:
             "health": self._health.snapshot(),
             "admission": self._admission.stats(),
             "deadline_expired_in_queue": int(self._deadline_expired),
-            # Additive in revision 1.2: multicore-engine shape + the
-            # seqlock read path's own counters.
+            # Additive in revision 1.2: the engine's shape + the seqlock
+            # read path's own counters.  Every engine key stays, since
+            # protocol 1 removes no field, and reads as the one engine.
             "engine": {
-                "mode": ("sharded" if self._pool is not None
-                         else "grouped" if self._parallelism > 1
-                         else "sequential"),
-                "parallelism": int(self._parallelism),
-                "processes": int(self._processes),
-                "chunks_scored": int(self._chunks_scored),
-                "pool_chunks": int(self._pool_chunks),
-                "m_aligned": bool(self._m_aligned),
-                "worker_restarts":
-                    int(self._pool.restarts) if self._pool is not None
-                    else 0,
+                "mode": "sequential",
+                "parallelism": 1,
+                "processes": 1,
+                "chunks_scored": 0,
+                "pool_chunks": 0,
+                "m_aligned": True,
+                "worker_restarts": 0,
                 "wal_pipeline": self._committer is not None,
             },
             "read_view": {
@@ -1779,7 +1513,6 @@ class PlacementService:
                 pass
         if self._wal is not None:
             self._wal.close()
-        self._teardown_pool()
         with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:

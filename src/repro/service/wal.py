@@ -26,9 +26,9 @@ Record format — one compact JSON object per line::
 partition id, and ``n`` the explicit out-neighbor list the client sent —
 ``null`` when the client deferred to the loaded graph's own adjacency
 (the common case, which keeps WAL lines a few bytes instead of
-re-serializing CSR rows).  Grouped engines (``parallelism M > 1``)
-additionally stamp ``"g"``, the scoring-group id — see
-:class:`WalEntry`; sequential-engine lines never carry it.
+re-serializing CSR rows).  Logs written by the removed grouped engine
+also stamped ``"g"``, a scoring-group id; the one engine left cannot
+re-make those choices, so :func:`replay_entries` refuses such a line.
 
 Segments are named ``wal-<base:012d>.jsonl`` where ``base`` is the
 service position at segment creation; the log rotates to a fresh segment
@@ -52,22 +52,12 @@ _SEGMENT_RE = re.compile(r"^wal-(\d+)\.jsonl$")
 
 @dataclass(frozen=True)
 class WalEntry:
-    """One durable placement: sequence, vertex, neighbors, partition.
-
-    ``group`` is the scoring-group id for placements committed by a
-    grouped (``parallelism M > 1``) engine: every entry scored against
-    the same group-start state carries the same id, and replay re-scores
-    whole groups at once so the restarted server verifies the logged
-    partition ids under the discipline that produced them.  ``None``
-    (and absent from the JSON line) for the sequential engine, keeping
-    M=1 WAL bytes identical to every earlier release.
-    """
+    """One durable placement: sequence, vertex, neighbors, partition."""
 
     seq: int
     vertex: int
     neighbors: list[int] | None
     pid: int
-    group: int | None = None
 
 
 def segment_path(directory: str | Path, base: int) -> Path:
@@ -115,12 +105,9 @@ class PlacementLog:
         """
         if not entries:
             return
-        lines = []
-        for e in entries:
-            obj = {"s": e.seq, "v": e.vertex, "n": e.neighbors, "p": e.pid}
-            if e.group is not None:
-                obj["g"] = e.group
-            lines.append(json.dumps(obj, separators=(",", ":")))
+        lines = [json.dumps({"s": e.seq, "v": e.vertex, "n": e.neighbors,
+                             "p": e.pid}, separators=(",", ":"))
+                 for e in entries]
         self._fh.write("\n".join(lines) + "\n")
         self._fh.flush()
         if self.fsync:
@@ -183,7 +170,9 @@ def replay_entries(directory: str | Path, *,
     it was never acknowledged — but corruption *followed by* further
     valid lines, or a sequence gap, raises ``ValueError``: that is real
     damage, not a mid-write crash, and resuming past it would serve
-    wrong lookups.
+    wrong lookups.  So does a line to replay that carries the removed
+    grouped engine's ``"g"`` stamp: its pid was scored against stale
+    group-start state, which record-by-record replay cannot re-make.
     """
     expected = None
     pending_error: str | None = None
@@ -197,10 +186,8 @@ def replay_entries(directory: str | Path, *,
                 raise ValueError(pending_error)
             try:
                 obj = json.loads(line)
-                group = obj.get("g")
                 entry = WalEntry(seq=int(obj["s"]), vertex=int(obj["v"]),
-                                 neighbors=obj["n"], pid=int(obj["p"]),
-                                 group=None if group is None else int(group))
+                                 neighbors=obj["n"], pid=int(obj["p"]))
             except (ValueError, KeyError, TypeError):
                 # Possibly the torn final line; only an error if more
                 # valid lines follow.
@@ -217,5 +204,11 @@ def replay_entries(directory: str | Path, *,
                 raise ValueError(
                     f"WAL sequence gap in {path.name}: expected "
                     f"{expected}, found {entry.seq}")
+            if "g" in obj:
+                raise ValueError(
+                    f"WAL line seq {entry.seq} in {path.name} carries a "
+                    f"scoring-group stamp: the log was written by the "
+                    f"removed grouped engine (parallelism > 1) and "
+                    f"cannot be replayed record by record")
             expected = entry.seq + 1
             yield entry

@@ -314,7 +314,7 @@ class TestCrossAffinityWarnings:
 
 
 class TestRegimeBoundaryWarnings:
-    """A sharded service bench recorded on a 1-CPU host
+    """A parallel-scaling bench recorded on a 1-CPU host
     (scaling_expected=false) must not gate silently against a multicore
     baseline: the delta measures the host's core budget, not the code."""
 

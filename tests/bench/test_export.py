@@ -51,8 +51,7 @@ class TestCommittedExport:
         assert len(keys) == len(set(keys))
         kinds = {r["bench"] for r in committed_history["rows"]}
         assert kinds == {"streaming-hot-path", "ingest-pipeline",
-                         "parallel-scaling", "service-bench",
-                         "service-bench-sharded"}
+                         "parallel-scaling", "service-bench"}
 
     def test_both_sources_present_with_fingerprint_keys(
             self, committed_history):

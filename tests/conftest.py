@@ -102,8 +102,8 @@ def _shm_segments() -> set[str]:
 def shm_leak_check():
     """Fail the test that leaves a shared-memory segment in /dev/shm.
 
-    The process-sharded executor and the service's scoring pool
-    allocate POSIX shared memory (``psm_*`` segments on Linux).  A
+    The process-sharded executor's scoring pool allocates POSIX
+    shared memory (``psm_*`` segments on Linux).  A
     segment that outlives its test is a real resource leak — on a
     long-lived host the 64 MB tmpfs quota eventually fills and
     *unrelated* allocations start failing — and it is exactly the

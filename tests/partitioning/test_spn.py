@@ -123,7 +123,7 @@ class TestConfiguration:
     def test_auto_shards_resolved_at_setup(self, web_graph):
         p = SPNPartitioner(8, num_shards="auto")
         result = p.partition(GraphStream(web_graph))
-        assert "expectation_bytes" in result.stats
+        assert "expectation_table_bytes" in result.stats
 
 
 class TestWindowedQuality:

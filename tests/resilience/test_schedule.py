@@ -74,6 +74,15 @@ class TestDeclarativeSurface:
             assert schedule.name == name
             assert schedule.steps >= 1
 
+    def test_service_refuses_executor_only_schedules(self, graph,
+                                                      tmp_path):
+        # The server has no worker processes: kill_worker is refused
+        # before a server boots, pointing at the executor replay.
+        with pytest.raises(ValueError, match="executor-only"):
+            run_schedule(SCENARIOS["worker-kill"](), graph,
+                         workdir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.mark.chaos
 class TestServiceSchedules:
@@ -126,21 +135,6 @@ class TestServiceSchedules:
         assert len(entered) == 2
         assert len(recovered) == 2
 
-    @pytest.mark.parametrize("scenario", ["wal-outage", "wal-flap"])
-    def test_wal_faults_on_the_grouped_engine(self, graph, config,
-                                              tmp_path, scenario):
-        """``parallelism=8`` without a pool: the same apply loop at
-        M > 1, which the ``chaos`` CLI cannot reach (it forwards
-        ``--parallelism`` only with ``--processes > 1``)."""
-        report = run_schedule(SCENARIOS[scenario](), graph,
-                              workdir=tmp_path, config=config,
-                              server_kwargs={"parallelism": 8})
-        assert report.ok, report.invariants
-        assert ("healthy", "read_only", "wal_append_failed") \
-            in report.health_transitions
-        assert ("read_only", "healthy", "recovered") \
-            in report.health_transitions
-
     def test_report_to_dict_is_json_serializable(self, graph, config,
                                                  tmp_path):
         report = run_schedule(SCENARIOS["wal-outage"](), graph,
@@ -154,20 +148,8 @@ class TestServiceSchedules:
 @pytest.mark.chaos
 class TestExecutorSchedules:
     def test_kill_worker_keeps_assignment_parity(self, graph):
-        schedule = ChaosSchedule(
-            name="executor-kill", steps=1,
-            events=[FaultEvent(1, "kill_worker", {"worker": 0})])
-        report = run_executor_schedule(schedule, graph, method="spnl",
-                                       parallelism=4, num_workers=2)
+        report = run_executor_schedule(SCENARIOS["worker-kill"](), graph,
+                                       method="spnl", parallelism=4,
+                                       num_workers=2)
         assert report.ok, report.invariants
-
-    def test_kill_worker_noop_on_single_process_service(self, graph,
-                                                        config, tmp_path):
-        # kill_worker is a documented no-op against an unsharded server:
-        # the schedule runs to completion with every invariant intact.
-        schedule = ChaosSchedule(
-            name="kill-noop", steps=2,
-            events=[FaultEvent(0, "kill_worker")])
-        report = run_schedule(schedule, graph, workdir=tmp_path,
-                              config=config)
-        assert report.ok, report.invariants
+        assert [t["step"] for t in report.trace] == [2, 5]

@@ -1,24 +1,20 @@
 """Served placements against a reference replay of the acked WAL.
 
-The engine scores M-record chunks through the placement kernel (M = 1
-being the chunk of one) and stamps each WAL line with its chunk.  The
-model knows nothing of the kernel: it replays the log with the reference
-hooks (``_score`` -> ``choose`` -> ``PartitionState.commit`` ->
-``_after_commit``), scoring the lines that share a stamp against their
-chunk-start state and an unstamped line on its own.  For random request
-mixes — batches and singles, explicit neighbor rows, duplicates inside
-one chunk, out-of-order ids — the replay must re-make every logged
-choice and end on the served route.
+The engine places every record through the placement kernel's step.
+The model knows nothing of the kernel: it replays the log with the
+reference hooks (``_score`` -> ``choose`` -> ``PartitionState.commit``
+-> ``_after_commit``), one line at a time.  For random request mixes —
+batches and singles, explicit neighbor rows, duplicates inside one
+request, out-of-order ids — the replay must re-make every logged choice
+and end on the served route.
 """
 
 from __future__ import annotations
 
 import tempfile
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -49,39 +45,28 @@ def _reference_replay(entries):
     stream = ArrayStream.from_graph(GRAPH)
     state = partitioner.make_state(stream)
     partitioner._setup(stream, state)
-    # Lines of one chunk are consecutive; every unstamped line is a
-    # chunk of its own (keyed by its unique sequence number).
-    for _, lines in groupby(
-            entries, key=lambda e: ("s", e.seq) if e.group is None
-            else ("g", e.group)):
-        records = [(entry, AdjacencyRecord(
+    for entry in entries:
+        record = AdjacencyRecord(
             entry.vertex,
             GRAPH.out_neighbors(entry.vertex) if entry.neighbors is None
-            else np.asarray(entry.neighbors, dtype=np.int64)))
-            for entry in lines]
-        scored = [partitioner._score(record, state)
-                  for _, record in records]
-        for (entry, record), scores in zip(records, scored):
-            pid = partitioner.choose(scores, state)
-            assert pid == entry.pid, entry
-            state.commit(record, pid)
-            partitioner._after_commit(record, pid, state)
+            else np.asarray(entry.neighbors, dtype=np.int64))
+        pid = partitioner.choose(partitioner._score(record, state), state)
+        assert pid == entry.pid, entry
+        state.commit(record, pid)
+        partitioner._after_commit(record, pid, state)
     return state.route
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 8])
 @settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(requests=_requests)
-def test_served_route_is_the_reference_replay_of_the_wal(
-        parallelism, requests):
+def test_served_route_is_the_reference_replay_of_the_wal(requests):
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         acked = {}
         with PlacementService.start(
                 GRAPH, config=CONFIG, snapshot_dir=state_dir,
-                wal_fsync=False, parallelism=parallelism) as svc:
+                wal_fsync=False) as svc:
             with ServiceClient(*svc.address) as client:
                 for items in requests:
                     if len(items) == 1 and isinstance(items[0], int):
@@ -102,5 +87,4 @@ def test_served_route_is_the_reference_replay_of_the_wal(
         assert stats["position"] == len(acked) == len(entries)
         assert stats["fast_path"]["fused_placements"] == len(acked)
         assert {e.vertex: e.pid for e in entries} == acked
-        assert (parallelism == 1) == all(e.group is None for e in entries)
         assert np.array_equal(route, _reference_replay(entries))

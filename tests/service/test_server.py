@@ -1,8 +1,13 @@
 """Placement-service integration tests (in-process, ephemeral ports)."""
 
 import hashlib
+import json
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,20 +23,16 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.protocol import decode_line, encode_message
-from repro.service.wal import replay_entries, wal_segments
+from repro.service.wal import replay_entries, segment_path, wal_segments
 
 K = 8
 N = 600
 
 #: sha256 of the WAL an id-ordered ``place_batch``-of-128 run of the
-#: module's graph/config writes, by engine ``parallelism``: M=1 recorded
-#: before the placement loops were collapsed into one kernel, M=8 (the
-#: grouped engine, lines stamped with their scoring group) before the
-#: grouped engine was moved onto it.
-ID_ORDERED_WAL_SHA256 = {
-    1: "e012e51c82fcb011857e703b8aa077a2de7908870f7d553d76692b1d53e5b41c",
-    8: "44f73f6eb775a9df3c4f36edd8b789b9d71f76446b79695cdf75d0034b883e6c",
-}
+#: module's graph/config writes, recorded before the placement loops
+#: were collapsed into one kernel.
+ID_ORDERED_WAL_SHA256 = \
+    "e012e51c82fcb011857e703b8aa077a2de7908870f7d553d76692b1d53e5b41c"
 
 
 @pytest.fixture(scope="module")
@@ -252,28 +253,17 @@ class TestEverythingPlacesThroughTheKernel:
             assert not errors
             self._check(graph, config, svc, state_dir)
 
-    def _id_ordered_wal_sha256(self, graph, config, state_dir, parallelism):
+    def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
+                                                tmp_path):
+        state_dir = tmp_path / "state"
         with PlacementService.start(graph, config=config,
-                                    snapshot_dir=state_dir,
-                                    parallelism=parallelism) as svc:
+                                    snapshot_dir=state_dir) as svc:
             with ServiceClient(*svc.address) as c:
                 for start in range(0, N, 128):
                     c.place_batch(list(range(start, min(N, start + 128))))
             blob = b"".join(p.read_bytes()
                             for p in sorted(state_dir.glob("wal-*")))
-        return hashlib.sha256(blob).hexdigest()
-
-    def test_id_ordered_wal_bytes_are_unchanged(self, graph, config,
-                                                tmp_path):
-        assert self._id_ordered_wal_sha256(
-            graph, config, tmp_path / "state", 1) \
-            == ID_ORDERED_WAL_SHA256[1]
-
-    def test_grouped_id_ordered_wal_bytes_are_unchanged(self, graph, config,
-                                                        tmp_path):
-        assert self._id_ordered_wal_sha256(
-            graph, config, tmp_path / "state", 8) \
-            == ID_ORDERED_WAL_SHA256[8]
+        assert hashlib.sha256(blob).hexdigest() == ID_ORDERED_WAL_SHA256
 
 
 class TestProtocolErrors:
@@ -511,9 +501,8 @@ class TestFailedRequestKeepsItsCommits:
     although the request itself fails — a retry answers them ``cached``,
     and that ack has to be backed by an fsynced line."""
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
     def test_committed_prefix_is_logged_published_and_resumed(
-            self, graph, tmp_path, parallelism):
+            self, graph, tmp_path):
         # Edge balance, K=2, strict overflow: two 4000-edge rows fill
         # both partitions (capacity 2649 edges), the third item raises.
         config = PartitionConfig(method="spnl", num_partitions=2,
@@ -522,8 +511,7 @@ class TestFailedRequestKeepsItsCommits:
         items = [{"vertex": v, "neighbors": row} for v in range(6)]
         state_dir = tmp_path / "state"
         svc = PlacementService.start(graph, config=config,
-                                     snapshot_dir=state_dir,
-                                     parallelism=parallelism)
+                                     snapshot_dir=state_dir)
         with ServiceClient(*svc.address) as c:
             with pytest.raises(ServiceError) as err:
                 c.place_batch(items)
@@ -629,15 +617,9 @@ class TestResilience:
 
     def test_wal_outage_degrades_to_read_only_and_recovers(
             self, graph, config, tmp_path):
-        from repro.recovery.chaos import FlakyWAL
         from repro.service import ReadOnlyError
 
-        holder = {}
-
-        def factory(directory, *, start=0, fsync=True):
-            holder["wal"] = FlakyWAL(directory, start=start, fsync=fsync)
-            return holder["wal"]
-
+        holder, factory = _flaky_wal_factory()
         with PlacementService.start(graph, config=config,
                                     snapshot_dir=tmp_path / "state",
                                     wal_factory=factory) as svc:
@@ -659,15 +641,9 @@ class TestResilience:
 
     def test_acked_survive_an_outage_recovery_crash_cycle(
             self, graph, config, tmp_path):
-        from repro.recovery.chaos import FlakyWAL
         from repro.service import ReadOnlyError
 
-        holder = {}
-
-        def factory(directory, *, start=0, fsync=True):
-            holder["wal"] = FlakyWAL(directory, start=start, fsync=fsync)
-            return holder["wal"]
-
+        holder, factory = _flaky_wal_factory()
         state_dir = tmp_path / "state"
         svc = PlacementService.start(graph, config=config,
                                      snapshot_dir=state_dir,
@@ -693,8 +669,6 @@ class TestResilience:
                     assert c.lookup(vertex) == pid, vertex
 
     def test_retries_exhausted_is_typed_and_bounded(self, graph, config):
-        import time
-
         from repro.service import RetriesExhausted
 
         # Park the engine inside a 0.6 s throttled group and queue one
@@ -727,19 +701,13 @@ class TestResilience:
 
     def test_circuit_breaker_fails_fast_after_read_only(
             self, graph, config, tmp_path):
-        from repro.recovery.chaos import FlakyWAL
         from repro.resilience.policy import (
             CircuitBreaker,
             CircuitOpenError,
         )
         from repro.service import ReadOnlyError
 
-        holder = {}
-
-        def factory(directory, *, start=0, fsync=True):
-            holder["wal"] = FlakyWAL(directory, start=start, fsync=fsync)
-            return holder["wal"]
-
+        holder, factory = _flaky_wal_factory()
         with PlacementService.start(graph, config=config,
                                     snapshot_dir=tmp_path / "state",
                                     wal_factory=factory) as svc:
@@ -755,3 +723,176 @@ class TestResilience:
                     c.place(1)
                 assert breaker.trips == 1
                 assert breaker.fast_failures >= 1
+
+
+def _flaky_wal_factory():
+    """A ``wal_factory`` building a FlakyWAL, and the holder it fills."""
+    from repro.recovery.chaos import FlakyWAL
+
+    holder = {}
+
+    def factory(directory, *, start=0, fsync=True):
+        holder["wal"] = FlakyWAL(directory, start=start, fsync=fsync)
+        return holder["wal"]
+
+    return holder, factory
+
+
+class TestAckedOnlyReads:
+    """``lookup``/``stats`` serve from a seqlock-versioned view published
+    only after a group's WAL fsync, so concurrent readers never observe
+    an unacked or torn placement, even while the WAL is failing or the
+    writer is held mid-publish."""
+
+    BATCH = 64
+
+    def test_lookup_never_observes_unacked_placements(
+            self, graph, config, tmp_path):
+        """While the WAL is failing, applied-but-unacked placements
+        stay invisible to lookup/stats; recovery (which makes them
+        durable) is what publishes them."""
+        batch = self.BATCH
+        holder, factory = _flaky_wal_factory()
+        with PlacementService.start(
+                graph, config=config, snapshot_dir=tmp_path / "state",
+                wal_factory=factory) as svc:
+            with ServiceClient(*svc.address) as client:
+                client.place_batch(list(range(0, batch)))
+                holder["wal"].fail()
+                with pytest.raises(ServiceError) as err:
+                    client.place_batch(list(range(batch, 2 * batch)))
+                assert err.value.code == "read_only"
+                # The engine applied the group in memory...
+                assert int(svc._state.route[batch]) >= 0
+                # ...but no reader may see it: it was never acked.
+                for v in range(batch, 2 * batch):
+                    assert client.lookup(v) is None
+                stats = client.stats()
+                assert stats["placements"] == batch
+                assert sum(stats["loads"]) == batch
+
+                holder["wal"].restore()
+                assert svc.try_recover()["recovered"] is True
+                # Recovery flushed the parked entries to the WAL —
+                # now durable, now visible.
+                for v in range(batch, 2 * batch):
+                    assert client.lookup(v) == int(svc._state.route[v])
+
+    def test_concurrent_lookups_stay_consistent_under_churn(
+            self, graph, config):
+        """Lookups racing the publish path: an already-acked vertex
+        always answers its (immutable) pid, and the stats snapshot is
+        never torn — published loads always sum to published
+        placements.  ``hold_seconds`` widens the seqlock's odd window
+        so the retry path provably runs."""
+        batch = self.BATCH
+        with PlacementService.start(graph, config=config) as svc:
+            with ServiceClient(*svc.address) as writer:
+                writer.place_batch(list(range(0, batch)))
+                expected = {v: int(svc._state.route[v])
+                            for v in range(batch)}
+                svc._read_view.hold_seconds = 0.002
+                stop = threading.Event()
+                failures: list[str] = []
+
+                def reader():
+                    try:
+                        with ServiceClient(*svc.address) as c:
+                            while not stop.is_set():
+                                for v in (0, 7, 31, batch - 1):
+                                    got = c.lookup(v)
+                                    if got != expected[v]:
+                                        failures.append(
+                                            f"v{v}: {got} != "
+                                            f"{expected[v]}")
+                                stats = c.stats()
+                                if (sum(stats["loads"])
+                                        != stats["placements"]):
+                                    failures.append(
+                                        f"torn stats: {stats['loads']}"
+                                        f" vs {stats['placements']}")
+                    except Exception as exc:  # surfaced below
+                        failures.append(repr(exc))
+
+                thread = threading.Thread(target=reader, daemon=True)
+                thread.start()
+                try:
+                    for start in range(batch, N, 8):
+                        writer.place_batch(list(range(start, start + 8)))
+                        time.sleep(0.001)
+                finally:
+                    stop.set()
+                    thread.join(10.0)
+                svc._read_view.hold_seconds = 0.0
+                assert not failures, failures[:5]
+                assert svc._read_view.retries > 0
+
+    def test_reads_keep_serving_while_read_only(self, graph, config,
+                                                tmp_path):
+        batch = self.BATCH
+        holder, factory = _flaky_wal_factory()
+        with PlacementService.start(
+                graph, config=config, snapshot_dir=tmp_path / "state",
+                wal_factory=factory) as svc:
+            with ServiceClient(*svc.address) as client:
+                client.place_batch(list(range(0, batch)))
+                holder["wal"].fail()
+                with pytest.raises(ServiceError):
+                    client.place_batch(list(range(batch, 2 * batch)))
+                assert client.health()["health_state"] == "read_only"
+                assert client.lookup(0) == int(svc._state.route[0])
+                assert client.stats()["placements"] == batch
+
+
+class TestOneEngine:
+    """The server places record by record through ``kernel.step`` and
+    nothing else: no worker pool, no grouped mode, no knob for either."""
+
+    def test_importing_the_service_leaves_the_executor_stack_out(self):
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src_root!r})\n"
+            "import repro.service\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.startswith('repro.parallel')\n"
+            "    or m == 'multiprocessing.shared_memory')))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out) == []
+
+    def test_grouped_engine_wal_is_refused_on_resume(self, graph, config,
+                                                     tmp_path):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        segment_path(state_dir, 0).write_text(
+            '{"s":0,"v":0,"n":null,"p":0,"g":0}\n', encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"seq 0 .*removed grouped engine"):
+            PlacementService(graph, config=config, resume_from=state_dir)
+
+    @pytest.mark.parametrize("knob", ["parallelism", "processes",
+                                      "max_worker_restarts",
+                                      "worker_timeout"])
+    def test_engine_knobs_are_refused(self, graph, config, knob):
+        with pytest.raises(TypeError, match=knob):
+            PlacementService(graph, config=config, **{knob: 2})
+
+    @pytest.mark.parametrize("command,flag", [
+        ("serve", "--processes"), ("serve", "--parallelism"),
+        ("serve-bench", "--processes"), ("serve-bench", "--parallelism"),
+        ("chaos", "--processes")])
+    def test_cli_engine_flags_are_refused(self, command, flag, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "g.adj", flag, "2"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_stats_engine_keeps_every_key(self, client):
+        client.place(0)
+        assert client.stats()["engine"] == {
+            "mode": "sequential", "parallelism": 1, "processes": 1,
+            "chunks_scored": 0, "pool_chunks": 0, "m_aligned": True,
+            "worker_restarts": 0, "wal_pipeline": False}

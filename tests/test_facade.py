@@ -121,6 +121,5 @@ class TestNormalizedStats:
         result = partition_stream(web_graph, "spnl", 8)
         assert result.stats["expectation_table_entries"] > 0
         assert result.stats["expectation_table_bytes"] > 0
-        # The legacy key stays for existing consumers.
-        assert result.stats["expectation_bytes"] == \
-            result.stats["expectation_table_bytes"]
+        # One name per number: the legacy alias is gone.
+        assert "expectation_bytes" not in result.stats
