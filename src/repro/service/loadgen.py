@@ -496,8 +496,8 @@ def run_service_bench(graph: DiGraph | None = None, *,
                   f"server-wait {wait_frac:.0%}"
                   f"{'' if ordered else ' (reordered)'}")
 
-    # Imported after the timed rounds: the bench package pulls in the
-    # executor stack, which the in-process server should not run beside.
+    # Imported here, not at module level: the bench package pulls in the
+    # executor stack, which ``import repro.service`` must not load.
     from ..bench.micro import _summary, machine_fingerprint
     server_wait_median = statistics.median(wait_fractions)
     lookup_wait_median = statistics.median(lookup_wait_fractions)
