@@ -1120,8 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="while read-only, retry recovery every S "
                         "seconds (default 0: recover only on demand)")
     p.add_argument("--no-wal-pipeline", action="store_true",
-                   help="disable the double-buffered WAL committer "
-                        "(fsync inline in the engine thread)")
+                   help="hold the engine's state lock through each "
+                        "group's WAL fsync (no scoring/fsync overlap)")
     p.add_argument("--graph-cache", nargs="?", const=True, default=None,
                    metavar="PATH",
                    help="load through a binary .reprocsr cache")

@@ -15,7 +15,7 @@ chaos tests are exactly reproducible:
   ``append_batch`` raises ``OSError`` while armed (or once per listed
   sequence number), exercising the placement service's WAL-failure →
   read-only degradation and recovery-flush path;
-* :class:`SlowEngine` — throttles a live service's engine loop,
+* :class:`SlowEngine` — throttles a live service's engine groups,
   exercising admission control's lag watermark and deadline shedding.
 
 Wrappers subclass or delegate rather than monkeypatch, so they compose
@@ -183,7 +183,7 @@ class FlakyWAL(PlacementLog):
 
 
 class SlowEngine:
-    """Throttle a live service's engine loop (and restore it).
+    """Throttle a live service's engine groups (and restore it).
 
     Raising ``throttle_seconds`` on a running
     :class:`~repro.service.PlacementService` makes every engine group

@@ -108,9 +108,10 @@ class AdmissionController:
         """Estimated seconds a request admitted now waits for its ack.
 
         ``inflight`` counts requests already dequeued but not yet acked
-        — with a pipelined WAL committer, a group can be applied and
-        waiting on its fsync, invisible to queue depth but still ahead
-        of this request in the ack order.
+        — with a pipelined WAL, the group in the server's commit stage
+        is applied and waiting on its fsync outside the state lock,
+        invisible to queue depth but still ahead of this request in the
+        ack order.
         """
         with self._lock:
             return (queue_depth + inflight + 1) \

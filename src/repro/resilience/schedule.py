@@ -251,36 +251,30 @@ def _crash_stop(service: Any, wal: Any) -> None:
 
     Durable state stays exactly what snapshots + fsynced WAL lines
     already hold: no drain, no final snapshot, no pending-entry flush.
-    The threads are still stopped cleanly (this is a simulation inside
-    one test process), and ``service._closed`` is set so a later
+    The crash flag makes the commit stage drop any group it has not
+    appended yet, failing its requests instead of acking them, and
+    ``draining`` fails whatever is still queued unapplied.  The WAL is
+    closed under both service locks, so no group is mid-apply or
+    mid-commit when it goes.  ``service._closed`` is set so a later
     ``close()`` — e.g. from a ``finally`` — cannot retroactively grant
     the durability a real crash would have denied.
     """
-    from ..service import server as server_mod
     with service._close_lock:
         if service._closed:
             return
         service._closed = True
+    service._crashed = True
     service._draining.set()
     try:
         service._listener.close()
     except OSError:
         pass
-    service._queue.put(server_mod._STOP)
-    for thread in service._threads:
-        if thread.name == "placement-engine":
-            thread.join(10.0)
-    committer = getattr(service, "_committer", None)
-    if committer is not None:
-        # A crash drops in-flight (applied-but-unfsynced) commits on the
-        # floor — abort() models exactly that, leaving their clients
-        # unanswered rather than acked.
-        committer.abort()
-    try:
-        wal.restore()
-        wal.close()
-    except Exception:
-        pass
+    with service._state_lock, service._commit_lock:
+        try:
+            wal.restore()
+            wal.close()
+        except Exception:
+            pass
     service._shutdown_requested.set()
 
 

@@ -58,9 +58,13 @@ the read-path and engine surface, all of it response-side:
   one sequential engine: ``mode: "sequential"``, ``parallelism: 1``,
   ``processes: 1``, ``chunks_scored: 0``, ``pool_chunks: 0``,
   ``m_aligned: true``, ``worker_restarts: 0``.
-* ``stats.durability`` gains ``wal_pipelined_groups`` and
-  ``wal_inflight_requests`` when the double-buffered WAL committer
-  is active.
+* ``stats.durability`` gains ``wal_pipelined_groups`` (groups whose
+  WAL append, publish and acks ran outside the server's state lock,
+  overlapping the next group's scoring) and ``wal_inflight_requests``
+  (requests of the group being committed that way right now, applied
+  but not yet acked).  Both read 0 with the WAL pipeline off.  The
+  commit stage once ran on a dedicated committer thread; it now runs
+  on the request's own thread, and both fields keep their meaning.
 * No request field changed and no error code was added: a 1.1 client
   talks to a 1.2 server (and vice versa) unmodified.
 

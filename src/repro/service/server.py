@@ -6,22 +6,26 @@ given a path), holds a live partitioner + :class:`PartitionState`, and
 answers the version-1 wire protocol (:mod:`repro.service.protocol`) over
 TCP for as long as the process lives.
 
-Architecture — one engine, many connections::
+Architecture — one engine, many connections, no engine thread::
 
-    client conns ──> bounded queue ──> engine thread ──> WAL ──> acks
-        (parse,          (backpressure     (apply,      (fsync)
-         validate)        when full)        coalesce)
+    conn thread ─> bounded queue ─> [state lock] ─> [commit lock] ─> send
+    (parse,         (backpressure    (drain, apply    (WAL, publish,
+     validate)       when full)       kernel.step)     ack)
 
-* Every connection gets a reader thread that parses and validates
-  requests.  Read-only ops (``hello``, ``health``, ``lookup``,
-  ``stats``) are answered right there; mutating ops (``place``,
-  ``place_batch``, ``snapshot``) are enqueued to the single engine
-  thread, which is the only code that touches partitioner state — no
-  state locks on the hot path, no torn placements.
+* Every connection gets a thread that parses and validates requests.
+  Read-only ops (``hello``, ``health``, ``lookup``, ``stats``) are
+  answered right there.  A mutating op (``place``, ``place_batch``,
+  ``snapshot``) is admitted to the queue, and then the same thread
+  serves as the engine: it takes the state lock and drains queued
+  requests — its own and other clients' — which it applies and commits.
+  A thread whose request another one already drained just waits for its
+  answer.  The state-lock holder is the only code that touches
+  partitioner state, so there are no torn placements, and a request
+  costs no thread hand-off.
 * The queue is **bounded**: when it is full the connection answers
   ``code: "backpressure"`` with a ``retry_after_ms`` hint instead of
   buffering without limit.  Slow consumers shed load explicitly.
-* The engine drains up to ``batch_max`` queued requests per wake-up and
+* The state-lock holder drains up to ``batch_max`` queued requests and
   applies their placements as one group, through one apply loop.  Every
   placement — batched or single, in id order or not, with the graph's
   adjacency or an explicit neighbor list, from any number of clients —
@@ -29,11 +33,11 @@ Architecture — one engine, many connections::
   the one :class:`~repro.partitioning.base.PlacementKernel` that
   ``partition()`` runs, so each placement scores against every earlier
   one.  The kernel is built once, from live state, after boot or WAL
-  replay; the engine thread is the only committer, which is what keeps
-  its maintained images exact.
-* Durability is snapshot + WAL (:mod:`repro.service.wal`): the engine
-  applies a group, appends it to the fsynced placement log, and only
-  then acks.  Periodic snapshots (the recovery layer's
+  replay; the state-lock holder is the only committer, which is what
+  keeps its maintained images exact.
+* Durability is snapshot + WAL (:mod:`repro.service.wal`): a group is
+  applied, appended to the fsynced placement log, and only then
+  acked.  Periodic snapshots (the recovery layer's
   :class:`~repro.recovery.checkpoint.Checkpointer`) bound replay time;
   the WAL rotates at each snapshot.  ``resume_from`` at boot restores
   the newest snapshot and replays the WAL tail **through the
@@ -41,7 +45,8 @@ Architecture — one engine, many connections::
   matches the logged pid), so a SIGKILLed server comes back answering
   ``lookup`` identically for every placement it ever acknowledged.
 * Graceful shutdown (:meth:`close`, wired to SIGTERM by the CLI) stops
-  accepting work, drains the queue, writes a final snapshot, and closes
+  accepting work, lets the group in hand finish and fails what is
+  still queued with ``draining``, writes a final snapshot, and closes
   connections — in that order.
 
 Resilience (the :mod:`repro.resilience` layer, revision 1.1 of the
@@ -52,7 +57,7 @@ protocol):
   ``place`` traffic with ``overloaded`` *before* the queue saturates
   (queue-depth watermark, engine-lag EWMA) and rejects requests whose
   ``deadline_ms`` budget is already unmeetable with
-  ``deadline_exceeded``; the engine re-checks deadlines at dequeue so a
+  ``deadline_exceeded``; deadlines are re-checked at dequeue so a
   budget that expired while queued fails instead of acking late.
 * **Degraded modes** — a
   :class:`~repro.resilience.health.HealthMonitor` state machine
@@ -73,12 +78,17 @@ Read path and WAL pipeline (revision 1.2 of the protocol):
   :class:`_RouteReadView` published *after* each group's fsync and
   *before* its acks release, so a read can never observe a placement
   that was not durably acked, and never blocks on the engine.
-* **Pipelined WAL** — a :class:`_WalCommitter` thread overlaps one
-  group's fsync with the next group's scoring (double-buffered group
-  commit).  Acks still release only after fsync; a failed append parks
-  the entries and degrades to read-only exactly like the synchronous
-  path, and the engine barriers the committer before snapshots,
-  recovery, and shutdown.
+* **Pipelined WAL** — hand-over-hand locking overlaps one group's
+  fsync with the next group's scoring (double-buffered group commit)
+  without a thread: the applying thread takes the commit lock *before*
+  it releases the state lock, then appends, publishes and acks outside
+  the state lock while the next thread applies the next group.  Commit
+  lock order is state lock order, so WAL order is apply order.  Acks
+  still release only after fsync; a failed append parks the entries and
+  degrades to read-only exactly like the synchronous path.  A group
+  that carries a snapshot or recovery, or is followed by a due
+  periodic snapshot, commits before the state lock is released, so a
+  snapshot never holds an applied group that is not yet logged.
 """
 
 from __future__ import annotations
@@ -131,10 +141,6 @@ from .wal import PlacementLog, WalEntry, replay_entries
 __all__ = ["PlacementService"]
 
 _SERVER_NAME = "repro-placement-service"
-
-#: Engine-queue sentinel that tells the engine thread to exit after the
-#: FIFO ahead of it has fully drained.
-_STOP = object()
 
 
 class _LatencyRecorder:
@@ -214,7 +220,7 @@ class _Work:
 class _RouteReadView:
     """Seqlock-versioned, acked-only snapshot of the route table.
 
-    One writer at a time (serialized by the service's publish lock)
+    One writer at a time (serialized by the service's commit lock)
     bumps ``seq`` to odd, mutates, bumps back to even; readers retry
     while ``seq`` is odd or changed across their read.  Because the
     writer publishes only *after* a group's WAL fsync and *before* its
@@ -302,7 +308,8 @@ class _RouteReadView:
 
 
 class _Commit:
-    """One group's durability hand-off from the engine to the committer."""
+    """One applied group on its way to the log: WAL lines, acks, and the
+    acked-state scalars the read view publishes."""
 
     __slots__ = ("entries", "applied", "scalars", "requests")
 
@@ -313,93 +320,6 @@ class _Commit:
         #: Requests (works) riding this commit — the admission
         #: controller counts them as in-flight pipeline depth.
         self.requests = requests
-
-
-class _WalCommitter:
-    """Double-buffered group commit: fsync group N while N+1 scores.
-
-    The engine applies a group in memory, captures the ack payloads and
-    an acked-state scalar snapshot, and hands everything here; this
-    thread runs the service's one durable-commit routine
-    (:meth:`PlacementService._commit_durably`: append + fsync, publish
-    the read view, only then release the acks — or park, fail and
-    degrade) off the scoring thread.  The bounded queue (one committing
-    + one queued) is the double buffer — a third group's ``submit``
-    blocks the engine, bounding how far in-memory state can run ahead
-    of the log.
-    """
-
-    def __init__(self, service: "PlacementService") -> None:
-        self._service = service
-        self._queue: queue.Queue = queue.Queue(maxsize=2)
-        self._inflight_lock = threading.Lock()
-        self._inflight_requests = 0
-        self.committed_groups = 0
-        self._aborted = False
-        self._thread = threading.Thread(target=self._loop,
-                                        name="placement-wal-commit",
-                                        daemon=True)
-        self._thread.start()
-
-    @property
-    def inflight_requests(self) -> int:
-        with self._inflight_lock:
-            return self._inflight_requests
-
-    def _add_inflight(self, n: int) -> None:
-        with self._inflight_lock:
-            self._inflight_requests += n
-
-    def submit(self, commit: _Commit) -> None:
-        """Engine-thread hand-off; blocks when two groups are in flight."""
-        self._add_inflight(commit.requests)
-        self._queue.put(commit)
-
-    def barrier(self) -> None:
-        """Block until every commit submitted so far is fully resolved.
-
-        The engine calls this before snapshots (the WAL must cover the
-        snapshot position before rotating), before recovery (pending
-        entries must be complete), and during shutdown.
-        """
-        event = threading.Event()
-        self._queue.put(event)
-        while not event.wait(0.05):
-            if not self._thread.is_alive():
-                # Stopped (or died) with our marker unserved; nothing
-                # can be in flight any more — the barrier holds.
-                return
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self._queue.put(_STOP)
-        self._thread.join(timeout)
-
-    def abort(self) -> None:
-        """Crash-style teardown: drop in-flight commits unresolved.
-
-        In-flight entries were never acked, so forgetting them is
-        exactly what a SIGKILL would do — the chaos harness's crash
-        teardown uses this to avoid fsyncing work a real crash would
-        have lost.
-        """
-        self._aborted = True
-        try:
-            self._queue.put_nowait(_STOP)
-        except queue.Full:
-            pass
-        self._thread.join(1.0)
-
-    def _loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            if isinstance(item, threading.Event):
-                item.set()
-                continue
-            if not self._aborted and self._service._commit_durably(item):
-                self.committed_groups += 1
-            self._add_inflight(-item.requests)
 
 
 def _cached(route: np.ndarray, vertex: int) -> dict[str, Any]:
@@ -476,8 +396,8 @@ class PlacementService:
         :class:`~repro.recovery.chaos.FlakyWAL`.
     wal_pipeline:
         Overlap each group's WAL fsync with the next group's scoring
-        (default on when durable).  ``False`` forces the synchronous
-        append-then-ack path.
+        (default on when durable).  ``False`` holds the state lock
+        through each group's append-then-ack.
     """
 
     def __init__(self, graph: Any, *, config: PartitionConfig | None = None,
@@ -541,7 +461,13 @@ class PlacementService:
                 f"{config.method!r} did not build a StreamingPartitioner")
         self.partitioner = partitioner
         self._stream = ArrayStream.from_graph(self.graph)
+        # The state-lock holder is the engine: it alone drains the queue,
+        # applies and snapshots.  The commit-lock holder alone appends to
+        # the WAL, publishes the read view and acks.  A thread takes the
+        # commit lock only while holding the state lock (see _run), so
+        # commits run in apply order.
         self._state_lock = threading.Lock()
+        self._commit_lock = threading.Lock()
         self._elapsed = 0.0  # cumulative engine apply time (snapshot PT)
         self._position = 0   # acked placements == WAL sequence head
         self._kernel_requests = 0
@@ -570,7 +496,6 @@ class PlacementService:
         # from this seqlock view, never from live engine state.
         self._read_view = _RouteReadView(self.graph.num_vertices,
                                          partitioner.num_partitions)
-        self._publish_lock = threading.Lock()
         self._publish_state()
 
         # Durability: snapshots + WAL share snapshot_dir.  A fresh boot
@@ -596,17 +521,20 @@ class PlacementService:
             factory = self._wal_factory or PlacementLog
             self._wal = factory(snapshot_dir, start=self._position,
                                 fsync=wal_fsync)
-        self._wal_pipeline = bool(wal_pipeline)
-        self._committer: _WalCommitter | None = None
-        if self._wal is not None and self._wal_pipeline:
-            self._committer = _WalCommitter(self)
+        self._wal_pipeline = self._wal is not None and bool(wal_pipeline)
+        # Groups acked outside the state lock, and the requests of the
+        # one being committed there now (applied, not yet acked).
+        self._pipelined_groups = 0
+        self._inflight_requests = 0
+        # Set by a crash teardown: the commit stage drops (never acks) a
+        # group it has not appended yet.
+        self._crashed = False
 
         self._draining = threading.Event()
         self._shutdown_requested = threading.Event()
         self._closed = False
         self._close_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
 
@@ -620,23 +548,17 @@ class PlacementService:
         return service
 
     def serve(self) -> None:
-        """Bind the listener and start the accept + engine threads."""
+        """Bind the listener and start the accept thread (there is no
+        engine thread: see :meth:`_run`)."""
         self._listener = socket.create_server(
             (self._host, self._port), reuse_port=False)
         self._listener.listen(64)
-        engine = threading.Thread(target=self._engine_loop,
-                                  name="placement-engine", daemon=True)
-        acceptor = threading.Thread(target=self._accept_loop,
-                                    name="placement-accept", daemon=True)
-        self._threads += [engine, acceptor]
-        engine.start()
-        acceptor.start()
+        threading.Thread(target=self._accept_loop, name="placement-accept",
+                         daemon=True).start()
         if self.recovery_probe_interval > 0:
-            prober = threading.Thread(target=self._recovery_probe_loop,
-                                      name="placement-recovery-probe",
-                                      daemon=True)
-            self._threads.append(prober)
-            prober.start()
+            threading.Thread(target=self._recovery_probe_loop,
+                             name="placement-recovery-probe",
+                             daemon=True).start()
 
     def _recovery_probe_loop(self) -> None:
         """Periodically attempt recovery while the server is read-only."""
@@ -715,59 +637,76 @@ class PlacementService:
         self._replayed = replayed
 
     # -- engine --------------------------------------------------------
-    def _engine_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            group = [item]
-            while len(group) < self._batch_max:
+    def _run(self, work: _Work) -> None:
+        """Submit ``work``, then serve as the engine until it is answered.
+
+        There is no engine thread.  The submitting thread takes the
+        state lock and drains up to ``batch_max`` queued works — its own
+        and other clients' — into :meth:`_process_group`.  A pipelined
+        group comes back with the commit lock held (it was taken before
+        the state lock was released) and is committed here, outside the
+        state lock, while the next thread applies the next group.  A
+        thread whose work another thread drained finds the queue empty
+        and waits for the answer that thread's commit releases.
+        """
+        self._submit(work)
+        while not work.event.is_set():
+            with self._state_lock:
+                group = self._drain()
+                if not group:
+                    break
+                commit = self._process_group_safely(group)
+            if commit is not None:
                 try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._process_group_safely(group)
-                    group = []
-                    break
-                group.append(nxt)
-            else:
-                self._process_group_safely(group)
-                continue
-            if not group:  # saw _STOP mid-drain
-                break
-            self._process_group_safely(group)
-        # Anything enqueued after the sentinel never runs; fail it
-        # explicitly so no connection blocks forever.
-        while True:
+                    if self._commit_durably(commit):
+                        self._pipelined_groups += 1
+                finally:
+                    self._inflight_requests = 0
+                    self._commit_lock.release()
+        work.event.wait()
+
+    def _drain(self) -> list[_Work]:
+        """Take up to ``batch_max`` queued works (state lock held).
+
+        Once the server is draining nothing more is applied: every
+        queued work fails ``draining`` instead and none is returned, so
+        no submitter is left waiting.
+        """
+        draining = self._draining.is_set()
+        group: list[_Work] = []
+        while draining or len(group) < self._batch_max:
             try:
-                leftover = self._queue.get_nowait()
+                group.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            if leftover is not _STOP:
-                leftover.fail("draining",
-                              "server is draining; placement not applied")
+        if not draining:
+            return group
+        for work in group:
+            work.fail("draining", "server is draining; placement not applied")
+        return []
 
-    def _process_group_safely(self, group: list[_Work]) -> None:
+    def _process_group_safely(self, group: list[_Work]) -> _Commit | None:
         """Run one group; an unexpected engine error degrades, not dies.
 
         :meth:`_process_group` handles every *anticipated* failure
         (WAL, snapshot, per-placement errors) itself; anything that
-        still escapes would previously kill the engine thread silently,
-        stranding every connection.  Instead: fail the group's
-        unresolved works, drop to ``read_only``, keep serving reads.
+        still escapes would reach only the request of the thread that
+        drained the group, stranding the others in it.  Instead: fail
+        the group's unresolved works, drop to ``read_only``, keep
+        serving reads.
         """
         try:
-            self._process_group(group)
+            return self._process_group(group)
         except Exception as exc:  # pragma: no cover - defensive
             for work in group:
                 if not work.event.is_set():
                     work.fail("internal", f"engine error: {exc}")
             self._health.transition(READ_ONLY, "engine_error",
                                     detail=repr(exc))
+            return None
 
-    def _process_group(self, group: list[_Work]) -> None:
-        """Apply one drained group: coalesce, group-commit, then ack.
+    def _process_group(self, group: list[_Work]) -> _Commit | None:
+        """Apply one drained group (state lock held), then commit it.
 
         Place requests in the group are stable-sorted by their first
         vertex id before applying.  Commit order within a group is the
@@ -776,6 +715,15 @@ class PlacementService:
         naturally produce — id order is what the sliding-window Γ store
         and SPNL's Range locality assume.  All WAL lines for the group
         go down in one fsync (group commit); acks release after.
+
+        The commit lock is taken before anything else is committed:
+        once it is held, every earlier group's commit has finished.  A
+        pipelined group is returned with the lock still held, for the
+        caller to commit outside the state lock.  Otherwise the group's
+        commit, its snapshot and recovery works and a due periodic
+        snapshot run here, in that order, and ``None`` is returned: a
+        snapshot or WAL rotation must never see an applied group that
+        is not yet appended.
         """
         t0 = time.perf_counter()
         if self.throttle_seconds:
@@ -784,46 +732,24 @@ class PlacementService:
         other_works = [w for w in group if w.kind != "place"]
         place_works.sort(
             key=lambda w: w.placements[0][0] if w.placements else -1)
-        now = time.monotonic()
-        with self._state_lock:
-            applied, entries, placements, ok = \
-                self._apply_group(place_works, now)
-            if applied or entries:
-                commit = _Commit(entries, applied, self._ack_scalars(),
-                                 len(applied))
-                if self._committer is not None:
-                    # Pipelined: the committer fsyncs, publishes and
-                    # acks while the engine returns to scoring.
-                    self._committer.submit(commit)
-                elif not self._commit_durably(commit):
+        applied, entries, placements, ok = \
+            self._apply_group(place_works, time.monotonic())
+        commit = None
+        if applied or entries:
+            commit = _Commit(entries, applied, self._ack_scalars(),
+                             len(applied))
+        self._commit_lock.acquire()
+        if (commit is not None and self._wal_pipeline and not other_works
+                and not self._snapshot_due()):
+            self._inflight_requests = commit.requests
+        else:
+            try:
+                if commit is not None and not self._commit_durably(commit):
                     ok = False
-            for work in other_works:
-                if work.kind == "recover":
-                    try:
-                        work.resolve(self._attempt_recovery())
-                    except Exception as exc:
-                        ok = False
-                        work.fail("read_only", f"recovery failed: {exc}")
-                    continue
-                try:
-                    work.resolve(self._snapshot_now())
-                    self._note_snapshot_success()
-                except ProtocolError as exc:
-                    ok = False
-                    work.fail(exc.code, str(exc))
-                except Exception as exc:
-                    ok = False
-                    self._note_snapshot_failure(exc)
-                    work.fail("internal", f"snapshot failed: {exc}")
-            if (self._checkpointer is not None
-                    and self._health.allows_mutation
-                    and self._position - self._last_snapshot_position
-                    >= self._checkpointer.config.every):
-                try:
-                    self._snapshot_now()
-                    self._note_snapshot_success()
-                except Exception as exc:
-                    self._note_snapshot_failure(exc)
+                commit = None
+                ok = self._run_maintenance(other_works) and ok
+            finally:
+                self._commit_lock.release()
         elapsed = time.perf_counter() - t0
         if placements:
             self._admission.observe_group(elapsed, placements)
@@ -842,6 +768,51 @@ class PlacementService:
                 "fused": len(entries),
                 "shed": int(shed_delta),
             })
+        return commit
+
+    def _snapshot_due(self) -> bool:
+        """Whether a periodic snapshot is owed (state lock held)."""
+        return (self._checkpointer is not None
+                and self._health.allows_mutation
+                and self._position - self._last_snapshot_position
+                >= self._checkpointer.config.every)
+
+    def _run_maintenance(self, other_works: list[_Work]) -> bool:
+        """Run a group's snapshot and recovery works, then a due
+        periodic snapshot (both locks held, the group committed);
+        returns whether every work succeeded.  After a crash teardown
+        nothing more is written: the group's commit was dropped, and a
+        snapshot now would hold its unlogged placements."""
+        if self._crashed:
+            for work in other_works:
+                work.fail("draining", "server stopped; nothing written")
+            return False
+        ok = True
+        for work in other_works:
+            if work.kind == "recover":
+                try:
+                    work.resolve(self._attempt_recovery())
+                except Exception as exc:
+                    ok = False
+                    work.fail("read_only", f"recovery failed: {exc}")
+                continue
+            try:
+                work.resolve(self._snapshot_now())
+                self._note_snapshot_success()
+            except ProtocolError as exc:
+                ok = False
+                work.fail(exc.code, str(exc))
+            except Exception as exc:
+                ok = False
+                self._note_snapshot_failure(exc)
+                work.fail("internal", f"snapshot failed: {exc}")
+        if self._snapshot_due():
+            try:
+                self._snapshot_now()
+                self._note_snapshot_success()
+            except Exception as exc:
+                self._note_snapshot_failure(exc)
+        return ok
 
     def _apply_group(
             self, place_works: list[_Work], now: float
@@ -954,10 +925,12 @@ class PlacementService:
     def _commit_durably(self, commit: _Commit) -> bool:
         """Make one applied group durable, then visible, then acked.
 
-        The one ack routine, run by whichever thread owns the commit:
-        the WAL committer when the log is pipelined, else the engine.
+        The one ack routine, run by the commit-lock holder: outside the
+        state lock when the log is pipelined, inside it otherwise.
         Append + fsync, only then publish the read view, only then
-        release the acks; returns whether the group was acked.
+        release the acks; returns whether the group was acked.  After a
+        crash teardown nothing more is appended: the group is dropped,
+        its requests failed, never acked.
 
         When the append fails — or an earlier one did and its entries
         still wait in ``_pending_entries``, where appending around the
@@ -969,6 +942,11 @@ class PlacementService:
         riders fail ``read_only``; and the read view is not published —
         readers must never see a placement that was not acked.
         """
+        if self._crashed:
+            for work, _results in commit.applied:
+                work.fail("draining",
+                          "server stopped before the placement was durable")
+            return False
         entries = commit.entries
         fault: str | None = None
         if self._pending_entries:
@@ -997,40 +975,34 @@ class PlacementService:
     def _publish_entries(self, entries: list[WalEntry],
                          scalars: dict[str, Any]) -> None:
         """Publish one durable group to the read view (post-fsync,
-        pre-ack).  Engine thread on the synchronous path, committer
-        thread on the pipelined one; the publish lock serializes them.
-        """
-        with self._publish_lock:
-            self._read_view.publish(
-                [(e.vertex, e.pid) for e in entries], **scalars)
+        pre-ack; commit lock held)."""
+        self._read_view.publish(
+            [(e.vertex, e.pid) for e in entries], **scalars)
 
     def _publish_state(self) -> None:
-        """Wholesale read-view publish from live state (boot/recovery)."""
+        """Wholesale read-view publish from live state (boot, or
+        recovery with both locks held)."""
         state = self._state
-        with self._publish_lock:
-            self._read_view.publish_full(
-                state.route,
-                loads=state.vertex_counts,
-                edge_loads=state.edge_counts,
-                position=self._position,
-                placements=state.placed_vertices,
-                overflows=state.capacity_overflows)
-
-    def _sync_committer(self) -> None:
-        """Barrier the pipelined committer (no-op when synchronous)."""
-        if self._committer is not None:
-            self._committer.barrier()
+        self._read_view.publish_full(
+            state.route,
+            loads=state.vertex_counts,
+            edge_loads=state.edge_counts,
+            position=self._position,
+            placements=state.placed_vertices,
+            overflows=state.capacity_overflows)
 
     def _snapshot_now(self) -> dict[str, Any]:
-        """Write a snapshot + rotate/prune the WAL (engine thread only)."""
+        """Write a snapshot + rotate/prune the WAL.
+
+        State lock and commit lock held, and every applied group
+        committed: a snapshot at position P with lines below P not yet
+        appended would strand those lines in the *new* segment, breaking
+        prune/replay, and would hold placements nobody acked.
+        """
         if self._checkpointer is None:
             raise ProtocolError(
                 "server is running without a snapshot_dir; nothing to "
                 "snapshot")
-        # Pipelined commits must land before the rotation: a snapshot at
-        # position P with un-fsynced lines below P still in flight would
-        # strand those lines in the *new* segment, breaking prune/replay.
-        self._sync_committer()
         path = self._checkpointer.save(self._state, self._position,
                                        self._elapsed)
         self._last_snapshot_position = self._position
@@ -1076,14 +1048,13 @@ class PlacementService:
                                     detail=str(exc))
 
     def _attempt_recovery(self) -> dict[str, Any]:
-        """Engine-thread half of :meth:`try_recover` (under state lock).
+        """Engine half of :meth:`try_recover` (both locks held).
 
         Flush the non-durable pending entries first: until they are on
         disk, the in-memory route table is ahead of the log and a crash
         would break ``resume_from`` parity for any later ack.  Only a
         complete flush earns the transition back to ``healthy``.
         """
-        self._sync_committer()
         flushed = 0
         if self._wal is not None and self._pending_entries:
             self._wal.append_batch(list(self._pending_entries))
@@ -1100,9 +1071,10 @@ class PlacementService:
     def try_recover(self) -> dict[str, Any]:
         """Attempt to leave a degraded state; never raises.
 
-        Enqueues a recovery task for the engine thread (the only code
-        allowed to touch the WAL), which flushes any pending entries
-        and transitions back to ``healthy``.  Returns
+        Submits a recovery task and runs it as the engine (under the
+        state and commit locks, the only code allowed to touch the WAL):
+        it flushes any pending entries and transitions back to
+        ``healthy``.  Returns
         ``{"recovered": bool, "flushed": int, "health_state": str}``,
         with an ``"error"`` key when the underlying fault persists.
         Safe to call at any time — recovering a healthy server is a
@@ -1111,12 +1083,11 @@ class PlacementService:
         """
         work = _Work("recover", [])
         try:
-            self._submit(work)
+            self._run(work)
         except ProtocolError as exc:
             return {"recovered": False, "flushed": 0,
                     "health_state": self._health.state,
                     "error": str(exc)}
-        work.event.wait()
         if work.error is not None:
             return {"recovered": False, "flushed": 0,
                     "health_state": self._health.state,
@@ -1146,12 +1117,12 @@ class PlacementService:
                     return
                 t0 = time.perf_counter()
                 op, response = self._handle_line(line)
-                try:
-                    conn.sendall(encode_message(response))
-                finally:
-                    self._latency.observe(
-                        op, time.perf_counter() - t0,
-                        bool(response.get("ok")))
+                payload = encode_message(response)
+                # Stop before the send: it can hand the CPU to the
+                # client, whose turn is not server time.
+                self._latency.observe(op, time.perf_counter() - t0,
+                                      bool(response.get("ok")))
+                conn.sendall(payload)
         except (OSError, ValueError):
             return  # peer vanished or socket closed under us
         finally:
@@ -1319,7 +1290,7 @@ class PlacementService:
                 "pool_chunks": 0,
                 "m_aligned": True,
                 "worker_restarts": 0,
-                "wal_pipeline": self._committer is not None,
+                "wal_pipeline": self._wal_pipeline,
             },
             "read_view": {
                 "seq": int(self._read_view.seq),
@@ -1336,12 +1307,8 @@ class PlacementService:
                 "wal_segment": self._wal.active_path.name,
                 "wal_pending": len(self._pending_entries),
                 "snapshot_failures": int(self._snapshot_failures),
-                "wal_pipelined_groups":
-                    int(self._committer.committed_groups)
-                    if self._committer is not None else 0,
-                "wal_inflight_requests":
-                    int(self._committer.inflight_requests)
-                    if self._committer is not None else 0,
+                "wal_pipelined_groups": int(self._pipelined_groups),
+                "wal_inflight_requests": int(self._inflight_requests),
             }
         if self._resumed_from is not None:
             stats["resumed_from"] = self._resumed_from
@@ -1390,16 +1357,14 @@ class PlacementService:
                   deadline: float | None = None) -> list[dict[str, Any]]:
         placements = [self._parse_placement(item) for item in items]
         work = _Work("place", placements, deadline=deadline)
-        self._submit(work)
-        work.event.wait()
+        self._run(work)
         if work.error is not None:
             raise ProtocolError(work.error[1], code=work.error[0])
         return work.results
 
     def _op_snapshot(self) -> dict[str, Any]:
         work = _Work("snapshot", [])
-        self._submit(work)
-        work.event.wait()
+        self._run(work)
         if work.error is not None:
             raise ProtocolError(work.error[1], code=work.error[0])
         return work.results
@@ -1430,16 +1395,14 @@ class PlacementService:
             deadline_remaining = None
             if work.deadline is not None:
                 deadline_remaining = work.deadline - time.monotonic()
-            # Pipelined commits hold acks beyond the queue: requests
+            # A pipelined commit holds acks beyond the queue: requests
             # riding an in-flight fsync are invisible to qsize() but
             # very much ahead of this one, so the lag estimate counts
             # them too.
-            inflight = self._committer.inflight_requests \
-                if self._committer is not None else 0
             decision = self._admission.admit(
                 self._queue.qsize(),
                 deadline_remaining=deadline_remaining,
-                inflight=inflight)
+                inflight=self._inflight_requests)
             if decision is not None:
                 self._admission.count_shed(decision.code)
                 raise ProtocolError(decision.message, code=decision.code)
@@ -1466,53 +1429,50 @@ class PlacementService:
         return self._shutdown_requested.wait(timeout)
 
     def close(self, *, timeout: float = 30.0) -> None:
-        """Graceful drain: stop intake, finish the queue, snapshot, stop.
+        """Graceful drain: stop intake, answer the queue, snapshot, stop.
 
-        Idempotent; also invoked by ``with PlacementService.start(...)``
-        blocks and the CLI's SIGTERM handler.
+        Intake stops first; a request still queued, or arriving later,
+        fails ``draining``.  The group in hand finishes, its commit
+        included; then parked entries are flushed and a final snapshot
+        is written.  Idempotent; also invoked by ``with
+        PlacementService.start(...)`` blocks and the CLI's SIGTERM
+        handler.  ``timeout`` is accepted for compatibility; there is no
+        engine thread left to join.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         self._draining.set()
-        self._health.transition(DRAINING, "shutdown")
         if self._listener is not None:
             try:
                 self._listener.close()
             except OSError:
                 pass
-        engine_alive = any(t.name == "placement-engine" and t.is_alive()
-                           for t in self._threads)
-        if engine_alive:
-            self._queue.put(_STOP)
-            for thread in self._threads:
-                if thread.name == "placement-engine":
-                    thread.join(timeout)
-        if self._committer is not None:
-            # Engine is drained; flush the committer's in-flight groups
-            # (their acks release) before touching the WAL ourselves.
-            self._committer.stop()
-        if self._wal is not None and self._pending_entries:
-            # Last chance to make unflushed entries durable; best-effort
-            # only — the requests they belong to were already failed, so
-            # a still-broken log loses nothing that was promised.
-            try:
-                self._wal.append_batch(list(self._pending_entries))
-                self._pending_entries.clear()
-            except Exception:
-                pass
-        if (self._checkpointer is not None
-                and self._position > self._last_snapshot_position):
-            try:
-                with self._state_lock:
+        with self._state_lock, self._commit_lock:
+            self._health.transition(DRAINING, "shutdown")
+            self._drain()  # fails every queued work: draining is set
+            if self._wal is not None and self._pending_entries:
+                # Last chance to make unflushed entries durable;
+                # best-effort only — the requests they belong to were
+                # already failed, so a still-broken log loses nothing
+                # that was promised.
+                try:
+                    self._wal.append_batch(list(self._pending_entries))
+                    self._pending_entries.clear()
+                except Exception:
+                    pass
+            if (self._checkpointer is not None
+                    and self._position > self._last_snapshot_position):
+                try:
                     self._snapshot_now()
-            except Exception:
-                # A failing disk must not turn graceful shutdown into a
-                # crash; durable state is whatever already reached disk.
-                pass
-        if self._wal is not None:
-            self._wal.close()
+                except Exception:
+                    # A failing disk must not turn graceful shutdown
+                    # into a crash; durable state is whatever already
+                    # reached disk.
+                    pass
+            if self._wal is not None:
+                self._wal.close()
         with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:

@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -57,16 +58,19 @@ def _reference_replay(entries):
     return state.route
 
 
+@pytest.mark.parametrize("wal_pipeline", [True, False],
+                         ids=["pipelined", "in-lock"])
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(requests=_requests)
-def test_served_route_is_the_reference_replay_of_the_wal(requests):
+def test_served_route_is_the_reference_replay_of_the_wal(requests,
+                                                         wal_pipeline):
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         acked = {}
         with PlacementService.start(
                 GRAPH, config=CONFIG, snapshot_dir=state_dir,
-                wal_fsync=False) as svc:
+                wal_fsync=False, wal_pipeline=wal_pipeline) as svc:
             with ServiceClient(*svc.address) as client:
                 for items in requests:
                     if len(items) == 1 and isinstance(items[0], int):

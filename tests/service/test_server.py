@@ -22,7 +22,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.service.protocol import decode_line, encode_message
+from repro.recovery.chaos import FlakyWAL
+from repro.resilience.schedule import _crash_stop
+from repro.service.protocol import ProtocolError, decode_line, encode_message
 from repro.service.wal import replay_entries, segment_path, wal_segments
 
 K = 8
@@ -60,6 +62,13 @@ def service(graph, config):
 def client(service):
     with ServiceClient(*service.address) as c:
         yield c
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestRoundTrip:
@@ -229,11 +238,15 @@ class TestEverythingPlacesThroughTheKernel:
             assert svc.stats()["arrival_ordered"] is False
             self._check(graph, config, svc, state_dir)
 
-    def test_four_concurrent_clients(self, graph, config, tmp_path):
+    @pytest.mark.parametrize("wal_pipeline", [True, False],
+                             ids=["pipelined", "in-lock"])
+    def test_four_concurrent_clients(self, graph, config, tmp_path,
+                                     wal_pipeline):
         state_dir = tmp_path / "state"
         errors = []
         with PlacementService.start(graph, config=config,
-                                    snapshot_dir=state_dir) as svc:
+                                    snapshot_dir=state_dir,
+                                    wal_pipeline=wal_pipeline) as svc:
             def worker(lo):
                 try:
                     with ServiceClient(*svc.address) as c:
@@ -370,6 +383,39 @@ class TestLifecycle:
         svc.close()
         assert svc.stats()["placements"] == 100
 
+    def test_close_answers_queued_work_and_strands_no_submitter(
+            self, graph, config, tmp_path):
+        # The first request holds the state lock through a one-second
+        # throttled group; three more queue behind it; close() lands
+        # meanwhile.  The group in hand is acked, the queue is answered
+        # draining, and every submitter returns.
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=tmp_path / "state",
+                                     throttle_seconds=1.0)
+        answers = {}
+
+        def submit(vertex):
+            try:
+                svc._op_place([vertex])
+                answers[vertex] = "ok"
+            except ProtocolError as exc:
+                answers[vertex] = exc.code
+
+        threads = [threading.Thread(target=submit, args=(v,), daemon=True)
+                   for v in range(4)]
+        threads[0].start()
+        _wait_for(svc._state_lock.locked)
+        for thread in threads[1:]:
+            thread.start()
+        _wait_for(lambda: svc._queue.qsize() == 3)
+        svc.close()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == {0: "ok", 1: "draining", 2: "draining",
+                           3: "draining"}
+        assert svc.stats()["placements"] == 1
+
     def test_requests_after_drain_fail(self, graph, config):
         svc = PlacementService.start(graph, config=config)
         host, port = svc.address
@@ -493,6 +539,121 @@ class TestDurability:
             history[-len(entries):]
         assert np.array_equal(route, _one_pass_route(
             graph, config, history, {7: [200, 201, 202, 203]}))
+
+
+class _BaseCheckingLog(FlakyWAL):
+    """A WAL that records every line appended below the base of the
+    segment receiving it, and every placement it made durable.  Each
+    append first sleeps a millisecond, as on a slow disk, which widens
+    the window in which a snapshot could overtake a commit."""
+
+    def __init__(self, directory, *, start=0, fsync=True):
+        self.below_base = []
+        self.durable = {}
+        super().__init__(directory, start=start, fsync=fsync)
+
+    def rotate(self, base):
+        self.base = base
+        return super().rotate(base)
+
+    def append_batch(self, entries):
+        time.sleep(0.001)
+        super().append_batch(entries)
+        self.below_base += [e.seq for e in entries if e.seq < self.base]
+        self.durable.update((e.vertex, e.pid) for e in entries)
+
+
+def _mixed_client(address, vertices, acked):
+    """Place ``vertices`` in chunks of six — a batch, six singles, a
+    batch of explicit neighbor lists, in turn — recording every ack in
+    ``acked``; returns at the first refusal."""
+    try:
+        with ServiceClient(*address) as c:
+            for i in range(0, len(vertices), 6):
+                chunk = vertices[i:i + 6]
+                if i // 6 % 3 == 1:
+                    for v in chunk:
+                        acked[v] = c.place(v, retries=20)["pid"]
+                    continue
+                items = chunk if i // 6 % 3 == 0 else [
+                    {"vertex": v,
+                     "neighbors": [(7 * v + j) % N for j in range(5)]}
+                    for v in chunk]
+                for r in c.place_batch(items, retries=20):
+                    acked[r["vertex"]] = r["pid"]
+    except (ServiceError, OSError):
+        pass
+
+
+class TestSnapshotsWaitForTheirCommits:
+    """A periodic snapshot rotates the WAL.  It must run only after every
+    group applied in front of it is appended: otherwise lines below the
+    new segment's base land in it, and the snapshot holds placements
+    nobody acked."""
+
+    def test_concurrent_mixed_traffic_then_crash(self, graph, config,
+                                                 tmp_path):
+        state_dir = tmp_path / "state"
+        logs = []
+
+        def factory(directory, *, start=0, fsync=True):
+            logs.append(_BaseCheckingLog(directory, start=start,
+                                         fsync=fsync))
+            return logs[-1]
+
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=state_dir,
+                                     snapshot_every=7, wal_fsync=False,
+                                     wal_factory=factory)
+        [log] = logs
+        address = svc.address
+
+        def traffic(vertices):
+            chunks = [vertices[i:i + 6] for i in range(0, len(vertices), 6)]
+            acked = [{} for _ in range(4)]
+            threads = [threading.Thread(
+                target=_mixed_client, daemon=True,
+                args=(address, [v for c in chunks[w::4] for v in c],
+                      acked[w]))
+                for w in range(4)]
+            for thread in threads:
+                thread.start()
+            return threads, acked
+
+        half = N // 2
+        try:
+            threads, acked = traffic(list(range(half)))
+            for thread in threads:
+                thread.join(timeout=60)
+            first = {v: p for part in acked for v, p in part.items()}
+            assert len(first) == half
+            stats = svc.stats()
+            assert stats["durability"]["wal_appended"] \
+                == stats["position"] == stats["placements"] == half
+            assert stats["durability"]["snapshots_written"] >= 5
+
+            # Crash while the second half is in flight.
+            threads, acked = traffic(list(range(half, N)))
+            _wait_for(lambda: sum(map(len, acked)) >= 60
+                      or not any(t.is_alive() for t in threads))
+            _crash_stop(svc, log)
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            svc.close()
+        assert log.below_base == []
+        acked = first | {v: p for part in acked for v, p in part.items()}
+
+        with PlacementService.start(graph, config=config,
+                                    resume_from=state_dir) as revived:
+            with ServiceClient(*revived.address) as c:
+                for vertex, pid in acked.items():
+                    assert c.lookup(vertex) == pid, vertex
+            served = {v: int(p) for v, p in enumerate(revived._state.route)
+                      if p != -1}
+        # Nothing is served that never reached the log.
+        assert served == log.durable
 
 
 class TestFailedRequestKeepsItsCommits:
@@ -860,6 +1021,16 @@ class TestOneEngine:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert json.loads(out) == []
+
+    def test_serving_starts_no_engine_or_committer_thread(
+            self, graph, config, tmp_path):
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=tmp_path / "state") as svc:
+            with ServiceClient(*svc.address) as c:
+                c.place_batch(list(range(64)))
+                assert c.stats()["engine"]["wal_pipeline"] is True
+            names = {thread.name for thread in threading.enumerate()}
+        assert not names & {"placement-engine", "placement-wal-commit"}
 
     def test_grouped_engine_wal_is_refused_on_resume(self, graph, config,
                                                      tmp_path):
