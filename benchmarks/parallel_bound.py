@@ -1,11 +1,12 @@
 """How fast could Sec. V-B's parallel scoring go on this host?  An
 Amdahl bound, measured.
 
-Printed, nothing asserted, nothing here runs in tier-1
-(``python benchmarks/parallel_bound.py``, ~2 min, numpy and the
-standard library only besides the repo itself).  The input is the
-end-to-end benchmark's: ``community_web_graph(20000, seed=7)``, SPNL,
-K = 32, dense Γ, slack 1.1.
+Printed, not gated (``python benchmarks/parallel_bound.py``, ~2 min,
+numpy and the standard library only besides the repo itself).  The
+timings stay out of tier-1; ``tests/parallel/test_parallel_bound.py``
+only checks :func:`group_loop`'s placements on a tiny graph.  The
+input is the end-to-end benchmark's: ``community_web_graph(20000,
+seed=7)``, SPNL, K = 32, dense Γ, slack 1.1.
 
 Sec. V-B parallelises only the scoring of M concurrent records; the
 commit stays serial, and the group loop around it (carry-over, RCT
@@ -44,7 +45,11 @@ pair (one noise window of a shared host) and the median over rounds is
 printed with its quartiles.  The verdict line applies the rule
 ``ProcessShardedPartitioner`` is held to: some M whose median ceiling
 is >= 1.2x with ECR drift <= 6 % ("go": an executor could clear the
-bar; "no-go": none can).
+bar; "no-go": none can).  Above it, a self-check line prints the M = 1
+RCT-off loop as a multiple of ``T_seq``: groups of one without the RCT
+are the sequential pass plus group bookkeeping, so a ratio far above 1
+means the loop reads its input differently from ``T_seq`` and the
+bound is charging input overhead to ``serial``.
 """
 
 from __future__ import annotations
@@ -140,10 +145,10 @@ def group_loop(graph, m: int, use_rct: bool
     max_delays = executor.max_delays
     kernel = fresh_kernel(graph)
     score, commit, clock = kernel.score, kernel.commit, time.perf_counter
-    rct = ReversedCountingTable(m, epsilon=executor.epsilon) \
+    n = graph.num_vertices
+    rct = ReversedCountingTable(m, n, epsilon=executor.epsilon) \
         if use_rct else None
     block = np.empty((m, K))
-    n = graph.num_vertices
     indptr, indices = graph.indptr.tolist(), graph.indices
     arrivals = iter(range(n))
     carried: list[tuple[int, np.ndarray, int]] = []  # (v, neighbors, delays)
@@ -330,6 +335,7 @@ def main() -> None:
           f"{t_seq - us('score'):7.2f} {us('score'):8.2f} "
           f"{'1.00x':>22s} {seq_ecr:7.4f}")
     go = []
+    loops = {}
     for m in GROUP_SIZES:
         for use_rct in (True, False):
             assignment = SimulatedParallelPartitioner(
@@ -348,6 +354,7 @@ def main() -> None:
                                          for r in rounds)
 
             serial, scoring = share(1), share(2)
+            loops[m, use_rct] = serial + scoring
             if mid >= SPEEDUP_GOAL and drift <= DRIFT_LIMIT:
                 go.append(f"M={m} RCT {'on' if use_rct else 'off'}")
             cell = f"{mid:.2f}x [{q1:.2f}-{q3:.2f}]"
@@ -355,7 +362,9 @@ def main() -> None:
                   f"{serial + scoring:6.2f} {serial * t_seq:7.2f} "
                   f"{scoring * t_seq:8.2f} {cell:>22s} "
                   f"{edge_cut_ratio(graph, assignment):7.4f} {drift:+7.1%}")
-    print()
+    print(f"\nself-check: M = 1 RCT-off loop / T_seq = {loops[1, False]:.2f} "
+          "(the group loop without the RCT over groups of one; 1.0 when it "
+          "reads its input as the sequential pass does)\n")
     if go:
         print(f"verdict: go ({', '.join(go)} reach >= {SPEEDUP_GOAL}x "
               f"with drift <= {DRIFT_LIMIT:.0%})")

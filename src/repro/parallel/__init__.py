@@ -3,13 +3,12 @@
 from .executor import SimulatedParallelPartitioner
 from .process import ProcessShardedPartitioner, WorkerCrashedError
 from .rct import ReversedCountingTable
-from .shared import SharedArrayBlock, SharedConflictTable
+from .shared import SharedArrayBlock
 
 __all__ = [
     "ProcessShardedPartitioner",
     "ReversedCountingTable",
     "SharedArrayBlock",
-    "SharedConflictTable",
     "SimulatedParallelPartitioner",
     "WorkerCrashedError",
 ]

@@ -77,8 +77,7 @@ class _ParallelBase:
             parallelism=self.parallelism,
             use_rct=self.use_rct,
             delayed=delayed_total,
-            # NB: the table defines __len__, so an empty (fully drained)
-            # table is falsy — test identity, not truthiness.
+            # ``is not None``: a drained table is empty, hence falsy.
             conflicts=rct.total_conflicts if rct is not None else 0,
         )
         return stats
@@ -209,7 +208,7 @@ class SimulatedParallelPartitioner(_ParallelBase):
         base = self.base
         state = base.make_state(stream)
         base._setup(stream, state)
-        rct = ReversedCountingTable(self.parallelism,
+        rct = ReversedCountingTable(self.parallelism, stream.num_vertices,
                                     epsilon=self.epsilon) \
             if self.use_rct else None
         block = np.empty((self.parallelism, base.num_partitions))

@@ -18,7 +18,9 @@ Execution model (one *group* = the paper's M concurrent records):
    against the shared (group-start) state, note RCT conflicts into
    private per-worker lanes, and write length-K score vectors into the
    slot's score block;
-3. after the barrier the parent folds the conflict lanes and commits.
+3. after the barrier the parent folds the conflict lanes into its RCT
+   (:class:`~repro.parallel.rct.ReversedCountingTable` over the
+   segment's counter and in-flight lanes) and commits.
    Steps 1 and 3 are not a copy of
    :class:`~repro.parallel.executor.SimulatedParallelPartitioner`'s
    loop, they *are* it (``_ParallelBase._place_groups``, parameterised
@@ -65,7 +67,8 @@ from ..recovery.checkpoint import (CheckpointConfig, Checkpointer,
                                    latest_snapshot)
 from ..recovery.snapshot import read_snapshot
 from .executor import _ParallelBase
-from .shared import SharedArrayBlock, SharedConflictTable
+from .rct import ReversedCountingTable
+from .shared import SharedArrayBlock
 
 __all__ = ["ProcessShardedPartitioner", "ShardedScorePool",
            "WorkerCrashedError"]
@@ -164,6 +167,35 @@ def _worker_main(worker_id: int, template: StreamingPartitioner,
         block.close()
 
 
+def fold_lanes(rct: ReversedCountingTable, lanes: np.ndarray,
+               vertices: np.ndarray) -> int:
+    """Fold the workers' conflict ``lanes`` into ``rct``, then zero them.
+
+    Called once per group barrier, after all workers went idle, with the
+    group's ``vertices``: workers note only in-flight vertices, all of
+    them in the group.  The fold is a commutative sum, so the counters
+    do not depend on worker scheduling, and it reaches the table through
+    :meth:`~repro.parallel.rct.ReversedCountingTable.note_hits`, the
+    step the simulated executor's notes take.  Returns how many
+    conflicts the group noted.
+    """
+    noted = lanes[:, vertices].sum(axis=0)
+    if not noted.any():
+        return 0
+    lanes[:, vertices] = 0
+    return rct.note_hits(np.repeat(vertices, noted).tolist())
+
+
+def clear_lane(lanes: np.ndarray, worker: int,
+               vertices: np.ndarray) -> None:
+    """Discard ``worker``'s partial notes on the group's ``vertices``.
+
+    A respawned worker redoes its whole sub-range, re-noting every
+    reference; zeroing first keeps :func:`fold_lanes` exactly-once.
+    """
+    lanes[worker, vertices] = 0
+
+
 def _pool_spec(meta: _StreamMeta, lanes, *, num_partitions: int,
                group_max: int, num_workers: int, ring_slots: int):
     """The shared-segment layout for a scoring pool of this shape."""
@@ -220,7 +252,7 @@ class ShardedScorePool:
 
     def __init__(self, template: StreamingPartitioner, meta: _StreamMeta,
                  lanes, *, group_max: int, num_workers: int,
-                 use_rct: bool = True, rct_capacity: int | None = None,
+                 use_rct: bool = True, epsilon: int = 2,
                  ring_slots: int = 2, max_worker_restarts: int = 2,
                  restart_backoff: float = 0.05,
                  worker_timeout: float = 120.0,
@@ -232,8 +264,6 @@ class ShardedScorePool:
             raise ValueError("num_workers must be >= 1")
         if ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
-        if use_rct and (rct_capacity is None or rct_capacity < 1):
-            raise ValueError("use_rct requires rct_capacity >= 1")
         self.template = template
         self.meta = meta
         self.lane_keys = sorted(lanes)
@@ -256,10 +286,10 @@ class ShardedScorePool:
         self.block = SharedArrayBlock.create(self.spec)
         try:
             views = self.block.views
-            self.rct = SharedConflictTable(
-                views["rct_counts"], views["rct_inflight"],
-                views["rct_lanes"], capacity=rct_capacity) \
-                if use_rct else None
+            self.rct = ReversedCountingTable(
+                group_max, meta.num_vertices, epsilon=epsilon,
+                counts=views["rct_counts"],
+                in_flight=views["rct_inflight"]) if use_rct else None
         except BaseException:
             self.block.close()
             raise
@@ -269,6 +299,7 @@ class ShardedScorePool:
         self.restarts = 0
         self._last_error: list[str] = []
         self._group_index = 0
+        self._group = (0, 0)  # ring slot and size of the group in flight
         self.barrier_hook = None
         self._closed = False
 
@@ -300,10 +331,7 @@ class ShardedScorePool:
         base.attach_score_lanes(
             {key: np.array(views["lane_" + key])
              for key in self.lane_keys})
-        if self.rct is not None:
-            self.rct.counts = np.array(self.rct.counts)
-            self.rct.in_flight = np.array(self.rct.in_flight)
-            self.rct.lanes = np.array(self.rct.lanes)
+        self.rct = None  # drained; its lanes are views of the segment
 
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
@@ -329,10 +357,8 @@ class ShardedScorePool:
                    if self._last_error else ""))
         self.restarts += 1
         if self.rct is not None:
-            # Discard the dead worker's partial conflict notes; the
-            # replacement redoes the whole sub-range, keeping the
-            # barrier fold exactly-once.
-            self.rct.clear_lane(worker_id)
+            clear_lane(self.views["rct_lanes"], worker_id,
+                       self._group_vertices())
         backoff = self.restart_backoff * 2 ** (self.restarts - 1)
         if backoff:
             time.sleep(backoff)
@@ -354,6 +380,10 @@ class ShardedScorePool:
         eid = next(self._epoch_seq)
         self._conns[worker_id].send(("score", slot, lo, hi, eid))
         outstanding[worker_id] = (lo, hi, eid)
+
+    def _group_vertices(self) -> np.ndarray:
+        slot, count = self._group
+        return self.views["ring_vertices"][slot, :count]
 
     def _dispatch_and_wait(self, slot: int, count: int) -> None:
         procs, conns = self._procs, self._conns
@@ -418,9 +448,10 @@ class ShardedScorePool:
         """Score ``batch`` (``AdjacencyRecord`` seq) against shared state.
 
         Writes the group into the next ring slot, shards it over the
-        workers, and blocks at the barrier.  ``fresh`` optionally flags
+        workers, blocks at the barrier and, with an RCT, folds the
+        workers' conflict lanes into it.  ``fresh`` optionally flags
         which records should note RCT conflicts (all of them when
-        omitted); ignored by workers unless the pool runs with an RCT.
+        omitted).
         Returns the slot's ``(len(batch), K)`` score view — valid until
         the slot is reused, ``ring_slots`` groups later.
         """
@@ -446,7 +477,10 @@ class ShardedScorePool:
             indptr[i + 1] = offset
             ring_fresh[slot, i] = 1 if fresh is None else \
                 (1 if fresh[i] else 0)
+        self._group = (slot, count)
         self._dispatch_and_wait(slot, count)
+        if self.rct is not None:
+            fold_lanes(self.rct, views["rct_lanes"], self._group_vertices())
         self._group_index += 1
         return views["ring_scores"][slot][:count]
 
@@ -664,9 +698,7 @@ class ProcessShardedPartitioner(_ParallelBase):
         pool = ShardedScorePool(
             template, meta, lanes,
             group_max=self.parallelism, num_workers=self.num_workers,
-            use_rct=self.use_rct,
-            rct_capacity=self.epsilon * self.parallelism
-            if self.use_rct else None,
+            use_rct=self.use_rct, epsilon=self.epsilon,
             ring_slots=self.ring_slots,
             max_worker_restarts=self.max_worker_restarts,
             restart_backoff=self.restart_backoff,
@@ -702,13 +734,10 @@ class ProcessShardedPartitioner(_ParallelBase):
         def score_group(kernel, batch) -> np.ndarray:
             # The workers score (reference ``_score`` against the shared
             # group-start state) and note the fresh records' conflicts
-            # into their lanes; the parent folds those at the barrier.
-            block = pool.score_group(
+            # into their lanes; the pool folds those at the barrier.
+            return pool.score_group(
                 [record for record, _ in batch],
                 fresh=[delays == 0 for _, delays in batch])
-            if rct is not None:
-                rct.fold_lanes()
-            return block
 
         elapsed, delayed, groups = self._place_groups(
             stream, state, rct, score_group,

@@ -1,29 +1,17 @@
 """Shared-memory plumbing for the process-sharded executor.
 
-Two pieces live here:
-
-* :class:`SharedArrayBlock` — one ``multiprocessing.shared_memory``
-  segment carved into named numpy views from a declarative layout spec.
-  The parent creates the block; workers attach by name and rebuild the
-  identical views, so a single segment carries the route table, the
-  per-partition tallies, the heuristic's Γ lanes, the record ring, and
-  the RCT counters — one ``shm_open`` per worker instead of a dozen.
-* :class:`SharedConflictTable` — the paper's Reversed Counting Table
-  (Sec. V-B) over shared arrays.  The *parent* owns the canonical
-  counters and the in-flight membership bitmap (it is the only process
-  that registers/removes/releases, always between scoring barriers, so
-  no cross-process locking is needed); workers record the conflicts they
-  observe during neighbor traversal into private per-worker lanes, which
-  the parent folds into the canonical counters at each group barrier.
-  Folding is a commutative integer sum, so the result is deterministic
-  regardless of worker scheduling — the foundation of the executor's
-  byte-parity with :class:`~repro.parallel.executor
-  .SimulatedParallelPartitioner`.
-
-Semantics mirror :class:`~repro.parallel.rct.ReversedCountingTable`
-operation-for-operation (capacity ``ε·M``, mean-of-nonzero threshold,
-release floored at zero, membership keyed on registration order); the
-parity test suite pins the two tables against each other.
+:class:`SharedArrayBlock` is one ``multiprocessing.shared_memory``
+segment carved into named numpy views from a declarative layout spec.
+The parent creates the block; workers attach by name and rebuild the
+identical views, so a single segment carries the route table, the
+per-partition tallies, the heuristic's Γ lanes, the record ring, and
+the RCT's counter, in-flight and per-worker conflict lanes — one
+``shm_open`` per worker instead of a dozen.  The parent's
+:class:`~repro.parallel.rct.ReversedCountingTable` runs over the
+counter and in-flight views; workers read the in-flight lane to filter
+their notes and write only their own conflict lane, which the parent
+folds into the table at each group barrier
+(:func:`~repro.parallel.process.fold_lanes`).
 """
 
 from __future__ import annotations
@@ -32,7 +20,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["SharedArrayBlock", "SharedConflictTable", "attach_shared_memory"]
+__all__ = ["SharedArrayBlock", "attach_shared_memory"]
 
 
 def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
@@ -177,130 +165,3 @@ class SharedArrayBlock:
             self.close()
         except Exception:
             pass
-
-
-class SharedConflictTable:
-    """The RCT over shared arrays: parent-owned counters, worker lanes.
-
-    Parameters
-    ----------
-    counts:
-        ``(V,) int32`` canonical dependency counters (shared, but only
-        the parent writes).
-    in_flight:
-        ``(V,) uint8`` membership bitmap — nonzero while the vertex is
-        registered.  Workers read it during neighbor traversal to decide
-        which references to note (the dict-membership test of
-        :class:`~repro.parallel.rct.ReversedCountingTable`).
-    lanes:
-        ``(num_workers, V) int32`` per-worker conflict lanes.  Worker
-        ``w`` only ever writes ``lanes[w]``; the parent folds and zeroes
-        lanes at each group barrier, so there are no write-write races
-        by construction.
-    capacity:
-        The paper's ``ε·M`` bound on registered vertices.
-    """
-
-    def __init__(self, counts: np.ndarray, in_flight: np.ndarray,
-                 lanes: np.ndarray, *, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.counts = counts
-        self.in_flight = in_flight
-        self.lanes = lanes
-        self.capacity = capacity
-        # Registration order, mirrored from the dict-based table so the
-        # mean-of-nonzero threshold sums in the identical order.
-        self._members: dict[int, None] = {}
-        self.total_conflicts = 0
-        self.total_delays = 0
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    # -- parent-side operations (between barriers only) ----------------
-    def register(self, vertex: int) -> bool:
-        """Enter ``vertex`` as in-flight; False if the table is full."""
-        if vertex in self._members:
-            return True
-        if len(self._members) >= self.capacity:
-            return False
-        self._members[vertex] = None
-        self.in_flight[vertex] = 1
-        self.counts[vertex] = 0
-        return True
-
-    def fold_lanes(self) -> int:
-        """Fold every worker lane into the canonical counters.
-
-        Called once per group barrier, after all workers went idle.
-        Returns (and accumulates) how many conflicts the group noted.
-        The fold only visits registered vertices: workers filter their
-        notes through ``in_flight``, and membership does not change
-        while they score, so nothing can land outside that set.
-        """
-        if not self._members:
-            return 0
-        members = np.fromiter(self._members, dtype=np.int64,
-                              count=len(self._members))
-        noted = self.lanes[:, members].sum(axis=0, dtype=np.int64)
-        hits = int(noted.sum())
-        if hits:
-            self.counts[members] += noted.astype(np.int32)
-            self.lanes[:, members] = 0
-        self.total_conflicts += hits
-        return hits
-
-    def clear_lane(self, worker: int) -> None:
-        """Discard worker ``worker``'s partial notes (pre-restart).
-
-        A respawned worker redoes its sub-range from scratch, re-noting
-        every reference; zeroing first keeps the fold exactly-once.
-        """
-        if self._members:
-            members = np.fromiter(self._members, dtype=np.int64,
-                                  count=len(self._members))
-            self.lanes[worker, members] = 0
-
-    def release_references(self, neighbors: np.ndarray) -> None:
-        """Drain counters once the referencing vertex has committed."""
-        counts = self.counts
-        in_flight = self.in_flight
-        for u in neighbors:
-            u = int(u)
-            if in_flight[u] and counts[u] > 0:
-                counts[u] -= 1
-
-    def dependency_of(self, vertex: int) -> int:
-        """Current dependency counter of ``vertex`` (0 if absent)."""
-        if not self.in_flight[vertex]:
-            return 0
-        return int(self.counts[vertex])
-
-    def _nonzero(self) -> list[int]:
-        counts = self.counts
-        return [int(counts[u]) for u in self._members if counts[u] > 0]
-
-    def threshold(self) -> float:
-        """The paper's delay threshold: mean of non-zero counters."""
-        nonzero = self._nonzero()
-        if not nonzero:
-            return float("inf")
-        return float(np.mean(nonzero))
-
-    def should_delay(self, vertex: int) -> bool:
-        """True when ``vertex``'s dependency exceeds the live threshold."""
-        count = self.dependency_of(vertex)
-        nonzero = self._nonzero()
-        if count == 0 or not nonzero:
-            return False
-        delay = count > float(np.mean(nonzero))
-        if delay:
-            self.total_delays += 1
-        return delay
-
-    def remove(self, vertex: int) -> None:
-        """Drop ``vertex`` from the table (it has been placed)."""
-        if self._members.pop(vertex, False) is None:
-            self.in_flight[vertex] = 0
-            self.counts[vertex] = 0

@@ -19,9 +19,7 @@ from repro.graph import GraphStream, community_web_graph
 from repro.observability import Instrumentation, MemorySink
 from repro.parallel import (
     ProcessShardedPartitioner,
-    ReversedCountingTable,
     SharedArrayBlock,
-    SharedConflictTable,
     SimulatedParallelPartitioner,
     WorkerCrashedError,
 )
@@ -320,70 +318,6 @@ class TestProcessChaos:
             GraphStream(graph), tmp_path / "chaos", every=250)
         assert kills
         assert survived.assignment == ref.assignment
-
-
-# ----------------------------------------------------------------------
-# SharedConflictTable ≡ ReversedCountingTable
-# ----------------------------------------------------------------------
-class TestSharedConflictTableParity:
-    def _fresh(self, num_vertices=200, workers=3, parallelism=4):
-        counts = np.zeros(num_vertices, dtype=np.int32)
-        in_flight = np.zeros(num_vertices, dtype=np.uint8)
-        lanes = np.zeros((workers, num_vertices), dtype=np.int32)
-        shared = SharedConflictTable(counts, in_flight, lanes,
-                                     capacity=2 * parallelism)
-        ref = ReversedCountingTable(parallelism, epsilon=2)
-        return shared, ref, lanes, in_flight
-
-    def test_mirrors_dict_table_operation_for_operation(self):
-        rng = np.random.default_rng(3)
-        shared, ref, lanes, in_flight = self._fresh()
-        workers = lanes.shape[0]
-        for _ in range(60):
-            group = [int(v) for v in rng.integers(0, 200, size=4)]
-            for v in group:
-                assert shared.register(v) == ref.register(v)
-            neighbors = rng.integers(0, 200, size=12)
-            ref.note_references(neighbors)
-            # Workers note into private lanes; the parent folds.
-            for w in range(workers):
-                chunk = neighbors[w::workers]
-                hits = chunk[in_flight[chunk] != 0]
-                np.add.at(lanes[w], hits, 1)
-            shared.fold_lanes()
-            assert shared.total_conflicts == ref.total_conflicts
-            assert shared.threshold() == ref.threshold()
-            for v in group:
-                assert shared.dependency_of(v) == ref.dependency_of(v)
-                assert shared.should_delay(v) == ref.should_delay(v)
-            for v in group:
-                shared.remove(v)
-                ref.remove(v)
-                shared.release_references(neighbors[:4])
-                ref.release_references(neighbors[:4])
-            assert len(shared) == len(ref)
-
-    def test_capacity_bound(self):
-        shared, ref, _, _ = self._fresh()
-        for v in range(20):
-            assert shared.register(v) == ref.register(v)
-        assert len(shared) == 8  # ε·M = 2·4
-
-    def test_clear_lane_discards_partial_notes(self):
-        shared, _, lanes, in_flight = self._fresh()
-        shared.register(5)
-        lanes[1, 5] = 7  # a dying worker's partial notes
-        shared.clear_lane(1)
-        shared.fold_lanes()
-        assert shared.dependency_of(5) == 0
-        assert shared.total_conflicts == 0
-
-    def test_register_rejects_when_full_without_corrupting(self):
-        shared, _, _, in_flight = self._fresh()
-        for v in range(8):
-            assert shared.register(v)
-        assert not shared.register(99)
-        assert in_flight[99] == 0
 
 
 # ----------------------------------------------------------------------
