@@ -322,9 +322,9 @@ class _Commit:
         self.requests = requests
 
 
-def _cached(route: np.ndarray, vertex: int) -> dict[str, Any]:
+def _cached(route: memoryview, vertex: int) -> dict[str, Any]:
     """The idempotent answer for an already-placed vertex."""
-    return {"vertex": vertex, "pid": int(route[vertex]), "cached": True}
+    return {"vertex": vertex, "pid": route[vertex], "cached": True}
 
 
 def _resolve_graph(graph: Any) -> DiGraph:
@@ -428,6 +428,7 @@ class PlacementService:
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         self.graph = _resolve_graph(graph)
+        self._num_vertices = self.graph.num_vertices
         self.config = config
         self.instrumentation = instrumentation
         self.throttle_seconds = float(throttle_seconds)
@@ -860,7 +861,8 @@ class PlacementService:
                 continue
             placements += len(work.placements)
             live.append((work, [None] * len(work.placements)))
-        route = self._state.route
+        # Indexing a memoryview gives a Python int, not a numpy scalar.
+        route = memoryview(self._state.route)
         indptr, indices = self._stream.indptr, self._stream.indices
         step = self._kernel.step
         log_commit = self._log_commit
@@ -1318,10 +1320,10 @@ class PlacementService:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ProtocolError(
                 f"vertex must be an integer, got {value!r}")
-        if not 0 <= value < self.graph.num_vertices:
+        if not 0 <= value < self._num_vertices:
             raise ProtocolError(
                 f"vertex {value} is outside this graph's id range "
-                f"[0, {self.graph.num_vertices})",
+                f"[0, {self._num_vertices})",
                 code="unknown-vertex")
         return value
 

@@ -19,7 +19,7 @@ replay parser silently stops there.
 
 Record format — one compact JSON object per line::
 
-    {"s": 1041, "v": 1041, "n": null, "p": 3}
+    {"s":1041,"v":1041,"n":null,"p":3}
 
 ``s`` is the global placement sequence number (the service position
 *before* this placement), ``v`` the vertex, ``p`` the committed
@@ -29,6 +29,11 @@ partition id, and ``n`` the explicit out-neighbor list the client sent —
 re-serializing CSR rows).  Logs written by the removed grouped engine
 also stamped ``"g"``, a scoring-group id; the one engine left cannot
 re-make those choices, so :func:`replay_entries` refuses such a line.
+
+Lines are formatted directly, not through :mod:`json`; for the field
+types :class:`WalEntry` documents they equal ``json.dumps(...,
+separators=(",", ":"))`` byte for byte.  A field that is not an int
+raises before anything of the group is written.
 
 Segments are named ``wal-<base:012d>.jsonl`` where ``base`` is the
 service position at segment creation; the log rotates to a fresh segment
@@ -41,17 +46,21 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = ["PlacementLog", "WalEntry", "replay_entries", "wal_segments"]
 
 _SEGMENT_RE = re.compile(r"^wal-(\d+)\.jsonl$")
 
+#: ``str`` of an int.  Like ``json.dumps``, it raises ``TypeError`` on a
+#: float, a string, ``None`` or a numpy int; ``:d`` would accept numpy
+#: ints and costs ~20 % more.  Bools (``"1"`` here, ``true`` in json)
+#: are refused upstream by ``PlacementService._check_vertex``.
+_int = int.__repr__
 
-@dataclass(frozen=True)
-class WalEntry:
+
+class WalEntry(NamedTuple):
     """One durable placement: sequence, vertex, neighbors, partition."""
 
     seq: int
@@ -105,10 +114,10 @@ class PlacementLog:
         """
         if not entries:
             return
-        lines = [json.dumps({"s": e.seq, "v": e.vertex, "n": e.neighbors,
-                             "p": e.pid}, separators=(",", ":"))
-                 for e in entries]
-        self._fh.write("\n".join(lines) + "\n")
+        self._fh.write("".join([
+            f'{{"s":{_int(s)},"v":{_int(v)},"n":'
+            f'{"null" if n is None else "[" + ",".join(map(_int, n)) + "]"}'
+            f',"p":{_int(p)}}}\n' for s, v, n, p in entries]))
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())

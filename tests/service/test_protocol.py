@@ -24,6 +24,20 @@ class TestFraming:
         assert frame.count(b"\n") == 1
         assert b" " not in frame  # compact separators
 
+    def test_frame_bytes(self):
+        # UTF-8, not ASCII-escaped; any faster encoder keeps these bytes.
+        message = {"protocol": 1, "op": "place", "id": 3, "vertex": 42,
+                   "note": "Γ δ ✓ \u00e9 \U0001f600", "score": -0.1,
+                   "big": 1e300, "flags": [True, False, None],
+                   "nested": {"a": [1, {"b": [2.5, "ü"]}], "c": {}},
+                   "escapes": "quote \" slash \\ tab \t nl \n"}
+        expected = ('{"protocol":1,"op":"place","id":3,"vertex":42,'
+                    '"note":"Γ δ ✓ é 😀","score":-0.1,"big":1e+300,'
+                    '"flags":[true,false,null],'
+                    '"nested":{"a":[1,{"b":[2.5,"ü"]}],"c":{}},'
+                    '"escapes":"quote \\" slash \\\\ tab \\t nl \\n"}\n')
+        assert encode_message(message) == expected.encode("utf-8")
+
     def test_round_trip(self):
         msg = {"protocol": 1, "op": "place", "id": 9, "vertex": 42,
                "neighbors": [1, 2, 3]}

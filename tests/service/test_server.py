@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro import PartitionConfig, partition_stream
-from repro.graph import community_web_graph
+from repro.graph import community_web_graph, write_adjacency
 from repro.graph.stream import ArrayStream
 from repro.service import (
     BackpressureError,
@@ -22,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.ingest.cache import cache_path_for, load_or_parse
 from repro.recovery.chaos import FlakyWAL
 from repro.resilience.schedule import _crash_stop
 from repro.service.protocol import ProtocolError, decode_line, encode_message
@@ -277,6 +278,42 @@ class TestEverythingPlacesThroughTheKernel:
             blob = b"".join(p.read_bytes()
                             for p in sorted(state_dir.glob("wal-*")))
         assert hashlib.sha256(blob).hexdigest() == ID_ORDERED_WAL_SHA256
+
+
+class TestServeFromGraphCache:
+    """The benchmark's configuration, ``serve --graph-cache``: the graph
+    comes out of the CSR sidecar, whose arrays are read-only views with
+    explicit byte-order buffer formats (``memoryview`` cannot index
+    them), not the parser's own arrays."""
+
+    def test_place_in_id_order_then_restart_and_lookup(
+            self, graph, config, reference_route, tmp_path):
+        path = tmp_path / "g.adj"
+        write_adjacency(graph, path)
+        load_or_parse(path, cache=True)  # the miss writes the sidecar
+        assert cache_path_for(path).is_file()
+        cached = load_or_parse(path, cache=True)
+        state_dir = tmp_path / "state"
+        route = np.full(N, -1)
+        svc = PlacementService.start(cached, config=config,
+                                     snapshot_dir=state_dir)
+        with ServiceClient(*svc.address) as c:
+            for start in range(0, N, 64):
+                if start == N // 2:
+                    c.snapshot()  # the restart restores it, then replays
+                for res in c.place_batch(
+                        list(range(start, min(N, start + 64)))):
+                    assert not res["cached"]
+                    route[res["vertex"]] = res["pid"]
+        svc._listener.close()  # crash: the WAL holds the second half
+        np.testing.assert_array_equal(route, reference_route)
+
+        with PlacementService.start(cached, config=config,
+                                    snapshot_dir=state_dir,
+                                    resume_from=state_dir) as revived:
+            with ServiceClient(*revived.address) as c:
+                assert c.stats()["position"] == N
+                assert [c.lookup(v) for v in range(N)] == route.tolist()
 
 
 class TestProtocolErrors:

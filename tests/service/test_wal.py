@@ -1,6 +1,12 @@
 """Placement-WAL unit tests: durability, rotation, pruning, replay."""
 
+import json
+import tempfile
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.wal import (
     PlacementLog,
@@ -223,3 +229,52 @@ class TestFlakyWALGroupCommit:
         log.close()
         assert log.injected_failures == 1
         assert [e.seq for e in replay_entries(tmp_path)] == [0, 1, 2]
+
+
+def json_lines(batch):
+    """The WAL bytes of ``batch`` as ``json.dumps`` writes them."""
+    return "".join(
+        json.dumps({"s": e.seq, "v": e.vertex, "n": e.neighbors,
+                    "p": e.pid}, separators=(",", ":")) + "\n"
+        for e in batch).encode()
+
+
+_BIG = st.integers(0, 2 ** 62)
+_NEIGHBORS = st.none() | st.lists(_BIG, max_size=50)
+
+
+class TestLineFormat:
+    """``append_batch`` formats lines itself; they must stay the bytes
+    ``json.dumps`` wrote, and a bad field must never reach the file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.integers(0, 2 ** 62 - 64),
+           rows=st.lists(st.tuples(_BIG, _NEIGHBORS, _BIG),
+                         min_size=1, max_size=64))
+    def test_bytes_equal_json_and_replay_round_trips(self, start, rows):
+        batch = [WalEntry(start + i, vertex, neighbors, pid)
+                 for i, (vertex, neighbors, pid) in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            log = PlacementLog(tmp, start=start, fsync=False)
+            log.append_batch(batch)
+            log.close()
+            assert log.active_path.read_bytes() == json_lines(batch)
+            assert list(replay_entries(tmp, from_position=start)) == batch
+
+    @pytest.mark.parametrize("bad", [1.0, 2.5, "7", None, np.int64(1)])
+    @pytest.mark.parametrize("field", ["seq", "vertex", "pid", "neighbor"])
+    def test_non_integral_field_raises_and_writes_nothing(
+            self, tmp_path, field, bad):
+        good = WalEntry(0, 0, [1, 2], 3)
+        fields = {"seq": 1, "vertex": 1, "neighbors": None, "pid": 1}
+        if field == "neighbor":
+            fields["neighbors"] = [4, bad]
+        else:
+            fields[field] = bad
+        log = PlacementLog(tmp_path, fsync=False)
+        with pytest.raises(TypeError):
+            log.append_batch([good, WalEntry(**fields)])
+        log.close()
+        assert log.active_path.read_bytes() == b""
+        assert log.appended == 0
+        assert list(replay_entries(tmp_path)) == []
