@@ -117,8 +117,7 @@ def _supports_instrumentation(partitioner: Any) -> bool:
 def run_partitioner(partitioner: Any, graph: DiGraph, *,
                     measure_memory: bool = False,
                     order=None, instrumentation: Any = None,
-                    trace_path: str | Path | None = None,
-                    profile: Any = None) -> BenchRecord:
+                    trace_path: str | Path | None = None) -> BenchRecord:
     """Run one partitioner on one graph and evaluate every metric.
 
     Streaming partitioners receive a fresh :class:`GraphStream` (id order
@@ -139,14 +138,6 @@ def run_partitioner(partitioner: Any, graph: DiGraph, *,
     ``instrumentation`` to aggregate several runs into shared sinks.
     Either is silently skipped for partitioners whose ``partition`` does
     not take the hook (the offline baselines).
-
-    ``profile`` (a :class:`repro.bench.profile.BenchProfiler`) runs the
-    pass under the profiler as stage ``<graph>/<partitioner>``.  Like
-    ``measure_memory``, this instruments *this* run: the recorded
-    ``pt_seconds`` then carries profiler overhead, so don't feed a
-    profiled record into a timing table.  (The microbench runners
-    instead replay stages in extra passes; this hook is for one-shot
-    table/figure sections where the run is the only pass there is.)
     """
     owned_hub = None
     if trace_path is not None and instrumentation is None:
@@ -173,9 +164,6 @@ def run_partitioner(partitioner: Any, graph: DiGraph, *,
         if measure_memory:
             result, peak = measure_peak(_run)
             record.mc_bytes = peak
-        elif profile is not None:
-            result = profile.profile_stage(
-                f"{graph.name}/{partitioner.name}", _run)
         else:
             result = _run()
     except OutOfMemoryError as exc:

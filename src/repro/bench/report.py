@@ -2,19 +2,14 @@
 
 The benches print the same rows the paper's tables report; these helpers
 keep that presentation consistent (fixed column order, aligned ASCII for
-terminals, pipe tables for EXPERIMENTS.md).  The compare subsystem
-(:mod:`repro.bench.compare`) renders its delta tables and provenance
-header through the same primitives, so a terminal run and the CI
-artifact read identically.
+terminals, pipe tables for EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_markdown", "format_series",
-           "format_compare_report"]
+__all__ = ["format_table", "format_markdown", "format_series"]
 
 
 def _columns(rows: Sequence[dict]) -> list[str]:
@@ -67,58 +62,6 @@ def format_markdown(rows: Sequence[dict], *, title: str | None = None
         parts.append("| " + " | ".join(_cell(row.get(col, ""))
                                        for col in columns) + " |")
     return "\n".join(parts)
-
-
-def _provenance_line(label: str, side: dict) -> str:
-    """One header line describing where a compared artifact came from."""
-    commit = side.get("commit") or "unknown-commit"
-    if side.get("dirty"):
-        commit += "+dirty"
-    created = side.get("created_unix")
-    when = (time.strftime("%Y-%m-%d %H:%M:%SZ", time.gmtime(created))
-            if isinstance(created, (int, float)) else "unknown-time")
-    host = side.get("platform") or "unknown-host"
-    cpus = side.get("cpu_count")
-    path = side.get("path") or "<memory>"
-    return (f"{label:<10} {path}  [{commit} @ {when}, {host}, "
-            f"cpus={cpus}]")
-
-
-def format_compare_report(result, *, markdown: bool = False) -> str:
-    """Render a :class:`repro.bench.compare.ComparisonResult`.
-
-    Header (bench, provenance of both sides incl. the run's git commit
-    and dirty flag, thresholds), any warnings, the per-metric delta
-    table, and a one-line overall verdict.  ``markdown=True`` emits a
-    pipe table for CI artifacts; the default is aligned ASCII.
-    """
-    params = result.params
-    counts = result.counts()
-    header = [
-        f"bench compare — {result.bench}",
-        _provenance_line("baseline:", result.baseline),
-        _provenance_line("candidate:", result.candidate),
-        (f"thresholds: noise_floor={params.get('noise_floor')} "
-         f"min_effect={params.get('min_effect')} "
-         f"confidence={params.get('confidence')}"),
-    ]
-    if markdown:
-        header = [f"# bench compare — {result.bench}", ""] \
-            + [f"- {line}" for line in header[1:]] + [""]
-    lines = list(header)
-    for warning in result.warnings:
-        lines.append(f"warning: {warning}")
-    if result.warnings:
-        lines.append("")
-    rows = [m.as_row() for m in result.metrics]
-    renderer = format_markdown if markdown else format_table
-    lines.append(renderer(rows, title=None if markdown else "metrics"))
-    lines.append("")
-    lines.append(
-        f"verdict: {result.verdict} "
-        f"({counts['improved']} improved, {counts['no-change']} unchanged, "
-        f"{counts['regressed']} regressed)")
-    return "\n".join(lines)
 
 
 def format_series(x_label: str, xs: Iterable[Any],

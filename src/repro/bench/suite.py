@@ -118,14 +118,8 @@ def _render(result: Any) -> str:
 
 def run_full_suite(output_dir: str | Path, *, k: int = 32,
                    quick: bool = False,
-                   echo: Callable[[str], None] = print,
-                   profile=None) -> Path:
-    """Run everything; returns the path of the written REPORT.md.
-
-    ``profile`` (a :class:`repro.bench.profile.BenchProfiler`) wraps
-    each suite section in a profiler pass — sections run once, so here
-    the profiled pass *is* the run and no overhead reference exists.
-    """
+                   echo: Callable[[str], None] = print) -> Path:
+    """Run everything; returns the path of the written REPORT.md."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     sections: list[tuple[str, str, float]] = []
@@ -141,10 +135,7 @@ def run_full_suite(output_dir: str | Path, *, k: int = 32,
     for title, fn in table_sections + _figure_sections(quick):
         echo(f"[suite] {title} ...")
         start = time.perf_counter()
-        if profile is not None:
-            body = _render(profile.profile_stage(title, fn))
-        else:
-            body = _render(fn())
+        body = _render(fn())
         elapsed = time.perf_counter() - start
         sections.append((title, body, elapsed))
         echo(f"[suite]   done in {elapsed:.1f}s")

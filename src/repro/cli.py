@@ -11,17 +11,13 @@ Subcommands
 ``evaluate``
     Score an existing route table against its graph (ECR, δ_v, δ_e).
 ``bench``
-    Regenerate one of the paper's tables/figures on the stand-ins, run
-    a microbench (optionally under ``--profile``), compare/promote
-    artifacts, or ``export``/``dashboard`` the perf history.
+    Regenerate one of the paper's tables/figures on the stand-ins, or
+    the whole evaluation report (``all``).
 ``info``
     Print dataset statistics for a graph file or named stand-in.
 ``serve``
     Run the long-lived placement service (partition-as-a-service) in
     the foreground; SIGTERM/SIGINT drain gracefully.
-``serve-bench``
-    Load-test a freshly-booted service and write ``BENCH_service.json``
-    for the compare/promote gate.
 """
 
 from __future__ import annotations
@@ -335,368 +331,47 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bench_artifact(path: str) -> dict:
-    """Read a bench artifact file, unwrapping a baseline envelope."""
-    import json
-
-    from .bench.baseline import BASELINE_FORMAT, validate_baseline
-
-    p = Path(path)
-    if not p.is_file():
-        raise SystemExit(f"error: no bench artifact at {path}")
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not valid JSON: {exc}")
-    if isinstance(obj, dict) and obj.get("format") == BASELINE_FORMAT:
-        from .bench.baseline import BaselineError
-        try:
-            validate_baseline(obj)
-        except BaselineError as exc:
-            raise SystemExit(f"error: {exc}")
-        return obj["artifact"]
-    return obj
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    """``bench compare``: statistical baseline-vs-candidate verdicts."""
-    import json
-
-    from .bench.baseline import BASELINE_FORMAT, BaselineError, \
-        resolve_baseline
-    from .bench.compare import CompareError, compare_artifacts
-    from .bench.report import format_compare_report
-
-    if args.candidate is None:
-        raise SystemExit("error: bench compare requires --candidate")
-    candidate = _load_bench_artifact(args.candidate)
-    baseline_spec = args.baseline or args.baselines_dir
-    try:
-        baseline_obj, baseline_path, exact = resolve_baseline(
-            baseline_spec, candidate)
-    except BaselineError as exc:
-        raise SystemExit(f"error: {exc}")
-    if baseline_obj.get("format") == BASELINE_FORMAT:
-        baseline_artifact = baseline_obj["artifact"]
-    else:
-        baseline_artifact = baseline_obj
-    if not exact:
-        base_cpus = (baseline_artifact.get("machine") or {}).get(
-            "cpu_count")
-        cand_cpus = (candidate.get("machine") or {}).get("cpu_count")
-        if base_cpus is not None and cand_cpus is not None \
-                and base_cpus != cand_cpus:
-            print(f"warning: CROSS-AFFINITY FALLBACK — no baseline for "
-                  f"this machine fingerprint; fell back to "
-                  f"{baseline_path} recorded at cpu_count={base_cpus}, "
-                  f"but this runner sees cpu_count={cand_cpus}. An "
-                  "affinity-throttled runner resolves a different "
-                  "baseline and the gate may pass vacuously.",
-                  file=sys.stderr)
-        else:
-            print(f"warning: no baseline for this machine fingerprint; "
-                  f"fell back to {baseline_path} (cross-host timings "
-                  "compare loosely)", file=sys.stderr)
-
-    instrumentation = None
-    if args.trace is not None:
-        from .observability import Instrumentation, JsonlSink
-        instrumentation = Instrumentation([JsonlSink(args.trace)])
-    try:
-        result = compare_artifacts(
-            baseline_artifact, candidate,
-            noise_floor=args.noise_floor, min_effect=args.min_effect,
-            confidence=args.confidence,
-            baseline_path=str(baseline_path),
-            candidate_path=str(args.candidate),
-            instrumentation=instrumentation)
-    except CompareError as exc:
-        raise SystemExit(f"error: {exc}")
-    finally:
-        if instrumentation is not None:
-            instrumentation.close()
-
-    print(format_compare_report(result))
-    if args.report is not None:
-        from .recovery.atomic import atomic_write_text
-        atomic_write_text(Path(args.report),
-                          format_compare_report(result, markdown=True)
-                          + "\n")
-        print(f"report -> {args.report}")
-    if args.json is not None:
-        from .recovery.atomic import atomic_write_text
-        atomic_write_text(Path(args.json),
-                          json.dumps(result.to_dict(), indent=2) + "\n")
-        print(f"verdict json -> {args.json}")
-    if args.gate:
-        code = result.gate_exit_code()
-        if code:
-            regressed = ", ".join(m.metric for m in result.regressions)
-            print(f"gate: FAIL — regressed metrics: {regressed}",
-                  file=sys.stderr)
-        return code
-    return 0
-
-
-def _cmd_bench_promote(args: argparse.Namespace) -> int:
-    """``bench promote``: bless a candidate artifact as the baseline."""
-    from .bench.baseline import BaselineError, promote
-
-    if args.candidate is None:
-        raise SystemExit("error: bench promote requires --candidate")
-    artifact = _load_bench_artifact(args.candidate)
-    try:
-        path = promote(artifact, args.baselines_dir)
-    except BaselineError as exc:
-        raise SystemExit(f"error: {exc}")
-    machine = artifact.get("machine", {})
-    commit = machine.get("commit") or "unknown-commit"
-    if machine.get("dirty"):
-        commit += "+dirty"
-    print(f"promoted {args.candidate} ({artifact.get('benchmark')}, "
-          f"{commit}) -> {path}")
-    return 0
-
-
-def _cmd_bench_export(args: argparse.Namespace) -> int:
-    """``bench export``: artifacts + baselines -> tidy time series."""
-    import json
-
-    from .bench.export import export_history, rows_to_csv
-    from .recovery.atomic import atomic_write_text
-
-    history = export_history(
-        args.artifacts if args.artifacts else None,
-        args.baselines_dir,
-        warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    payload = json.dumps(history, indent=2) + "\n"
-    out = args.out or "-"
-    if out == "-":
-        sys.stdout.write(payload)
-    else:
-        atomic_write_text(Path(out), payload)
-        print(f"history -> {out} ({len(history['rows'])} rows, "
-              f"{len(history['skipped'])} skipped)")
-    if args.csv is not None:
-        atomic_write_text(Path(args.csv), rows_to_csv(history["rows"]))
-        print(f"csv -> {args.csv}")
-    return 0
-
-
-def _cmd_bench_dashboard(args: argparse.Namespace) -> int:
-    """``bench dashboard``: render the history export as static HTML."""
-    import json
-
-    from .bench.dashboard import build_dashboard
-    from .bench.export import HISTORY_FORMAT, export_history
-
-    if args.history is not None:
-        path = Path(args.history)
-        if not path.is_file():
-            raise SystemExit(f"error: no history export at {args.history}")
-        try:
-            history = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SystemExit(
-                f"error: {args.history} is not valid JSON: {exc}")
-        if not isinstance(history, dict) \
-                or history.get("format") != HISTORY_FORMAT:
-            raise SystemExit(
-                f"error: {args.history} is not a bench-history export "
-                f"(expected format {HISTORY_FORMAT!r}; run "
-                "'bench export' first)")
-    else:
-        history = export_history(
-            args.artifacts if args.artifacts else None,
-            args.baselines_dir,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    out = args.out or "dashboard.html"
-    written = build_dashboard(history, out)
-    series = {(r["bench"], r["metric"], r["fingerprint_key"])
-              for r in history.get("rows", [])}
-    print(f"dashboard -> {written} ({len(series)} series, "
-          f"{len(history.get('rows', []))} rows, "
-          f"{len(history.get('skipped', []))} skipped inputs)")
-    return 0
-
-
-def _simple_bench_targets(args: argparse.Namespace) -> dict:
-    """String-returning thunks for the table/figure regenerations.
-
-    Returning the rendered text (instead of printing inline) lets
-    ``--profile`` wrap any of these targets as a single profiled stage.
-    """
-    from .bench import figures, report, tables
-
-    def _multi(bundles) -> str:
-        return "\n".join(report.format_table(fig.as_rows(), title=title)
-                         for title, fig in bundles)
-
-    return {
-        "table2": lambda: report.format_table(
-            tables.table2_datasets(), title="Table II — datasets"),
-        "table3": lambda: report.format_table(
-            [r.as_row() for r in tables.table3_streaming(args.k)],
-            title="Table III — streaming"),
-        "table4": lambda: report.format_table(
-            tables.table4_memory(k=args.k), title="Table IV — memory"),
-        "table5": lambda: report.format_table(
-            [r.as_row() for r in tables.table5_offline(args.k)],
-            title="Table V — offline"),
-        "fig3": lambda: report.format_table(
-            figures.fig3_lambda_sweep(k=args.k).as_rows(),
-            title="Fig. 3 — λ sweep"),
-        "fig7": lambda: _multi(
-            (f"Fig. 7 — window sweep (K={k})", fig)
-            for k, fig in figures.fig7_window_sweep(
-                ks=(args.k,)).items()),
-        "fig8": lambda: _multi(
-            (f"Fig. 8 — {metric} vs K (uk2002)", fig)
-            for metric, fig in figures.fig8_9_k_sweep_streaming(
-                "uk2002").items()),
-        "fig9": lambda: _multi(
-            (f"Fig. 9 — {metric} vs K (indo2004)", fig)
-            for metric, fig in figures.fig8_9_k_sweep_streaming(
-                "indo2004").items()),
-        "fig10": lambda: _multi(
-            (f"Fig. 10 — {metric} vs K (indo2004)", fig)
-            for metric, fig in figures.fig10_11_k_sweep_offline(
-                "indo2004").items()),
-        "fig11": lambda: _multi(
-            (f"Fig. 11 — {metric} vs K (eu2015)", fig)
-            for metric, fig in figures.fig10_11_k_sweep_offline(
-                "eu2015").items()),
-        "fig12": lambda: report.format_table(
-            figures.fig12_worker_sweep(k=args.k).as_rows(),
-            title="Fig. 12 — worker sweep"),
-    }
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import report
+    """``bench``: print one of the paper's tables or figures."""
+    from .bench import figures, tables
+    from .bench.report import format_table
 
-    target = args.target
-    if target == "compare":
-        return _cmd_bench_compare(args)
-    if target == "promote":
-        return _cmd_bench_promote(args)
-    if target == "export":
-        return _cmd_bench_export(args)
-    if target == "dashboard":
-        return _cmd_bench_dashboard(args)
-
-    out = args.bench_out
-    if out == "BENCH_streaming.json":  # targeted defaults
-        out = {"ingest": "BENCH_ingest.json",
-               "parallel-scaling": "BENCH_parallel.json"}.get(target, out)
-
-    instrumentation = None
-    profiler = None
-    if getattr(args, "profile", None):
-        from .bench.profile import BenchProfiler, default_profile_dir
-        if args.trace is not None:
-            from .observability import Instrumentation, JsonlSink
-            instrumentation = Instrumentation([JsonlSink(args.trace)])
-        profile_dir = args.profile_dir
-        if profile_dir is None:
-            if target in ("streaming", "ingest", "parallel-scaling"):
-                profile_dir = default_profile_dir(out)
-            elif target == "all":
-                profile_dir = Path(args.output) / "suite.profile"
-            else:
-                profile_dir = Path(f"BENCH_{target}.profile")
-        profiler = BenchProfiler(args.profile, profile_dir, bench=target,
-                                 instrumentation=instrumentation)
-
-    try:
-        if target == "all":
-            from .bench.suite import run_full_suite
-            run_full_suite(args.output, k=args.k, quick=args.quick,
-                           profile=profiler)
-        elif target == "streaming":
-            from .bench.micro import run_streaming_microbench
-            if args.quick:
-                artifact = run_streaming_microbench(
-                    n=4000, k=args.k, warmup=1, repeats=3,
-                    out_path=out, profile=profiler)
-            else:
-                artifact = run_streaming_microbench(
-                    k=args.k, out_path=out, profile=profiler)
-            rows = [{
-                "method": r["method"],
-                "fast median (s)": f"{r['fast']['median_s']:.4f}",
-                "seed median (s)": f"{r['seed']['median_s']:.4f}",
-                "speedup": f"{r['speedup_median']:.2f}x",
-                "identical": r["identical"],
-            } for r in artifact["results"]]
-            print(report.format_table(
-                rows, title="Streaming hot path — fast vs seed"))
-            print(f"artifact written to {out}")
-        elif target == "ingest":
-            from .bench.ingest import run_ingest_microbench
-            if args.quick:
-                artifact = run_ingest_microbench(
-                    n=4000, k=args.k, warmup=0, repeats=2, out_path=out,
-                    profile=profiler)
-            else:
-                artifact = run_ingest_microbench(k=args.k, out_path=out,
-                                                 profile=profiler)
-            rows = [{
-                "stage": r["stage"],
-                "baseline median (s)": f"{r['baseline']['median_s']:.4f}",
-                "optimized median (s)":
-                    f"{r['optimized']['median_s']:.4f}",
-                "speedup": f"{r['speedup_median']:.2f}x",
-                "identical": r["identical"],
-            } for r in artifact["results"]]
-            print(report.format_table(
-                rows, title="Ingest pipeline — optimized vs baseline"))
-            print(f"artifact written to {out}")
-        elif target == "parallel-scaling":
-            from .bench.parallel import run_parallel_scaling_bench
-            if args.quick:
-                artifact = run_parallel_scaling_bench(
-                    n=4000, k=args.k, warmup=1, repeats=3, out_path=out,
-                    profile=profiler)
-            else:
-                artifact = run_parallel_scaling_bench(
-                    k=args.k, out_path=out, profile=profiler)
-            rows = [{
-                "method": r["method"],
-                "sequential median (s)":
-                    f"{r['sequential']['median_s']:.4f}",
-                "parallel median (s)": f"{r['parallel']['median_s']:.4f}",
-                "speedup": f"{r['speedup_median']:.2f}x",
-                "ECR delta": f"{r['ecr_delta_pct']:+.2f}%",
-                "identical": r["identical"],
-            } for r in artifact["results"]]
-            cfg = artifact["config"]
-            print(report.format_table(
-                rows, title=f"Parallel scaling — sequential vs "
-                            f"{cfg['num_workers']}-worker sharded "
-                            f"(M={cfg['parallelism']})"))
-            if not cfg["scaling_expected"]:
-                print(f"note: only {artifact['machine']['cpu_count']} "
-                      f"usable CPU(s) for {cfg['num_workers']} "
-                      "worker(s); no speedup expected on this host",
-                      file=sys.stderr)
-            print(f"artifact written to {out}")
-        else:
-            thunk = _simple_bench_targets(args).get(target)
-            if thunk is None:
-                raise SystemExit(f"unknown bench target {target!r}")
-            # Table/figure regenerations have no per-stage harness, so
-            # --profile wraps the whole target as one stage.
-            if profiler is not None:
-                print(profiler.profile_stage(target, thunk))
-            else:
-                print(thunk())
-        if profiler is not None:
-            profiler.finalize(
-                echo=lambda line: print(line, file=sys.stderr))
-    finally:
-        if instrumentation is not None:
-            instrumentation.close()
+    target, k = args.target, args.k
+    if target == "all":
+        from .bench.suite import run_full_suite
+        run_full_suite(args.output, k=k, quick=args.quick)
+    elif target == "table2":
+        print(format_table(tables.table2_datasets(),
+                           title="Table II — datasets"))
+    elif target == "table3":
+        print(format_table([r.as_row() for r in tables.table3_streaming(k)],
+                           title="Table III — streaming"))
+    elif target == "table4":
+        print(format_table(tables.table4_memory(k=k),
+                           title="Table IV — memory"))
+    elif target == "table5":
+        print(format_table([r.as_row() for r in tables.table5_offline(k)],
+                           title="Table V — offline"))
+    elif target == "fig3":
+        print(format_table(figures.fig3_lambda_sweep(k=k).as_rows(),
+                           title="Fig. 3 — λ sweep"))
+    elif target == "fig7":
+        for window_k, fig in figures.fig7_window_sweep(ks=(k,)).items():
+            title = f"Fig. 7 — window sweep (K={window_k})"
+            print(format_table(fig.as_rows(), title=title))
+    elif target == "fig12":
+        print(format_table(figures.fig12_worker_sweep(k=k).as_rows(),
+                           title="Fig. 12 — worker sweep"))
+    else:  # fig8–fig11: one table per metric of a K sweep
+        sweep, dataset = {
+            "fig8": (figures.fig8_9_k_sweep_streaming, "uk2002"),
+            "fig9": (figures.fig8_9_k_sweep_streaming, "indo2004"),
+            "fig10": (figures.fig10_11_k_sweep_offline, "indo2004"),
+            "fig11": (figures.fig10_11_k_sweep_offline, "eu2015"),
+        }[target]
+        for metric, fig in sweep(dataset).items():
+            title = f"Fig. {target[3:]} — {metric} vs K ({dataset})"
+            print(format_table(fig.as_rows(), title=title))
     return 0
 
 
@@ -759,67 +434,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({fast['fused_placements']} fused), "
           f"{stats['groups_processed']} engine groups, "
           f"position {stats['position']}", file=sys.stderr)
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """``serve-bench``: load-generate against a fresh service."""
-    from .bench.report import format_table
-    from .service import run_service_bench
-
-    graph = None
-    if args.graph is not None:
-        graph = _load_graph(args.graph,
-                            cache=getattr(args, "graph_cache", None))
-    config = _config_from_args(args)
-    num_vertices = args.vertices
-    repeats, warmup, lookups = args.repeats, args.warmup, args.lookups
-    if args.quick:
-        num_vertices = min(num_vertices, 4000)
-        repeats, warmup, lookups = min(repeats, 2), min(warmup, 1), 200
-    profiler = None
-    if getattr(args, "profile", None):
-        from .bench.profile import BenchProfiler, default_profile_dir
-        profiler = BenchProfiler(
-            args.profile,
-            args.profile_dir or default_profile_dir(args.bench_out),
-            bench="service-bench")
-    try:
-        artifact = run_service_bench(
-            graph, num_vertices=num_vertices, seed=args.seed,
-            config=config, clients=args.clients,
-            batch_size=args.batch_size, window=args.window,
-            lookups_per_client=lookups,
-            repeats=repeats, warmup=warmup, target_rps=args.target_rps,
-            durable=not args.volatile, queue_depth=args.queue_depth,
-            batch_max=args.batch_max,
-            overload=not args.no_overload,
-            overload_queue_depth=args.overload_queue_depth,
-            overload_throttle=args.overload_throttle,
-            out_path=args.bench_out,
-            verbose=True, profile=profiler)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if profiler is not None:
-        profiler.finalize(echo=lambda line: print(line, file=sys.stderr))
-    rows = []
-    for rec in artifact["results"]:
-        row = {
-            "endpoint": rec["endpoint"],
-            "p50 (ms)": f"{rec['p50']['median_s'] * 1e3:.2f}",
-            "p99 (ms)": f"{rec['p99']['median_s'] * 1e3:.2f}",
-        }
-        if "placements_per_s" in rec:
-            row["placements/s"] = \
-                f"{rec['placements_per_s']['median']:,.0f}"
-            row["fused"] = f"{rec['fused_fraction_median']:.0%}"
-            if "identical" in rec:
-                row["identical"] = rec["identical"]
-        if "shed_rate" in rec:
-            row["shed rate"] = f"{rec['shed_rate']['median']:.0%}"
-        rows.append(row)
-    print(format_table(rows, title="service bench"))
-    print(f"artifact written to {args.bench_out}")
     return 0
 
 
@@ -1001,74 +615,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bench",
-                       help="regenerate a paper table/figure, run a "
-                            "microbench, or compare/promote artifacts")
+                       help="regenerate a paper table/figure, or the "
+                            "whole evaluation report ('all')")
     p.add_argument("target",
                    choices=["table2", "table3", "table4", "table5", "fig3",
                             "fig7", "fig8", "fig9", "fig10", "fig11",
-                            "fig12", "streaming", "ingest",
-                            "parallel-scaling", "all", "compare",
-                            "promote", "export", "dashboard"])
+                            "fig12", "all"])
     p.add_argument("-k", type=int, default=32)
     p.add_argument("--output", default="reports",
                    help="output directory for 'all'")
     p.add_argument("--quick", action="store_true",
-                   help="shrunken sweeps for 'all'/'streaming'")
-    p.add_argument("--bench-out", default="BENCH_streaming.json",
-                   help="artifact path for the 'streaming' / 'ingest' / "
-                        "'parallel-scaling' microbenches (each defaults "
-                        "to its own BENCH_*.json)")
-    p.add_argument("--baseline", default=None, metavar="FILE|DIR",
-                   help="[compare] baseline artifact/envelope file, or a "
-                        "baselines directory (default: --baselines-dir, "
-                        "resolved by bench name + machine fingerprint)")
-    p.add_argument("--candidate", default=None, metavar="FILE",
-                   help="[compare/promote] candidate BENCH_*.json")
-    p.add_argument("--baselines-dir", default="benchmarks/baselines",
-                   metavar="DIR",
-                   help="[compare/promote] committed baseline store "
-                        "(default: benchmarks/baselines)")
-    p.add_argument("--gate", action="store_true",
-                   help="[compare] exit nonzero when any metric regressed")
-    p.add_argument("--noise-floor", type=float, default=0.05, metavar="F",
-                   help="[compare] relative delta below which a metric is "
-                        "never flagged (default 0.05 = 5%%)")
-    p.add_argument("--min-effect", type=float, default=0.10, metavar="F",
-                   help="[compare] smallest relative change worth "
-                        "reporting (default 0.10)")
-    p.add_argument("--confidence", type=float, default=0.95, metavar="C",
-                   help="[compare] bootstrap/test confidence (default "
-                        "0.95)")
-    p.add_argument("--report", default=None, metavar="OUT.MD",
-                   help="[compare] also write the markdown report here")
-    p.add_argument("--json", default=None, metavar="OUT.JSON",
-                   help="[compare] also write the machine-readable "
-                        "verdict here")
-    p.add_argument("--trace", default=None, metavar="OUT.JSONL",
-                   help="[compare] emit the bench_compare trace record; "
-                        "with --profile, emit bench_profile records")
-    p.add_argument("--profile", default=None,
-                   choices=["cprofile", "pyspy"],
-                   help="run each bench stage once more under a profiler "
-                        "after the timed repeats; writes per-stage pstats "
-                        "(+ collapsed stacks when py-spy is installed) "
-                        "and records the profile in the artifact")
-    p.add_argument("--profile-dir", default=None, metavar="DIR",
-                   help="profile artifact directory (default: "
-                        "<bench-out stem>.profile/ next to the BENCH "
-                        "json)")
-    p.add_argument("--artifacts", nargs="*", default=None, metavar="FILE",
-                   help="[export/dashboard] BENCH_*.json files to walk "
-                        "(default: ./BENCH_*.json plus --baselines-dir)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="[export/dashboard] output path; '-' streams the "
-                        "history JSON to stdout (export default: -, "
-                        "dashboard default: dashboard.html)")
-    p.add_argument("--csv", default=None, metavar="OUT.CSV",
-                   help="[export] also write the rows as tidy CSV")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="[dashboard] render an existing 'bench export' "
-                        "JSON instead of re-walking artifacts")
+                   help="shrunken sweeps for 'all'")
     p.set_defaults(func=_cmd_bench)
 
     from .partitioning.registry import resolve
@@ -1130,64 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-every", type=int, default=None, metavar="N",
                    help="trace window size (see 'partition')")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("serve-bench",
-                       help="load-test the placement service and write "
-                            "BENCH_service.json")
-    p.add_argument("graph", nargs="?", default=None,
-                   help="graph file or named dataset (default: a "
-                        "synthetic community web graph)")
-    _add_heuristic_flags(p, methods=streaming_methods)
-    p.add_argument("--vertices", type=int, default=20_000,
-                   help="synthetic graph size when no graph is given")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent client connections (default 4)")
-    p.add_argument("--batch-size", type=int, default=64,
-                   help="vertices per place_batch request (default 64)")
-    p.add_argument("--window", type=int, default=4, metavar="W",
-                   help="pipelined requests in flight per connection "
-                        "(open-loop depth, default 4; 1 = closed loop)")
-    p.add_argument("--lookups", type=int, default=500, metavar="N",
-                   help="lookups per client after the place phase")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--target-rps", type=float, default=None,
-                   metavar="RPS",
-                   help="pace placement requests per second across all "
-                        "clients (default: full speed)")
-    p.add_argument("--volatile", action="store_true",
-                   help="bench without snapshots/WAL (isolates protocol "
-                        "+ engine cost)")
-    p.add_argument("--queue-depth", type=int, default=64)
-    p.add_argument("--batch-max", type=int, default=256)
-    p.add_argument("--no-overload", action="store_true",
-                   help="skip the overload phase (shed rate + "
-                        "p99-under-overload against a throttled server)")
-    p.add_argument("--overload-queue-depth", type=int, default=4,
-                   metavar="N",
-                   help="queue bound for the overload-phase server "
-                        "(default 4)")
-    p.add_argument("--overload-throttle", type=float, default=0.002,
-                   metavar="S",
-                   help="seconds per engine group in the overload "
-                        "phase (default 0.002)")
-    p.add_argument("--quick", action="store_true",
-                   help="small graph, 2 repeats (CI smoke)")
-    p.add_argument("--profile", default=None,
-                   choices=["cprofile", "pyspy"],
-                   help="profile extra single-connection driver passes "
-                        "after the timed phases; writes per-stage pstats "
-                        "next to the artifact")
-    p.add_argument("--profile-dir", default=None, metavar="DIR",
-                   help="profile artifact directory (default: "
-                        "<bench-out stem>.profile/)")
-    p.add_argument("--bench-out", default="BENCH_service.json",
-                   help="artifact path (default BENCH_service.json)")
-    p.add_argument("--graph-cache", nargs="?", const=True, default=None,
-                   metavar="PATH",
-                   help="load through a binary .reprocsr cache")
-    p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(
         "chaos",

@@ -14,7 +14,7 @@ All readers/writers transparently handle ``.gz`` paths.
 Edge-list and adjacency readers default to the chunked NumPy tokenizer
 in :mod:`repro.ingest.chunked` (``engine="chunked"``); the original
 line-by-line parser remains available as ``engine="python"`` and is kept
-as the baseline for the ingest benchmarks.  Both engines are
+as the reference the tokenizer is tested against.  Both engines are
 byte-identical in output, error messages, and strict/lenient policy
 behavior.
 """

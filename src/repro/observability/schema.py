@@ -41,17 +41,6 @@ tooling (and enforced by the test suite over every emitted record):
     write, cache hit): seq, phase, source, elapsed_seconds, plus
     optional ``records`` / ``bytes`` volume gauges.
 
-``bench_compare`` — one record per baseline-vs-candidate benchmark
-    comparison (the regression gate): seq, bench, baseline, candidate,
-    improved, unchanged, regressed, verdict, fingerprint_match.
-
-``bench_profile`` — one record per profiled bench stage (the opt-in
-    ``--profile`` pass): seq, bench, stage, mode, pstats_path,
-    profiled_seconds, plus the optional gauges ``overhead_pct``
-    (profiled pass vs the unprofiled median), ``top_function`` (the
-    cumulative-time leader), and ``identical`` (the profiled pass
-    reproduced the unprofiled reference output).
-
 ``service_request`` — one record per engine batch processed by the
     placement service: seq, op, count, queue_depth, elapsed_seconds,
     ok, plus the optional gauges ``fused`` (placements that went
@@ -199,30 +188,6 @@ TRACE_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], bool, bool]]] = {
         "from_state": (_STR, True, False),
         "to_state": (_STR, True, False),
         "reason": (_STR, True, False),
-    },
-    "bench_compare": {
-        "type": (_STR, True, False),
-        "seq": (_INT, True, False),
-        "bench": (_STR, True, False),
-        "baseline": (_STR, True, False),
-        "candidate": (_STR, True, False),
-        "improved": (_INT, True, False),
-        "unchanged": (_INT, True, False),
-        "regressed": (_INT, True, False),
-        "verdict": (_STR, True, False),
-        "fingerprint_match": (_BOOL, True, False),
-    },
-    "bench_profile": {
-        "type": (_STR, True, False),
-        "seq": (_INT, True, False),
-        "bench": (_STR, True, False),
-        "stage": (_STR, True, False),
-        "mode": (_STR, True, False),
-        "pstats_path": (_STR, True, False),
-        "profiled_seconds": (_NUM, True, False),
-        "overhead_pct": (_NUM, False, True),
-        "top_function": (_STR, False, True),
-        "identical": (_BOOL, False, True),
     },
 }
 

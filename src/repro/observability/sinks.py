@@ -7,7 +7,7 @@ cover the common uses:
 * :class:`MemorySink` — bounded in-memory ring buffer, for tests and
   interactive inspection;
 * :class:`JsonlSink` — one JSON object per line; the trace file is a
-  first-class bench artifact alongside the ``BENCH_*.json`` reports;
+  first-class bench artifact, recorded on the run's ``BenchRecord``;
 * :class:`ProgressSink` — a human-readable progress line per probe
   window, for watching long runs.
 """

@@ -890,13 +890,12 @@ class StreamingPartitioner(ABC):
         produced assignment is byte-identical either way.
 
         ``fast=False`` scores through the reference kernel derived from
-        ``_score``/``_after_commit`` (the microbench's seed baseline and
-        the byte-identity suite's comparison side) instead of the
-        heuristic's fused one; the loop is the same and the assignment
-        byte-identical.  ``stats["fast_path"]`` reports whether records
-        were read straight out of CSR arrays
-        (:func:`~repro.graph.stream.as_array_stream`) rather than
-        iterated.
+        ``_score``/``_after_commit`` (the byte-identity suite's
+        comparison side) instead of the heuristic's fused one; the loop
+        is the same and the assignment byte-identical.
+        ``stats["fast_path"]`` reports whether records were read straight
+        out of CSR arrays (:func:`~repro.graph.stream.as_array_stream`)
+        rather than iterated.
         """
         state = self.make_state(stream)
         self._setup(stream, state)

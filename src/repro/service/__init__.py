@@ -16,8 +16,8 @@ Durability comes from the recovery layer: periodic snapshots plus a
 group-commit placement WAL mean a SIGKILLed server restarted with
 ``resume_from=`` answers every previously-acknowledged placement
 identically.  ``repro-partition serve`` runs the server from the shell;
-``repro-partition serve-bench`` (:func:`run_service_bench`) measures it
-and emits ``BENCH_service.json`` for the bench compare/promote gate.
+the ``serve-batch`` and ``serve-mixed`` workloads of ``benchmarks/e2e/``
+measure it.
 """
 
 from .client import (
@@ -29,7 +29,6 @@ from .client import (
     ServiceClient,
     ServiceError,
 )
-from .loadgen import run_service_bench
 from .protocol import (
     PROTOCOL_REVISION,
     PROTOCOL_VERSION,
@@ -55,5 +54,4 @@ __all__ = [
     "ServiceError",
     "WalEntry",
     "replay_entries",
-    "run_service_bench",
 ]

@@ -5,7 +5,7 @@ Two reference styles are checked:
 * markdown links ``[text](target)`` whose target is not an external URL
   or a pure anchor — the target must exist, resolved against the linking
   file's directory or the repo root;
-* inline-code path references like ``src/repro/bench/micro.py``,
+* inline-code path references like ``src/repro/bench/tables.py``,
   ``docs/observability.md``, ``tests/bench/test_datasets.py::TestRegimes``
   or ``src/repro/cli.py:42`` — the file must exist; ``::symbol`` suffixes
   must appear in the file text and ``:line`` suffixes must be within the
@@ -131,9 +131,11 @@ def test_audit_catches_a_dead_link(tmp_path):
     assert _audit_code_ref(
         REPO_ROOT / "README.md",
         "src/repro/definitely_not_here.py") is not None
-    assert _audit_code_ref(
+    # A file that exists, so the "symbol not in file" branch answers.
+    failure = _audit_code_ref(
         REPO_ROOT / "README.md",
-        "tests/bench/test_compare.py::NoSuchClassXYZ") is not None
+        "tests/bench/test_tables_figures.py::NoSuchClassXYZ")
+    assert failure is not None and "symbol 'NoSuchClassXYZ'" in failure
     assert _audit_code_ref(
         REPO_ROOT / "README.md", "src/repro/cli.py:999999") is not None
 

@@ -1088,7 +1088,6 @@ class TestOneEngine:
 
     @pytest.mark.parametrize("command,flag", [
         ("serve", "--processes"), ("serve", "--parallelism"),
-        ("serve-bench", "--processes"), ("serve-bench", "--parallelism"),
         ("chaos", "--processes")])
     def test_cli_engine_flags_are_refused(self, command, flag, capsys):
         from repro.cli import build_parser
