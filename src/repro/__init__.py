@@ -38,32 +38,34 @@ benchmark harness regenerating every table/figure in :mod:`repro.bench`.
 """
 
 from . import graph, partitioning
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-# Re-export the headline API at package top level for quickstart ergonomics.
-from .graph import DiGraph, GraphStream, community_web_graph  # noqa: E402
-from .partitioning import (  # noqa: E402
-    FennelPartitioner,
-    LDGPartitioner,
-    PartitionAssignment,
-    PartitionConfig,
-    SPNLPartitioner,
-    SPNPartitioner,
-    evaluate,
-)
-
-# The stable facade (documented in repro.api): build by name, partition in
-# one call, evaluate — plus the online pair serve/connect (the placement
-# service, docs/service.md).  Old deep-module import paths stay valid
-# aliases.
-from .api import (  # noqa: E402
-    available_partitioners,
-    connect,
-    make_partitioner,
-    partition_stream,
-    serve,
-)
+# The headline API at package top level for quickstart ergonomics, and
+# the stable facade (documented in repro.api): build by name, partition
+# in one call, evaluate — plus the online pair serve/connect (the
+# placement service, docs/service.md).  Each name maps to the module it
+# is re-exported from, imported on first use; old deep-module import
+# paths stay valid aliases.
+_EXPORTS = {
+    "DiGraph": "graph",
+    "GraphStream": "graph",
+    "community_web_graph": "graph",
+    "FennelPartitioner": "partitioning",
+    "LDGPartitioner": "partitioning",
+    "PartitionAssignment": "partitioning",
+    "PartitionConfig": "partitioning",
+    "SPNLPartitioner": "partitioning",
+    "SPNPartitioner": "partitioning",
+    "evaluate": "partitioning",
+    "available_partitioners": "api",
+    "connect": "api",
+    "make_partitioner": "api",
+    "partition_stream": "api",
+    "serve": "api",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DiGraph",

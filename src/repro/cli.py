@@ -507,12 +507,54 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+class _RegisteredNames:
+    """``--method`` choices: the registry's names of one kind, looked up
+    lazily.
+
+    Membership resolves one name (:func:`~repro.partitioning.registry.
+    resolve` imports only the family that registers it), so building the
+    parser and accepting a valid name load no other partitioner;
+    iterating — argparse does so to list the choices after an invalid
+    name, or for ``--help`` — loads them all.
+    """
+
+    def __init__(self, kind: str | None = None, *,
+                 streaming_only: bool = False) -> None:
+        self.kind = kind
+        self.streaming_only = streaming_only
+
+    def __contains__(self, name: object) -> bool:
+        from .partitioning.registry import resolve
+
+        try:
+            entry = resolve(name, kind=self.kind)
+        except ValueError:
+            return False
+        return entry.is_streaming or not self.streaming_only
+
+    def __iter__(self):
+        from .partitioning.registry import available_partitioners
+
+        return iter([name for name in available_partitioners(self.kind)
+                     if name in self])
+
+
+def _add_method_flag(p: argparse.ArgumentParser,
+                     methods: _RegisteredNames, default: str) -> None:
+    # An explicit metavar: without one, add_argument iterates the
+    # choices to format it, which loads every family.
+    p.add_argument("--method", choices=methods, default=default,
+                   metavar="METHOD",
+                   help="registered partitioner (%(choices)s; default "
+                        "%(default)s)")
+
+
 def _add_heuristic_flags(p: argparse.ArgumentParser, *,
-                         methods: list[str],
+                         methods: _RegisteredNames,
                          default_method: str = "spnl") -> None:
     """The shared partitioner-tuning flag set (one namespace, one
     :func:`_config_from_args`)."""
-    p.add_argument("--method", choices=methods, default=default_method)
+    _add_method_flag(p, methods, default_method)
     p.add_argument("-k", type=int, default=32, help="number of partitions")
     p.add_argument("--slack", type=float, default=1.1,
                    help="balance threshold δ")
@@ -547,12 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
-    from .partitioning.registry import available_partitioners
-
     p = sub.add_parser("partition", help="partition a graph")
     p.add_argument("graph", help="graph file or named dataset")
     p.add_argument("output", help="route-table output path")
-    _add_heuristic_flags(p, methods=available_partitioners())
+    _add_heuristic_flags(p, methods=_RegisteredNames())
     p.add_argument("--processes", type=int, default=1, metavar="M",
                    help="score M records per group across worker "
                         "processes (sharded executor; deterministic, "
@@ -588,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="streaming edge partitioning (extension)")
     p.add_argument("graph", help="graph file or named dataset")
     p.add_argument("output", help="per-edge partition-id output path")
-    p.add_argument("--method", choices=available_partitioners("edge"),
-                   default="spnl-e")
+    _add_method_flag(p, _RegisteredNames("edge"), "spnl-e")
     p.add_argument("-k", type=int, default=32)
     p.add_argument("--slack", type=float, default=1.1)
     p.set_defaults(func=_cmd_edgepartition)
@@ -628,9 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shrunken sweeps for 'all'")
     p.set_defaults(func=_cmd_bench)
 
-    from .partitioning.registry import resolve
-    streaming_methods = [m for m in available_partitioners()
-                         if resolve(m).is_streaming]
+    streaming_methods = _RegisteredNames(streaming_only=True)
 
     p = sub.add_parser("serve",
                        help="run the long-lived placement service "

@@ -15,20 +15,21 @@ length ``|E|``.  ``out_neighbors(v)`` is a zero-copy slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = ["DiGraph", "AdjacencyRecord"]
 
 
-@dataclass(frozen=True)
-class AdjacencyRecord:
+class AdjacencyRecord(NamedTuple):
     """One streamed graph record: a vertex id plus its out-neighbor list.
 
     This is the unit of work in every streaming partitioner (the paper's
-    "currently arrived vertex v with N_out(v)").
+    "currently arrived vertex v with N_out(v)").  Immutable and unpacks
+    as ``v, neighbors = record``.  A named tuple, not a frozen
+    dataclass: a stream builds one per vertex, and the dataclass pays
+    ``object.__setattr__`` per field.
     """
 
     vertex: int
@@ -38,11 +39,6 @@ class AdjacencyRecord:
     def out_degree(self) -> int:
         """Number of out-neighbors carried by this record."""
         return int(len(self.neighbors))
-
-    def __iter__(self) -> Iterator:
-        # Allow ``v, neighbors = record`` unpacking at call sites.
-        yield self.vertex
-        yield self.neighbors
 
 
 class DiGraph:

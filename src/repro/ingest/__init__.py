@@ -16,7 +16,7 @@ disk.  This package owns that path:
   record-unit ``tell()``/``seek()`` contract checkpoint/resume relies on.
 """
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
 # Submodule each public name lives in; resolved lazily (PEP 562) so that
 # parse-only imports do not pay for mmap/threading machinery.
@@ -34,22 +34,7 @@ _EXPORTS = {
     "scan_adjacency_stats": "chunked",
     "PrefetchStream": "prefetch",
 }
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CACHE_SUFFIX",

@@ -24,18 +24,21 @@ The factory filters keyword arguments against the target's signature
 get strict checking by default.  Unknown *names* always raise with the
 list of registered names.
 
-Built-in partitioners live in modules that are only imported on first
-lookup (:func:`_ensure_builtins`), so importing the registry stays cheap
-and dependency-free; third-party heuristics register by simply importing
-their module before calling :func:`make_partitioner` — this is the
-extension point documented in CONTRIBUTING.md.
+Built-in partitioners live in modules that are only imported on lookup,
+one family at a time (:func:`resolve` stops at the first module that
+registers the name), so importing the registry stays cheap and
+dependency-free and building ``spnl`` never loads the offline or edge
+partitioners; listing names (:func:`available_partitioners`, or the
+error for an unknown name) loads them all.  Third-party heuristics
+register by simply importing their module before calling
+:func:`make_partitioner` — this is the extension point documented in
+CONTRIBUTING.md.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from importlib import import_module
 from typing import Any, Callable
 
 __all__ = ["register", "make_partitioner", "available_partitioners",
@@ -58,7 +61,8 @@ _BUILTIN_MODULES = (
     "repro.edgepart.classic",
     "repro.edgepart.spnl_edge",
 )
-_builtins_loaded = False
+#: how many of ``_BUILTIN_MODULES`` have been imported, in order
+_builtins_loaded = 0
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,20 @@ def register(name: str, *, kind: str = "vertex", summary: str = "",
     return decorator
 
 
-def _ensure_builtins() -> None:
+def _load_next_builtin() -> bool:
+    """Import the next built-in family; ``False`` once all are loaded."""
     global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_MODULES:
-        import_module(module)
+    if _builtins_loaded == len(_BUILTIN_MODULES):
+        return False
+    _builtins_loaded += 1
+    # ``__import__`` so ``python -X importtime`` reports the family.
+    __import__(_BUILTIN_MODULES[_builtins_loaded - 1])
+    return True
+
+
+def _ensure_builtins() -> None:
+    while _load_next_builtin():
+        pass
 
 
 def available_partitioners(kind: str | None = None) -> tuple[str, ...]:
@@ -128,13 +139,19 @@ def available_partitioners(kind: str | None = None) -> tuple[str, ...]:
 
 
 def resolve(name: str, *, kind: str | None = None) -> RegistryEntry:
-    """Look up a registered partitioner; raise listing names if unknown."""
-    _ensure_builtins()
+    """Look up a registered partitioner; raise listing names if unknown.
+
+    A registered name resolves without importing anything; otherwise the
+    built-in families are imported one by one until one registers it.
+    """
     kinds = (kind,) if kind is not None else ("vertex", "offline")
-    for k in kinds:
-        entry = _REGISTRY[k].get(name)
-        if entry is not None:
-            return entry
+    while True:
+        for k in kinds:
+            entry = _REGISTRY[k].get(name)
+            if entry is not None:
+                return entry
+        if not _load_next_builtin():
+            break
     known = available_partitioners(kind)
     raise ValueError(
         f"unknown partitioner {name!r}; registered names: "

@@ -20,23 +20,27 @@ the ``serve-batch`` and ``serve-mixed`` workloads of ``benchmarks/e2e/``
 measure it.
 """
 
-from .client import (
-    BackpressureError,
-    DeadlineExceededError,
-    OverloadedError,
-    ReadOnlyError,
-    RetriesExhausted,
-    ServiceClient,
-    ServiceError,
-)
-from .protocol import (
-    PROTOCOL_REVISION,
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
-    ProtocolError,
-)
-from .server import PlacementService
-from .wal import PlacementLog, WalEntry, replay_entries
+from .._lazy import lazy_exports
+
+# Submodule each public name lives in, imported on first use.
+_EXPORTS = {
+    "BackpressureError": "client",
+    "DeadlineExceededError": "client",
+    "OverloadedError": "client",
+    "ReadOnlyError": "client",
+    "RetriesExhausted": "client",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "PROTOCOL_REVISION": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "SUPPORTED_PROTOCOLS": "protocol",
+    "ProtocolError": "protocol",
+    "PlacementService": "server",
+    "PlacementLog": "wal",
+    "WalEntry": "wal",
+    "replay_entries": "wal",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BackpressureError",

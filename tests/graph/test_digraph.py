@@ -1,5 +1,7 @@
 """Unit tests for the CSR directed-graph substrate."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,23 @@ class TestIteration:
         v, neighbors = next(tiny_graph.records())
         assert v == 0
         assert list(neighbors) == [1, 2]
+
+    def test_record_is_immutable(self):
+        record = AdjacencyRecord(3, np.array([1, 2]))
+        with pytest.raises(AttributeError):
+            record.vertex = 4
+        with pytest.raises(AttributeError):
+            record.neighbors = np.array([5])
+        assert record.vertex == 3 and record.out_degree == 2
+
+    def test_record_pickle_round_trip(self):
+        record = AdjacencyRecord(7, np.array([0, 9, 4], dtype=np.int64))
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is AdjacencyRecord
+        v, neighbors = copy
+        assert v == 7 and copy.out_degree == 3
+        np.testing.assert_array_equal(neighbors, record.neighbors)
+        assert neighbors.dtype == np.int64
 
     def test_edges_iteration(self, tiny_graph):
         edges = set(tiny_graph.edges())

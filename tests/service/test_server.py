@@ -1042,15 +1042,38 @@ class TestAckedOnlyReads:
                 assert client.stats()["placements"] == batch
 
 
+#: Prefix of a ``python -c`` program: puts ``src`` on the path and logs
+#: every module imported from then on, one name per line, to the file
+#: named by ``argv[1]`` (a meta-path finder sees each first import only).
+_IMPORT_TAP = """\
+import sys
+sys.path.insert(0, {src!r})
+_log = open(sys.argv[1], "a", buffering=1)
+
+class _Tap:
+    def find_spec(self, name, path=None, target=None):
+        _log.write(name + "\\n")
+
+sys.meta_path.insert(0, _Tap())
+"""
+
+
+def _banned(modules, prefixes, exact=()):
+    return sorted(m for m in modules
+                  if m in exact or any(m == p or m.startswith(p + ".")
+                                       for p in prefixes))
+
+
 class TestOneEngine:
     """The server places record by record through ``kernel.step`` and
     nothing else: no worker pool, no grouped mode, no knob for either."""
 
+    SRC = str(Path(repro.__file__).resolve().parents[1])
+
     def test_importing_the_service_leaves_the_executor_stack_out(self):
-        src_root = str(Path(repro.__file__).resolve().parents[1])
         code = (
             "import json, sys\n"
-            f"sys.path.insert(0, {src_root!r})\n"
+            f"sys.path.insert(0, {self.SRC!r})\n"
             "import repro.service\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
             "    if m.startswith('repro.parallel')\n"
@@ -1058,6 +1081,75 @@ class TestOneEngine:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert json.loads(out) == []
+
+    def test_library_setup_imports_only_the_streaming_kernel(self):
+        # What the batch workloads time as setup_s: build SPNL from a
+        # config, nothing else.
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {self.SRC!r})\n"
+            "from repro import PartitionConfig\n"
+            "PartitionConfig(method='spnl', num_partitions=8).make()\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        modules = json.loads(out)
+        assert _banned(modules, [
+            f"repro.{p}" for p in ("offline", "edgepart", "runtime",
+                                   "bench", "service", "parallel",
+                                   "memory", "recovery")]) == []
+        assert len([m for m in modules if m.startswith("repro")]) <= 25
+
+    def test_serve_boot_and_requests_import_only_the_serving_path(
+            self, graph, tmp_path):
+        # The command the serve workloads time as setup_s, with their
+        # flags, run under an import tap up to its address line; then
+        # one request of each kind must import nothing more.
+        graph_file = tmp_path / "g.adj"
+        write_adjacency(graph, graph_file)
+        log = tmp_path / "imports.txt"
+        code = _IMPORT_TAP.format(src=self.SRC) + (
+            "import runpy\n"
+            "sys.argv = ['repro', 'serve'] + sys.argv[2:]\n"
+            "runpy.run_module('repro', run_name='__main__', "
+            "alter_sys=True)\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(log), str(graph_file),
+             "-k", str(K), "--shards", "1", "--no-fsync", "--graph-cache",
+             "--snapshot-dir", str(tmp_path / "state")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening on "), line
+            boot = log.read_text().split()
+            host, port = line.split()[-1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)),
+                                          timeout=30) as sock:
+                replies = sock.makefile("rb")
+                for rid, (op, fields) in enumerate([
+                        ("hello", {}),
+                        ("place_batch", {"items": list(range(64))}),
+                        ("place", {"vertex": 64}),
+                        ("lookup", {"vertex": 3}),
+                        ("health", {}), ("stats", {})]):
+                    sock.sendall(encode_message(
+                        {"protocol": 1, "op": op, "id": rid, **fields}))
+                    reply = decode_line(replies.readline())
+                    assert reply["ok"] and reply["id"] == rid, reply
+            after_requests = log.read_text().split()[len(boot):]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert _banned(boot, [
+            f"repro.{p}" for p in ("offline", "edgepart", "runtime",
+                                   "parallel", "memory")],
+            exact={"multiprocessing.shared_memory",
+                   "repro.service.client"}) == []
+        assert [m for m in boot if m.startswith("repro.bench.")] \
+            == ["repro.bench.datasets"]
+        assert len({m for m in boot if m.startswith("repro")}) <= 45
+        assert after_requests == []
 
     def test_serving_starts_no_engine_or_committer_thread(
             self, graph, config, tmp_path):

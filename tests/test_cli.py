@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.partitioning.registry import available_partitioners, resolve
 
 
 class TestParser:
@@ -20,6 +21,35 @@ class TestParser:
     def test_bench_targets_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "table99"])
+
+
+def _streaming_names():
+    return {name for name in available_partitioners()
+            if resolve(name).is_streaming}
+
+
+class TestMethodErrors:
+    """An unknown or wrong-kind ``--method`` exits 2 and lists every
+    registered name the command accepts, and no other."""
+
+    @pytest.mark.parametrize("argv,bad,expected", [
+        (["partition", "g.adj", "out"], "nosuch",
+         lambda: set(available_partitioners())),
+        (["edgepartition", "g.adj", "out"], "spnl",
+         lambda: set(available_partitioners("edge"))),
+        (["serve", "g.adj"], "metis", _streaming_names),
+    ], ids=["partition-unknown", "edgepartition-wrong-kind",
+            "serve-not-streaming"])
+    def test_invalid_method_lists_the_accepted_names(
+            self, argv, bad, expected, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--method", bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {bad!r}" in err
+        listed = err.rsplit("(choose from ", 1)[1].rsplit(")", 1)[0]
+        assert {name.strip().strip("'") for name in listed.split(",")} \
+            == expected()
 
 
 class TestGenerate:
