@@ -155,7 +155,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     from .graph.stream import GraphStream
-    from .partitioning.metrics import evaluate
     from .partitioning.registry import resolve
 
     policy = None
@@ -242,10 +241,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             # sharded executor only finds out once the pass starts.
             raise SystemExit(f"error: {exc}")
         raise
-    quality = evaluate(graph, result.assignment)
+    # Refuse an incomplete route before writing it; the save evaluates
+    # the complete one, once, for its header and for this line.
+    result.assignment.validate(graph.num_vertices)
     from .partitioning.persistence import save_assignment
-    save_assignment(result.assignment, args.output, graph=graph,
-                    partitioner=result.partitioner)
+    quality = save_assignment(result.assignment, args.output, graph=graph,
+                              partitioner=result.partitioner)
     print(f"{result.partitioner}: {quality} PT={result.elapsed_seconds:.3f}s")
     print(f"route table -> {args.output}")
     if checkpointing:

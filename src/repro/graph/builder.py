@@ -21,6 +21,14 @@ __all__ = ["GraphBuilder", "from_edges", "from_adjacency"]
 _MAX_KEY_VERTICES = math.isqrt(2 ** 63)
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal ``values``."""
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return keep
+
+
 def _sorted_edges(src: np.ndarray, dst: np.ndarray, n: int,
                   dedupe: bool) -> tuple[np.ndarray, np.ndarray]:
     """``(src, dst)`` ordered by source, then target; duplicates dropped.
@@ -28,11 +36,9 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray, n: int,
     Every id is below ``n``, so the single key ``src * n + dst`` orders
     the pairs exactly as the pairs order themselves: one ``int64`` sort
     and one ``divmod`` replace a two-key ``lexsort`` and two gathers.
-    ``src`` is overwritten with the key.
+    ``src`` is overwritten with the key; ``build`` has checked that
+    ``n`` is at most :data:`_MAX_KEY_VERTICES`.
     """
-    if n > _MAX_KEY_VERTICES:
-        raise ValueError(f"num_vertices={n} exceeds {_MAX_KEY_VERTICES}, "
-                         "the largest id space whose edge keys fit int64")
     if not len(src):
         return src, dst
     key = src
@@ -40,11 +46,45 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray, n: int,
     key += dst
     key.sort()
     if dedupe:
-        keep = np.empty(len(key), dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
+        key = key[_run_starts(key)]
     return np.divmod(key, n)
+
+
+def _sorted_rows(rows: np.ndarray, targets: np.ndarray, num_rows: int,
+                 dedupe: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(per-row counts, targets)`` with every row's targets sorted and,
+    with ``dedupe``, distinct; the rows keep their order.
+
+    ``rows`` holds the ascending piece-local row of every target (and is
+    consumed).  Below ``1 << shift`` lie all targets, so the key
+    ``row << shift | target`` orders the piece as the global
+    ``src * n + dst`` key orders the graph, and shifts and masks decode
+    it; when the key could overflow ``int64`` a two-key ``lexsort``
+    does the same job.
+    """
+    if not len(targets):
+        return np.zeros(num_rows, dtype=np.int64), targets
+    shift = int(targets.max()).bit_length()
+    if num_rows << shift <= 2 ** 63:  # the largest key fits int64
+        key = rows
+        key <<= shift
+        key |= targets
+        key.sort()
+        if dedupe:
+            keep = _run_starts(key)
+            if not keep.all():
+                key = key[keep]
+        targets = key & ((1 << shift) - 1)
+        key >>= shift
+        rows = key
+    else:
+        order = np.lexsort((targets, rows))
+        rows, targets = rows[order], targets[order]
+        if dedupe:
+            keep = _run_starts(targets)
+            keep[1:] |= rows[1:] != rows[:-1]
+            rows, targets = rows[keep], targets[keep]
+    return np.bincount(rows, minlength=num_rows), targets
 
 
 class GraphBuilder:
@@ -73,6 +113,17 @@ class GraphBuilder:
         # Bulk appends from the chunked readers: (src, dst) array pairs
         # kept as-is until build() concatenates them — no per-edge Python.
         self._array_chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        # Row appends: (row vertices, per-row counts) per piece, rows
+        # already filtered, sorted and deduplicated, and all their
+        # targets in one buffer grown in place.  While the vertices rise
+        # strictly across every piece, build() stitches them into the
+        # CSR without ever forming (src, dst) pairs.
+        self._row_pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        self._row_targets = np.empty(0, dtype=np.int64)
+        self._num_row_targets = 0
+        self._row_targets_shared = False
+        self._rows_ascending = True
+        self._last_row = -1
         self._max_id = -1
 
     # ------------------------------------------------------------------
@@ -136,19 +187,78 @@ class GraphBuilder:
         self._array_chunks.append((sources, targets))
         return self
 
-    def note_vertex(self, vertex: int) -> "GraphBuilder":
-        """Extend the id space to cover ``vertex`` (isolated rows)."""
-        if vertex < 0:
+    def add_rows(self, vertices: np.ndarray, counts: np.ndarray,
+                 targets: np.ndarray) -> "GraphBuilder":
+        """Record adjacency rows given as one CSR piece.
+
+        Row ``r`` is vertex ``vertices[r]`` with the next ``counts[r]``
+        entries of ``targets`` as its out-neighbors; every row extends
+        the id space, as :meth:`add_adjacency` does.  Self-loops are
+        dropped and each row is sorted and deduplicated here, with
+        temporaries the size of the piece, so the chunked adjacency
+        reader hands over whole token segments and no edge ever exists
+        as a ``(src, dst)`` pair.
+        """
+        vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        if (vertices.ndim != 1 or counts.shape != vertices.shape
+                or targets.ndim != 1):
+            raise ValueError("vertices and counts must be matching "
+                             "one-dimensional arrays, targets "
+                             "one-dimensional")
+        if (len(counts) and int(counts.min()) < 0) or \
+                int(counts.sum()) != len(targets):
+            raise ValueError("counts must be non-negative and sum to "
+                             "len(targets)")
+        if not len(vertices):
+            return self
+        if int(vertices.min()) < 0 or (
+                len(targets) and int(targets.min()) < 0):
             raise ValueError("vertex ids must be non-negative")
-        if vertex > self._max_id:
-            self._max_id = vertex
+        # A dropped self-loop's target is its row's vertex, which
+        # extends the id space anyway.
+        self._max_id = max(self._max_id, int(vertices.max()),
+                           int(targets.max()) if len(targets) else -1)
+        if self._rows_ascending:
+            self._rows_ascending = (
+                int(vertices[0]) > self._last_row
+                and bool(np.all(vertices[1:] > vertices[:-1])))
+            self._last_row = int(vertices[-1])
+        rows = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
+        if not self._allow_self_loops:
+            keep = targets != vertices[rows]
+            if not keep.all():
+                rows, targets = rows[keep], targets[keep]
+        counts, targets = _sorted_rows(rows, targets, len(vertices),
+                                       self._dedupe)
+        self._row_pieces.append((vertices, counts))
+        self._append_row_targets(targets)
         return self
+
+    def _append_row_targets(self, targets: np.ndarray) -> None:
+        """Copy ``targets`` onto the row-target buffer, growing it in
+        place (``realloc``: a large buffer moves by remapping pages, not
+        by copying them), so the rows never sit in the heap as pieces."""
+        end = self._num_row_targets + len(targets)
+        buffer = self._row_targets
+        if self._row_targets_shared:  # a built graph holds it
+            buffer = buffer.copy()
+            self._row_targets_shared = False
+        if end > len(buffer):
+            buffer.resize(max(end, len(buffer) + len(buffer) // 2),
+                          refcheck=False)
+        buffer[self._num_row_targets:end] = targets
+        self._row_targets = buffer
+        self._num_row_targets = end
 
     @property
     def num_pending_edges(self) -> int:
-        """Edges recorded so far (before dedupe)."""
+        """Edges recorded so far (before dedupe, except within the rows
+        of an :meth:`add_rows` piece)."""
         return len(self._sources) + sum(
-            len(src) for src, _ in self._array_chunks)
+            len(src) for src, _ in self._array_chunks
+        ) + self._num_row_targets
 
     # ------------------------------------------------------------------
     def build(self, name: str = "graph") -> DiGraph:
@@ -162,18 +272,45 @@ class GraphBuilder:
         if self._max_id >= n:
             raise ValueError(
                 f"edge references vertex {self._max_id} but num_vertices={n}")
+        # Refused before anything |V|-sized exists, on either path.
+        if n > _MAX_KEY_VERTICES:
+            raise ValueError(
+                f"num_vertices={n} exceeds {_MAX_KEY_VERTICES}, "
+                "the largest id space whose edge keys fit int64")
+        if (self._row_pieces and self._rows_ascending
+                and not self._sources and not self._array_chunks):
+            return self._stitch_rows(n, name)
+        # Otherwise the rows become pairs and join the general path.
+        chunks = list(self._array_chunks)
+        if self._row_pieces:
+            chunks.append((
+                np.concatenate([np.repeat(vertices, counts)
+                                for vertices, counts in self._row_pieces]),
+                self._row_targets[:self._num_row_targets]))
         src = np.asarray(self._sources, dtype=np.int64)
         dst = np.asarray(self._targets, dtype=np.int64)
-        if self._array_chunks:
-            src = np.concatenate(
-                [src] + [s for s, _ in self._array_chunks])
-            dst = np.concatenate(
-                [dst] + [t for _, t in self._array_chunks])
+        if chunks:
+            src = np.concatenate([src] + [s for s, _ in chunks])
+            dst = np.concatenate([dst] + [t for _, t in chunks])
         src, dst = _sorted_edges(src, dst, n, self._dedupe)
         indptr = np.zeros(n + 1, dtype=np.int64)
         if len(src):
             np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return DiGraph(indptr, dst, name=name)
+
+    def _stitch_rows(self, n: int, name: str) -> DiGraph:
+        """The CSR straight from the row pieces: each source has one
+        row, already in final form, and the rows arrive in id order."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for vertices, counts in self._row_pieces:
+            indptr[vertices + 1] = counts
+        np.cumsum(indptr, out=indptr)
+        # Trimmed in place and handed over: the graph's indices are the
+        # buffer itself, which the next append copies before growing.
+        if not self._row_targets_shared:
+            self._row_targets.resize(self._num_row_targets, refcheck=False)
+            self._row_targets_shared = True
+        return DiGraph(indptr, self._row_targets, name=name)
 
 
 def from_edges(edges: Iterable[tuple[int, int]],

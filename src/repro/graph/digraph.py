@@ -210,10 +210,14 @@ class DiGraph:
                 yield v, int(u)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(sources, targets)`` arrays covering every edge."""
+        """Return ``(sources, targets)`` arrays covering every edge.
+
+        ``sources`` is built per call; ``targets`` is the read-only
+        :attr:`indices` view, not a copy — copy it before writing.
+        """
         sources = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                             self.out_degrees())
-        return sources, self._indices.copy()
+        return sources, self.indices
 
     # ------------------------------------------------------------------
     # Derived graphs

@@ -176,10 +176,11 @@ def _bulk_read_adjacency(path: str | Path, builder: GraphBuilder,
                          policy) -> None:
     """Vectorized adjacency ingest: whole token segments per append.
 
-    Each clean-row segment becomes one ``add_edge_arrays`` call —
-    ``src = repeat(row vertex, out-degree)``, ``dst = tokens minus each
-    row's leading vertex`` — so build cost is a few NumPy passes per
-    chunk instead of a Python loop per edge.
+    Each clean-row segment becomes one :meth:`GraphBuilder.add_rows`
+    piece — the row vertices, each row's out-degree, and the tokens
+    minus every row's leading vertex — so the builder sees rows, not
+    ``(src, dst)`` pairs, and a file written in id order is stitched
+    into the CSR as it stands.
     """
     from ..ingest.chunked import iter_row_events, parse_adjacency_line
     if policy is not None:
@@ -190,17 +191,10 @@ def _bulk_read_adjacency(path: str | Path, builder: GraphBuilder,
             if not len(values):
                 continue
             firsts = splits[:-1]
-            vertices = values[firsts]
-            # Every row extends the id space even when it has no
-            # neighbors — ids are non-negative, so the max suffices.
-            builder.note_vertex(int(vertices.max()))
-            counts = np.diff(splits) - 1
-            src = np.repeat(vertices, counts)
-            if not len(src):
-                continue
             keep = np.ones(len(values), dtype=bool)
             keep[firsts] = False
-            builder.add_edge_arrays(src, values[keep])
+            builder.add_rows(values[firsts], np.diff(splits) - 1,
+                             values[keep])
         else:
             parsed = parse_adjacency_line(path, event[1], event[2], policy)
             if parsed is not None:

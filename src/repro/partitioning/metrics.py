@@ -7,12 +7,15 @@
 * ``δ_e`` — edge balance factor, same with ``|E_i|`` (Eq. 2).
 
 All computations are vectorized over the CSR arrays, so evaluating a
-partitioning costs O(|E|) with small constants.
+partitioning costs O(|E|) with small constants; the per-edge ones walk
+the CSR in vertex blocks, so the memory they add is O(|V|) plus a
+constant, never O(|E|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,19 +56,38 @@ class QualityReport:
                 f"δe={self.delta_e:.2f}")
 
 
-def _cut_mask(graph: DiGraph,
-              assignment: PartitionAssignment) -> np.ndarray:
-    """Boolean mask over edges: True where the edge crosses partitions."""
-    route = assignment.route
-    src, dst = graph.edge_array()
-    src_part = route[src]
-    dst_part = route[dst]
-    return src_part != dst_part
+#: Edges per block of :func:`_edge_part_blocks`: its temporaries stay
+#: near a quarter of a MiB whatever the graph's size.
+_BLOCK_EDGES = 1 << 14
+
+
+def _edge_part_blocks(graph: DiGraph, route: np.ndarray
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(source partitions, target partitions)`` of every edge, in
+    blocks of whole vertices holding about :data:`_BLOCK_EDGES` edges
+    (one vertex of higher degree is a block of its own).
+
+    The CSR is read as it is — ``repeat(route[lo:hi], degrees)`` beside
+    ``route[indices[a:b]]`` — so no |E|-long array is ever formed.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    n = graph.num_vertices
+    lo = 0
+    while lo < n:
+        a = int(indptr[lo])
+        hi = int(np.searchsorted(indptr, a + _BLOCK_EDGES, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        b = int(indptr[hi])
+        if b > a:
+            yield (np.repeat(route[lo:hi], np.diff(indptr[lo:hi + 1])),
+                   route[indices[a:b]])
+        lo = hi
 
 
 def edge_cut(graph: DiGraph, assignment: PartitionAssignment) -> int:
     """``|D|`` — the number of cutting (cross-partition) directed edges."""
-    return int(np.sum(_cut_mask(graph, assignment)))
+    return sum(int(np.count_nonzero(src != dst)) for src, dst in
+               _edge_part_blocks(graph, assignment.route))
 
 
 def edge_cut_ratio(graph: DiGraph,
@@ -76,24 +98,25 @@ def edge_cut_ratio(graph: DiGraph,
     return edge_cut(graph, assignment) / graph.num_edges
 
 
+def _balance(counts: np.ndarray, total: int, k: int) -> float:
+    """How far the largest of ``counts`` exceeds the ideal ``total / k``."""
+    if total == 0:
+        return 1.0
+    return float(counts.max() / (total / k))
+
+
 def vertex_balance(graph: DiGraph,
                    assignment: PartitionAssignment) -> float:
     """``δ_v``: how far the largest partition exceeds the ideal |V|/K."""
-    counts = assignment.vertex_counts()
-    if graph.num_vertices == 0:
-        return 1.0
-    ideal = graph.num_vertices / assignment.num_partitions
-    return float(counts.max() / ideal)
+    return _balance(assignment.vertex_counts(), graph.num_vertices,
+                    assignment.num_partitions)
 
 
 def edge_balance(graph: DiGraph,
                  assignment: PartitionAssignment) -> float:
     """``δ_e``: how far the edge-heaviest partition exceeds |E|/K."""
-    counts = assignment.edge_counts(graph)
-    if graph.num_edges == 0:
-        return 1.0
-    ideal = graph.num_edges / assignment.num_partitions
-    return float(counts.max() / ideal)
+    return _balance(assignment.edge_counts(graph), graph.num_edges,
+                    assignment.num_partitions)
 
 
 def cut_matrix(graph: DiGraph,
@@ -104,12 +127,12 @@ def cut_matrix(graph: DiGraph,
     off-diagonal sum equals :func:`edge_cut`.  The BSP runtime uses this
     as its communication matrix.
     """
-    route = assignment.route
-    src, dst = graph.edge_array()
     k = assignment.num_partitions
-    flat = route[src].astype(np.int64) * k + route[dst]
-    valid = (route[src] != UNASSIGNED) & (route[dst] != UNASSIGNED)
-    counts = np.bincount(flat[valid], minlength=k * k)
+    counts = np.zeros(k * k, dtype=np.int64)
+    for src, dst in _edge_part_blocks(graph, assignment.route):
+        valid = (src != UNASSIGNED) & (dst != UNASSIGNED)
+        flat = src[valid].astype(np.int64) * k + dst[valid]
+        counts += np.bincount(flat, minlength=k * k)
     return counts.reshape(k, k)
 
 
@@ -122,13 +145,16 @@ def evaluate(graph: DiGraph,
     """
     assignment.validate(graph.num_vertices)
     cut = edge_cut(graph, assignment)
+    k = assignment.num_partitions
+    vertex_counts = assignment.vertex_counts()
+    edge_counts = assignment.edge_counts(graph)
     return QualityReport(
         graph_name=graph.name,
-        num_partitions=assignment.num_partitions,
+        num_partitions=k,
         num_cut_edges=cut,
         ecr=cut / graph.num_edges if graph.num_edges else 0.0,
-        delta_v=vertex_balance(graph, assignment),
-        delta_e=edge_balance(graph, assignment),
-        vertex_counts=assignment.vertex_counts(),
-        edge_counts=assignment.edge_counts(graph),
+        delta_v=_balance(vertex_counts, graph.num_vertices, k),
+        delta_e=_balance(edge_counts, graph.num_edges, k),
+        vertex_counts=vertex_counts,
+        edge_counts=edge_counts,
     )

@@ -24,12 +24,14 @@ import numpy as np
 from ..graph.digraph import DiGraph
 from ..recovery.atomic import atomic_writer
 from .assignment import PartitionAssignment
-from .metrics import evaluate
+from .metrics import QualityReport, evaluate
 
 __all__ = ["save_assignment", "load_assignment"]
 
 _FORMAT_NAME = "repro-route-table"
 _FORMAT_VERSION = 1
+#: Route entries formatted per write by :func:`save_assignment`.
+_SLICE_VERTICES = 1 << 12
 
 
 def _open(path: Path, mode: str) -> IO[str]:
@@ -41,11 +43,14 @@ def _open(path: Path, mode: str) -> IO[str]:
 def save_assignment(assignment: PartitionAssignment, path: str | Path, *,
                     graph: DiGraph | None = None,
                     partitioner: str | None = None,
-                    extra: dict[str, Any] | None = None) -> None:
+                    extra: dict[str, Any] | None = None
+                    ) -> QualityReport | None:
     """Write an assignment with a self-describing JSON header.
 
-    When ``graph`` is given, the header also records the quality metrics
-    so the file documents what it achieved without re-evaluation.
+    When ``graph`` is given and the assignment is complete, the header
+    also records the quality metrics so the file documents what it
+    achieved without re-evaluation, and the :class:`QualityReport`
+    they came from is returned (``None`` otherwise).
     """
     path = Path(path)
     header: dict[str, Any] = {
@@ -56,6 +61,7 @@ def save_assignment(assignment: PartitionAssignment, path: str | Path, *,
     }
     if partitioner:
         header["partitioner"] = partitioner
+    quality = None
     if graph is not None:
         header["graph"] = graph.name
         header["num_edges"] = graph.num_edges
@@ -70,8 +76,13 @@ def save_assignment(assignment: PartitionAssignment, path: str | Path, *,
     # (or nothing), never a truncated one a scheduler could half-load.
     with atomic_writer(path, "w") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        if assignment.num_vertices:  # one write, not one per vertex
-            fh.write("\n".join(map(str, assignment.route.tolist())) + "\n")
+        # One write per slice, not per vertex, and no |V|-long list of
+        # Python ints and strings.
+        route = assignment.route
+        for lo in range(0, len(route), _SLICE_VERTICES):
+            fh.write("\n".join(map(str, route[lo:lo + _SLICE_VERTICES]
+                                   .tolist())) + "\n")
+    return quality
 
 
 def load_assignment(path: str | Path

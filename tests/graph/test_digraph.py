@@ -112,6 +112,12 @@ class TestIteration:
         assert set(zip(src.tolist(), dst.tolist())) == set(
             tiny_graph.edges())
 
+    def test_edge_array_targets_are_the_graph_not_a_copy(self, tiny_graph):
+        _, dst = tiny_graph.edge_array()
+        assert np.shares_memory(dst, tiny_graph.indices)
+        with pytest.raises(ValueError, match="read-only"):
+            dst[0] = 0
+
 
 class TestDerivedGraphs:
     def test_reverse_flips_edges(self, tiny_graph):

@@ -203,6 +203,10 @@ def test_tokenizer_matches_line_parser(text, budget):
     b"1 2\r\n\r\n# c\r\n3\r\n",           # CRLF throughout
     b"1 x\r\n2 3\r\n",                    # ... around a malformed line
     b"0 99999999999999999999\n",          # 20 digits: overflows either way
+    b"999999999999999999\n",              # lone 18-digit row: the id-space
+                                          # guard refuses it before indptr
+    b"99999999999999999999\n",            # ... and a 20-digit one, which
+                                          # only int() can read
     b"# 99999999999999999999\n0 1\n",     # ... but not inside a comment
     b"0 \xff\n1 2\n",                     # not UTF-8, in a row
     b"# \xff\n1 2\n",                     # not UTF-8, in a comment

@@ -10,18 +10,28 @@ Two bounds, both by ``tracemalloc`` (which sees numpy's buffers):
   partitioner's own state, which :func:`repro.memory.model.spnl_bytes`
   predicts, plus a constant of that block size — at 5k, 20k and 80k
   vertices, while the file grows from 0.3 to 6 MB.
+
+And two for the batch path, which holds the graph: ``read_adjacency``
+peaks at no more than twice the CSR it returns plus that block
+constant (the row pieces and the stitched CSR; no ``(src, dst)`` pairs,
+no sort key over every edge), and ``evaluate`` adds O(|V|) plus a
+constant, never O(|E|).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import PartitionConfig, community_web_graph
-from repro.graph.io import write_adjacency
+from repro.graph import DiGraph
+from repro.graph.io import read_adjacency, write_adjacency
 from repro.graph.stream import FileStream
 from repro.ingest.chunked import DEFAULT_CHUNK_BYTES, _tokenize_block
 from repro.memory.model import spnl_bytes
 from repro.memory.tracker import measure_peak
+from repro.partitioning.assignment import PartitionAssignment
+from repro.partitioning.metrics import evaluate
 
 BYTES_PER_INPUT_BYTE = 20
 K, SHARDS = 32, 8
@@ -96,3 +106,35 @@ def test_stream_pass_peak_is_state_plus_a_block(tmp_path):
     # 16x the vertices and 19x the file: the peak grows like the state.
     assert sizes[-1] > 15 * sizes[1]
     assert peaks[-1] - peaks[1] <= 1.5 * (models[-1] - models[1])
+
+
+@pytest.fixture(scope="module", params=[5000, 20000])
+def batch_graph(request, tmp_path_factory):
+    """The benchmark's file shape: every row's neighbours shuffled, so
+    the reader sorts each row."""
+    graph = community_web_graph(request.param, seed=7)
+    rng = np.random.default_rng(11)
+    row_of_edge = np.repeat(np.arange(graph.num_vertices),
+                            graph.out_degrees())
+    order = np.lexsort((rng.random(graph.num_edges), row_of_edge))
+    path = tmp_path_factory.mktemp("batch") / f"g{request.param}.adj"
+    write_adjacency(DiGraph(graph.indptr, graph.indices[order]), path)
+    return graph, path
+
+
+class TestBatchPath:
+    def test_read_adjacency_holds_the_graph_about_once(self, batch_graph):
+        graph, path = batch_graph
+        parsed, peak = measure_peak(lambda: read_adjacency(path))
+        assert parsed == graph
+        constant = BYTES_PER_INPUT_BYTE * DEFAULT_CHUNK_BYTES
+        assert peak <= 2 * parsed.nbytes() + constant, \
+            peak / parsed.nbytes()
+
+    def test_evaluate_does_not_grow_with_the_edges(self, batch_graph):
+        graph, _ = batch_graph
+        assignment = PartitionAssignment(
+            np.arange(graph.num_vertices) % K, K)
+        report, peak = measure_peak(lambda: evaluate(graph, assignment))
+        assert report.num_cut_edges > 0
+        assert peak <= 16 * graph.num_vertices + (1 << 20), peak

@@ -82,6 +82,30 @@ class TestPartitionEvaluateInfo:
         assert set(np.unique(table)) <= set(range(4))
         assert "ECR=" in capsys.readouterr().out
 
+    def test_partition_evaluates_the_route_once(self, graph_file, tmp_path,
+                                                capsys, monkeypatch):
+        """The save's report is the one printed: one evaluation, and the
+        line reads as an evaluation of the saved route does."""
+        from repro.graph.io import read_adjacency
+        from repro.partitioning import metrics, persistence
+        calls, evaluate = [], metrics.evaluate
+
+        def counted(graph, assignment):
+            calls.append(1)
+            return evaluate(graph, assignment)
+
+        for module in (metrics, persistence):
+            monkeypatch.setattr(module, "evaluate", counted)
+        routes = tmp_path / "routes.txt"
+        assert main(["partition", str(graph_file), str(routes),
+                     "--method", "spnl", "-k", "4"]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assignment, header = persistence.load_assignment(routes)
+        report = evaluate(read_adjacency(graph_file), assignment)
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"{header['partitioner']}: {report} PT=")
+
     def test_every_method_runs(self, graph_file, tmp_path):
         for method in ("ldg", "fennel", "spn", "spnl", "hash", "range",
                        "metis", "xtrapulp"):
