@@ -180,7 +180,10 @@ def _bulk_read_adjacency(path: str | Path, builder: GraphBuilder,
     piece — the row vertices, each row's out-degree, and the tokens
     minus every row's leading vertex — so the builder sees rows, not
     ``(src, dst)`` pairs, and a file written in id order is stitched
-    into the CSR as it stands.
+    into the CSR as it stands.  A fallback line (one ``int()`` reads
+    but the tokenizer does not, such as ``+5`` or ``1_000``) joins them
+    as a one-row piece, so it does not send the whole build down the
+    pair path; only a row id past ``int64`` takes :meth:`add_adjacency`.
     """
     from ..ingest.chunked import iter_row_events, parse_adjacency_line
     if policy is not None:
@@ -197,8 +200,14 @@ def _bulk_read_adjacency(path: str | Path, builder: GraphBuilder,
                              values[keep])
         else:
             parsed = parse_adjacency_line(path, event[1], event[2], policy)
-            if parsed is not None:
-                builder.add_adjacency(*parsed)
+            if parsed is None:
+                continue
+            vertex, neighbors = parsed
+            if vertex < 2 ** 63:
+                builder.add_rows(np.array([vertex]),
+                                 np.array([len(neighbors)]), neighbors)
+            else:  # beyond int64: the build refuses its id space
+                builder.add_adjacency(vertex, neighbors)
 
 
 def write_adjacency(graph: DiGraph, path: str | Path,

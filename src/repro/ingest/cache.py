@@ -20,8 +20,10 @@ Integrity is layered exactly like snapshots: truncation fails the
 ``body_len`` check, corruption fails CRC32, and foreign/future files are
 rejected by format name and version — all as :class:`GraphCacheError`
 before any array reaches a partitioner.  Writes go through
-:func:`repro.recovery.atomic.atomic_write_bytes`, so a crash mid-write
-never tears an existing cache.
+:func:`repro.recovery.atomic.atomic_writer`, straight from the two
+arrays' buffers (the CRC is chained over them first), so a crash
+mid-write never tears an existing cache and no copy of the body is
+built.
 
 Freshness is keyed on the source file's ``(size, mtime_ns)`` recorded
 at write time; :func:`load_or_parse` transparently falls back to a text
@@ -90,24 +92,27 @@ def write_graph_cache(path: str | Path, graph,
     header with a freshness signature; omit it for graphs with no
     backing file.
     """
-    from ..recovery.atomic import atomic_write_bytes
+    from ..recovery.atomic import atomic_writer
     indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
     indices = np.ascontiguousarray(graph.indices, dtype=np.int64)
     if indptr.dtype.byteorder not in ("=", "<", "|"):  # pragma: no cover
         indptr = indptr.astype("<i8")
         indices = indices.astype("<i8")
-    body = indptr.tobytes() + indices.tobytes()
+    body = (memoryview(indptr).cast("B"), memoryview(indices).cast("B"))
     header = json.dumps({
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
-        "crc32": zlib.crc32(body),
-        "body_len": len(body),
+        "crc32": zlib.crc32(body[1], zlib.crc32(body[0])),
+        "body_len": body[0].nbytes + body[1].nbytes,
         "num_vertices": int(graph.num_vertices),
         "num_edges": int(graph.num_edges),
         "name": str(graph.name),
         "source": _source_sig(source) if source is not None else None,
     }, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, _MAGIC + _LEN.pack(len(header)) + header + body)
+    with atomic_writer(path, "w+b") as fh:
+        fh.write(_MAGIC + _LEN.pack(len(header)) + header)
+        for part in body:
+            fh.write(part)
 
 
 def _read_header(path: Path,

@@ -22,7 +22,7 @@ without replaying the stream:
   slow engine) backing the ``pytest -m chaos`` suite.
 """
 
-from .atomic import atomic_writer, atomic_write_bytes, atomic_write_text
+from .atomic import atomic_writer, atomic_write_text
 from .checkpoint import (
     CheckpointConfig,
     Checkpointer,
@@ -49,7 +49,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SnapshotError",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
     "latest_snapshot",

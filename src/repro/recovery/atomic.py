@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
-__all__ = ["atomic_writer", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["atomic_writer", "atomic_write_text"]
 
 
 def _tmp_path(path: Path) -> Path:
@@ -33,15 +33,19 @@ def atomic_writer(path: str | Path, mode: str = "w", *,
     ``mode`` is ``"w"`` (text) or ``"wb"`` (binary).  Paths ending in
     ``.gz`` are gzip-compressed transparently, matching the readers in
     :mod:`repro.graph.io` and :mod:`repro.partitioning.persistence`.
+    ``"w+b"`` opens a plain binary file, never gzip-wrapped, that can
+    also seek and read back: the snapshot and graph-cache formats write
+    their arrays' buffers straight into it, and the snapshot writer
+    reads its body back for the CRC and patches its header in place.
     On a clean exit the temporary is fsynced and renamed over ``path``;
     on an exception it is removed and ``path`` is left untouched.
     """
     path = Path(path)
-    if mode not in ("w", "wb"):
-        raise ValueError(f"mode must be 'w' or 'wb', got {mode!r}")
+    if mode not in ("w", "wb", "w+b"):
+        raise ValueError(f"mode must be 'w', 'wb' or 'w+b', got {mode!r}")
     tmp = _tmp_path(path)
-    binary = mode == "wb"
-    if path.suffix == ".gz":
+    binary = "b" in mode
+    if path.suffix == ".gz" and mode != "w+b":
         fh: IO = gzip.open(tmp, mode if binary else mode + "t",
                            encoding=None if binary else encoding)
     else:
@@ -60,21 +64,6 @@ def atomic_writer(path: str | Path, mode: str = "w", *,
         os.fsync(fd)
     finally:
         os.close(fd)
-    os.replace(tmp, path)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Atomically replace ``path`` with ``data`` (no gzip wrapping)."""
-    path = Path(path)
-    tmp = _tmp_path(path)
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
     os.replace(tmp, path)
 
 

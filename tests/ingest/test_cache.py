@@ -68,6 +68,46 @@ class TestRoundTrip:
         assert read_graph_cache(path).name == "cache300"
 
 
+def _old_formula_cache(path, graph, source=None):
+    """A cache file as the writer built it before it streamed: the whole
+    body as one ``bytes``, header and body concatenated."""
+    import json
+    import struct
+    import zlib
+
+    from repro.ingest.cache import _source_sig
+
+    body = (np.ascontiguousarray(graph.indptr, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(graph.indices, dtype=np.int64).tobytes())
+    header = json.dumps({
+        "format": "repro-csr",
+        "version": 1,
+        "crc32": zlib.crc32(body),
+        "body_len": len(body),
+        "num_vertices": int(graph.num_vertices),
+        "num_edges": int(graph.num_edges),
+        "name": str(graph.name),
+        "source": _source_sig(source) if source is not None else None,
+    }, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"REPROCSR\x01" + struct.pack(">I", len(header))
+                     + header + body)
+
+
+class TestStreamedWriter:
+    def test_old_formula_file_still_loads(self, tmp_path, graph):
+        path = tmp_path / "old.reprocsr"
+        _old_formula_cache(path, graph)
+        _assert_same(graph, read_graph_cache(path))
+
+    def test_bytes_equal_the_old_formula(self, tmp_path, source, graph):
+        old, new = tmp_path / "old.reprocsr", tmp_path / "new.reprocsr"
+        _old_formula_cache(old, graph, source=source)
+        write_graph_cache(new, graph, source=source)
+        assert new.read_bytes() == old.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.adj", "new.reprocsr", "old.reprocsr"]  # no temp left
+
+
 class TestIntegrity:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.reprocsr"

@@ -14,7 +14,8 @@ Two bounds, both by ``tracemalloc`` (which sees numpy's buffers):
 And two for the batch path, which holds the graph: ``read_adjacency``
 peaks at no more than twice the CSR it returns plus that block
 constant (the row pieces and the stitched CSR; no ``(src, dst)`` pairs,
-no sort key over every edge), and ``evaluate`` adds O(|V|) plus a
+no sort key over every edge, also when one line takes ``int()``'s
+fallback path), and ``evaluate`` adds O(|V|) plus a
 constant, never O(|E|).
 """
 
@@ -138,3 +139,23 @@ class TestBatchPath:
         report, peak = measure_peak(lambda: evaluate(graph, assignment))
         assert report.num_cut_edges > 0
         assert peak <= 16 * graph.num_vertices + (1 << 20), peak
+
+    def test_a_fallback_line_keeps_the_bound(self, batch_graph, tmp_path):
+        # One ``+`` sign sends its line to int(); the row still joins the
+        # CSR pieces instead of turning every edge into a (src, dst) pair.
+        graph, path = batch_graph
+        lines = path.read_bytes().split(b"\n")
+        row = next(i for i, line in enumerate(lines)
+                   if line[:1].isdigit() and b" " in line)
+        head, _, tail = lines[row].partition(b" ")
+        lines[row] = head + b" +" + tail
+        signed = tmp_path / path.name
+        signed.write_bytes(b"\n".join(lines))
+        parsed, peak = measure_peak(lambda: read_adjacency(signed))
+        reference = read_adjacency(signed, engine="python")
+        assert parsed.indptr.tobytes() == reference.indptr.tobytes()
+        assert parsed.indices.tobytes() == reference.indices.tobytes()
+        assert parsed == graph
+        constant = BYTES_PER_INPUT_BYTE * DEFAULT_CHUNK_BYTES
+        assert peak <= 2 * parsed.nbytes() + constant, \
+            peak / parsed.nbytes()
