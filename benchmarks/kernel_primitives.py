@@ -9,7 +9,8 @@ the standard library only besides the repo's own generators).
    *kind* of numpy call the per-record step makes.  ``docs/
    performance.md`` ("Where the speed comes from") budgets the step
    from this table; rerun it after a numpy upgrade to see which trim
-   of the step the upgrade invalidated.
+   of the step the upgrade invalidated.  The rows marked "unaligned
+   ids" index with the same ids stored off their 8-byte boundary.
 
 2. **In-block dependency density** for block sizes 16-256: ROADMAP
    item 2 proposed scoring a block of B records at once and
@@ -47,6 +48,17 @@ MAX_BLOCKS = 48
 # ----------------------------------------------------------------------
 # 1. primitive costs
 # ----------------------------------------------------------------------
+def unaligned(ids: np.ndarray) -> np.ndarray:
+    """``ids`` in a buffer 7 bytes off an 8-byte boundary: what a CSR
+    slice is when its file's body starts there (``np.frombuffer`` at
+    any offset), and numpy copies it to an aligned one on every use."""
+    raw = np.zeros(ids.nbytes + 8, dtype=np.uint8)
+    out = raw[7:7 + ids.nbytes].view(ids.dtype)
+    out[:] = ids
+    assert not out.flags.aligned
+    return out
+
+
 def primitive_table() -> list[tuple[str, str, float]]:
     rng = np.random.default_rng(0)
     env = {
@@ -67,6 +79,7 @@ def primitive_table() -> list[tuple[str, str, float]]:
         "low": 6000, "low0": np.array(6000),
     }
     env["col"] = env["table"][:, 3]
+    env["nbu"] = unaligned(env["nb"])
     cases = [
         ("plain", "np.multiply(f, g, out=out)"),
         ("plain, Python-float operand", "np.multiply(f, lam, out=out)"),
@@ -90,11 +103,16 @@ def primitive_table() -> list[tuple[str, str, float]]:
         ("take d rows (out=, checked)", "table.take(nb, axis=0, out=rows)"),
         ("take d rows (out=, mode='clip')",
          "table.take(nb, axis=0, out=rows, mode='clip')"),
+        ("take d rows (fresh), unaligned ids", "table.take(nbu, axis=0)"),
         ("fancy-index d rows", "table[nb]"),
+        ("fancy-index d rows, unaligned ids", "table[nbu]"),
         ("add one table row (int32)", "np.add(o32, table[5], out=o32)"),
         ("gather + bincount (2K)",
          "np.bincount(image[nb], minlength=2 * K)"),
+        ("gather + bincount (2K), unaligned ids",
+         "np.bincount(image[nbu], minlength=2 * K)"),
         ("np.add.at column, int32 one", "np.add.at(col, nb, one)"),
+        ("np.add.at column, unaligned ids", "np.add.at(col, nbu, one)"),
         ("np.add.at column, Python 1", "np.add.at(col, nb, 1)"),
         ("lane += 1, ndarray", "i64[7] += 1"),
         ("lane += 1, memoryview", "lane[7] += 1"),

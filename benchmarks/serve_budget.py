@@ -37,6 +37,14 @@ kernel: the server's time outside the kernel per unit of kernel time.
 Each workload runs ``ROUNDS`` times on a fresh service; every row is
 the round with the lowest total, so one preempted round does not count.
 
+Two reference lines follow the table: ``partition()``'s kernel time
+per record with the same config (best of ``ROUNDS`` passes) over the
+loaded graph and over an in-memory copy of it, next to the served
+kernel's, and whether the loaded CSR arrays are aligned.  Unaligned
+arrays (a sidecar whose body does not start on an 8-byte boundary)
+cost numpy a copy per indexing use, which shows up as a kernel over
+the loaded graph slower than over the copy.
+
 After its requests every pass sends one ``snapshot`` op, timed, and a
 second one under ``tracemalloc``: the second table prints, per workload,
 the fastest op's time, the lowest traced peak and the ``.snap`` size.
@@ -56,7 +64,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import PartitionConfig  # noqa: E402
-from repro.graph import community_web_graph  # noqa: E402
+from repro.graph import GraphStream, community_web_graph  # noqa: E402
+from repro.graph.digraph import DiGraph  # noqa: E402
 from repro.graph.io import write_adjacency  # noqa: E402
 from repro.ingest.cache import load_or_parse  # noqa: E402
 from repro.memory.tracker import measure_peak  # noqa: E402
@@ -107,14 +116,23 @@ def snapshot_cost(service) -> dict[str, float]:
             "bytes": Path(reply["path"]).stat().st_size}
 
 
+def config() -> PartitionConfig:
+    return PartitionConfig(method="spnl", num_partitions=K, num_shards=1)
+
+
+def in_process_kernel_us(graph) -> float:
+    """``partition()``'s kernel µs per record, best of ``ROUNDS``."""
+    return min(config().make().partition(GraphStream(graph)).elapsed_seconds
+               for _ in range(ROUNDS)) / graph.num_vertices * 1e6
+
+
 def one_pass(graph, requests: list[dict],
              workdir: Path) -> tuple[dict[str, float], dict[str, float]]:
     """Serve ``requests`` on a fresh service, then snapshot it; seconds
     per layer and the snapshot op's cost."""
     spent = dict.fromkeys(LAYERS, 0.0)
     service = server_module.PlacementService(
-        graph, config=PartitionConfig(method="spnl", num_partitions=K,
-                                      num_shards=1),
+        graph, config=config(),
         snapshot_dir=tempfile.mkdtemp(dir=workdir), wal_fsync=False)
     append = service._wal.append_batch
 
@@ -178,7 +196,7 @@ def main() -> None:
               f"no fsync, best of {ROUNDS} rounds; µs per placement")
         header = "".join(f"{name:>13}" for name in LAYERS)
         print(f"{'workload':<13}{header}{'server÷kernel':>15}")
-        snapshots = {}
+        snapshots, served = {}, {}
         for name, (requests, placements) in workloads.items():
             passes = [one_pass(graph, requests, workdir)
                       for _ in range(ROUNDS)]
@@ -189,9 +207,18 @@ def main() -> None:
             outside = (best["decode"] + best["bookkeeping"]
                        + best["WAL append"] + best["encode"])
             print(f"{name:<13}{row}{outside / best['kernel']:>15.2f}")
+            served[name] = best["kernel"] / placements * 1e6
             snapshots[name] = {
                 key: min(snap[key] for _, snap in passes)
                 for key in ("ms", "peak_mib", "bytes")}
+        copy = DiGraph(np.array(graph.indptr), np.array(graph.indices))
+        print(f"\nreference: partition() kernel "
+              f"{in_process_kernel_us(graph):.2f} µs/record over the loaded "
+              f"graph, {in_process_kernel_us(copy):.2f} over an in-memory "
+              "copy; served kernel " + ", ".join(
+                  f"{us:.2f} ({name})" for name, us in served.items()))
+        print(f"loaded CSR aligned: indptr {graph.indptr.flags.aligned}, "
+              f"indices {graph.indices.flags.aligned}")
         print(f"\n{'snapshot op':<13}{'ms':>13}{'peak MiB':>13}"
               f"{'bytes':>13}")
         for name, snap in snapshots.items():

@@ -14,7 +14,10 @@ parsing entirely.  The file layout mirrors the snapshot codec
                    "crc32": <crc of body>, "body_len": <bytes>,
                    "num_vertices": ..., "num_edges": ..., "name": ...,
                    "source": {"size": ..., "mtime_ns": ...} | null}
-    body          indptr bytes (int64 LE) + indices bytes (int64 LE)
+                  padded with trailing spaces up to the next
+                  64-byte boundary of the file
+    body          indptr bytes (int64 LE) + indices bytes (int64 LE),
+                  starting at a multiple of 64
 
 Integrity is layered exactly like snapshots: truncation fails the
 ``body_len`` check, corruption fails CRC32, and foreign/future files are
@@ -34,12 +37,21 @@ The ``mmap`` load is lazy *and* checked: the CRC is verified on the
 mapped bytes before the arrays are returned, after which the OS pages
 the arrays in on demand — repeat partitioning runs touch only the bytes
 they stream.
+
+The mapping starts on a page, so the padded header leaves both arrays
+aligned.  An unaligned index array costs numpy an aligned copy each
+time it indexes with it, and the placement kernel indexes with every
+record's neighbour slice several times.  JSON allows the padding's
+trailing spaces, so the version is unchanged and unpadded files still
+load; :func:`is_cache_fresh` calls them stale, so :func:`load_or_parse`
+rewrites each one aligned, once.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -64,6 +76,7 @@ CACHE_VERSION = 1
 CACHE_SUFFIX = ".reprocsr"
 _MAGIC = b"REPROCSR\x01"
 _LEN = struct.Struct(">I")
+_ALIGN = 64  # body offset; numpy needs 8, shared lanes align to 64
 
 
 class GraphCacheError(ValueError):
@@ -109,27 +122,42 @@ def write_graph_cache(path: str | Path, graph,
         "name": str(graph.name),
         "source": _source_sig(source) if source is not None else None,
     }, sort_keys=True).encode("utf-8")
+    header += b" " * (-(len(_MAGIC) + _LEN.size + len(header)) % _ALIGN)
     with atomic_writer(path, "w+b") as fh:
         fh.write(_MAGIC + _LEN.pack(len(header)) + header)
         for part in body:
             fh.write(part)
 
 
-def _read_header(path: Path,
-                 blob: bytes | mmap.mmap) -> tuple[dict[str, Any], int]:
-    """Validate magic + header; returns ``(header, body_offset)``."""
-    if len(blob) < len(_MAGIC) + _LEN.size \
-            or bytes(blob[:len(_MAGIC)]) != _MAGIC:
-        raise GraphCacheError(f"{path}: not a graph cache (bad magic)")
-    offset = len(_MAGIC)
-    (header_len,) = _LEN.unpack_from(blob, offset)
-    offset += _LEN.size
-    raw_header = bytes(blob[offset:offset + header_len])
-    if len(raw_header) < header_len:
-        raise GraphCacheError(f"{path}: truncated cache header")
+def read_framed_header(fh, magic: bytes, kind: str) -> bytes:
+    """The header bytes after ``magic`` and their 4-byte big-endian
+    length at the start of the binary file ``fh``.
+
+    Shared by the graph-cache and snapshot readers.  Raises
+    :class:`ValueError` naming ``kind`` on a wrong magic or a length
+    that points past the end of the file; the length is checked before
+    the read, since ``read(n)`` allocates n bytes up front and a damaged
+    length field can claim up to 4 GiB.
+    """
+    head = fh.read(len(magic) + _LEN.size)
+    if len(head) < len(magic) + _LEN.size or not head.startswith(magic):
+        raise ValueError(f"not a repro {kind} (bad magic)")
+    (header_len,) = _LEN.unpack_from(head, len(magic))
+    if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated {kind} header")
+    return fh.read(header_len)
+
+
+def _read_header(path: Path, fh) -> dict[str, Any]:
+    """Validate magic, header, format and version at the start of
+    ``fh``, leaving it at the body."""
+    try:
+        raw_header = read_framed_header(fh, _MAGIC, "graph cache")
+    except ValueError as exc:
+        raise GraphCacheError(f"{path}: {exc}") from None
     try:
         header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise GraphCacheError(
             f"{path}: unreadable cache header: {exc}") from exc
     if header.get("format") != CACHE_FORMAT:
@@ -140,7 +168,7 @@ def _read_header(path: Path,
         raise GraphCacheError(
             f"{path}: cache version {header.get('version')!r} is not "
             f"supported (expected {CACHE_VERSION})")
-    return header, offset + header_len
+    return header
 
 
 def read_graph_cache(path: str | Path, *, use_mmap: bool = True):
@@ -153,16 +181,17 @@ def read_graph_cache(path: str | Path, *, use_mmap: bool = True):
     """
     from ..graph.digraph import DiGraph
     path = Path(path)
-    if use_mmap:
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        header = _read_header(path, fh)
+        body = None
+        if use_mmap:
             try:
-                buf: Any = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):  # empty file / no-mmap FS
-                buf = fh.read()
-    else:
-        buf = path.read_bytes()
-    header, body_offset = _read_header(path, buf)
-    body = memoryview(buf)[body_offset:]
+                body = memoryview(mmap.mmap(
+                    fh.fileno(), 0, access=mmap.ACCESS_READ))[fh.tell():]
+            except (ValueError, OSError):  # no-mmap filesystem
+                pass
+        if body is None:
+            body = memoryview(fh.read())
     if len(body) != header["body_len"]:
         raise GraphCacheError(
             f"{path}: truncated cache body ({len(body)} bytes, header "
@@ -189,21 +218,16 @@ def is_cache_fresh(cache: str | Path, source: str | Path) -> bool:
     A cache written without a source signature is never considered
     fresh relative to a source file; unreadable or foreign files are
     simply "not fresh" (callers fall back to parsing), never an error.
+    Neither is a file whose body does not start on a 64-byte boundary
+    (written before the header was padded), so it is rewritten aligned.
     """
     cache = Path(cache)
     try:
         with open(cache, "rb") as fh:
-            head = fh.read(len(_MAGIC) + _LEN.size)
-            if len(head) < len(_MAGIC) + _LEN.size \
-                    or not head.startswith(_MAGIC):
+            header = _read_header(cache, fh)
+            if fh.tell() % _ALIGN:
                 return False
-            (header_len,) = _LEN.unpack_from(head, len(_MAGIC))
-            raw_header = fh.read(header_len)
-        header = json.loads(raw_header.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    if header.get("format") != CACHE_FORMAT \
-            or header.get("version") != CACHE_VERSION:
+    except (OSError, GraphCacheError):
         return False
     return header.get("source") is not None \
         and header["source"] == _source_sig(source)

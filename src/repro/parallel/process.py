@@ -348,6 +348,14 @@ class ShardedScorePool:
         self._procs[worker_id], self._conns[worker_id] = proc, parent_conn
 
     def _respawn(self, worker_id: int, reason: str) -> None:
+        # Reap the dead worker first: it is about to leave ``_procs``
+        # (replaced, or the run fails), and ``close`` joins only the
+        # workers still listed there.
+        dead = self._procs[worker_id]
+        dead.join(timeout=2.0)
+        if dead.is_alive():
+            dead.kill()
+            dead.join(timeout=2.0)
         if self.restarts >= self.max_worker_restarts:
             raise WorkerCrashedError(
                 f"worker {worker_id} died ({reason}) and the "

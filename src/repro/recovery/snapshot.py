@@ -195,18 +195,15 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
     body, or CRC mismatch.  The body is checked in bounded chunks and
     decoded from the same open file; the file is never read whole.
     """
+    from ..ingest.cache import read_framed_header
+
     path = Path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(len(_MAGIC) + _LEN.size)
-        if len(head) < len(_MAGIC) + _LEN.size or not head.startswith(_MAGIC):
-            raise SnapshotError(f"{path}: not a repro snapshot (bad magic)")
-        (header_len,) = _LEN.unpack_from(head, len(_MAGIC))
-        # Checked before the read: read(n) allocates n bytes up front,
-        # and a damaged length field can claim up to 4 GiB.
-        if header_len > size - len(head):
-            raise SnapshotError(f"{path}: truncated snapshot header")
-        raw_header = fh.read(header_len)
+        try:
+            raw_header = read_framed_header(fh, _MAGIC, "snapshot")
+        except ValueError as exc:
+            raise SnapshotError(f"{path}: {exc}") from None
         try:
             header = json.loads(raw_header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -6,7 +6,9 @@ and asserts the documented recovery behavior, deterministically.
 """
 
 import multiprocessing
+import multiprocessing.util
 import os
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +130,28 @@ class _DiesOnVertex(SPNLPartitioner):
         return True
 
 
+class _FirstVictimLingers(_DiesOnVertex):
+    """A poison record whose first victim is slow to exit after it has
+    reported its error, as a worker can be under CPU contention."""
+
+    def __init__(self, *args, marker, linger, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.linger_marker = marker
+        self.linger = linger
+
+    def _score(self, record, state):
+        if record.vertex == self.vertex:
+            try:
+                os.close(os.open(self.linger_marker,
+                                 os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:  # runs as the worker process exits
+                multiprocessing.util.Finalize(
+                    None, time.sleep, args=(self.linger,), exitpriority=0)
+        return super()._score(record, state)
+
+
 class TestDyingWorkers:
     """A pool worker that raises while scoring is respawned within the
     restart budget; past it the run fails loudly, leaving no worker
@@ -163,6 +187,19 @@ class TestDyingWorkers:
         with pytest.raises(WorkerCrashedError,
                            match="restart budget.*injected worker "
                                  "death scoring vertex 50"):
+            executor.partition(GraphStream(graph))
+        assert multiprocessing.active_children() == []
+
+    def test_a_replaced_worker_is_reaped_before_the_error_surfaces(
+            self, graph, tmp_path, shm_leak_check):
+        # The first victim is replaced, so only the respawn can join it;
+        # it is still exiting when the budget runs out two deaths later.
+        executor = ProcessShardedPartitioner(
+            _FirstVictimLingers(K, num_shards=1,
+                                marker=tmp_path / "lingered", linger=1.0),
+            parallelism=4, num_workers=2, max_worker_restarts=2,
+            restart_backoff=0.0)
+        with pytest.raises(WorkerCrashedError, match="restart budget"):
             executor.partition(GraphStream(graph))
         assert multiprocessing.active_children() == []
 
