@@ -12,9 +12,10 @@ Graphs (substrate)::
 Partitioners (the paper's contribution + baselines), via the stable
 three-call facade (:mod:`repro.api`)::
 
-    from repro import make_partitioner, partition_stream, evaluate
-    result = partition_stream(graph, method="spnl", num_partitions=32,
-                              num_shards="auto")
+    from repro import PartitionConfig, partition_stream, evaluate
+    cfg = PartitionConfig(method="spnl", num_partitions=32,
+                          num_shards="auto")
+    result = partition_stream(graph, cfg)
     print(evaluate(graph, result.assignment))
 
 or explicitly (deep import paths keep working)::

@@ -3,10 +3,10 @@
 Everything a typical user needs lives behind three names, re-exported at
 package top level so deep module paths never leak into user code::
 
-    from repro import make_partitioner, partition_stream, evaluate
+    from repro import PartitionConfig, partition_stream, evaluate
 
-    result = partition_stream(graph, method="spnl", num_partitions=32,
-                              slack=1.1)
+    cfg = PartitionConfig(method="spnl", num_partitions=32, slack=1.1)
+    result = partition_stream(graph, cfg)
     print(evaluate(graph, result.assignment))
 
 Stable signatures (the documented contract; deep module paths keep
@@ -17,7 +17,7 @@ working but these are what notebooks should use):
     :mod:`repro.partitioning.registry`.
 
 ``partition_stream(graph, method="spnl", num_partitions=32, *,
-order=None, instrumentation=None, **kwargs)``
+order=None, instrumentation=None, config=None)``
     One-call partitioning of a :class:`~repro.graph.digraph.DiGraph`
     (or an existing :class:`~repro.graph.stream.VertexStream`), returning
     a :class:`~repro.partitioning.base.StreamingResult` whatever the
@@ -36,7 +36,7 @@ from typing import Any
 from .graph.digraph import DiGraph
 from .graph.stream import GraphStream, VertexStream
 from .partitioning.base import StreamingResult
-from .partitioning.config import PartitionConfig, warn_kwargs_style_once
+from .partitioning.config import PartitionConfig
 from .partitioning.metrics import evaluate
 from .partitioning.registry import (
     available_partitioners,
@@ -87,10 +87,9 @@ def partition_stream(graph: DiGraph | VertexStream,
         the preferred way to specify a run.  Mutually exclusive with
         loose ``**kwargs``.
     **kwargs:
-        Heuristic parameters (``slack``, ``lam``, ``num_shards``, …)
-        forwarded to the constructor; unknown ones are dropped so the
-        same call shape works across methods.  Deprecated in favour of
-        ``config`` (one :class:`DeprecationWarning` per process).
+        Not accepted: heuristic parameters (``slack``, ``lam``,
+        ``num_shards``, …) go in ``config``; loose ones raise
+        :class:`TypeError`.
 
     The pass is sequential.  For parallel placement (Sec. V-B) wrap a
     :func:`make_partitioner` result in a :mod:`repro.parallel` executor;
@@ -117,7 +116,10 @@ def partition_stream(graph: DiGraph | VertexStream,
         num_partitions = config.num_partitions
         kwargs = config.kwargs()
     elif kwargs:
-        warn_kwargs_style_once()
+        raise TypeError(
+            f"partition_stream() takes no loose heuristic kwargs "
+            f"({', '.join(sorted(kwargs))}); bundle them in a "
+            f"repro.PartitionConfig and pass it as config=")
     entry = resolve(method)
     partitioner = make_partitioner(method, num_partitions,
                                    ignore_unknown=True, **kwargs)

@@ -87,7 +87,6 @@ def _config_from_args(args: argparse.Namespace, *, method: str | None = None,
             slack=getattr(args, "slack", None),
             lam=getattr(args, "lam", None),
             num_shards=getattr(args, "shards", None),
-            gamma_store=getattr(args, "gamma_store", None),
             gamma_buckets=getattr(args, "gamma_buckets", None))
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -403,7 +402,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shed_watermark=args.shed_watermark,
             max_lag_seconds=args.max_lag_seconds,
             recovery_probe_interval=args.recovery_probe_interval,
-            wal_pipeline=not args.no_wal_pipeline,
             instrumentation=instrumentation)
     except (ValueError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -550,6 +548,16 @@ def _add_method_flag(p: argparse.ArgumentParser,
                         "%(default)s)")
 
 
+def _int_or_auto(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an int or 'auto', got {text!r}") from None
+
+
 def _add_heuristic_flags(p: argparse.ArgumentParser, *,
                          methods: _RegisteredNames,
                          default_method: str = "spnl") -> None:
@@ -561,17 +569,14 @@ def _add_heuristic_flags(p: argparse.ArgumentParser, *,
                    help="balance threshold δ")
     p.add_argument("--lam", type=float, default=0.5,
                    help="λ weighting in/out neighbors (SPN/SPNL)")
-    p.add_argument("--shards", default="auto",
-                   help="sliding-window X (int or 'auto')")
-    p.add_argument("--gamma-store", default="auto",
-                   choices=["auto", "dense", "window", "hashed"],
-                   help="Γ expectation store backend for SPN/SPNL "
-                        "(default auto: dense or sliding window by "
-                        "--shards; 'hashed' caps memory at "
-                        "--gamma-buckets rows)")
-    p.add_argument("--gamma-buckets", type=int, default=None, metavar="B",
-                   help="row count for --gamma-store hashed "
-                        "(default: num_vertices // 16, min 1024)")
+    p.add_argument("--shards", type=_int_or_auto, default="auto",
+                   help="sliding-window X (int or 'auto'); Γ is dense "
+                        "when it resolves to 1, windowed above")
+    p.add_argument("--gamma-buckets", type=_int_or_auto, default=None,
+                   metavar="B",
+                   help="hash SPN/SPNL's Γ onto B rows (int, or 'auto' "
+                        "for max(1024, |V| // 16)); overrides --shards "
+                        "'auto' (default: unset, Γ follows --shards)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,9 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S",
                    help="while read-only, retry recovery every S "
                         "seconds (default 0: recover only on demand)")
-    p.add_argument("--no-wal-pipeline", action="store_true",
-                   help="hold the engine's state lock through each "
-                        "group's WAL fsync (no scoring/fsync overlap)")
     p.add_argument("--graph-cache", nargs="?", const=True, default=None,
                    metavar="PATH",
                    help="load through a binary .reprocsr cache")
@@ -776,9 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    # normalize shards argument
-    if hasattr(args, "shards") and args.shards != "auto":
-        args.shards = int(args.shards)
     return args.func(args)
 
 

@@ -409,21 +409,29 @@ class FileStream(_Seekable):
             f"{self._path} is no longer id-ordered (vertex {vertex} "
             f"arrived after {prev}); the file changed since it was scanned")
 
-    def _record_segments(self, skip: int
-                         ) -> Iterator[list[AdjacencyRecord]]:
-        """One pass over the file, less its first ``skip`` records, as
-        one list of records per run of clean rows or per fallback line.
+    def _row_events(self) -> Iterator[tuple]:
+        """The tokenizer's row events for one pass over the file."""
+        from ..ingest.chunked import iter_row_events
+        return iter_row_events(self._path)
 
-        This is the seam :class:`~repro.recovery.chaos.FlakyFileStream`
-        injects read failures at.
+    def _segments(self, skip: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]
+                                | list[AdjacencyRecord]]:
+        """One pass over the file, less its first ``skip`` records.
+
+        Each run of clean rows comes as its tokenizer arrays ``(values,
+        splits)`` (row ``r`` is ``values[splits[r]:splits[r + 1]]``),
+        each fallback line as a one-record list.  Lenient-policy handling
+        and the check that an id-ordered file is still ordered happen
+        here, so every reader of the file gets both.
         """
-        from ..ingest.chunked import iter_row_events, parse_adjacency_line
+        from ..ingest.chunked import parse_adjacency_line
         if self._policy is not None:
             self._policy.begin_scan(self._path)
         claim_ordered = self._ordered
         ordered = True
         prev = -1
-        for event in iter_row_events(self._path):
+        for event in self._row_events():
             if event[0] == "rows":
                 values, splits = event[1], event[2]
                 vertices = values[splits[:-1]]
@@ -436,7 +444,7 @@ class FileStream(_Seekable):
                     if claim_ordered:  # deliver what precedes, then raise
                         stop = int(late[0])
                 if first < stop:
-                    yield _segment_records(values, splits[first:stop + 1])
+                    yield values, splits[first:stop + 1]
                 if stop < len(vertices):
                     raise self._order_changed(
                         int(vertices[stop]),
@@ -459,6 +467,17 @@ class FileStream(_Seekable):
                     yield [AdjacencyRecord(*parsed)]
         if self._ordered is None:
             self._set_ordered(ordered)
+
+    def _record_segments(self, skip: int
+                         ) -> Iterator[list[AdjacencyRecord]]:
+        """:meth:`_segments` with every segment built into records.
+
+        This is the seam :class:`~repro.recovery.chaos.FlakyFileStream`
+        injects read failures at.
+        """
+        for segment in self._segments(skip):
+            yield segment if isinstance(segment, list) \
+                else _segment_records(*segment)
 
     def __iter__(self) -> Iterator[AdjacencyRecord]:
         delivered = 0

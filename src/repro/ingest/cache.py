@@ -129,15 +129,17 @@ def write_graph_cache(path: str | Path, graph,
             fh.write(part)
 
 
-def read_framed_header(fh, magic: bytes, kind: str) -> bytes:
-    """The header bytes after ``magic`` and their 4-byte big-endian
-    length at the start of the binary file ``fh``.
+def read_framed_header(fh, magic: bytes, kind: str, fmt: str,
+                       version: int) -> dict[str, Any]:
+    """The JSON object after ``magic`` and its 4-byte big-endian length
+    at the start of the binary file ``fh``, leaving ``fh`` at the body.
 
     Shared by the graph-cache and snapshot readers.  Raises
-    :class:`ValueError` naming ``kind`` on a wrong magic or a length
-    that points past the end of the file; the length is checked before
-    the read, since ``read(n)`` allocates n bytes up front and a damaged
-    length field can claim up to 4 GiB.
+    :class:`ValueError` naming ``kind`` on a wrong magic, a length that
+    points past the end of the file, a header that is not a JSON object,
+    or a ``format``/``version`` other than ``fmt``/``version``.  The
+    length is checked before the read, since ``read(n)`` allocates n
+    bytes up front and a damaged length field can claim up to 4 GiB.
     """
     head = fh.read(len(magic) + _LEN.size)
     if len(head) < len(magic) + _LEN.size or not head.startswith(magic):
@@ -145,30 +147,30 @@ def read_framed_header(fh, magic: bytes, kind: str) -> bytes:
     (header_len,) = _LEN.unpack_from(head, len(magic))
     if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"truncated {kind} header")
-    return fh.read(header_len)
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(f"unreadable {kind} header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"unreadable {kind} header: a JSON "
+                         f"{type(header).__name__}, not an object")
+    if header.get("format") != fmt:
+        raise ValueError(f"format {header.get('format')!r} is not {fmt!r}")
+    if header.get("version") != version:
+        raise ValueError(
+            f"{kind} version {header.get('version')!r} is not supported "
+            f"(expected {version})")
+    return header
 
 
 def _read_header(path: Path, fh) -> dict[str, Any]:
-    """Validate magic, header, format and version at the start of
-    ``fh``, leaving it at the body."""
+    """:func:`read_framed_header` for a graph cache, raising
+    :class:`GraphCacheError`."""
     try:
-        raw_header = read_framed_header(fh, _MAGIC, "graph cache")
+        return read_framed_header(fh, _MAGIC, "graph cache", CACHE_FORMAT,
+                                  CACHE_VERSION)
     except ValueError as exc:
         raise GraphCacheError(f"{path}: {exc}") from None
-    try:
-        header = json.loads(raw_header.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
-        raise GraphCacheError(
-            f"{path}: unreadable cache header: {exc}") from exc
-    if header.get("format") != CACHE_FORMAT:
-        raise GraphCacheError(
-            f"{path}: format {header.get('format')!r} is not "
-            f"{CACHE_FORMAT!r}")
-    if header.get("version") != CACHE_VERSION:
-        raise GraphCacheError(
-            f"{path}: cache version {header.get('version')!r} is not "
-            f"supported (expected {CACHE_VERSION})")
-    return header
 
 
 def read_graph_cache(path: str | Path, *, use_mmap: bool = True):

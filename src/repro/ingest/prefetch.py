@@ -14,9 +14,11 @@ contract checkpoint/resume relies on: ``tell()``/``seek()`` are in
 *record* units, iteration never moves the cursor, and a fresh iteration
 after ``seek(p)`` delivers precisely the records a
 :class:`~repro.graph.stream.FileStream` would deliver from ``p`` — byte
-identical, including strict-mode error ordering and lenient quarantine
-accounting (skipped records are dropped in the producer *after*
-policy handling, so error budgets charge the same either way).
+identical, including strict-mode error ordering, lenient quarantine
+accounting and the refusal of a file that is no longer id-ordered.  The
+producer reads through ``FileStream``'s own segment reader (this class
+is a ``FileStream``) and hands over whole tokenizer segments; the
+consumer builds their records.
 
 ``ingest_stats()`` reports where wall-clock went: producer busy/blocked
 seconds and consumer wait seconds, cumulative across iterations.  A
@@ -32,18 +34,13 @@ from pathlib import Path
 from typing import Iterator
 
 from ..graph.digraph import AdjacencyRecord
-from ..graph.stream import _Seekable, _segment_records
-from .chunked import (
-    DEFAULT_CHUNK_BYTES,
-    iter_row_events,
-    parse_adjacency_line,
-    scan_adjacency_stats,
-)
+from ..graph.stream import FileStream, _segment_records
+from .chunked import DEFAULT_CHUNK_BYTES, iter_row_events
 
 __all__ = ["PrefetchStream"]
 
 
-class PrefetchStream(_Seekable):
+class PrefetchStream(FileStream):
     """Adjacency-file stream with background chunk parsing.
 
     Parameters
@@ -61,6 +58,8 @@ class PrefetchStream(_Seekable):
         consumed, one in flight).
     chunk_bytes:
         Tokenizer block size, forwarded to :mod:`repro.ingest.chunked`.
+
+    Unlike ``FileStream`` it does not retry a failed read.
     """
 
     def __init__(self, path: str | Path, *,
@@ -70,12 +69,10 @@ class PrefetchStream(_Seekable):
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self._path = Path(path)
-        self._policy = policy
+        super().__init__(path, num_vertices=num_vertices,
+                         num_edges=num_edges, policy=policy)
         self._depth = depth
         self._chunk_bytes = chunk_bytes
-        self._ordered: bool | None = None
-        self._num_records: int | None = None
         self._stats = {
             "producer_busy_seconds": 0.0,
             "producer_blocked_seconds": 0.0,
@@ -83,44 +80,13 @@ class PrefetchStream(_Seekable):
             "records": 0,
             "segments": 0,
         }
-        if num_vertices is None or num_edges is None:
-            max_id, edge_count, ordered, rows = scan_adjacency_stats(
-                self._path, policy=policy, chunk_bytes=chunk_bytes)
-            self._ordered = ordered
-            self._num_records = rows
-            num_vertices = num_vertices if num_vertices is not None \
-                else max_id + 1
-            num_edges = num_edges if num_edges is not None else edge_count
-        self._num_vertices = num_vertices
-        self._num_edges = num_edges
-
-    # -- VertexStream surface ------------------------------------------
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    @property
-    def num_vertices(self) -> int:
-        return self._num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    @property
-    def is_id_ordered(self) -> bool:
-        """Whether record vertex ids are strictly increasing on disk."""
-        if self._ordered is None:
-            _, _, ordered, rows = scan_adjacency_stats(
-                self._path, policy=self._policy,
-                chunk_bytes=self._chunk_bytes)
-            self._ordered = ordered
-            self._num_records = rows
-        return self._ordered
 
     def ingest_stats(self) -> dict:
         """Cumulative overlap accounting (see module docstring)."""
         return dict(self._stats)
+
+    def _row_events(self) -> Iterator[tuple]:
+        return iter_row_events(self._path, chunk_bytes=self._chunk_bytes)
 
     # -- producer ------------------------------------------------------
     def _put(self, out_q: queue.Queue, item, stop: threading.Event) -> bool:
@@ -139,40 +105,15 @@ class PrefetchStream(_Seekable):
     def _produce(self, skip: int, out_q: queue.Queue,
                  stop: threading.Event) -> None:
         try:
-            if self._policy is not None:
-                self._policy.begin_scan(self._path)
             mark = time.perf_counter()
-            for event in iter_row_events(self._path,
-                                         chunk_bytes=self._chunk_bytes):
-                if event[0] == "rows":
-                    _, values, splits, _linenos, _chunk = event
-                    nrows = len(splits) - 1
-                    if skip >= nrows:
-                        skip -= nrows
-                        continue
-                    if skip:  # the rows left still index values
-                        splits = splits[skip:]
-                        skip = 0
+            for segment in self._segments(skip):
+                if not isinstance(segment, list):
                     self._stats["segments"] += 1
-                    self._stats["producer_busy_seconds"] += \
-                        time.perf_counter() - mark
-                    if not self._put(out_q, ("rows", (values, splits)),
-                                     stop):
-                        return
-                    mark = time.perf_counter()
-                else:
-                    parsed = parse_adjacency_line(
-                        self._path, event[1], event[2], self._policy)
-                    if parsed is None:
-                        continue
-                    if skip:
-                        skip -= 1
-                        continue
-                    self._stats["producer_busy_seconds"] += \
-                        time.perf_counter() - mark
-                    if not self._put(out_q, ("one", parsed), stop):
-                        return
-                    mark = time.perf_counter()
+                self._stats["producer_busy_seconds"] += \
+                    time.perf_counter() - mark
+                if not self._put(out_q, ("segment", segment), stop):
+                    return
+                mark = time.perf_counter()
             self._stats["producer_busy_seconds"] += \
                 time.perf_counter() - mark
             self._put(out_q, ("done", None), stop)
@@ -194,14 +135,11 @@ class PrefetchStream(_Seekable):
                 kind, payload = out_q.get()
                 stats["consumer_wait_seconds"] += \
                     time.perf_counter() - waited
-                if kind == "rows":
-                    records = _segment_records(*payload)
+                if kind == "segment":
+                    records = payload if isinstance(payload, list) \
+                        else _segment_records(*payload)
                     yield from records
                     stats["records"] += len(records)
-                elif kind == "one":
-                    vertex, neighbors = payload
-                    stats["records"] += 1
-                    yield AdjacencyRecord(vertex, neighbors)
                 elif kind == "done":
                     return
                 else:

@@ -699,8 +699,8 @@ class ProcessShardedPartitioner(_ParallelBase):
             raise ValueError(
                 f"{base.name} does not declare shared score lanes and "
                 "cannot run process-sharded (sliding-window Γ stores "
-                "are sequential by design; use gamma_store='dense' or "
-                "'hashed')")
+                "are sequential by design; use num_shards=1 or set "
+                "gamma_buckets)")
 
         meta = _StreamMeta(stream)
         pool = ShardedScorePool(

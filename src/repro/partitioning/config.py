@@ -1,7 +1,7 @@
 """``PartitionConfig`` — the one frozen object describing a partitioning run.
 
 The knob set accepted by the heuristics grew one keyword at a time
-(``slack``, ``lam``, ``num_shards``, ``gamma_store``, ``gamma_buckets``,
+(``slack``, ``lam``, ``num_shards``, ``gamma_buckets``,
 ``in_estimator``, …) until every layer that builds a partitioner — the
 facade, the CLI, the bench harness, and now the placement service — was
 threading the same positional-kwarg sprawl through its own signature.
@@ -25,48 +25,18 @@ for a given method are dropped at build time (the registry's
 heterogeneous constructors.
 
 The old kwarg-sprawl call style (``partition_stream(graph, "spnl", 32,
-slack=1.2, …)``) keeps working through a deprecation shim that emits a
-single :class:`DeprecationWarning` per process — loud enough to steer
-new code, quiet enough not to spam a sweep loop.
+slack=1.2, …)``) raises :class:`TypeError` naming this class.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
-__all__ = ["PartitionConfig", "warn_kwargs_style_once"]
+__all__ = ["PartitionConfig"]
 
 #: Fields that identify the run rather than tune the heuristic.
 _IDENTITY_FIELDS = ("method", "num_partitions")
-
-_warned_kwargs_style = False
-
-
-def warn_kwargs_style_once() -> None:
-    """Emit the one-per-process kwarg-sprawl :class:`DeprecationWarning`.
-
-    The old calling convention still works everywhere it used to; this
-    shim exists so the suggestion to migrate appears exactly once, not
-    once per call inside a parameter sweep.
-    """
-    global _warned_kwargs_style
-    if _warned_kwargs_style:
-        return
-    _warned_kwargs_style = True
-    warnings.warn(
-        "passing heuristic parameters as loose keyword arguments is "
-        "deprecated; bundle them in a repro.PartitionConfig "
-        "(e.g. PartitionConfig(method='spnl', num_partitions=32, "
-        "slack=1.1)) and pass that instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _reset_kwargs_warning() -> None:
-    """Testing hook: re-arm :func:`warn_kwargs_style_once`."""
-    global _warned_kwargs_style
-    _warned_kwargs_style = False
 
 
 @dataclass(frozen=True)
@@ -86,9 +56,10 @@ class PartitionConfig:
         expectation.
     num_shards:
         Sliding-window ``X`` (int, or ``"auto"`` for the paper's rule).
-    gamma_store / gamma_buckets:
-        Γ expectation-store backend selection (see
-        :class:`~repro.partitioning.spn.SPNPartitioner`).
+    gamma_buckets:
+        Rows of a hashed Γ table (int, or ``"auto"``); set, it replaces
+        the dense or windowed table (see
+        :func:`~repro.partitioning.expectation.make_expectation_store`).
     in_estimator:
         SPN's in-neighbor term variant.
     balance / edge_slack / overflow:
@@ -112,8 +83,7 @@ class PartitionConfig:
     slack: float | None = None
     lam: float | None = None
     num_shards: int | str | None = None
-    gamma_store: str | None = None
-    gamma_buckets: int | None = None
+    gamma_buckets: int | str | None = None
     in_estimator: str | None = None
     balance: str | None = None
     edge_slack: float | None = None

@@ -223,12 +223,7 @@ class DynamicPartitioner:
         self._state = state
         # the fresh partitioner's Γ store only spans graph.num_vertices;
         # grow it to capacity so future inserts can be scored
-        from .expectation import FullExpectationStore
-        old_store = fresh.expectation_store
-        store = FullExpectationStore(self.num_partitions,
-                                     self.capacity_vertices)
-        store._table[:old_store.num_vertices] = old_store._table
-        fresh._store = store
+        fresh._store = fresh.expectation_store.grown(self.capacity_vertices)
         fresh._logical_pid = (np.arange(self.capacity_vertices)
                               * self.num_partitions
                               // self.capacity_vertices).astype(np.int32)

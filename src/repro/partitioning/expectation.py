@@ -6,23 +6,24 @@ it.  Eq. 5 estimates the in-neighbor closeness of a candidate vertex ``v``
 as ``Σ_{u ∈ N_out(v)} Γ_i(u)``: rather than looking up ``Γ_i(v)`` alone
 (which only reflects ``v``'s own in-edges), the paper sums expectations
 over ``v``'s out-neighborhood, rewarding partitions that expect the whole
-neighborhood.  This module implements the two Γ storage strategies the
-paper compares:
+neighborhood.  Γ is kept in one of three shapes:
 
-* :class:`FullExpectationStore` — a dense K×|V| counter matrix, the
-  straightforward O(K|V|) design (Table IV's ``SPNL(X=1)`` row);
-* :class:`~repro.partitioning.window.SlidingWindowStore` (sibling module)
-  — the O(K|V|/X) fine-grained sliding window;
-* :class:`HashedExpectationStore` — a capped-width table of
-  ``num_buckets`` hashed rows, bounding Γ memory at O(B·K) independent
-  of |V| (an *approximation*: colliding ids share counters).
+* dense — :class:`FullExpectationStore` with one K-row per vertex id,
+  the straightforward O(K|V|) design (Table IV's ``SPNL(X=1)`` row);
+* hashed — the same class with ``num_buckets`` rows addressed by a
+  multiplicative hash, bounding Γ memory at O(B·K) independent of |V|
+  (an *approximation*: colliding ids share counters);
+* windowed — :class:`~repro.partitioning.window.SlidingWindowStore`
+  (sibling module), the O(K|V|/X) fine-grained sliding window.
 
 All satisfy :class:`ExpectationStore`, so SPN/SPNL are agnostic to which
-one they run on; the property test suite asserts the full and windowed
-stores are *bit-identical* in behaviour when the window spans all
-vertices, and that the hashed store is bit-identical to the full one
-whenever ``num_buckets >= num_vertices`` (it switches to the identity
-mapping there, making the table collision-free by construction).
+one they run on, and :func:`make_expectation_store` is the one place
+that picks it from the run's ``num_shards`` and ``gamma_buckets``.  The
+property test suite asserts the full and windowed stores are
+*bit-identical* in behaviour when the window spans all vertices, and
+that a hashed table is bit-identical to the dense one whenever
+``num_buckets >= num_vertices`` (it maps ids by identity there, making
+the table collision-free by construction).
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from typing import Protocol
 
 import numpy as np
 
-__all__ = ["ExpectationStore", "FullExpectationStore",
-           "HashedExpectationStore", "INT32_SUM_END"]
+from .window import SlidingWindowStore, default_num_shards
+
+__all__ = ["ExpectationStore", "FullExpectationStore", "INT32_SUM_END",
+           "make_expectation_store"]
 
 #: The increment in the tables' own dtype: ``np.add.at`` takes its
 #: indexed fast path only when no cast stands between it and the table.
@@ -103,30 +106,69 @@ class ExpectationStore(Protocol):
     def load_state(self, payload: dict) -> None:
         """Restore :meth:`state_dict` output into this store."""
 
+    def gauges(self) -> dict:
+        """The table's footprint, for probes and the result's stats."""
+
+    def stats(self) -> dict:
+        """:meth:`gauges` plus the store's own result stats."""
+
+
+#: Knuth's multiplicative constant (2^32 / φ) for the bucket hash.
+_HASH_MULT = np.uint64(2654435761)
+
 
 class FullExpectationStore:
-    """Dense K×|V| expectation counters — maximal knowledge, O(K|V|) space.
+    """Γ over the whole id range in one table — dense or hashed.
 
-    This is the un-optimized design whose memory footprint motivates the
-    sliding window (paper Sec. V-A); it also serves as the ground truth the
-    windowed store is verified against.
+    ``FullExpectationStore(k, n)`` is the dense K×|V| table: maximal
+    knowledge in O(K|V|) space.  It is the un-optimized design whose
+    memory footprint motivates the sliding window (paper Sec. V-A), and
+    the ground truth the other stores are verified against.
+
+    ``num_buckets=B`` caps the table at ``B`` rows, O(B·K) space whatever
+    |V| and whatever the arrival order.  Ids fold onto rows by a
+    multiplicative hash, so ids that share a row share counters: Γ
+    becomes an over-estimate (a one-row count-min sketch) and partition
+    quality degrades gracefully as rows shrink.  When ``B >= |V|`` ids
+    map to rows by identity, so the table is bit-identical to the dense
+    one (the property tests pin this); it still snapshots as hashed.
+
+    The mapping is decided once, here.  A table indexed by identity
+    keeps the methods below, which read rows by id; a hashing table
+    rebinds them to their ``_hashed_*`` twins, so the dense path does no
+    hashing work per call.
     """
 
     needs_advance = False
 
-    def __init__(self, num_partitions: int, num_vertices: int) -> None:
+    def __init__(self, num_partitions: int, num_vertices: int, *,
+                 num_buckets: int | None = None) -> None:
         if num_partitions < 1 or num_vertices < 0:
             raise ValueError("invalid dimensions for expectation store")
+        if num_buckets is not None and num_buckets < 1:
+            raise ValueError("num_buckets must be >= 1")
         self.num_partitions = num_partitions
         self.num_vertices = num_vertices
-        # Vertex-major layout: Γ(v) is one contiguous K-row, so the hot
-        # gather (sum over a neighborhood's rows) touches d contiguous
-        # chunks instead of K strided column picks.
-        self._table = np.zeros((num_vertices, num_partitions),
-                               dtype=np.int32)
+        #: ``None`` for the dense table, the row count of a hashed one.
+        self.num_buckets = None if num_buckets is None \
+            else min(num_buckets, max(num_vertices, 1))
+        rows = num_vertices if num_buckets is None else self.num_buckets
+        # Row-major layout: Γ of one id is one contiguous K-row, so the
+        # hot gather (sum over a neighborhood's rows) touches d
+        # contiguous chunks instead of K strided column picks.
+        self._table = np.zeros((rows, num_partitions), dtype=np.int32)
+        if rows < num_vertices:
+            self._idx_buf: np.ndarray | None = None
+            self.expectation_of = self._hashed_expectation_of
+            self.expectation_of_into = self._hashed_expectation_of_into
+            self.gather = self._hashed_gather
+            self.gather_into = self._hashed_gather_into
+            self.combined_into = self._hashed_combined_into
+            self.record = self._hashed_record
 
+    # -- ExpectationStore API, ids as rows -----------------------------
     def advance_to(self, vertex: int) -> None:
-        """No-op: every vertex is always tracked."""
+        """No-op: every id (or bucket) is always tracked."""
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         return self._table[vertex].astype(np.int64)
@@ -160,11 +202,72 @@ class FullExpectationStore:
             return
         np.add.at(self._table[:, pid], neighbors, _ONE)
 
+    # -- the same, ids hashed onto rows --------------------------------
+    def _bucket_of(self, vertex: int) -> int:
+        # Emulate uint64 wraparound so the scalar and vector paths agree.
+        return ((vertex * 2654435761) & 0xFFFFFFFFFFFFFFFF) \
+            % self.num_buckets
+
+    def _buckets(self, ids: np.ndarray) -> np.ndarray:
+        n = len(ids)
+        buf = self._idx_buf
+        if buf is None or buf.shape[0] < n:
+            buf = np.empty(max(n, 64), dtype=np.uint64)
+            self._idx_buf = buf
+        idx = buf[:n]
+        np.multiply(ids.astype(np.uint64, copy=False), _HASH_MULT, out=idx)
+        np.mod(idx, np.uint64(self.num_buckets), out=idx)
+        return idx
+
+    def _hashed_expectation_of(self, vertex: int) -> np.ndarray:
+        return self._table[self._bucket_of(vertex)].astype(np.int64)
+
+    def _hashed_expectation_of_into(self, vertex: int,
+                                    out: np.ndarray) -> np.ndarray:
+        np.copyto(out, self._table[self._bucket_of(vertex)])
+        return out
+
+    def _hashed_gather(self, neighbors: np.ndarray) -> np.ndarray:
+        if len(neighbors) == 0:
+            return np.zeros(self.num_partitions, dtype=np.int64)
+        return self._table[self._buckets(neighbors)].sum(axis=0,
+                                                         dtype=np.int64)
+
+    def _hashed_gather_into(self, neighbors: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+        if len(neighbors) == 0:
+            out[:] = 0
+            return out
+        return np.add.reduce(self._table.take(
+            self._buckets(neighbors).astype(np.int64, copy=False), axis=0),
+            0, None, out)
+
+    def _hashed_combined_into(self, vertex: int, neighbors: np.ndarray,
+                              out: np.ndarray) -> np.ndarray:
+        self.gather_into(neighbors, out)
+        return np.add(out, self._table[self._bucket_of(vertex)], out=out)
+
+    def _hashed_record(self, pid: int, neighbors: np.ndarray) -> None:
+        if len(neighbors) == 0:
+            return
+        np.add.at(self._table[:, pid], self._buckets(neighbors), _ONE)
+
+    # -- footprint, sharing, snapshots ---------------------------------
     def nbytes(self) -> int:
         return int(self._table.nbytes)
 
     def num_entries(self) -> int:
         return int(self._table.size)
+
+    def gauges(self) -> dict:
+        return {"expectation_table_bytes": self.nbytes(),
+                "expectation_table_entries": self.num_entries()}
+
+    def stats(self) -> dict:
+        stats = self.gauges()
+        if self.num_buckets is not None:
+            stats.update(gamma_store="hashed", gamma_buckets=self.num_buckets)
+        return stats
 
     def shared_lanes(self) -> dict:
         """Mutable counter arrays the process-sharded executor shares."""
@@ -180,154 +283,27 @@ class FullExpectationStore:
                 f"match {self._table.shape}/{self._table.dtype}")
         self._table = table
 
-    def state_dict(self) -> dict:
-        return {"kind": "full", "table": self._table.copy()}
-
-    def load_state(self, payload: dict) -> None:
-        if payload.get("kind") != "full":
-            raise ValueError(
-                f"snapshot holds a {payload.get('kind')!r} Γ store, this "
-                "run uses the full table (different num_shards?)")
-        table = payload["table"]
-        if table.shape != self._table.shape:
-            raise ValueError(
-                f"snapshot Γ table shape {table.shape} does not match "
-                f"{self._table.shape}")
-        np.copyto(self._table, table)
-
-    @property
-    def window_size(self) -> int:
-        """For API parity with the windowed store: the full id range."""
-        return self.num_vertices
-
-
-#: Knuth's multiplicative constant (2^32 / φ) for the bucket hash.
-_HASH_MULT = np.uint64(2654435761)
-
-
-class HashedExpectationStore:
-    """Capped-width Γ: ``num_buckets`` hashed rows, O(B·K) space.
-
-    The dense table's O(|V|·K) footprint is the memory wall for large
-    ``V·K`` (paper Table IV); the sliding window cuts it but demands an
-    id-ordered stream.  This store instead folds the id space onto a
-    fixed number of buckets with a multiplicative hash, so memory is
-    chosen up front and arrival order is unconstrained.  The price is
-    *aliasing*: ids that share a bucket share counters, so Γ becomes an
-    over-estimate (in the style of a one-row count-min sketch) and
-    partition quality degrades gracefully as buckets shrink — measured
-    in the ingest bench rather than assumed.
-
-    When ``num_buckets >= num_vertices`` the hash is replaced by the
-    identity mapping, making the store bit-identical to
-    :class:`FullExpectationStore` (the property tests pin this).
-    """
-
-    needs_advance = False
-
-    def __init__(self, num_partitions: int, num_vertices: int, *,
-                 num_buckets: int) -> None:
-        if num_partitions < 1 or num_vertices < 0:
-            raise ValueError("invalid dimensions for expectation store")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
-        self.num_partitions = num_partitions
-        self.num_vertices = num_vertices
-        self.num_buckets = min(num_buckets, max(num_vertices, 1))
-        self._identity = self.num_buckets >= num_vertices
-        # Bucket-major layout, same rationale as the dense store: one
-        # gather touches d contiguous K-rows.
-        self._table = np.zeros((self.num_buckets, num_partitions),
-                               dtype=np.int32)
-        self._idx_buf: np.ndarray | None = None
-
-    # -- hashing -------------------------------------------------------
-    def _bucket_of(self, vertex: int) -> int:
-        if self._identity:
-            return vertex
-        # Emulate uint64 wraparound so the scalar and vector paths agree.
-        return ((vertex * 2654435761) & 0xFFFFFFFFFFFFFFFF) \
-            % self.num_buckets
-
-    def _buckets(self, ids: np.ndarray) -> np.ndarray:
-        if self._identity:
-            return ids
-        n = len(ids)
-        buf = self._idx_buf
-        if buf is None or buf.shape[0] < n:
-            buf = np.empty(max(n, 64), dtype=np.uint64)
-            self._idx_buf = buf
-        idx = buf[:n]
-        np.multiply(ids.astype(np.uint64, copy=False), _HASH_MULT, out=idx)
-        np.mod(idx, np.uint64(self.num_buckets), out=idx)
-        return idx
-
-    # -- ExpectationStore API ------------------------------------------
-    def advance_to(self, vertex: int) -> None:
-        """No-op: every bucket is always live."""
-
-    def expectation_of(self, vertex: int) -> np.ndarray:
-        return self._table[self._bucket_of(vertex)].astype(np.int64)
-
-    def expectation_of_into(self, vertex: int,
-                            out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self._table[self._bucket_of(vertex)])
-        return out
-
-    def gather(self, neighbors: np.ndarray) -> np.ndarray:
-        if len(neighbors) == 0:
-            return np.zeros(self.num_partitions, dtype=np.int64)
-        return self._table[self._buckets(neighbors)].sum(axis=0,
-                                                         dtype=np.int64)
-
-    def gather_into(self, neighbors: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-        if len(neighbors) == 0:
-            out[:] = 0
-            return out
-        return np.add.reduce(self._table.take(
-            self._buckets(neighbors).astype(np.int64, copy=False), axis=0),
-            0, None, out)
-
-    def combined_into(self, vertex: int, neighbors: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        self.gather_into(neighbors, out)
-        return np.add(out, self._table[self._bucket_of(vertex)], out=out)
-
-    def record(self, pid: int, neighbors: np.ndarray) -> None:
-        if len(neighbors) == 0:
-            return
-        np.add.at(self._table[:, pid], self._buckets(neighbors), _ONE)
-
-    def nbytes(self) -> int:
-        return int(self._table.nbytes)
-
-    def num_entries(self) -> int:
-        return int(self._table.size)
-
-    def shared_lanes(self) -> dict:
-        """Mutable counter arrays the process-sharded executor shares."""
-        return {"table": self._table}
-
-    def attach_shared_lanes(self, lanes: dict) -> None:
-        """Rebind the bucket table onto a shared-memory view."""
-        table = lanes["table"]
-        if table.shape != self._table.shape \
-                or table.dtype != self._table.dtype:
-            raise ValueError(
-                f"shared Γ lane {table.shape}/{table.dtype} does not "
-                f"match {self._table.shape}/{self._table.dtype}")
-        self._table = table
+    def grown(self, num_vertices: int) -> "FullExpectationStore":
+        """A dense copy over ``num_vertices`` ids; the new ids count 0."""
+        if self.num_buckets is not None or num_vertices < self.num_vertices:
+            raise ValueError("only a dense table grows, and never shrinks")
+        store = FullExpectationStore(self.num_partitions, num_vertices)
+        store._table[:self.num_vertices] = self._table
+        return store
 
     def state_dict(self) -> dict:
+        if self.num_buckets is None:
+            return {"kind": "full", "table": self._table.copy()}
         return {"kind": "hashed", "table": self._table.copy(),
                 "num_buckets": self.num_buckets}
 
     def load_state(self, payload: dict) -> None:
-        if payload.get("kind") != "hashed":
+        kind = "full" if self.num_buckets is None else "hashed"
+        if payload.get("kind") != kind:
             raise ValueError(
                 f"snapshot holds a {payload.get('kind')!r} Γ store, this "
-                "run uses the hashed table (different gamma_store?)")
+                f"run uses the {kind} table (different num_shards or "
+                "gamma_buckets?)")
         table = payload["table"]
         if table.shape != self._table.shape:
             raise ValueError(
@@ -337,5 +313,34 @@ class HashedExpectationStore:
 
     @property
     def window_size(self) -> int:
-        """For API parity with the windowed store: the bucket range."""
-        return self.num_buckets
+        """For API parity with the windowed store: the row range."""
+        return self._table.shape[0]
+
+
+def make_expectation_store(num_partitions: int, stream, *,
+                           num_shards: int | str = 1,
+                           gamma_buckets: int | str | None = None
+                           ) -> ExpectationStore:
+    """The one place a run's Γ table is chosen.
+
+    ``gamma_buckets`` set means the hashed table (``"auto"`` is
+    ``max(1024, |V| // 16)`` rows).  Otherwise ``num_shards`` resolved
+    above 1 (``"auto"`` is :func:`default_num_shards`) means the sliding
+    window, which needs an id-ordered ``stream``.  Otherwise the dense
+    table.
+    """
+    n = stream.num_vertices
+    if gamma_buckets is not None:
+        if gamma_buckets == "auto":
+            gamma_buckets = max(1024, n // 16)
+        return FullExpectationStore(num_partitions, n,
+                                    num_buckets=gamma_buckets)
+    if num_shards == "auto":
+        num_shards = default_num_shards(n, num_partitions)
+    if num_shards <= 1:
+        return FullExpectationStore(num_partitions, n)
+    if not getattr(stream, "is_id_ordered", False):
+        raise ValueError(
+            "the sliding window (num_shards > 1) requires an id-ordered "
+            "stream; use num_shards=1 for arbitrary arrival orders")
+    return SlidingWindowStore(num_partitions, n, num_shards=int(num_shards))

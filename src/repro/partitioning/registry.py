@@ -191,6 +191,15 @@ def _accepted_kwargs(factory: Callable[..., Any],
     return {k: v for k, v in kwargs.items() if k in accepted}
 
 
+def refuse_removed_kwargs(kwargs: dict[str, Any]) -> None:
+    """Raise on a removed knob rather than let a filter drop it."""
+    if "gamma_store" in kwargs:
+        raise TypeError(
+            "gamma_store was removed: the Γ table follows num_shards and "
+            "gamma_buckets (gamma_buckets set: hashed; otherwise "
+            "num_shards > 1: sliding window; otherwise dense)")
+
+
 def make_partitioner(name: Any, num_partitions: int | None = None, *,
                      kind: str | None = None,
                      ignore_unknown: bool = False,
@@ -232,6 +241,7 @@ def make_partitioner(name: Any, num_partitions: int | None = None, *,
         raise TypeError(
             "num_partitions is required when building by name "
             "(or pass a PartitionConfig)")
+    refuse_removed_kwargs(kwargs)
     entry = resolve(name, kind=kind)
     merged = dict(entry.extra_kwargs)
     merged.update(kwargs)

@@ -28,8 +28,10 @@ of both — strictly dominates either alone in our ablation bench),
 ``"neighborhood"`` (Eq. 5 verbatim), and ``"self"`` (the worked
 examples' simplified form).
 
-The Γ store is pluggable: the dense ``O(K|V|)`` table, or the
-``O(K|V|/X)`` sliding window of Sec. V-A (``num_shards > 1``).
+The Γ store is pluggable: the dense ``O(K|V|)`` table, the ``O(K|V|/X)``
+sliding window of Sec. V-A (``num_shards > 1``), or a hashed table of
+``gamma_buckets`` rows; :func:`~repro.partitioning.expectation
+.make_expectation_store` picks one from those two knobs.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from ..graph.stream import VertexStream
 from .base import (FastKernel, PartitionState, StreamingPartitioner,
                    make_shifted_counter, make_weight_updater)
 from .expectation import (INT32_SUM_END, ExpectationStore,
-                          FullExpectationStore, HashedExpectationStore)
-from .registry import register
-from .window import SlidingWindowStore, default_num_shards
+                          make_expectation_store)
+from .registry import refuse_removed_kwargs, register
 
 __all__ = ["SPNPartitioner"]
 
@@ -64,29 +65,25 @@ class SPNPartitioner(StreamingPartitioner):
     num_shards:
         The sliding-window ``X``.  ``1`` keeps the full Γ table;
         ``"auto"`` applies the paper's recommendation
-        ``X = min(αK, |V|/(βK))`` at setup time.
+        ``X = min(αK, |V|/(βK))`` at setup time.  Ignored when
+        ``gamma_buckets`` is set.
     in_estimator:
         ``"combined"`` — in-term is ``Γ_i(v) + Σ_{u∈N_out(v)} Γ_i(u)``
         (default; see the module docstring);
         ``"neighborhood"`` — ``Σ_{u∈N_out(v)} Γ_i(u)`` (Eq. 5 verbatim);
         ``"self"`` — ``Γ_i(v)`` (the worked examples).
-    gamma_store:
-        Γ backend selection.  ``"auto"`` (default) keeps the historical
-        behavior: dense table for ``num_shards <= 1``, sliding window
-        otherwise.  ``"dense"`` / ``"window"`` force those backends;
-        ``"hashed"`` uses the capped-width
-        :class:`~repro.partitioning.expectation.HashedExpectationStore`
-        (O(B·K) memory, arrival-order-free, approximate Γ).
     gamma_buckets:
-        Bucket count for ``gamma_store="hashed"``
-        (default ``max(1024, |V| // 16)``).
+        ``None`` (default) keeps Γ dense or windowed by ``num_shards``.
+        An int ``B`` (or ``"auto"``, ``max(1024, |V| // 16)``) hashes Γ
+        onto ``B`` rows instead: O(B·K) memory, any arrival order,
+        approximate Γ once ``B < |V|``.
     """
 
     def __init__(self, num_partitions: int, *, lam: float = 0.5,
                  num_shards: int | str = 1,
                  in_estimator: str = "combined",
-                 gamma_store: str = "auto",
-                 gamma_buckets: int | None = None, **kwargs) -> None:
+                 gamma_buckets: int | str | None = None, **kwargs) -> None:
+        refuse_removed_kwargs(kwargs)
         super().__init__(num_partitions, **kwargs)
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lam (λ) must lie in [0, 1]")
@@ -98,25 +95,19 @@ class SPNPartitioner(StreamingPartitioner):
             raise ValueError(
                 "in_estimator must be 'self', 'neighborhood', or "
                 "'combined'")
-        if gamma_store not in ("auto", "dense", "window", "hashed"):
-            raise ValueError(
-                "gamma_store must be 'auto', 'dense', 'window', or "
-                "'hashed'")
-        if gamma_store in ("dense", "hashed") \
-                and isinstance(num_shards, int) and num_shards > 1:
-            raise ValueError(
-                f"gamma_store={gamma_store!r} does not shard; leave "
-                "num_shards at 1 (or 'auto')")
         if gamma_buckets is not None:
-            if gamma_store != "hashed":
+            if gamma_buckets != "auto" and (
+                    isinstance(gamma_buckets, str) or gamma_buckets < 1):
                 raise ValueError(
-                    "gamma_buckets only applies to gamma_store='hashed'")
-            if gamma_buckets < 1:
-                raise ValueError("gamma_buckets must be >= 1")
+                    "gamma_buckets must be an int >= 1 or 'auto'")
+            if isinstance(num_shards, int) and num_shards > 1:
+                raise ValueError(
+                    "gamma_buckets hashes Γ and num_shards > 1 windows "
+                    "it; set one (num_shards=1 or 'auto' with "
+                    "gamma_buckets)")
         self.lam = lam
         self.num_shards = num_shards
         self.in_estimator = in_estimator
-        self.gamma_store = gamma_store
         self.gamma_buckets = gamma_buckets
         self._store: ExpectationStore | None = None
 
@@ -125,36 +116,10 @@ class SPNPartitioner(StreamingPartitioner):
         return "SPN"
 
     # ------------------------------------------------------------------
-    def _resolve_shards(self, stream: VertexStream) -> int:
-        if self.num_shards == "auto":
-            return default_num_shards(stream.num_vertices,
-                                      self.num_partitions)
-        return int(self.num_shards)
-
-    def _make_store(self, stream: VertexStream) -> ExpectationStore:
-        if self.gamma_store == "hashed":
-            buckets = self.gamma_buckets
-            if buckets is None:
-                buckets = max(1024, stream.num_vertices // 16)
-            return HashedExpectationStore(
-                self.num_partitions, stream.num_vertices,
-                num_buckets=buckets)
-        if self.gamma_store == "dense":
-            return FullExpectationStore(self.num_partitions,
-                                        stream.num_vertices)
-        shards = self._resolve_shards(stream)
-        if self.gamma_store == "auto" and shards <= 1:
-            return FullExpectationStore(self.num_partitions,
-                                        stream.num_vertices)
-        if not getattr(stream, "is_id_ordered", False):
-            raise ValueError(
-                "the sliding window (num_shards > 1) requires an id-ordered "
-                "stream; use num_shards=1 for arbitrary arrival orders")
-        return SlidingWindowStore(self.num_partitions, stream.num_vertices,
-                                  num_shards=max(shards, 1))
-
     def _setup(self, stream: VertexStream, state: PartitionState) -> None:
-        self._store = self._make_store(stream)
+        self._store = make_expectation_store(
+            self.num_partitions, stream, num_shards=self.num_shards,
+            gamma_buckets=self.gamma_buckets)
 
     # ------------------------------------------------------------------
     @property
@@ -192,8 +157,8 @@ class SPNPartitioner(StreamingPartitioner):
             raise ValueError(
                 f"{self.name}'s Γ store "
                 f"({type(self.expectation_store).__name__}) has no "
-                "shared-lane support; use gamma_store='dense' or "
-                "'hashed' for process sharding")
+                "shared-lane support; use num_shards=1 or set "
+                "gamma_buckets for process sharding")
         if set(lanes) != set(mine):
             raise ValueError(
                 f"lane mismatch: expected {sorted(mine)}, "
@@ -285,29 +250,11 @@ class SPNPartitioner(StreamingPartitioner):
         return score_into, after_commit
 
     def _extra_stats(self) -> dict[str, Any]:
-        store = self._store
         stats: dict[str, Any] = {"lambda": self.lam}
-        if store is not None:
-            stats["expectation_table_bytes"] = store.nbytes()
-            stats["expectation_table_entries"] = store.num_entries()
-            if isinstance(store, SlidingWindowStore):
-                stats.update(
-                    num_shards=store.num_shards,
-                    window_size=store.window_size,
-                    skipped_future=store.skipped_future,
-                    skipped_past=store.skipped_past,
-                )
-            elif isinstance(store, HashedExpectationStore):
-                stats["gamma_store"] = "hashed"
-                stats["gamma_buckets"] = store.num_buckets
+        if self._store is not None:
+            stats.update(self._store.stats())
         return stats
 
     def _probe_gauges(self) -> dict[str, Any]:
         """Γ-table footprint for :class:`StreamProbe` snapshots."""
-        store = self._store
-        if store is None:
-            return {}
-        return {
-            "expectation_table_entries": store.num_entries(),
-            "expectation_table_bytes": store.nbytes(),
-        }
+        return {} if self._store is None else self._store.gauges()

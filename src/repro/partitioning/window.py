@@ -258,6 +258,19 @@ class SlidingWindowStore:
         """Live counter cells: K × the window span."""
         return int(self._table.size)
 
+    def gauges(self) -> dict:
+        return {"expectation_table_bytes": self.nbytes(),
+                "expectation_table_entries": self.num_entries()}
+
+    def stats(self) -> dict:
+        """:meth:`gauges` plus the window's shape and Fig. 7 losses."""
+        stats = self.gauges()
+        stats.update(num_shards=self.num_shards,
+                     window_size=self.window_size,
+                     skipped_future=self.skipped_future,
+                     skipped_past=self.skipped_past)
+        return stats
+
     def state_dict(self) -> dict:
         """Ring contents plus cursor and loss diagnostics.
 

@@ -201,22 +201,10 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         try:
-            raw_header = read_framed_header(fh, _MAGIC, "snapshot")
+            header = read_framed_header(fh, _MAGIC, "snapshot",
+                                        SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
         except ValueError as exc:
             raise SnapshotError(f"{path}: {exc}") from None
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotError(
-                f"{path}: unreadable snapshot header: {exc}") from exc
-        if header.get("format") != SNAPSHOT_FORMAT:
-            raise SnapshotError(
-                f"{path}: format {header.get('format')!r} is not "
-                f"{SNAPSHOT_FORMAT!r}")
-        if header.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"{path}: snapshot version {header.get('version')!r} is "
-                f"not supported (expected {SNAPSHOT_VERSION})")
         body_start = fh.tell()
         body_len = size - body_start
         if body_len != header.get("body_len"):
@@ -226,8 +214,11 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
         if _crc32(fh, body_len) != header.get("crc32"):
             raise SnapshotError(
                 f"{path}: snapshot body fails its CRC32 check")
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise SnapshotError(f"{path}: snapshot meta is not an object")
         tree: dict[str, Any] = {}
-        for key, value in header.get("meta", {}).items():
+        for key, value in meta.items():
             _assign(tree, key, value)
         fh.seek(body_start)
         with np.load(fh, allow_pickle=False) as npz:

@@ -62,7 +62,8 @@ the read-path and engine surface, all of it response-side:
   WAL append, publish and acks ran outside the server's state lock,
   overlapping the next group's scoring) and ``wal_inflight_requests``
   (requests of the group being committed that way right now, applied
-  but not yet acked).  Both read 0 with the WAL pipeline off.  The
+  but not yet acked).  Both read 0 on a volatile server (no WAL);
+  ``engine.wal_pipeline`` says whether there is one to pipeline.  The
   commit stage once ran on a dedicated committer thread; it now runs
   on the request's own thread, and both fields keep their meaning.
 * No request field changed and no error code was added: a 1.1 client

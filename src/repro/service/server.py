@@ -394,10 +394,6 @@ class PlacementService:
         (``factory(directory, start=, fsync=) -> PlacementLog``);
         injection point for the chaos harness's
         :class:`~repro.recovery.chaos.FlakyWAL`.
-    wal_pipeline:
-        Overlap each group's WAL fsync with the next group's scoring
-        (default on when durable).  ``False`` holds the state lock
-        through each group's append-then-ack.
     """
 
     def __init__(self, graph: Any, *, config: PartitionConfig | None = None,
@@ -413,8 +409,7 @@ class PlacementService:
                  max_lag_seconds: float | None = None,
                  snapshot_failure_limit: int = 3,
                  recovery_probe_interval: float = 0.0,
-                 wal_factory: Any = None,
-                 wal_pipeline: bool = True) -> None:
+                 wal_factory: Any = None) -> None:
         if config is None:
             config = PartitionConfig()
         elif isinstance(config, dict):
@@ -522,7 +517,9 @@ class PlacementService:
             factory = self._wal_factory or PlacementLog
             self._wal = factory(snapshot_dir, start=self._position,
                                 fsync=wal_fsync)
-        self._wal_pipeline = self._wal is not None and bool(wal_pipeline)
+        # Pipelined whenever there is a WAL: each group's fsync overlaps
+        # the next group's scoring.
+        self._wal_pipeline = self._wal is not None
         # Groups acked outside the state lock, and the requests of the
         # one being committed there now (applied, not yet acked).
         self._pipelined_groups = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -82,20 +83,37 @@ def rng() -> np.random.Generator:
 
 
 _SHM_DIR = "/dev/shm"
-#: Python's multiprocessing.shared_memory default name prefix plus the
-#: bare ``shm_`` some allocators use; anything else in /dev/shm (other
-#: tools, the OS) is not ours to police.
-_SHM_PREFIXES = ("psm_", "shm_")
 
 
-def _shm_segments() -> set[str]:
-    if not os.path.isdir(_SHM_DIR):  # non-Linux: nothing to check
-        return set()
+@contextlib.contextmanager
+def shm_leak_guard():
+    """Fail if a segment this process created inside leaves /dev/shm.
+
+    Only the segments made through ``SharedArrayBlock.create`` while
+    the guard is open are checked: a segment some other process (a
+    concurrent test run, another tool) holds in /dev/shm is not ours to
+    police.
+    """
+    from repro.parallel.shared import SharedArrayBlock
+
+    created: list[str] = []
+    create = SharedArrayBlock.__dict__["create"]
+
+    def recording(cls, spec):
+        block = create.__func__(cls, spec)
+        created.append(block.name)
+        return block
+
+    SharedArrayBlock.create = classmethod(recording)
     try:
-        names = os.listdir(_SHM_DIR)
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith(_SHM_PREFIXES)}
+        yield
+    finally:
+        SharedArrayBlock.create = create
+    leaked = sorted(name for name in created
+                    if os.path.exists(os.path.join(_SHM_DIR, name)))
+    assert not leaked, (
+        f"test leaked {len(leaked)} shared-memory segment(s) in "
+        f"{_SHM_DIR}: {leaked} — a pool teardown path failed to unlink")
 
 
 @pytest.fixture
@@ -111,10 +129,5 @@ def shm_leak_check():
     SIGKILL supervision) are supposed to prevent.  Naming the leaking
     test beats a mysterious ENOSPC three suites later.
     """
-    before = _shm_segments()
-    yield
-    leaked = _shm_segments() - before
-    assert not leaked, (
-        f"test leaked {len(leaked)} shared-memory segment(s) in "
-        f"{_SHM_DIR}: {sorted(leaked)} — a pool teardown path failed "
-        f"to unlink")
+    with shm_leak_guard():
+        yield

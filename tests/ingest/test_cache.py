@@ -241,6 +241,15 @@ class TestIntegrity:
         with pytest.raises(GraphCacheError, match="truncated"):
             read_graph_cache(path)
 
+    @pytest.mark.parametrize("header", [b"[]", b'"x"', b"1"])
+    def test_header_that_is_not_an_object(self, tmp_path, source, header):
+        path = tmp_path / "g.reprocsr"
+        path.write_bytes(b"REPROCSR\x01" + struct.pack(">I", len(header))
+                         + header)
+        with pytest.raises(GraphCacheError, match="not an object"):
+            read_graph_cache(path)
+        assert not is_cache_fresh(path, source)
+
     def test_corruption_fails_crc(self, tmp_path, graph):
         path = tmp_path / "g.reprocsr"
         write_graph_cache(path, graph)

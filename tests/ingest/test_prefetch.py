@@ -144,3 +144,20 @@ class TestErrors:
             for vertex, _ in stream:
                 seen.append(int(vertex))
         assert seen == [0, 1]
+
+    @pytest.mark.parametrize("stream_type", [FileStream, PrefetchStream])
+    def test_file_reordered_since_the_scan_is_refused(self, tmp_path,
+                                                      stream_type):
+        """Both read through one segment reader, so a file that lost its
+        id order after the pre-scan fails loud in either, instead of
+        feeding a sliding window out-of-order ids."""
+        path = tmp_path / "g.adj"
+        path.write_text("0 1\n1 2\n2 0\n")
+        stream = stream_type(path)
+        assert stream.is_id_ordered
+        path.write_text("0 1\n2 0\n1 2\n")
+        seen = []
+        with pytest.raises(ValueError, match="no longer id-ordered"):
+            for vertex, _ in stream:
+                seen.append(int(vertex))
+        assert seen == [0, 2]

@@ -93,10 +93,10 @@ class TestRegistryParity:
 
     def test_hashed_gamma_store_parity(self, graph):
         sim = SimulatedParallelPartitioner(
-            _make("spnl", gamma_store="hashed"),
+            _make("spnl", gamma_buckets="auto"),
             parallelism=4).partition(GraphStream(graph))
         proc = ProcessShardedPartitioner(
-            _make("spnl", gamma_store="hashed"), parallelism=4,
+            _make("spnl", gamma_buckets="auto"), parallelism=4,
             num_workers=2).partition(GraphStream(graph))
         assert proc.assignment == sim.assignment
 
@@ -120,7 +120,8 @@ class TestRegistryParity:
     def test_sliding_window_store_refused_with_guidance(self, graph):
         spn = make_partitioner("spn", K, num_shards=4)
         p = ProcessShardedPartitioner(spn, parallelism=2, num_workers=1)
-        with pytest.raises(ValueError, match="dense.*hashed|hashed.*dense"):
+        with pytest.raises(ValueError,
+                           match="num_shards=1 or set gamma_buckets"):
             p.partition(GraphStream(graph))
 
 

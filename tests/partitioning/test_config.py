@@ -1,4 +1,4 @@
-"""PartitionConfig: validation, building, round-tripping, deprecation."""
+"""PartitionConfig: validation, building, round-tripping, the facade."""
 
 import dataclasses
 import warnings
@@ -8,10 +8,6 @@ import pytest
 
 import repro
 from repro import PartitionConfig, partition_stream
-from repro.partitioning.config import (
-    _reset_kwargs_warning,
-    warn_kwargs_style_once,
-)
 from repro.partitioning.registry import make_partitioner
 from repro.partitioning.spnl import SPNLPartitioner
 
@@ -104,8 +100,7 @@ class TestBuilding:
 class TestRoundTrip:
     def test_to_from_dict(self):
         cfg = PartitionConfig(method="spn", num_partitions=16,
-                              slack=1.2, gamma_store="hashed",
-                              gamma_buckets=2048)
+                              slack=1.2, gamma_buckets=2048)
         assert PartitionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_puts_unknown_keys_in_extra(self):
@@ -123,7 +118,8 @@ class TestFacadeIntegration:
     def test_config_equals_kwargs_call(self, graph):
         cfg = PartitionConfig(method="spnl", num_partitions=8, slack=1.2)
         via_config = partition_stream(graph, config=cfg)
-        via_kwargs = partition_stream(graph, "spnl", 8, slack=1.2)
+        via_kwargs = make_partitioner("spnl", 8, slack=1.2).partition(
+            repro.GraphStream(graph))
         assert np.array_equal(via_config.assignment.route,
                               via_kwargs.assignment.route)
 
@@ -139,34 +135,14 @@ class TestFacadeIntegration:
         with pytest.raises(TypeError, match="not both"):
             partition_stream(graph, cfg, config=cfg)
 
-    def test_kwargs_style_warns_exactly_once(self, graph):
-        _reset_kwargs_warning()
-        try:
-            with pytest.warns(DeprecationWarning, match="PartitionConfig"):
-                partition_stream(graph, "spnl", 8, slack=1.2)
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                partition_stream(graph, "spnl", 8, slack=1.2)
-            assert not [w for w in record
-                        if issubclass(w.category, DeprecationWarning)]
-        finally:
-            _reset_kwargs_warning()
+    def test_loose_kwargs_raise_naming_config(self, graph):
+        with pytest.raises(TypeError, match="PartitionConfig"):
+            partition_stream(graph, "spnl", 8, slack=1.2)
 
     def test_config_call_does_not_warn(self, graph):
-        _reset_kwargs_warning()
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             partition_stream(graph, config=PartitionConfig(
                 method="spnl", num_partitions=8, slack=1.2))
         assert not [w for w in record
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_warn_helper_is_idempotent(self):
-        _reset_kwargs_warning()
-        with pytest.warns(DeprecationWarning):
-            warn_kwargs_style_once()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            warn_kwargs_style_once()
-        assert not record
-        _reset_kwargs_warning()

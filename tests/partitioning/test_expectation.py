@@ -103,7 +103,7 @@ class TestSumWidth:
     @pytest.mark.parametrize("method", ["spn", "spnl"])
     @pytest.mark.parametrize("gamma", [
         {}, {"num_shards": 2},
-        {"gamma_store": "hashed", "gamma_buckets": 5}],
+        {"gamma_buckets": 5}],
         ids=["dense", "window", "hashed"])
     @pytest.mark.parametrize("placed_edges,width", [
         (INT32_SUM_END // 4 - 1, np.int32),   # 4·e = 2**31 - 4: proven

@@ -80,6 +80,7 @@ VARIANTS = [
     ("ldg", {"slack": 1.0}),
     ("fennel", {"slack": 1.0}),
     ("spnl", {"balance": "both"}),
+    ("spnl", {"gamma_buckets": 512}),
 ]
 
 

@@ -26,6 +26,7 @@ NUM_VERTICES = 2000
 BUDGETS = {
     "spnl-dense": (dict(method="spnl"), 22.55),                  # 21.54
     "spnl-window8": (dict(method="spnl", num_shards=8), 30.27),  # 29.26
+    "spnl-hashed": (dict(method="spnl", gamma_buckets=512), 30.51),  # 29.51
     "spn": (dict(method="spn"), 23.13),                          # 22.13
     "fennel": (dict(method="fennel"), 12.89),                    # 11.88
     "ldg": (dict(method="ldg"), 14.83),                          # 13.82

@@ -35,7 +35,7 @@ from repro.partitioning.registry import (
 #: store gets fewer buckets than vertices so ids collide.
 GAMMA = {
     "dense": {},
-    "hashed": {"gamma_store": "hashed", "gamma_buckets": 5},
+    "hashed": {"gamma_buckets": 5},
     "window": {"num_shards": 3},
 }
 

@@ -113,6 +113,28 @@ class TestIntegrity:
             read_snapshot(path)
 
 
+    @pytest.mark.parametrize("header", [b"[]", b'"x"', b"1"])
+    def test_header_that_is_not_an_object(self, tmp_path, header):
+        path = tmp_path / "s.snap"
+        path.write_bytes(b"REPROSNAP\x01" + struct.pack(">I", len(header))
+                         + header)
+        with pytest.raises(SnapshotError, match="not an object"):
+            read_snapshot(path)
+
+    def test_meta_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "s.snap"
+        write_snapshot(path, _payload())
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from(">I", blob, 10)
+        header = json.loads(blob[14:14 + header_len])
+        header["meta"] = []
+        raw = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:10] + struct.pack(">I", len(raw)) + raw
+                         + blob[14 + header_len:])
+        with pytest.raises(SnapshotError, match="meta"):
+            read_snapshot(path)
+
+
 def _served_size_payload():
     """The benchmark server's snapshot: a 20 000-vertex route table and
     SPNL's dense Γ at K = 32, about 2.6 MB of arrays."""

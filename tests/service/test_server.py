@@ -26,7 +26,12 @@ from repro.ingest.cache import cache_path_for, load_or_parse
 from repro.recovery.chaos import FlakyWAL
 from repro.resilience.schedule import _crash_stop
 from repro.service.protocol import ProtocolError, decode_line, encode_message
-from repro.service.wal import replay_entries, segment_path, wal_segments
+from repro.service.wal import (
+    PlacementLog,
+    replay_entries,
+    segment_path,
+    wal_segments,
+)
 
 K = 8
 N = 600
@@ -170,6 +175,13 @@ class TestRoundTrip:
             assert np.array_equal(service._state.route, reference_route)
 
 
+class UnprunedLog(PlacementLog):
+    """A WAL that keeps the segments a snapshot covers."""
+
+    def prune(self, snapshot_position):
+        return 0
+
+
 def _wal_entries(state_dir):
     """Every entry still on disk (segments before the oldest kept
     snapshot are pruned)."""
@@ -239,15 +251,20 @@ class TestEverythingPlacesThroughTheKernel:
             assert svc.stats()["arrival_ordered"] is False
             self._check(graph, config, svc, state_dir)
 
-    @pytest.mark.parametrize("wal_pipeline", [True, False],
+    # A snapshot due after every placing group makes each durable
+    # place group commit inside the state lock, as one carrying a
+    # snapshot does; the log keeps every segment so the whole WAL is
+    # checked.
+    @pytest.mark.parametrize("snapshot_every", [100_000, 1],
                              ids=["pipelined", "in-lock"])
     def test_four_concurrent_clients(self, graph, config, tmp_path,
-                                     wal_pipeline):
+                                     snapshot_every):
         state_dir = tmp_path / "state"
         errors = []
         with PlacementService.start(graph, config=config,
                                     snapshot_dir=state_dir,
-                                    wal_pipeline=wal_pipeline) as svc:
+                                    snapshot_every=snapshot_every,
+                                    wal_factory=UnprunedLog) as svc:
             def worker(lo):
                 try:
                     with ServiceClient(*svc.address) as c:
@@ -1173,7 +1190,7 @@ class TestOneEngine:
 
     @pytest.mark.parametrize("knob", ["parallelism", "processes",
                                       "max_worker_restarts",
-                                      "worker_timeout"])
+                                      "worker_timeout", "wal_pipeline"])
     def test_engine_knobs_are_refused(self, graph, config, knob):
         with pytest.raises(TypeError, match=knob):
             PlacementService(graph, config=config, **{knob: 2})

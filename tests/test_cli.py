@@ -22,6 +22,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "table99"])
 
+    def test_int_or_auto_knobs(self, capsys):
+        args = build_parser().parse_args(
+            ["partition", "g.adj", "out", "--shards", "4",
+             "--gamma-buckets", "auto"])
+        assert (args.shards, args.gamma_buckets) == (4, "auto")
+        args = build_parser().parse_args(
+            ["partition", "g.adj", "out", "--gamma-buckets", "512"])
+        assert (args.shards, args.gamma_buckets) == ("auto", 512)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["partition", "g.adj", "out", "--gamma-buckets", "many"])
+        assert exit_info.value.code == 2
+        assert "'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "g.adj", "out", "--gamma-store", "hashed"],
+        ["serve", "g.adj", "--no-wal-pipeline"]], ids=["gamma", "wal"])
+    def test_removed_flags_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert flag in capsys.readouterr().err
+
 
 def _streaming_names():
     return {name for name in available_partitioners()
@@ -72,6 +96,12 @@ class TestPartitionEvaluateInfo:
         out = tmp_path / "g.adj"
         main(["generate", str(out), "--vertices", "800", "--seed", "4"])
         return out
+
+    def test_partition_hashed_gamma(self, graph_file, tmp_path, capsys):
+        routes = tmp_path / "routes.txt"
+        assert main(["partition", str(graph_file), str(routes),
+                     "-k", "4", "--gamma-buckets", "100"]) == 0
+        assert len(np.loadtxt(routes, dtype=int)) == 800
 
     def test_partition_writes_routes(self, graph_file, tmp_path, capsys):
         routes = tmp_path / "routes.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    PartitionConfig,
     available_partitioners,
     evaluate,
     make_partitioner,
@@ -41,7 +42,8 @@ class TestPartitionStream:
         assert quality.delta_v < 1.2
 
     def test_matches_direct_construction(self, web_graph):
-        facade = partition_stream(web_graph, "ldg", 8, slack=1.2)
+        facade = partition_stream(web_graph, config=PartitionConfig(
+            method="ldg", num_partitions=8, slack=1.2))
         direct = make_partitioner("ldg", 8, slack=1.2).partition(
             GraphStream(web_graph))
         np.testing.assert_array_equal(facade.assignment.route,
@@ -84,9 +86,9 @@ class TestPartitionStream:
             partition_stream(web_graph, "not-a-method", 8)
 
     def test_unknown_kwargs_dropped(self, web_graph):
-        # The facade shares one kwargs namespace across methods.
-        result = partition_stream(web_graph, "fennel", 8, lam=0.5,
-                                  num_shards=4)
+        # One config namespace spans every method.
+        result = partition_stream(web_graph, config=PartitionConfig(
+            method="fennel", num_partitions=8, lam=0.5, num_shards=4))
         assert result.assignment.route.shape == (web_graph.num_vertices,)
 
     def test_instrumentation_wires_through(self, web_graph):
