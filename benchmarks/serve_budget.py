@@ -48,8 +48,9 @@ the loaded graph slower than over the copy.
 After its requests every pass sends one ``snapshot`` op, timed, and a
 second one under ``tracemalloc``: the second table prints, per workload,
 the fastest op's time, the lowest traced peak and the ``.snap`` size.
-The peak is what the op allocates on top of the served state (the
-``state_dict`` copies and the codec's buffers).  Nothing is asserted.
+The peak is what the op allocates on top of the served state: the
+codec's buffers, since ``state_dict`` hands out the live arrays.
+Nothing is asserted.
 """
 
 from __future__ import annotations

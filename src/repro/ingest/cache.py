@@ -164,13 +164,20 @@ def read_framed_header(fh, magic: bytes, kind: str, fmt: str,
 
 
 def _read_header(path: Path, fh) -> dict[str, Any]:
-    """:func:`read_framed_header` for a graph cache, raising
-    :class:`GraphCacheError`."""
+    """:func:`read_framed_header` for a graph cache, its sizes and CRC
+    checked to be non-negative ints, raising :class:`GraphCacheError`."""
     try:
-        return read_framed_header(fh, _MAGIC, "graph cache", CACHE_FORMAT,
-                                  CACHE_VERSION)
+        header = read_framed_header(fh, _MAGIC, "graph cache",
+                                    CACHE_FORMAT, CACHE_VERSION)
     except ValueError as exc:
         raise GraphCacheError(f"{path}: {exc}") from None
+    for field in ("body_len", "crc32", "num_vertices", "num_edges"):
+        value = header.get(field)
+        if type(value) is not int or value < 0:
+            raise GraphCacheError(
+                f"{path}: header field {field}={value!r} is not a "
+                "non-negative int")
+    return header
 
 
 def read_graph_cache(path: str | Path, *, use_mmap: bool = True):
@@ -200,8 +207,8 @@ def read_graph_cache(path: str | Path, *, use_mmap: bool = True):
             f"declares {header['body_len']})")
     if zlib.crc32(body) != header["crc32"]:
         raise GraphCacheError(f"{path}: cache body fails its CRC32 check")
-    num_vertices = int(header["num_vertices"])
-    num_edges = int(header["num_edges"])
+    num_vertices = header["num_vertices"]
+    num_edges = header["num_edges"]
     indptr_bytes = (num_vertices + 1) * 8
     if indptr_bytes + num_edges * 8 != header["body_len"]:
         raise GraphCacheError(

@@ -64,7 +64,7 @@ from ..graph.digraph import AdjacencyRecord
 from ..graph.stream import VertexStream, as_array_stream
 from ..partitioning.base import StreamingPartitioner, StreamingResult
 from ..recovery.checkpoint import (CheckpointConfig, Checkpointer,
-                                   latest_snapshot)
+                                   _as_config, _restore, _snapshot_file)
 from ..recovery.snapshot import read_snapshot
 from .executor import _ParallelBase
 from .rct import ReversedCountingTable
@@ -646,17 +646,10 @@ class ProcessShardedPartitioner(_ParallelBase):
         snapshot was taken at a drained group boundary, so resuming
         restarts with an empty RCT and the same group sequence.
         """
-        snapshot = Path(snapshot)
-        if snapshot.is_dir():
-            found = latest_snapshot(snapshot)
-            if found is None:
-                raise FileNotFoundError(
-                    f"no ckpt-*.snap snapshots in {snapshot}")
-            snapshot = found
+        snapshot = _snapshot_file(snapshot)
         payload = read_snapshot(snapshot)
-        if config is None:
-            config = snapshot.parent
-        config = _as_config(config, every, keep)
+        config = _as_config(
+            snapshot.parent if config is None else config, every, keep)
         return self._run(stream, instrumentation=instrumentation,
                          ckpt_config=config, resume_payload=payload,
                          resumed_from=str(snapshot))
@@ -673,24 +666,10 @@ class ProcessShardedPartitioner(_ParallelBase):
         template = copy.deepcopy(base)
         base_elapsed = 0.0
         if resume_payload is not None:
-            position = int(resume_payload["position"])
-            if not hasattr(stream, "seek"):
-                raise TypeError(
-                    f"cannot resume on a non-seekable stream "
-                    f"({type(stream).__name__})")
-            state = base.load_state(stream, resume_payload)
-            stream.seek(position)
+            state = _restore(base, stream, resume_payload, resumed_from,
+                             instrumentation)
             base_elapsed = float(
                 resume_payload.get("elapsed_seconds", 0.0))
-            if instrumentation is not None:
-                instrumentation.count("resumes")
-                instrumentation.emit({
-                    "type": "resume",
-                    "position": position,
-                    "placements": int(state.placed_vertices),
-                    "path": resumed_from,
-                    "partitioner": base.name,
-                })
         else:
             state = base.make_state(stream)
             base._setup(stream, state)
@@ -776,15 +755,3 @@ class ProcessShardedPartitioner(_ParallelBase):
             num_partitions=base.num_partitions,
             stats=stats,
         )
-
-
-def _as_config(config: CheckpointConfig | str | Path,
-               every: int | None, keep: int | None) -> CheckpointConfig:
-    if isinstance(config, CheckpointConfig):
-        return config
-    kwargs: dict[str, Any] = {}
-    if every is not None:
-        kwargs["every"] = every
-    if keep is not None:
-        kwargs["keep"] = keep
-    return CheckpointConfig(Path(config), **kwargs)

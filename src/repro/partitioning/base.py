@@ -276,7 +276,9 @@ class PartitionState:
 
         Configuration fields (dimensions, balance mode, capacities) are
         included so :meth:`load_state` can refuse a snapshot taken under
-        different run parameters instead of silently mixing them.
+        different run parameters instead of silently mixing them.  The
+        route table and both tallies are the live arrays, valid until
+        the next commit; copy them to keep them.
         """
         return {
             "num_partitions": int(self.num_partitions),
@@ -287,9 +289,9 @@ class PartitionState:
             "edge_capacity": None if self.edge_capacity is None
             else float(self.edge_capacity),
             "overflow_policy": self.overflow_policy,
-            "route": self.route.copy(),
-            "vertex_counts": self.vertex_counts.copy(),
-            "edge_counts": self.edge_counts.copy(),
+            "route": self.route,
+            "vertex_counts": self.vertex_counts,
+            "edge_counts": self.edge_counts,
             "placed_vertices": int(self.placed_vertices),
             "placed_edges": int(self.placed_edges),
             "capacity_overflows": int(self.capacity_overflows),
@@ -754,6 +756,11 @@ class StreamingPartitioner(ABC):
         is what :mod:`repro.recovery.snapshot` serializes; feeding it to
         :meth:`load_state` in a fresh process reproduces the run
         byte-for-byte from the captured stream position.
+
+        Its arrays are live views, valid until the next commit: write
+        the payload before placing another record, or copy what must be
+        kept.  :meth:`load_state` copies, so a payload never aliases two
+        runs.
         """
         return {
             "partitioner": self.name,

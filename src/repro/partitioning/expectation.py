@@ -101,7 +101,9 @@ class ExpectationStore(Protocol):
         """Live counter cells (K × tracked-id-range), for observability."""
 
     def state_dict(self) -> dict:
-        """Snapshot the mutable counter state (for checkpoint/restore)."""
+        """The mutable counter state, for checkpoint/restore: arrays may
+        be the live counters, valid until the next :meth:`record` or
+        :meth:`advance_to`; copy what must be kept."""
 
     def load_state(self, payload: dict) -> None:
         """Restore :meth:`state_dict` output into this store."""
@@ -293,8 +295,8 @@ class FullExpectationStore:
 
     def state_dict(self) -> dict:
         if self.num_buckets is None:
-            return {"kind": "full", "table": self._table.copy()}
-        return {"kind": "hashed", "table": self._table.copy(),
+            return {"kind": "full", "table": self._table}
+        return {"kind": "hashed", "table": self._table,
                 "num_buckets": self.num_buckets}
 
     def load_state(self, payload: dict) -> None:

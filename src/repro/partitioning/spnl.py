@@ -135,7 +135,7 @@ class SPNLPartitioner(SPNPartitioner):
         # (|V|, K) and rebuilt by _setup; only the shrinking |V^lt| tally
         # is genuinely mutable.  The η schedule itself is stateless — it
         # reads (lt, pt, range_sizes), all of which the snapshot covers.
-        payload["lt_counts"] = self._lt_counts.copy()
+        payload["lt_counts"] = self._lt_counts
         return payload
 
     def _load_heuristic_state(self, payload: dict[str, Any]) -> None:

@@ -275,7 +275,8 @@ class SlidingWindowStore:
         """Ring contents plus cursor and loss diagnostics.
 
         ``table`` is the partition-major ``(K, W)`` array checkpoints
-        have always held, so snapshots move freely between versions.
+        have always held, so snapshots move freely between versions;
+        transposing the ring makes it a copy, not a live view.
         """
         return {
             "kind": "window",

@@ -33,7 +33,6 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any
 
 from ..graph.stream import VertexStream
 from ..partitioning.base import (
@@ -96,6 +95,51 @@ def latest_snapshot(directory: str | Path) -> Path | None:
             best_pos = int(match.group(1))
             best = entry
     return best
+
+
+def _snapshot_file(snapshot: str | Path) -> Path:
+    """``snapshot``, or the furthest-along one when it is a directory."""
+    snapshot = Path(snapshot)
+    if not snapshot.is_dir():
+        return snapshot
+    found = latest_snapshot(snapshot)
+    if found is None:
+        raise FileNotFoundError(f"no ckpt-*.snap snapshots in {snapshot}")
+    return found
+
+
+def _as_config(config: CheckpointConfig | str | Path,
+               every: int | None, keep: int | None) -> CheckpointConfig:
+    """``config`` itself, or a directory with ``every``/``keep`` set."""
+    if isinstance(config, CheckpointConfig):
+        return config
+    overrides = {"every": every, "keep": keep}
+    return CheckpointConfig(Path(config), **{
+        key: value for key, value in overrides.items() if value is not None})
+
+
+def _restore(partitioner: StreamingPartitioner, stream: VertexStream,
+             payload: dict, path: str | None,
+             instrumentation) -> PartitionState:
+    """Load ``payload`` into ``partitioner`` and seek ``stream`` to its
+    position; counts the resume and emits its trace record."""
+    position = int(payload["position"])
+    if not hasattr(stream, "seek"):
+        raise TypeError(
+            f"cannot resume on a non-seekable stream "
+            f"({type(stream).__name__})")
+    state = partitioner.load_state(stream, payload)
+    stream.seek(position)
+    if instrumentation is not None:
+        instrumentation.count("resumes")
+        instrumentation.emit({
+            "type": "resume",
+            "position": position,
+            "placements": int(state.placed_vertices),
+            "path": path,
+            "partitioner": partitioner.name,
+        })
+    return state
 
 
 class Checkpointer:
@@ -185,13 +229,7 @@ def partition_with_checkpoints(
     I/O.  Produces a byte-identical assignment to
     :meth:`StreamingPartitioner.partition` on the same stream.
     """
-    if not isinstance(config, CheckpointConfig):
-        kwargs: dict[str, Any] = {}
-        if every is not None:
-            kwargs["every"] = every
-        if keep is not None:
-            kwargs["keep"] = keep
-        config = CheckpointConfig(Path(config), **kwargs)
+    config = _as_config(config, every, keep)
     state = partitioner.make_state(stream)
     partitioner._setup(stream, state)
     return _finish(partitioner, stream, state, config,
@@ -211,39 +249,12 @@ def resume_partition(
     into ``config`` (default: the snapshot's own directory).  The final
     assignment is byte-identical to the run that never crashed.
     """
-    snapshot = Path(snapshot)
-    if snapshot.is_dir():
-        found = latest_snapshot(snapshot)
-        if found is None:
-            raise FileNotFoundError(
-                f"no ckpt-*.snap snapshots in {snapshot}")
-        snapshot = found
+    snapshot = _snapshot_file(snapshot)
     payload = read_snapshot(snapshot)
-    position = int(payload["position"])
-    if not hasattr(stream, "seek"):
-        raise TypeError(
-            f"cannot resume on a non-seekable stream "
-            f"({type(stream).__name__})")
-    state = partitioner.load_state(stream, payload)
-    stream.seek(position)
-    if config is None:
-        config = snapshot.parent
-    if not isinstance(config, CheckpointConfig):
-        kwargs: dict[str, Any] = {}
-        if every is not None:
-            kwargs["every"] = every
-        if keep is not None:
-            kwargs["keep"] = keep
-        config = CheckpointConfig(Path(config), **kwargs)
-    if instrumentation is not None:
-        instrumentation.count("resumes")
-        instrumentation.emit({
-            "type": "resume",
-            "position": position,
-            "placements": int(state.placed_vertices),
-            "path": str(snapshot),
-            "partitioner": partitioner.name,
-        })
+    state = _restore(partitioner, stream, payload, str(snapshot),
+                     instrumentation)
+    config = _as_config(
+        snapshot.parent if config is None else config, every, keep)
     return _finish(partitioner, stream, state, config,
                    instrumentation=instrumentation,
                    base_elapsed=float(payload.get("elapsed_seconds", 0.0)),

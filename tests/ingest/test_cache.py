@@ -250,6 +250,35 @@ class TestIntegrity:
             read_graph_cache(path)
         assert not is_cache_fresh(path, source)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h.pop(k) for k in ("body_len", "crc32", "num_vertices",
+                                      "num_edges")],
+        lambda h: h.update(num_vertices=str(h["num_vertices"])),
+        lambda h: h.update(num_vertices=-1),
+    ], ids=["fields-missing", "num-vertices-not-int",
+            "num-vertices-negative"])
+    def test_bad_size_field(self, source, edit):
+        # A fresh, aligned sidecar whose only fault is the edited field:
+        # the reader refuses it by name, the freshness probe says stale
+        # and load_or_parse falls back to the parse and rewrites it.
+        graph = load_or_parse(source)
+        cache = cache_path_for(source)
+        blob = cache.read_bytes()
+        (header_len,) = struct.unpack_from(">I", blob, 9)
+        header = json.loads(blob[13:13 + header_len])
+        edit(header)
+        text = json.dumps(header).encode()
+        text += b" " * (-(13 + len(text)) % 64)
+        cache.write_bytes(blob[:9] + struct.pack(">I", len(text)) + text
+                          + blob[13 + header_len:])
+        os.utime(cache)
+        with pytest.raises(GraphCacheError,
+                           match=f"{cache}: header field"):
+            read_graph_cache(cache)
+        assert not is_cache_fresh(cache, source)
+        _assert_same(load_or_parse(source), graph)
+        assert is_cache_fresh(cache, source)
+
     def test_corruption_fails_crc(self, tmp_path, graph):
         path = tmp_path / "g.reprocsr"
         write_graph_cache(path, graph)
