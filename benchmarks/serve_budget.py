@@ -36,6 +36,11 @@ client dec    ``decode_line`` of the response
 kernel: the server's time outside the kernel per unit of kernel time.
 Each workload runs ``ROUNDS`` times on a fresh service; every row is
 the round with the lowest total, so one preempted round does not count.
+One extra round, not timed, runs under cProfile and gives the last
+columns: calls per placement of the placing op (``place_batch`` per
+record, ``place`` per request) and calls per ``lookup``, from the
+request line through ``_handle_line`` to ``encode_message`` of the
+answer, as ``tests/service/test_serve_budget.py`` counts them.
 
 Two reference lines follow the table: ``partition()``'s kernel time
 per record with the same config (best of ``ROUNDS`` passes) over the
@@ -55,6 +60,8 @@ Nothing is asserted.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import sys
 import tempfile
 import time
@@ -183,6 +190,32 @@ def one_pass(graph, requests: list[dict],
     return spent, snap
 
 
+def calls_per_op(graph, requests: list[dict],
+                 workdir: Path) -> dict[str, tuple[int, int]]:
+    """``op: (cProfile calls, requests)`` on a fresh service."""
+    service = server_module.PlacementService(
+        graph, config=config(),
+        snapshot_dir=tempfile.mkdtemp(dir=workdir), wal_fsync=False)
+    profiles: dict[str, cProfile.Profile] = {}
+    counts: dict[str, int] = {}
+    try:
+        for number, fields in enumerate(requests, start=1):
+            line = encode_message(
+                {"protocol": PROTOCOL_VERSION, "id": number, **fields})
+            op = fields["op"]
+            profile = profiles.setdefault(op, cProfile.Profile())
+            profile.enable()
+            _op, response = service._handle_line(line)
+            encode_message(response)
+            profile.disable()
+            counts[op] = counts.get(op, 0) + 1
+    finally:
+        service.close()
+    # Every disable() is a call of its own.
+    return {op: (pstats.Stats(profile).total_calls - counts[op], counts[op])
+            for op, profile in profiles.items()}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -196,7 +229,8 @@ def main() -> None:
         print(f"in-process serving budget: |V| = {NUM_VERTICES}, K = {K}, "
               f"no fsync, best of {ROUNDS} rounds; µs per placement")
         header = "".join(f"{name:>13}" for name in LAYERS)
-        print(f"{'workload':<13}{header}{'server÷kernel':>15}")
+        print(f"{'workload':<13}{header}{'server÷kernel':>15}"
+              f"{'calls/place':>13}{'calls/lookup':>13}")
         snapshots, served = {}, {}
         for name, (requests, placements) in workloads.items():
             passes = [one_pass(graph, requests, workdir)
@@ -207,7 +241,12 @@ def main() -> None:
                           for layer in LAYERS)
             outside = (best["decode"] + best["bookkeeping"]
                        + best["WAL append"] + best["encode"])
-            print(f"{name:<13}{row}{outside / best['kernel']:>15.2f}")
+            calls = calls_per_op(graph, requests, workdir)
+            placing = calls.get("place_batch") or calls["place"]
+            lookup = (f"{calls['lookup'][0] / calls['lookup'][1]:>13.2f}"
+                      if "lookup" in calls else f"{'-':>13}")
+            print(f"{name:<13}{row}{outside / best['kernel']:>15.2f}"
+                  f"{placing[0] / placements:>13.2f}{lookup}")
             served[name] = best["kernel"] / placements * 1e6
             snapshots[name] = {
                 key: min(snap[key] for _, snap in passes)

@@ -77,9 +77,8 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None,
     _check_engine(engine)
     builder = GraphBuilder(num_vertices)
     if engine == "chunked":
-        from ..ingest.chunked import iter_edge_chunks
-        for src, dst in iter_edge_chunks(path, policy=policy):
-            builder.add_edge_arrays(src, dst)
+        from ..ingest.edge_rows import add_edge_list
+        add_edge_list(path, builder, policy)
         return builder.build(name or Path(path).stem)
     if policy is not None:
         policy.begin_scan(path)

@@ -264,7 +264,7 @@ def _crash_stop(service: Any, wal: Any) -> None:
             return
         service._closed = True
     service._crashed = True
-    service._draining.set()
+    service._draining = True
     try:
         service._listener.close()
     except OSError:

@@ -93,7 +93,6 @@ Read path and WAL pipeline (revision 1.2 of the protocol):
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
@@ -191,9 +190,12 @@ class _LatencyRecorder:
 
 
 class _Work:
-    """One queued engine task: placements, a snapshot, or a recovery."""
+    """One queued engine task: placements, a snapshot, or a recovery.
 
-    __slots__ = ("kind", "placements", "event", "results", "error",
+    ``latch`` is held from construction until :meth:`resolve` or
+    :meth:`fail` releases it, exactly once: a second answer raises."""
+
+    __slots__ = ("kind", "placements", "latch", "results", "error",
                  "deadline")
 
     def __init__(self, kind: str,
@@ -201,7 +203,8 @@ class _Work:
                  deadline: float | None = None) -> None:
         self.kind = kind
         self.placements = placements
-        self.event = threading.Event()
+        self.latch = threading.Lock()
+        self.latch.acquire()
         self.results: Any = None
         self.error: tuple[str, str] | None = None
         #: Absolute ``time.monotonic()`` deadline from the request's
@@ -210,11 +213,11 @@ class _Work:
 
     def resolve(self, results: Any) -> None:
         self.results = results
-        self.event.set()
+        self.latch.release()
 
     def fail(self, code: str, message: str) -> None:
         self.error = (code, message)
-        self.event.set()
+        self.latch.release()
 
 
 class _RouteReadView:
@@ -236,6 +239,9 @@ class _RouteReadView:
     def __init__(self, num_vertices: int, num_partitions: int) -> None:
         self.seq = 0  # even = stable; odd = write in progress
         self.route = np.full(num_vertices, UNASSIGNED, dtype=np.int32)
+        # Indexing a memoryview reads and writes Python ints directly.
+        self._route = memoryview(self.route)
+        # Never written once published: a publish swaps in new arrays.
         self.loads = np.zeros(num_partitions, dtype=np.int64)
         self.edge_loads = np.zeros(num_partitions, dtype=np.int64)
         self.position = 0
@@ -245,19 +251,21 @@ class _RouteReadView:
         self.hold_seconds = 0.0
 
     # -- writer side (publish lock held by the service) ----------------
-    def publish(self, pairs, *, loads, edge_loads, position,
+    def publish(self, entries, *, loads, edge_loads, position,
                 placements, overflows) -> None:
+        """Publish one durable group's WAL entries and the copies that
+        :meth:`PlacementService._ack_scalars` made for it, adopted."""
         self.seq += 1
         if self.hold_seconds:
             time.sleep(self.hold_seconds)
-        route = self.route
-        for vertex, pid in pairs:
+        route = self._route
+        for _seq, vertex, _neighbors, pid in entries:
             route[vertex] = pid
-        self.loads[:] = loads
-        self.edge_loads[:] = edge_loads
-        self.position = int(position)
-        self.placements = int(placements)
-        self.overflows = int(overflows)
+        self.loads = loads
+        self.edge_loads = edge_loads
+        self.position = position
+        self.placements = placements
+        self.overflows = overflows
         self.seq += 1
 
     def publish_full(self, route: np.ndarray, *, loads, edge_loads,
@@ -267,8 +275,8 @@ class _RouteReadView:
         if self.hold_seconds:
             time.sleep(self.hold_seconds)
         np.copyto(self.route, route)
-        self.loads[:] = loads
-        self.edge_loads[:] = edge_loads
+        self.loads = np.array(loads)
+        self.edge_loads = np.array(edge_loads)
         self.position = int(position)
         self.placements = int(placements)
         self.overflows = int(overflows)
@@ -282,7 +290,7 @@ class _RouteReadView:
                 self.retries += 1
                 time.sleep(0)  # yield to the writer mid-publish
                 continue
-            pid = int(self.route[vertex])
+            pid = self._route[vertex]
             if self.seq == s1:
                 return pid
             self.retries += 1
@@ -320,11 +328,6 @@ class _Commit:
         #: Requests (works) riding this commit — the admission
         #: controller counts them as in-flight pipeline depth.
         self.requests = requests
-
-
-def _cached(route: memoryview, vertex: int) -> dict[str, Any]:
-    """The idempotent answer for an already-placed vertex."""
-    return {"vertex": vertex, "pid": route[vertex], "cached": True}
 
 
 def _resolve_graph(graph: Any) -> DiGraph:
@@ -431,7 +434,11 @@ class PlacementService:
         self._host = host
         self._port = port
         self._batch_max = batch_max
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
+        # Only the state-lock holder pops; the depth check and the
+        # append share ``_queue_lock``, so the bound is exact.
+        self._queue: deque[_Work] = deque()
+        self._queue_depth = queue_depth
+        self._queue_lock = threading.Lock()
         self._latency = _LatencyRecorder()
         self._started_monotonic = time.monotonic()
         self._admission = AdmissionController(
@@ -487,6 +494,11 @@ class PlacementService:
         # (possibly replayed) state, whose route table, tallies and
         # heuristic lanes it captures by reference.
         self._kernel = PlacementKernel(partitioner, self._state)
+        # Indexing a memoryview gives a Python int, not a numpy scalar:
+        # the apply loop's route checks and CSR bounds read these.
+        self._route_view = memoryview(self._state.route)
+        self._indptr = memoryview(self._stream.indptr)
+        self._indices = self._stream.indices
 
         # Lock-free read path: connection threads answer lookup/stats
         # from this seqlock view, never from live engine state.
@@ -528,7 +540,8 @@ class PlacementService:
         # group it has not appended yet.
         self._crashed = False
 
-        self._draining = threading.Event()
+        # Set once by close() or a crash teardown; nobody waits on it.
+        self._draining = False
         self._shutdown_requested = threading.Event()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -562,7 +575,7 @@ class PlacementService:
         """Periodically attempt recovery while the server is read-only."""
         while not self._shutdown_requested.wait(
                 self.recovery_probe_interval):
-            if self._draining.is_set():
+            if self._draining:
                 return
             if self._health.state == READ_ONLY:
                 self.try_recover()
@@ -648,7 +661,8 @@ class PlacementService:
         and waits for the answer that thread's commit releases.
         """
         self._submit(work)
-        while not work.event.is_set():
+        latch = work.latch
+        while latch.locked():
             with self._state_lock:
                 group = self._drain()
                 if not group:
@@ -661,7 +675,7 @@ class PlacementService:
                 finally:
                     self._inflight_requests = 0
                     self._commit_lock.release()
-        work.event.wait()
+        latch.acquire()
 
     def _drain(self) -> list[_Work]:
         """Take up to ``batch_max`` queued works (state lock held).
@@ -670,13 +684,11 @@ class PlacementService:
         queued work fails ``draining`` instead and none is returned, so
         no submitter is left waiting.
         """
-        draining = self._draining.is_set()
+        draining = self._draining
+        queue = self._queue
         group: list[_Work] = []
-        while draining or len(group) < self._batch_max:
-            try:
-                group.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
+        while queue and (draining or len(group) < self._batch_max):
+            group.append(queue.popleft())
         if not draining:
             return group
         for work in group:
@@ -690,14 +702,15 @@ class PlacementService:
         (WAL, snapshot, per-placement errors) itself; anything that
         still escapes would reach only the request of the thread that
         drained the group, stranding the others in it.  Instead: fail
-        the group's unresolved works, drop to ``read_only``, keep
-        serving reads.
+        the group's unanswered works, drop to ``read_only``, keep
+        serving reads.  A work the group already answered keeps its
+        answer: its latch is released, and a second release would raise.
         """
         try:
             return self._process_group(group)
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             for work in group:
-                if not work.event.is_set():
+                if work.latch.locked():
                     work.fail("internal", f"engine error: {exc}")
             self._health.transition(READ_ONLY, "engine_error",
                                     detail=repr(exc))
@@ -728,10 +741,10 @@ class PlacementService:
             time.sleep(self.throttle_seconds)
         place_works = [w for w in group if w.kind == "place"]
         other_works = [w for w in group if w.kind != "place"]
-        place_works.sort(
-            key=lambda w: w.placements[0][0] if w.placements else -1)
-        applied, entries, placements, ok = \
-            self._apply_group(place_works, time.monotonic())
+        if len(place_works) > 1:
+            place_works.sort(
+                key=lambda w: w.placements[0][0] if w.placements else -1)
+        applied, entries, placements, ok = self._apply_group(place_works)
         commit = None
         if applied or entries:
             commit = _Commit(entries, applied, self._ack_scalars(),
@@ -760,7 +773,7 @@ class PlacementService:
                 "type": "service_request",
                 "op": "place" if placements else group[0].kind,
                 "count": int(placements),
-                "queue_depth": int(self._queue.qsize()),
+                "queue_depth": len(self._queue),
                 "elapsed_seconds": elapsed,
                 "ok": ok,
                 "fused": len(entries),
@@ -813,7 +826,7 @@ class PlacementService:
         return ok
 
     def _apply_group(
-            self, place_works: list[_Work], now: float
+            self, place_works: list[_Work]
     ) -> tuple[list[tuple[_Work, list[dict[str, Any]]]],
                list[WalEntry], int, bool]:
         """Apply the drained place requests: the one apply loop.
@@ -837,7 +850,7 @@ class PlacementService:
         ok = True
         live: list[tuple[_Work, list[dict[str, Any] | None]]] = []
         for work in place_works:
-            if work.deadline is not None and now >= work.deadline:
+            if work.deadline is not None and time.monotonic() >= work.deadline:
                 # The budget died in the queue; applying now would
                 # ack after the client stopped caring.  Fail without
                 # touching state — nothing to roll back.
@@ -856,21 +869,21 @@ class PlacementService:
                           f"the request was queued; placement not "
                           f"applied")
                 continue
-            placements += len(work.placements)
-            live.append((work, [None] * len(work.placements)))
-        # Indexing a memoryview gives a Python int, not a numpy scalar.
-        route = memoryview(self._state.route)
-        indptr, indices = self._stream.indptr, self._stream.indices
+            count = len(work.placements)
+            placements += count
+            live.append((work, [None] * count))
+        route, indptr, indices = \
+            self._route_view, self._indptr, self._indices
         step = self._kernel.step
-        log_commit = self._log_commit
         clock = time.perf_counter
         error: Exception | None = None
         try:
             for work, results in live:
                 self._kernel_requests += 1
                 for slot, (vertex, neighbors) in enumerate(work.placements):
-                    if route[vertex] != UNASSIGNED:
-                        results[slot] = _cached(route, vertex)
+                    if route[vertex] != UNASSIGNED:  # idempotent answer
+                        results[slot] = {"vertex": vertex,
+                                         "pid": route[vertex], "cached": True}
                         continue
                     if neighbors is None:
                         nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
@@ -879,8 +892,16 @@ class PlacementService:
                     t0 = clock()
                     pid = step(vertex, nbrs)
                     self._elapsed += clock() - t0
-                    log_commit(entries, results, slot, vertex, neighbors,
-                               pid)
+                    results[slot] = {"vertex": vertex, "pid": pid,
+                                     "cached": False}
+                    entries.append(
+                        WalEntry(self._position, vertex, neighbors, pid))
+                    self._position += 1
+                    if self._arrival_ordered:
+                        if vertex == self._next_expected:
+                            self._next_expected += 1
+                        else:
+                            self._arrival_ordered = False
         except Exception as exc:
             error = exc
         for work, results in live:
@@ -891,26 +912,13 @@ class PlacementService:
                 applied.append((work, results))
         return applied, entries, placements, ok
 
-    def _log_commit(self, entries: list[WalEntry], results: list,
-                    slot: int, vertex: int, neighbors: list[int] | None,
-                    pid: int) -> None:
-        """Book one commit: its answer, its WAL line, the position and
-        whether arrival is still in exact id order."""
-        results[slot] = {"vertex": vertex, "pid": pid, "cached": False}
-        entries.append(WalEntry(self._position, vertex, neighbors, pid))
-        self._position += 1
-        if self._arrival_ordered:
-            if vertex == self._next_expected:
-                self._next_expected += 1
-            else:
-                self._arrival_ordered = False
-
     def _ack_scalars(self) -> dict[str, Any]:
         """Copy the acked-state scalars for a read-view publish.
 
         Taken under the state lock at commit-capture time; copies, not
         views — the engine keeps mutating the live arrays while a
-        pipelined commit is in flight.
+        pipelined commit is in flight.  The read view adopts these
+        copies as they are (:meth:`_RouteReadView.publish`).
         """
         state = self._state
         return {
@@ -966,17 +974,10 @@ class PlacementService:
                     f"server is read-only until the log recovers")
             return False
         if entries:
-            self._publish_entries(entries, commit.scalars)
+            self._read_view.publish(entries, **commit.scalars)
         for work, results in commit.applied:
             work.resolve(results)
         return True
-
-    def _publish_entries(self, entries: list[WalEntry],
-                         scalars: dict[str, Any]) -> None:
-        """Publish one durable group to the read view (post-fsync,
-        pre-ack; commit lock held)."""
-        self._read_view.publish(
-            [(e.vertex, e.pid) for e in entries], **scalars)
 
     def _publish_state(self) -> None:
         """Wholesale read-view publish from live state (boot, or
@@ -1144,7 +1145,7 @@ class PlacementService:
                     f"unsupported protocol version {version!r}",
                     code="unsupported-protocol")
             op_field = request.get("op")
-            if not isinstance(op_field, str) or op_field not in OPS:
+            if op_field not in OPS:
                 raise ProtocolError(
                     f"unknown op {op_field!r}; this server answers "
                     f"{list(OPS)}")
@@ -1166,20 +1167,13 @@ class PlacementService:
 
     def _dispatch(self, op: str,
                   request: dict[str, Any]) -> dict[str, Any]:
-        if op == "hello":
-            return self._op_hello()
-        if op == "health":
-            return self._op_health()
-        if op == "lookup":
-            return self._op_lookup(request)
-        if op == "stats":
-            return self._op_stats()
         if op == "place":
-            item = dict(request)
-            item.setdefault("vertex", None)
-            [result] = self._op_place([item],
+            # The request is its own item: ``vertex`` and ``neighbors``.
+            [result] = self._op_place([request],
                                       deadline=self._parse_deadline(request))
             return result
+        if op == "lookup":
+            return self._op_lookup(request)
         if op == "place_batch":
             items = request.get("items")
             if not isinstance(items, list) or not items:
@@ -1188,6 +1182,12 @@ class PlacementService:
             results = self._op_place(items,
                                      deadline=self._parse_deadline(request))
             return {"results": results, "count": len(results)}
+        if op == "hello":
+            return self._op_hello()
+        if op == "health":
+            return self._op_health()
+        if op == "stats":
+            return self._op_stats()
         if op == "snapshot":
             return self._op_snapshot()
         raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
@@ -1212,12 +1212,12 @@ class PlacementService:
         }
 
     def _op_health(self) -> dict[str, Any]:
-        status = "draining" if self._draining.is_set() else "serving"
+        status = "draining" if self._draining else "serving"
         admission = self._admission.stats()
         return {"status": status,
                 "health_state": self._health.state,
                 "health_transitions": int(self._health.transitions),
-                "queue_depth": int(self._queue.qsize()),
+                "queue_depth": len(self._queue),
                 "shed_rate": float(admission["shed_rate"]),
                 "uptime_seconds":
                     time.monotonic() - self._started_monotonic}
@@ -1260,8 +1260,8 @@ class PlacementService:
             "capacity": float(state.capacity),
             "loads": summary["loads"],
             "edge_loads": summary["edge_loads"],
-            "queue_depth": int(self._queue.qsize()),
-            "queue_capacity": int(self._queue.maxsize),
+            "queue_depth": len(self._queue),
+            "queue_capacity": self._queue_depth,
             "groups_processed": int(self._groups_processed),
             "engine_seconds": float(self._elapsed),
             "uptime_seconds":
@@ -1314,7 +1314,8 @@ class PlacementService:
         return stats
 
     def _check_vertex(self, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        # Exactly ``int``: JSON decodes ids to int, and ``true`` to bool.
+        if type(value) is not int:
             raise ProtocolError(
                 f"vertex must be an integer, got {value!r}")
         if not 0 <= value < self._num_vertices:
@@ -1369,52 +1370,47 @@ class PlacementService:
         return work.results
 
     def _submit(self, work: _Work) -> None:
-        if self._draining.is_set():
+        if self._draining:
             raise ProtocolError(
                 "server is draining; no new placements accepted",
                 code="draining")
-        if work.kind == "recover":
-            # Recovery must reach the engine even when admission would
-            # shed everything else; only the hard queue bound applies.
-            try:
-                self._queue.put_nowait(work)
-            except queue.Full:
-                raise ProtocolError(
-                    f"engine queue is full ({self._queue.maxsize} "
-                    f"requests); retry shortly",
-                    code="backpressure") from None
-            return
-        if not self._health.allows_mutation:
+        kind = work.kind
+        # Recovery must reach the engine even when admission would shed
+        # everything else; only the hard queue bound applies to it.
+        if kind != "recover" and not self._health.allows_mutation:
             self._admission.count_shed("read_only")
             raise ProtocolError(
                 f"server is {self._health.state}; mutations are rejected "
                 f"(lookups/stats/health still served)",
                 code="read_only")
-        if work.kind == "place":
+        if kind == "place":
             deadline_remaining = None
             if work.deadline is not None:
                 deadline_remaining = work.deadline - time.monotonic()
             # A pipelined commit holds acks beyond the queue: requests
-            # riding an in-flight fsync are invisible to qsize() but
-            # very much ahead of this one, so the lag estimate counts
-            # them too.
+            # riding an in-flight fsync are invisible to the queue depth
+            # but very much ahead of this one, so the lag estimate
+            # counts them too.
             decision = self._admission.admit(
-                self._queue.qsize(),
+                len(self._queue),
                 deadline_remaining=deadline_remaining,
                 inflight=self._inflight_requests)
             if decision is not None:
                 self._admission.count_shed(decision.code)
                 raise ProtocolError(decision.message, code=decision.code)
-        try:
-            self._queue.put_nowait(work)
-        except queue.Full:
-            if work.kind == "place":
+        queue = self._queue
+        with self._queue_lock:
+            full = len(queue) >= self._queue_depth
+            if not full:
+                queue.append(work)
+        if full:
+            if kind == "place":
                 self._admission.count_shed("backpressure")
             raise ProtocolError(
                 f"engine queue is full "
-                f"({self._queue.maxsize} requests); retry shortly",
-                code="backpressure") from None
-        if work.kind == "place":
+                f"({self._queue_depth} requests); retry shortly",
+                code="backpressure")
+        if kind == "place":
             self._admission.count_accept()
 
     # -- lifecycle -----------------------------------------------------
@@ -1442,7 +1438,7 @@ class PlacementService:
             if self._closed:
                 return
             self._closed = True
-        self._draining.set()
+        self._draining = True
         if self._listener is not None:
             try:
                 self._listener.close()

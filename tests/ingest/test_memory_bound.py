@@ -15,7 +15,8 @@ And two for the batch path, which holds the graph: ``read_adjacency``
 peaks at no more than twice the CSR it returns plus that block
 constant (the row pieces and the stitched CSR; no ``(src, dst)`` pairs,
 no sort key over every edge, also when one line takes ``int()``'s
-fallback path), and ``evaluate`` adds O(|V|) plus a
+fallback path), as does ``read_edge_list`` on a file whose sources
+arrive in runs, and ``evaluate`` adds O(|V|) plus a
 constant, never O(|E|).
 """
 
@@ -26,7 +27,8 @@ import pytest
 
 from repro import PartitionConfig, community_web_graph
 from repro.graph import DiGraph
-from repro.graph.io import read_adjacency, write_adjacency
+from repro.graph.io import (read_adjacency, read_edge_list,
+                            write_adjacency, write_edge_list)
 from repro.graph.stream import FileStream
 from repro.ingest.chunked import DEFAULT_CHUNK_BYTES, _tokenize_block
 from repro.memory.model import spnl_bytes
@@ -152,10 +154,39 @@ class TestBatchPath:
         signed = tmp_path / path.name
         signed.write_bytes(b"\n".join(lines))
         parsed, peak = measure_peak(lambda: read_adjacency(signed))
-        reference = read_adjacency(signed, engine="python")
-        assert parsed.indptr.tobytes() == reference.indptr.tobytes()
-        assert parsed.indices.tobytes() == reference.indices.tobytes()
+        _assert_same_csr(parsed, read_adjacency(signed, engine="python"))
         assert parsed == graph
         constant = BYTES_PER_INPUT_BYTE * DEFAULT_CHUNK_BYTES
         assert peak <= 2 * parsed.nbytes() + constant, \
             peak / parsed.nbytes()
+
+    def test_read_edge_list_holds_the_graph_about_once(self, batch_graph,
+                                                       tmp_path):
+        # write_edge_list writes each source's edges as one run: the
+        # runs become rows, stitched as read_adjacency stitches them.
+        graph, _ = batch_graph
+        path = tmp_path / "g.el"
+        write_edge_list(graph, path)
+        parsed, peak = measure_peak(lambda: read_edge_list(path))
+        _assert_same_csr(parsed, read_edge_list(path, engine="python"))
+        assert parsed == graph
+        constant = BYTES_PER_INPUT_BYTE * DEFAULT_CHUNK_BYTES
+        assert peak <= 2 * parsed.nbytes() + constant, \
+            peak / parsed.nbytes()
+
+    def test_a_shuffled_edge_list_takes_the_pair_path(self, batch_graph,
+                                                      tmp_path):
+        graph, _ = batch_graph
+        path = tmp_path / "g.el"
+        write_edge_list(graph, path)
+        header, *lines = path.read_bytes().splitlines()
+        order = np.random.default_rng(5).permutation(len(lines))
+        path.write_bytes(b"\n".join([header] + [lines[i] for i in order]))
+        parsed = read_edge_list(path)
+        _assert_same_csr(parsed, read_edge_list(path, engine="python"))
+        assert parsed == graph
+
+
+def _assert_same_csr(parsed: DiGraph, reference: DiGraph) -> None:
+    assert parsed.indptr.tobytes() == reference.indptr.tobytes()
+    assert parsed.indices.tobytes() == reference.indices.tobytes()

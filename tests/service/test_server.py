@@ -461,7 +461,7 @@ class TestLifecycle:
         _wait_for(svc._state_lock.locked)
         for thread in threads[1:]:
             thread.start()
-        _wait_for(lambda: svc._queue.qsize() == 3)
+        _wait_for(lambda: svc.stats()["queue_depth"] == 3)
         svc.close()
         for thread in threads:
             thread.join(timeout=10)
@@ -765,6 +765,67 @@ class TestFailedRequestKeepsItsCommits:
             assert np.array_equal(revived._state.route, route)
         finally:
             revived.close()
+
+
+class TestEngineError:
+    """An error that escapes the apply loop reaches only the thread that
+    drained the group.  Every request of the group must still be
+    answered ``internal`` exactly once, no submitter may be left
+    blocked, and the server drops to ``read_only`` and keeps reading."""
+
+    def test_group_fails_once_and_degrades(self, graph, config, tmp_path):
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=tmp_path / "state")
+        kernel = svc._kernel
+
+        class FaultyKernel:
+            # Raises for vertex 2, which the apply loop answers itself.
+            def step(self, vertex, neighbors):
+                if vertex == 2:
+                    raise RuntimeError("planted kernel fault")
+                return kernel.step(vertex, neighbors)
+
+        def failing_capture():
+            # Vertex 1 committed; then the group's commit capture fails.
+            raise RuntimeError("planted engine fault")
+
+        answers = {1: [], 2: []}
+
+        def submit(vertex):
+            try:
+                svc._op_place([vertex])
+                answers[vertex].append("ok")
+            except ProtocolError as exc:
+                answers[vertex].append((exc.code, str(exc)))
+            except Exception as exc:  # e.g. a second release of a latch
+                answers[vertex].append(repr(exc))
+
+        threads = [threading.Thread(target=submit, args=(v,), daemon=True)
+                   for v in (2, 1)]
+        try:
+            with svc._state_lock:  # both requests queue for one group
+                for thread in threads:
+                    thread.start()
+                _wait_for(lambda: svc.stats()["queue_depth"] == 2)
+                svc._kernel = FaultyKernel()
+                svc._ack_scalars = failing_capture
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == {
+                1: [("internal", "engine error: planted engine fault")],
+                2: [("internal", "placement failed: planted kernel fault")],
+            }
+            assert svc.health_state == "read_only"
+            with ServiceClient(*svc.address) as c:
+                # Nothing of the group was acked, so nothing is visible.
+                assert c.lookup(1) is None and c.lookup(2) is None
+                assert c.health()["health_state"] == "read_only"
+                with pytest.raises(ServiceError) as err:
+                    c.place(3)
+                assert err.value.code == "read_only"
+        finally:
+            svc.close()
 
 
 class TestFacade:
