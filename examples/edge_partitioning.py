@@ -1,25 +1,21 @@
 """The paper's future-work direction, running: SPNL knowledge on
 streaming *edge* partitioning.
 
-GAS systems (PowerGraph family) assign edges and replicate vertices;
-quality is the replication factor (RF).  The paper's conclusion claims
-its knowledge-utilization techniques transfer to this setting — SPNL-E
+Edge partitioners assign edges and replicate vertices; quality is the
+replication factor (RF).  The paper's conclusion claims its
+knowledge-utilization techniques transfer to this setting — SPNL-E
 implements the transfer (multiplicity Γ counters + Range locality +
 sliding window on top of HDRF), and this example measures it against
-the canonical streaming edge partitioners.
+HDRF, the heuristic it extends.
 
 Run:  python examples/edge_partitioning.py
 """
 
 from repro.bench.report import format_table
 from repro.edgepart import (
-    DBHPartitioner,
-    GreedyEdgePartitioner,
     HDRFPartitioner,
-    RandomEdgePartitioner,
     SPNLEdgePartitioner,
     evaluate_edges,
-    simulate_gas_job,
 )
 from repro.graph import community_web_graph
 
@@ -34,25 +30,19 @@ def main() -> None:
 
     rows = []
     for partitioner in [
-        RandomEdgePartitioner(K),
-        DBHPartitioner(K),
-        GreedyEdgePartitioner(K),
         HDRFPartitioner(K),
         SPNLEdgePartitioner(K),           # the transfer
-        SPNLEdgePartitioner(K, mu=0.0, nu=0.0),  # ablated back to HDRF-ish
+        SPNLEdgePartitioner(K, mu=0.0, nu=0.0),  # ablated back to HDRF
     ]:
         result = partitioner.partition(graph)
         report = evaluate_edges(graph, result.assignment)
         label = result.partitioner
         if result.stats.get("mu") == 0.0:
             label += " (knowledge off)"
-        # what the replication factor costs a 10-superstep GAS job
-        gas = simulate_gas_job(graph, result.assignment, supersteps=10)
         rows.append({
             "method": label,
             "replication factor": round(report.replication_factor, 3),
             "balance": round(report.load_balance, 3),
-            "GAS sync (ms)": round(gas.makespan_seconds * 1000, 1),
             "PT(s)": round(result.elapsed_seconds, 2),
         })
     print(format_table(rows, title="streaming edge partitioning"))

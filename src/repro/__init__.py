@@ -33,9 +33,10 @@ Observability (:mod:`repro.observability`) traces a pass mid-stream::
 
 Offline baselines (METIS-like multilevel, XtraPuLP-like label propagation)
 live in :mod:`repro.offline`; the parallel streaming technique with RCT
-dependency detection in :mod:`repro.parallel`; a Pregel-style BSP runtime
-that shows what the cut actually costs in :mod:`repro.runtime`; and the
-benchmark harness regenerating every table/figure in :mod:`repro.bench`.
+dependency detection in :mod:`repro.parallel`; SPNL-E against HDRF (the
+paper's Sec. VII edge-partitioning claim) in :mod:`repro.edgepart`; and
+the benchmark harness regenerating every table/figure in
+:mod:`repro.bench`.
 """
 
 from . import graph, partitioning

@@ -48,56 +48,25 @@ def _figure_sections(quick: bool) -> list[tuple[str, Callable[[], Any]]]:
         ("Extension — edge partitioning (Sec. VII future work)",
          lambda: _edge_partitioning_rows(
              ("uk2005",) if quick else ("uk2005", "stanford"))),
-        ("Extension — buffered hybrid framework",
-         lambda: _hybrid_rows("uk2005" if quick else "uk2002")),
     ]
 
 
 def _edge_partitioning_rows(datasets) -> list[dict]:
     from ..edgepart import evaluate_edges
-    from ..partitioning.registry import (
-        available_partitioners,
-        make_partitioner,
-    )
+    from ..partitioning.registry import make_partitioner
     from .datasets import load
 
     rows = []
     for name in datasets:
         graph = load(name)
-        # Every registered edge heuristic, baselines first (registration
-        # order is definition order in the modules, which already runs
-        # random → dbh → greedy → hdrf → spnl-e).
-        for method in ("random", "dbh", "greedy", "hdrf", "spnl-e"):
-            assert method in available_partitioners("edge")
+        # The baseline first, then the heuristic that extends it.
+        for method in ("hdrf", "spnl-e"):
             partitioner = make_partitioner(method, 32, kind="edge")
             result = partitioner.partition(graph)
             report = evaluate_edges(graph, result.assignment)
             rows.append({"graph": name, "method": result.partitioner,
                          "RF": round(report.replication_factor, 3),
                          "balance": round(report.load_balance, 3)})
-    return rows
-
-
-def _hybrid_rows(dataset: str) -> list[dict]:
-    from ..partitioning import BufferedHybridPartitioner, make_partitioner
-    from .datasets import load
-    from .harness import run_partitioner
-
-    graph = load(dataset)
-    rows = []
-    for partitioner in [
-        make_partitioner("ldg", 32),
-        BufferedHybridPartitioner(lambda: make_partitioner("ldg", 32),
-                                  buffer_size=2048),
-        make_partitioner("spnl", 32, num_shards="auto"),
-        BufferedHybridPartitioner(
-            lambda: make_partitioner("spnl", 32, num_shards="auto"),
-            buffer_size=2048),
-    ]:
-        record = run_partitioner(partitioner, graph)
-        rows.append({"method": record.partitioner,
-                     "ECR": round(record.ecr, 4),
-                     "delta_v": round(record.delta_v, 2)})
     return rows
 
 

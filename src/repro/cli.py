@@ -302,35 +302,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .bench.report import format_table
-    from .partitioning.analysis import (
-        boundary_profile,
-        cut_distance_histogram,
-        partition_connectivity,
-    )
-    from .partitioning.metrics import evaluate
-    from .partitioning.persistence import load_assignment
-
-    graph = _load_graph(args.graph)
-    assignment, header = load_assignment(args.routes)
-    print(evaluate(graph, assignment))
-    if header.get("partitioner"):
-        print(f"(saved by {header['partitioner']})")
-    print()
-    print(format_table(cut_distance_histogram(graph, assignment,
-                                              bins=args.bins),
-                       title="cut fraction by id-distance decile"))
-    print()
-    print(format_table(boundary_profile(graph, assignment),
-                       title="boundary vertices per partition"))
-    print()
-    print(format_table(
-        [c.as_row() for c in partition_connectivity(graph, assignment)],
-        title="partition connectivity"))
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     """``bench``: print one of the paper's tables or figures."""
     from .bench import figures, tables
@@ -650,14 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="load through a binary .reprocsr cache")
     p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("analyze",
-                       help="introspect a partitioning (cut structure)")
-    p.add_argument("graph", help="graph file or named dataset")
-    p.add_argument("routes", help="route-table file")
-    p.add_argument("--bins", type=int, default=10,
-                   help="distance-histogram bins")
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bench",
                        help="regenerate a paper table/figure, or the "

@@ -7,13 +7,7 @@ from .base import (
     StreamingEdgePartitioner,
     edge_stream,
 )
-from .gas import gas_sync_report, simulate_gas_job
-from .classic import (
-    DBHPartitioner,
-    GreedyEdgePartitioner,
-    HDRFPartitioner,
-    RandomEdgePartitioner,
-)
+from .hdrf import HDRFPartitioner
 from .metrics import (
     EdgeQualityReport,
     edge_load_balance,
@@ -23,20 +17,15 @@ from .metrics import (
 from .spnl_edge import SPNLEdgePartitioner
 
 __all__ = [
-    "DBHPartitioner",
     "EdgeAssignment",
     "EdgePartitionState",
     "EdgeQualityReport",
     "EdgeStreamResult",
-    "GreedyEdgePartitioner",
     "HDRFPartitioner",
-    "RandomEdgePartitioner",
     "SPNLEdgePartitioner",
     "StreamingEdgePartitioner",
     "edge_load_balance",
     "edge_stream",
-    "gas_sync_report",
-    "simulate_gas_job",
     "evaluate_edges",
     "replication_factor",
 ]

@@ -6,9 +6,9 @@ the *replication factor* (average number of partitions holding a copy of
 each vertex), which dominates communication in GAS-style systems like
 PowerGraph.  The paper's conclusion claims its knowledge-utilization
 techniques transfer to this setting; :mod:`repro.edgepart` implements
-the classical streaming edge partitioners (Random, DBH, PowerGraph
-greedy, HDRF) plus that transfer (:class:`~repro.edgepart.spnl_edge
-.SPNLEdgePartitioner`) so the claim can be measured.
+that transfer (:class:`~repro.edgepart.spnl_edge.SPNLEdgePartitioner`)
+and the heuristic it extends (:class:`~repro.edgepart.hdrf
+.HDRFPartitioner`), so the claim can be measured.
 
 This module provides the shared machinery: the replica-set state, the
 one-pass driver, and the result type.

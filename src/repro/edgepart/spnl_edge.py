@@ -38,7 +38,7 @@ from ..partitioning.hashing import range_boundaries
 from ..partitioning.registry import register
 from ..partitioning.window import SlidingWindowStore, default_num_shards
 from .base import EdgePartitionState
-from .classic import HDRFPartitioner
+from .hdrf import HDRFPartitioner
 
 __all__ = ["SPNLEdgePartitioner"]
 

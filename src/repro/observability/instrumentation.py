@@ -1,11 +1,11 @@
 """The instrumentation hub: counters, gauges, timers, and record fan-out.
 
 One :class:`Instrumentation` instance travels with a run (a partitioning
-pass, a bench record, a BSP job) and is threaded through the pipeline via
+pass, a bench record) and is threaded through the pipeline via
 optional ``instrumentation=`` keyword hooks.  Components call
 
 * ``count(name, n)`` for monotonically growing tallies (placements,
-  delayed records, remote messages),
+  delayed records),
 * ``gauge(name, value)`` for point-in-time readings (Γ-table bytes,
   queue depth),
 * ``timer(name)`` as a context manager accumulating monotonic wall time

@@ -14,10 +14,6 @@ tooling (and enforced by the test suite over every emitted record):
     seq, placements, elapsed_seconds, ecr_estimate, capacity_overflows,
     partitioner.
 
-``bsp_superstep`` — one record per BSP superstep:
-    seq, superstep, active_vertices, local_messages, remote_messages,
-    elapsed_seconds, program.
-
 ``parallel_batch`` — one record per simulated-parallel batch:
     seq, batch, batch_size, delayed, placements.
 
@@ -102,16 +98,6 @@ TRACE_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], bool, bool]]] = {
         "partitioner": (_STR, True, False),
         "expectation_table_entries": (_INT, False, True),
         "expectation_table_bytes": (_INT, False, True),
-    },
-    "bsp_superstep": {
-        "type": (_STR, True, False),
-        "seq": (_INT, True, False),
-        "superstep": (_INT, True, False),
-        "active_vertices": (_INT, True, False),
-        "local_messages": (_INT, True, False),
-        "remote_messages": (_INT, True, False),
-        "elapsed_seconds": (_NUM, True, False),
-        "program": (_STR, True, False),
     },
     "parallel_batch": {
         "type": (_STR, True, False),

@@ -104,7 +104,7 @@ class ProgressSink:
     """Render ``stream_probe`` records as single human-readable lines.
 
     Non-probe records are summarised by their ``type`` and any counter
-    payload, so the sink stays useful for BSP/parallel traces too.
+    payload, so the sink stays useful for parallel traces too.
     """
 
     def __init__(self, stream: IO[str] | None = None) -> None:

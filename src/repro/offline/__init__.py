@@ -6,7 +6,6 @@ from .initial import region_growing_partition
 from .label_propagation import LabelPropagationPartitioner
 from .multilevel import MultilevelPartitioner, OfflineResult, OutOfMemoryError
 from .refine import partition_edge_cut, refine
-from .spectral import SpectralPartitioner
 from .wgraph import WeightedGraph
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "MultilevelPartitioner",
     "OfflineResult",
     "OutOfMemoryError",
-    "SpectralPartitioner",
     "WeightedGraph",
     "coarsen",
     "contract",

@@ -38,18 +38,12 @@ def _connectivity(graph: WeightedGraph, part: np.ndarray,
 
 def refine(graph: WeightedGraph, part: np.ndarray, num_partitions: int, *,
            slack: float = 1.05, max_passes: int = 8,
-           min_gain_fraction: float = 0.001,
-           frozen: np.ndarray | None = None) -> np.ndarray:
+           min_gain_fraction: float = 0.001) -> np.ndarray:
     """Refine ``part`` in place-style (returns a new array).
 
     Stops early when a pass improves the cut by less than
     ``min_gain_fraction`` of the current cut, mirroring the diminishing-
     returns cutoff real refiners use.
-
-    ``frozen`` (boolean mask) pins vertices that may never move — the
-    buffered hybrid partitioner uses this for its per-partition anchor
-    super-vertices, which represent the already-streamed portion of the
-    graph.
     """
     part = part.astype(np.int32).copy()
     n = graph.num_vertices
@@ -70,8 +64,6 @@ def refine(graph: WeightedGraph, part: np.ndarray, num_partitions: int, *,
         best_target = np.argmax(ext, axis=1).astype(np.int32)
         best_ext = ext[np.arange(n), best_target]
         gain = best_ext - internal
-        if frozen is not None:
-            gain = np.where(frozen, -1.0, gain)
         movers = np.nonzero(gain > 0)[0]
         if len(movers) == 0:
             break

@@ -681,7 +681,10 @@ class StreamingPartitioner(ABC):
 
         The reference scorer: it reads only live state and allocates
         its result, so worker processes may call it concurrently
-        while the single committer owns the kernel.
+        while the single committer owns the kernel.  Its production
+        callers are the process executor's workers and, through
+        :meth:`place`, restreaming; everything else scores through the
+        kernel.
         """
 
     def _after_commit(self, record: AdjacencyRecord, pid: int,
@@ -824,9 +827,8 @@ class StreamingPartitioner(ABC):
 
         The reference placement, kept on purpose: the byte-identity
         tests compare the kernel against it, and
-        :class:`~repro.partitioning.dynamic.DynamicPartitioner` and
         :class:`~repro.partitioning.restreaming.RestreamingPartitioner`
-        run on it because they move vertices between partitions — loads
+        runs on it because it moves vertices between partitions — loads
         that shrink, which the kernel's grow-only mask does not support.
         No streaming pass calls it.
         """

@@ -124,8 +124,7 @@ def cut_matrix(graph: DiGraph,
     """K×K matrix of cross-partition edge counts.
 
     Entry ``[i, j]`` counts directed edges from ``P_i`` to ``P_j``; the
-    off-diagonal sum equals :func:`edge_cut`.  The BSP runtime uses this
-    as its communication matrix.
+    off-diagonal sum equals :func:`edge_cut`.
     """
     k = assignment.num_partitions
     counts = np.zeros(k * k, dtype=np.int64)

@@ -58,7 +58,7 @@ _BUILTIN_MODULES = (
     "repro.partitioning.hashing",
     "repro.offline.multilevel",
     "repro.offline.label_propagation",
-    "repro.edgepart.classic",
+    "repro.edgepart.hdrf",
     "repro.edgepart.spnl_edge",
 )
 #: how many of ``_BUILTIN_MODULES`` have been imported, in order

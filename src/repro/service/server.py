@@ -705,6 +705,11 @@ class PlacementService:
         the group's unanswered works, drop to ``read_only``, keep
         serving reads.  A work the group already answered keeps its
         answer: its latch is released, and a second release would raise.
+        Placements the group committed in memory but had not yet handed
+        to the log were parked by :meth:`_process_group`, so
+        :meth:`try_recover` flushes them before the server accepts
+        mutations again: a retry's ``cached`` answer is then backed by
+        a WAL line.
         """
         try:
             return self._process_group(group)
@@ -745,40 +750,58 @@ class PlacementService:
             place_works.sort(
                 key=lambda w: w.placements[0][0] if w.placements else -1)
         applied, entries, placements, ok = self._apply_group(place_works)
-        commit = None
-        if applied or entries:
-            commit = _Commit(entries, applied, self._ack_scalars(),
-                             len(applied))
-        self._commit_lock.acquire()
-        if (commit is not None and self._wal_pipeline and not other_works
-                and not self._snapshot_due()):
-            self._inflight_requests = commit.requests
-        else:
-            try:
+        # The entries live in memory only until the commit routine takes
+        # them (it appends or parks them).  An error before that parks
+        # them here; any error releases the commit lock if it is held.
+        logged = not entries or self._wal is None
+        locked = False
+        try:
+            commit = None
+            if applied or entries:
+                commit = _Commit(entries, applied, self._ack_scalars(),
+                                 len(applied))
+            self._commit_lock.acquire()
+            locked = True
+            if (commit is not None and self._wal_pipeline
+                    and not other_works and not self._snapshot_due()):
+                self._inflight_requests = commit.requests
+            else:
+                logged = True
                 if commit is not None and not self._commit_durably(commit):
                     ok = False
                 commit = None
                 ok = self._run_maintenance(other_works) and ok
-            finally:
+                locked = False
                 self._commit_lock.release()
-        elapsed = time.perf_counter() - t0
-        if placements:
-            self._admission.observe_group(elapsed, placements)
-        self._groups_processed += 1
-        if self.instrumentation is not None:
-            shed_total = self._admission.stats()["shed_total"]
-            shed_delta = shed_total - self._last_shed_total
-            self._last_shed_total = shed_total
-            self.instrumentation.emit({
-                "type": "service_request",
-                "op": "place" if placements else group[0].kind,
-                "count": int(placements),
-                "queue_depth": len(self._queue),
-                "elapsed_seconds": elapsed,
-                "ok": ok,
-                "fused": len(entries),
-                "shed": int(shed_delta),
-            })
+            elapsed = time.perf_counter() - t0
+            if placements:
+                self._admission.observe_group(elapsed, placements)
+            self._groups_processed += 1
+            if self.instrumentation is not None:
+                shed_total = self._admission.stats()["shed_total"]
+                shed_delta = shed_total - self._last_shed_total
+                self._last_shed_total = shed_total
+                self.instrumentation.emit({
+                    "type": "service_request",
+                    "op": "place" if placements else group[0].kind,
+                    "count": int(placements),
+                    "queue_depth": len(self._queue),
+                    "elapsed_seconds": elapsed,
+                    "ok": ok,
+                    "fused": len(entries),
+                    "shed": int(shed_delta),
+                })
+        except BaseException:
+            if not logged:
+                if not locked:
+                    # Behind any earlier group's commit: parked lines
+                    # stay in sequence order.
+                    self._commit_lock.acquire()
+                    locked = True
+                self._pending_entries.extend(entries)
+            if locked:
+                self._commit_lock.release()
+            raise
         return commit
 
     def _snapshot_due(self) -> bool:

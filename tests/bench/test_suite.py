@@ -50,14 +50,6 @@ class TestExtensionRowHelpers:
     def test_edge_partitioning_rows(self):
         from repro.bench.suite import _edge_partitioning_rows
         rows = _edge_partitioning_rows(("uk2005",))
-        methods = [r["method"] for r in rows]
-        assert "SPNL-E" in methods and "HDRF" in methods
+        assert [r["method"] for r in rows] == ["HDRF", "SPNL-E"]
         by_method = {r["method"]: r["RF"] for r in rows}
-        assert by_method["SPNL-E"] < by_method["Random-E"]
-
-    def test_hybrid_rows(self):
-        from repro.bench.suite import _hybrid_rows
-        rows = _hybrid_rows("uk2005")
-        assert len(rows) == 4
-        assert any(r["method"].startswith("Buffered(") for r in rows)
-        assert all(0.0 <= r["ECR"] <= 1.0 for r in rows)
+        assert by_method["SPNL-E"] < by_method["HDRF"]

@@ -6,7 +6,7 @@ import pytest
 from repro.edgepart import (
     EdgeAssignment,
     EdgePartitionState,
-    RandomEdgePartitioner,
+    HDRFPartitioner,
     edge_stream,
     evaluate_edges,
 )
@@ -61,16 +61,16 @@ class TestEdgePartitionState:
 
 
 class TestDriver:
-    def test_all_edges_assigned(self, web_graph):
-        result = RandomEdgePartitioner(4).partition(web_graph)
-        assert result.assignment.num_edges == web_graph.num_edges
+    def test_all_edges_assigned(self, edge_graph):
+        result = HDRFPartitioner(4).partition(edge_graph)
+        assert result.assignment.num_edges == edge_graph.num_edges
         assert result.assignment.edge_counts().sum() == \
-            web_graph.num_edges
+            edge_graph.num_edges
 
-    def test_capacity_respected(self, web_graph):
-        result = RandomEdgePartitioner(4, slack=1.1).partition(web_graph)
+    def test_capacity_respected(self, edge_graph):
+        result = HDRFPartitioner(4, slack=1.1).partition(edge_graph)
         counts = result.assignment.edge_counts()
-        assert counts.max() <= np.ceil(1.1 * web_graph.num_edges / 4)
+        assert counts.max() <= np.ceil(1.1 * edge_graph.num_edges / 4)
 
     def test_evaluate_validates_coverage(self, tiny_graph):
         bad = EdgeAssignment(np.zeros(2, dtype=np.int32), 2,
@@ -78,14 +78,14 @@ class TestDriver:
         with pytest.raises(ValueError, match="covers"):
             evaluate_edges(tiny_graph, bad)
 
-    def test_deterministic(self, web_graph):
-        a = RandomEdgePartitioner(4).partition(web_graph)
-        b = RandomEdgePartitioner(4).partition(web_graph)
+    def test_deterministic(self, edge_graph):
+        a = HDRFPartitioner(4).partition(edge_graph)
+        b = HDRFPartitioner(4).partition(edge_graph)
         assert np.array_equal(a.assignment.edge_pids,
                               b.assignment.edge_pids)
 
     def test_report_fields(self, tiny_graph):
-        result = RandomEdgePartitioner(2).partition(tiny_graph)
+        result = HDRFPartitioner(2).partition(tiny_graph)
         report = evaluate_edges(tiny_graph, result.assignment)
         assert report.replication_factor >= 1.0
         assert report.load_balance >= 1.0

@@ -1,87 +1,33 @@
-"""Unit tests for the streaming edge partitioners."""
+"""Unit tests for the streaming edge partitioners: HDRF and SPNL-E."""
 
 import numpy as np
 import pytest
 
 from repro.edgepart import (
-    DBHPartitioner,
-    EdgePartitionState,
-    GreedyEdgePartitioner,
     HDRFPartitioner,
-    RandomEdgePartitioner,
     SPNLEdgePartitioner,
     evaluate_edges,
 )
-from repro.graph import from_edges
 
 
-def _rf(partitioner, graph):
-    result = partitioner.partition(graph)
+def _rf(result, graph):
     return evaluate_edges(graph, result.assignment).replication_factor
 
 
-class TestGreedyCases:
-    def test_common_partition_preferred(self):
-        """Case 1: an edge joins endpoints sharing a partition there."""
-        p = GreedyEdgePartitioner(3)
-        g = from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=3)
-        state = EdgePartitionState(3, 3)
-        p._setup(g, state)
-        p._capacity_value = p._capacity(30)  # ample headroom
-        state.place(0, 1, 1)
-        state.place(1, 2, 1)
-        # edge (0,2): both endpoints live in partition 1
-        assert p._choose(0, 2, state) == 1
-
-    def test_fresh_edge_goes_least_loaded(self):
-        p = GreedyEdgePartitioner(3)
-        state = EdgePartitionState(3, 10)
-        p._capacity_value = p._capacity(10)
-        state.place(0, 1, 0)
-        assert p._choose(5, 6, state) != 0  # 0 is loaded
-
-    def test_single_endpoint_replicas_used(self):
-        p = GreedyEdgePartitioner(3)
-        state = EdgePartitionState(3, 10)
-        p._capacity_value = p._capacity(10)
-        state.place(0, 1, 2)
-        assert p._choose(1, 7, state) == 2  # follow vertex 1's replica
-
-
-class TestDBH:
-    def test_hub_replicated_not_tail(self):
-        """A star's leaves each hash by themselves (lower degree), so the
-        hub fans out but every leaf stays in one partition."""
-        edges = [(0, i) for i in range(1, 33)]
-        g = from_edges(edges, num_vertices=33)
-        result = DBHPartitioner(4).partition(g)
-        replicas = result.assignment.replicas
-        assert replicas[0].sum() > 1          # hub replicated
-        assert all(replicas[i].sum() == 1 for i in range(1, 33))
+@pytest.fixture(scope="module")
+def runs(edge_graph):
+    return {"hdrf": HDRFPartitioner(8).partition(edge_graph),
+            "spnl_e": SPNLEdgePartitioner(8).partition(edge_graph)}
 
 
 class TestQualityOrdering:
-    @pytest.fixture(scope="class")
-    def rfs(self, web_graph):
-        return {
-            "random": _rf(RandomEdgePartitioner(8), web_graph),
-            "dbh": _rf(DBHPartitioner(8), web_graph),
-            "greedy": _rf(GreedyEdgePartitioner(8), web_graph),
-            "hdrf": _rf(HDRFPartitioner(8), web_graph),
-            "spnl_e": _rf(SPNLEdgePartitioner(8), web_graph),
-        }
-
-    def test_knowledge_beats_hashing(self, rfs):
-        assert rfs["greedy"] < rfs["dbh"] < rfs["random"]
-        assert rfs["hdrf"] < rfs["dbh"]
-
-    def test_spnl_e_wins(self, rfs):
+    def test_spnl_e_wins(self, runs, edge_graph):
         """The paper's future-work claim: its techniques transfer."""
-        assert rfs["spnl_e"] < rfs["hdrf"]
-        assert rfs["spnl_e"] < rfs["greedy"]
+        assert _rf(runs["spnl_e"], edge_graph) < _rf(runs["hdrf"],
+                                                     edge_graph)
 
-    def test_rf_at_least_one(self, rfs):
-        assert all(rf >= 1.0 for rf in rfs.values())
+    def test_rf_at_least_one(self, runs, edge_graph):
+        assert all(_rf(run, edge_graph) >= 1.0 for run in runs.values())
 
 
 class TestSPNLE:
@@ -89,20 +35,19 @@ class TestSPNLE:
         with pytest.raises(ValueError):
             SPNLEdgePartitioner(4, mu=-1)
 
-    def test_stats_expose_window(self, web_graph):
-        result = SPNLEdgePartitioner(4).partition(web_graph)
+    def test_stats_expose_window(self, edge_graph):
+        result = SPNLEdgePartitioner(4).partition(edge_graph)
         assert result.stats["window_size"] > 0
         assert result.stats["mu"] == 1.0
 
-    def test_balance_respected(self, web_graph):
-        result = SPNLEdgePartitioner(8, slack=1.1).partition(web_graph)
-        q = evaluate_edges(web_graph, result.assignment)
+    def test_balance_respected(self, edge_graph):
+        result = SPNLEdgePartitioner(8, slack=1.1).partition(edge_graph)
+        q = evaluate_edges(edge_graph, result.assignment)
         assert q.load_balance <= 1.11
 
-    def test_locality_drives_the_win(self, web_graph):
-        """Disable both knowledge terms → collapses toward plain HDRF."""
-        plain = _rf(SPNLEdgePartitioner(8, mu=0.0, nu=0.0), web_graph)
-        full = _rf(SPNLEdgePartitioner(8), web_graph)
-        hdrf = _rf(HDRFPartitioner(8), web_graph)
-        assert full < plain
-        assert abs(plain - hdrf) < 0.35 * hdrf
+    def test_locality_drives_the_win(self, runs, edge_graph):
+        """Disable both knowledge terms → exactly plain HDRF."""
+        plain = SPNLEdgePartitioner(8, mu=0.0, nu=0.0).partition(edge_graph)
+        assert _rf(runs["spnl_e"], edge_graph) < _rf(plain, edge_graph)
+        assert np.array_equal(plain.assignment.edge_pids,
+                              runs["hdrf"].assignment.edge_pids)

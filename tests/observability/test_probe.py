@@ -230,7 +230,7 @@ class TestInstrumentedPathIsTheProductionPath:
         np.testing.assert_array_equal(traces[0][1], traces[1][1])
 
 
-class TestParallelAndBSPTraces:
+class TestParallelTraces:
     def test_simulated_parallel_emits_batches(self, web_graph):
         from repro.parallel import SimulatedParallelPartitioner
 
@@ -269,21 +269,3 @@ class TestParallelAndBSPTraces:
             make_partitioner("spnl", 8, num_shards=1),
             parallelism=4).partition(GraphStream(web_graph))
         assert result.assignment == reference.assignment
-
-    def test_bsp_supersteps_traced(self, web_graph):
-        from repro.runtime import BSPEngine
-        from repro.runtime.algorithms import PageRankProgram
-
-        assignment = make_partitioner("hash", 4).partition(
-            GraphStream(web_graph)).assignment
-        sink = MemorySink()
-        hub = Instrumentation([sink])
-        run = BSPEngine(web_graph, assignment).run(
-            PageRankProgram(iterations=3), instrumentation=hub)
-        steps = [r for r in sink.records if r["type"] == "bsp_superstep"]
-        for record in steps:
-            validate_record(record)
-        assert len(steps) == run.supersteps
-        assert hub.counters["bsp.supersteps"] == run.supersteps
-        assert hub.counters["bsp.remote_messages"] == \
-            run.comm.remote_messages

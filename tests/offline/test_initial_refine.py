@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph import community_web_graph, grid_graph, ring_of_cliques
+from repro.graph import (
+    community_web_graph,
+    from_edges,
+    grid_graph,
+    ring_of_cliques,
+)
 from repro.offline import (
     WeightedGraph,
     partition_edge_cut,
@@ -62,6 +67,14 @@ class TestPartitionEdgeCut:
 
 
 class TestRefine:
+    def test_closes_a_closable_cut(self):
+        wg = _wg(from_edges([(0, 1), (1, 0), (0, 2), (2, 0)],
+                            num_vertices=3))
+        part = np.array([0, 1, 1], dtype=np.int32)
+        refined = refine(wg, part, 2, slack=2.0)
+        assert partition_edge_cut(wg, refined) < partition_edge_cut(
+            wg, part)
+
     def test_never_worsens_cut(self):
         wg = _wg(community_web_graph(600, seed=2))
         rng = np.random.default_rng(3)

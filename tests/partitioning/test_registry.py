@@ -21,8 +21,7 @@ class TestAvailable:
         assert names == tuple(sorted(names))
 
     def test_edge_namespace(self):
-        assert available_partitioners("edge") == (
-            "dbh", "greedy", "hdrf", "random", "spnl-e")
+        assert available_partitioners("edge") == ("hdrf", "spnl-e")
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="kind"):
@@ -37,10 +36,13 @@ class TestResolve:
         assert "spnl" in str(exc.value)  # the error lists what exists
 
     def test_kind_namespaces_do_not_collide(self):
-        vertex = resolve("random")
-        edge = resolve("random", kind="edge")
-        assert vertex.is_streaming
-        assert vertex.factory is not edge.factory
+        """A name resolves only in the namespace that registered it."""
+        assert resolve("random").is_streaming
+        with pytest.raises(ValueError):
+            resolve("random", kind="edge")
+        assert resolve("spnl-e", kind="edge").kind == "edge"
+        with pytest.raises(ValueError):
+            resolve("spnl-e")
 
     def test_offline_entries_not_streaming(self):
         assert not resolve("metis").is_streaming

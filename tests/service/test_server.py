@@ -1,6 +1,7 @@
 """Placement-service integration tests (in-process, ephemeral ports)."""
 
 import hashlib
+import importlib.util
 import json
 import socket
 import subprocess
@@ -828,6 +829,84 @@ class TestEngineError:
             svc.close()
 
 
+    def test_committed_placement_is_logged_before_healthy(
+            self, graph, config, tmp_path):
+        """An engine error after the apply loop committed a placement in
+        memory: the request fails ``internal``, recovery flushes the
+        placement's WAL line before the server is healthy again, the
+        retry's ``cached`` ack is backed by it, and a server revived
+        from the directory answers the same pid."""
+        state_dir = tmp_path / "state"
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=state_dir)
+        capture = svc._ack_scalars
+        faults = ["planted engine fault"]
+
+        def failing_once():
+            if faults:
+                raise RuntimeError(faults.pop())
+            return capture()
+
+        svc._ack_scalars = failing_once
+        try:
+            with pytest.raises(ProtocolError) as err:
+                svc._op_place([1])
+            assert err.value.code == "internal"
+            assert svc.health_state == "read_only"
+            assert svc.stats()["durability"]["wal_pending"] == 1
+            recovered = svc.try_recover()
+            assert recovered["recovered"] and recovered["flushed"] == 1
+            [entry] = replay_entries(state_dir)
+            assert (entry.seq, entry.vertex) == (0, 1)
+            with ServiceClient(*svc.address) as c:
+                assert c.lookup(1) == entry.pid
+                retry = c.place(1)
+                assert (retry["pid"], retry["cached"]) == (entry.pid, True)
+            assert len(list(replay_entries(state_dir))) == 1
+        finally:
+            svc._listener.close()  # crash: no final snapshot
+        with PlacementService.start(graph, config=config,
+                                    snapshot_dir=state_dir,
+                                    resume_from=state_dir) as revived:
+            with ServiceClient(*revived.address) as c:
+                assert c.lookup(1) == entry.pid
+
+
+    def test_fault_after_the_commit_lock_releases_it(
+            self, graph, config, tmp_path):
+        """The same fault after the group took the commit lock for a
+        pipelined commit: the lock is released (recovery would block on
+        it otherwise) and the placement is parked, then flushed."""
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=tmp_path / "state")
+        observe = svc._admission.observe_group
+        faults = ["planted engine fault"]
+
+        def failing_once(elapsed, placements):
+            if faults:
+                raise RuntimeError(faults.pop())
+            return observe(elapsed, placements)
+
+        svc._admission.observe_group = failing_once
+        outcome = []
+        recover = threading.Thread(
+            target=lambda: outcome.append(svc.try_recover()), daemon=True)
+        try:
+            with pytest.raises(ProtocolError) as err:
+                svc._op_place([1])
+            assert err.value.code == "internal"
+            recover.start()
+            recover.join(timeout=10)
+            assert not recover.is_alive(), "commit lock left held"
+            assert outcome[0]["flushed"] == 1
+            assert svc.health_state == "healthy"
+        finally:
+            if recover.is_alive():
+                svc._listener.close()  # close() would block on the lock
+            else:
+                svc.close()
+
+
 class TestFacade:
     def test_serve_connect_compose(self, graph, config):
         with repro.serve(graph, config) as service, \
@@ -1137,6 +1216,9 @@ sys.meta_path.insert(0, _Tap())
 
 
 def _banned(modules, prefixes, exact=()):
+    # A ban on a package that no longer exists would pass vacuously.
+    assert [p for p in prefixes if importlib.util.find_spec(p) is None] \
+        == []
     return sorted(m for m in modules
                   if m in exact or any(m == p or m.startswith(p + ".")
                                        for p in prefixes))
@@ -1173,9 +1255,9 @@ class TestOneEngine:
                              capture_output=True, text=True).stdout
         modules = json.loads(out)
         assert _banned(modules, [
-            f"repro.{p}" for p in ("offline", "edgepart", "runtime",
-                                   "bench", "service", "parallel",
-                                   "memory", "recovery")]) == []
+            f"repro.{p}" for p in ("offline", "edgepart", "bench",
+                                   "service", "parallel", "memory",
+                                   "recovery")]) == []
         assert len([m for m in modules if m.startswith("repro")]) <= 25
 
     def test_serve_boot_and_requests_import_only_the_serving_path(
@@ -1220,8 +1302,8 @@ class TestOneEngine:
             proc.wait(timeout=60)
             proc.stdout.close()
         assert _banned(boot, [
-            f"repro.{p}" for p in ("offline", "edgepart", "runtime",
-                                   "parallel", "memory")],
+            f"repro.{p}" for p in ("offline", "edgepart", "parallel",
+                                   "memory")],
             exact={"multiprocessing.shared_memory",
                    "repro.service.client"}) == []
         assert [m for m in boot if m.startswith("repro.bench.")] \

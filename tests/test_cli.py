@@ -46,6 +46,18 @@ class TestParser:
         flag = next(arg for arg in argv if arg.startswith("--"))
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["analyze", "g.adj", "routes.txt"], "'analyze'"),
+        (["edgepartition", "g.adj", "out", "--method", "greedy"],
+         "'greedy'")], ids=["analyze", "edge-greedy"])
+    def test_removed_commands_are_refused(self, argv, named, capsys):
+        """The deleted ``analyze`` command and edge baselines are usage
+        errors, not silent no-ops."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"invalid choice: {named}" in capsys.readouterr().err
+
 
 def _streaming_names():
     return {name for name in available_partitioners()
@@ -194,17 +206,6 @@ class TestPartitionEvaluateInfo:
         out = capsys.readouterr().out
         assert "|V|" in out
 
-    def test_analyze(self, graph_file, tmp_path, capsys):
-        routes = tmp_path / "routes.txt"
-        main(["partition", str(graph_file), str(routes), "-k", "4"])
-        capsys.readouterr()
-        assert main(["analyze", str(graph_file), str(routes),
-                     "--bins", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "cut fraction by id-distance" in out
-        assert "boundary vertices" in out
-        assert "partition connectivity" in out
-
     def test_named_dataset_partition(self, tmp_path):
         routes = tmp_path / "routes.txt"
         assert main(["partition", "uk2005", str(routes), "--method",
@@ -229,7 +230,7 @@ class TestEdgePartition:
     def test_every_edge_method_runs(self, tmp_path):
         graph = tmp_path / "g.adj"
         main(["generate", str(graph), "--vertices", "400", "--seed", "6"])
-        for method in ("random", "dbh", "greedy", "hdrf", "spnl-e"):
+        for method in ("hdrf", "spnl-e"):
             out = tmp_path / f"{method}.txt"
             assert main(["edgepartition", str(graph), str(out),
                          "--method", method, "-k", "4"]) == 0

@@ -1,10 +1,9 @@
 """Integration tests: full pipelines across modules.
 
 Each test exercises a realistic end-to-end flow: generate → (write/read)
-→ stream → partition → evaluate → run a distributed job on the result.
+→ stream → partition → evaluate.
 """
 
-import numpy as np
 import pytest
 
 from repro.graph import (
@@ -25,7 +24,6 @@ from repro.partitioning import (
     SPNPartitioner,
     evaluate,
 )
-from repro.runtime import run_pagerank, run_sssp
 
 
 @pytest.fixture(scope="module")
@@ -93,28 +91,6 @@ class TestDiskPipeline:
         from_memory = SPNLPartitioner(8).partition(
             GraphStream(pipeline_graph))
         assert from_file.assignment == from_memory.assignment
-
-
-class TestDownstreamJob:
-    def test_partitioning_cuts_job_communication(self, pipeline_graph):
-        """The system-level claim: better partitioning → less remote
-        traffic for the same PageRank job, identical answers."""
-        spnl = SPNLPartitioner(8).partition(
-            GraphStream(pipeline_graph)).assignment
-        hsh = HashPartitioner(8).partition(
-            GraphStream(pipeline_graph)).assignment
-        run_spnl = run_pagerank(pipeline_graph, spnl, iterations=5)
-        run_hash = run_pagerank(pipeline_graph, hsh, iterations=5)
-        assert np.allclose(run_spnl.values, run_hash.values)
-        assert run_spnl.comm.remote_messages < \
-            0.7 * run_hash.comm.remote_messages
-
-    def test_sssp_over_partitioned_graph(self, pipeline_graph):
-        assignment = SPNLPartitioner(8).partition(
-            GraphStream(pipeline_graph)).assignment
-        run = run_sssp(pipeline_graph, assignment, source=0)
-        assert run.values[0] == 0.0
-        assert np.isfinite(run.values).sum() > 1
 
 
 class TestAdvancedFlows:

@@ -9,7 +9,6 @@ identity of Eq. 5.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -176,24 +175,6 @@ class TestStoreEquivalence:
             pid = int(rng.integers(0, k))
             full.record(pid, neighbors)
             windowed.record(pid, neighbors)
-
-
-class TestRuntimeIdentity:
-    @_SETTINGS
-    @given(data=graph_and_k())
-    def test_broadcast_remote_fraction_is_ecr(self, data):
-        """A one-superstep broadcast over all edges crosses partitions
-        exactly |D| times — remote_fraction == ECR for any partitioning."""
-        graph, k = data
-        if graph.num_edges == 0:
-            return
-        from repro.runtime import BSPEngine
-        from tests.runtime.test_engine import _BroadcastOnce
-        assignment = HashPartitioner(k).partition(
-            GraphStream(graph)).assignment
-        run = BSPEngine(graph, assignment).run(_BroadcastOnce())
-        assert run.comm.remote_fraction == pytest.approx(
-            evaluate(graph, assignment).ecr)
 
 
 class TestBuilderRoundtrip:

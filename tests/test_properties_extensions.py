@@ -1,31 +1,21 @@
-"""Property-based tests for the extension subsystems.
+"""Property-based tests for the edge-partitioning extension.
 
-Edge partitioning, the buffered hybrid, and dynamic maintenance each
-have their own invariants worth pinning across arbitrary inputs.
+HDRF and SPNL-E share the invariants of edge partitioning, pinned here
+across arbitrary inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.edgepart import (
-    DBHPartitioner,
-    GreedyEdgePartitioner,
     HDRFPartitioner,
-    RandomEdgePartitioner,
     SPNLEdgePartitioner,
     evaluate_edges,
 )
-from repro.graph import GraphStream, from_edges
-from repro.partitioning import (
-    BufferedHybridPartitioner,
-    DynamicPartitioner,
-    LDGPartitioner,
-    UNASSIGNED,
-)
+from repro.graph import from_edges
 
 _SETTINGS = settings(
     max_examples=20, deadline=None,
@@ -46,9 +36,6 @@ def graphs(draw, max_vertices=50, max_edges=200):
 
 
 _EDGE_FACTORIES = [
-    lambda k: RandomEdgePartitioner(k),
-    lambda k: DBHPartitioner(k),
-    lambda k: GreedyEdgePartitioner(k),
     lambda k: HDRFPartitioner(k),
     lambda k: SPNLEdgePartitioner(k, num_shards=1),
 ]
@@ -86,43 +73,3 @@ class TestEdgePartitioningInvariants:
         result = HDRFPartitioner(k).partition(graph)
         rf = evaluate_edges(graph, result.assignment).replication_factor
         assert 1.0 <= rf <= k
-
-
-class TestBufferedInvariants:
-    @_SETTINGS
-    @given(graph=graphs(), k=st.integers(1, 6),
-           buffer=st.integers(2, 64))
-    def test_complete_and_consistent(self, graph, k, buffer):
-        p = BufferedHybridPartitioner(lambda: LDGPartitioner(k),
-                                      buffer_size=buffer)
-        result = p.partition(GraphStream(graph))
-        result.assignment.validate(graph.num_vertices)
-        counts = np.bincount(result.assignment.route, minlength=k)
-        assert np.array_equal(counts,
-                              result.assignment.vertex_counts())
-
-
-class TestDynamicInvariants:
-    @_SETTINGS
-    @given(graph=graphs(max_vertices=40, max_edges=120),
-           k=st.integers(1, 4))
-    def test_incremental_equals_streaming_domain(self, graph, k):
-        """Feeding a whole graph incrementally leaves every vertex
-        placed and all tallies consistent."""
-        dp = DynamicPartitioner(k, capacity_vertices=graph.num_vertices)
-        for record in graph.records():
-            dp.add_vertex(record.vertex, record.neighbors.tolist())
-        assignment = dp.assignment()
-        assignment.validate(graph.num_vertices)
-        assert dp.graph() == graph
-
-    @_SETTINGS
-    @given(graph=graphs(max_vertices=40, max_edges=120),
-           k=st.integers(1, 4))
-    def test_restream_completeness(self, graph, k):
-        dp = DynamicPartitioner(k, capacity_vertices=graph.num_vertices)
-        for record in graph.records():
-            dp.add_vertex(record.vertex, record.neighbors.tolist())
-        quality = dp.restream()
-        assert 0.0 <= quality.ecr <= 1.0
-        dp.assignment().validate(graph.num_vertices)
