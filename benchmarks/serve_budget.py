@@ -24,10 +24,11 @@ layer         what is timed
 ============  ==========================================================
 client enc    ``encode_message`` of the request
 decode        ``decode_line`` of the request, inside ``_handle_line``
-kernel        ``stats()["engine_seconds"]``: the placement kernel only
+kernel        ``stats()["engine_seconds"]``: each request's apply loop,
+              the kernel steps plus each record's answer and WAL entry
 WAL append    ``PlacementLog.append_batch`` (format + write + flush)
 bookkeeping   the rest of ``_handle_line``: validation, parsing, queue,
-              apply loop, acks, read-view publish
+              deadline and health checks, acks, read-view publish
 encode        ``encode_message`` of the response
 client dec    ``decode_line`` of the response
 ============  ==========================================================

@@ -340,17 +340,18 @@ class PlacementKernel:
       the local view.  It is a scratch row, overwritten by the next
       call: copy it to keep it (a Sec. V-B group scores M records
       against the group-start state before committing any);
-    * ``commit(v, neighbors, scores) -> pid`` — argmax under capacity,
-      route and per-partition tallies, the heuristic's own update, the
-      probe feed.  ``scores`` (float64) is destroyed.  It picks the
+    * ``commit(v, neighbors, scores=None) -> pid`` — argmax under
+      capacity, route and per-partition tallies, the heuristic's own
+      update, the probe feed.  ``scores`` (float64) is destroyed; left
+      out, it is ``score(v, neighbors)``, which makes ``commit`` the
+      whole placement step, the group of one.  It picks the
       *identical* partition as :meth:`StreamingPartitioner.choose` for
       any score vector: same capacity masking, same overflow safety
       valve, same least-loaded-then-lowest-id tie-break (the frozen
-      route digests and the byte-identity suite rest on this);
+      route digests and the byte-identity suite rest on this).
 
-    and ``step(v, neighbors) -> pid`` is their composition, the group
-    of one.  Records are placed in arrival order with no contiguity
-    requirement on the ids.
+    Records are placed in arrival order with no contiguity requirement
+    on the ids.
 
     The scoring pair is the heuristic's hand-fused one
     (:meth:`StreamingPartitioner._fast_kernel`) when it ships one, else
@@ -380,7 +381,7 @@ class PlacementKernel:
     (no runner-up to compare against), finite otherwise.
     """
 
-    __slots__ = ("state", "score", "commit", "step")
+    __slots__ = ("state", "score", "commit")
 
     def __init__(self, partitioner: "StreamingPartitioner",
                  state: PartitionState, *, reference: bool = False,
@@ -414,8 +415,10 @@ class PlacementKernel:
         load_lane, full = memoryview(loads), memoryview(inelig)
 
         def commit(v: int, neighbors: np.ndarray,
-                   scores: np.ndarray) -> int:
+                   scores: np.ndarray | None = None) -> int:
             nonlocal num_inelig
+            if scores is None:
+                scores = score_into(v, neighbors)
             if num_inelig:
                 np.copyto(scores, neg_inf, where=inelig)
             pid = int(scores.argmax())
@@ -456,13 +459,9 @@ class PlacementKernel:
                 observe(v, neighbors, pid, margin)
             return pid
 
-        def step(v: int, neighbors: np.ndarray) -> int:
-            return commit(v, neighbors, score_into(v, neighbors))
-
         self.state = state
         self.score = score_into
         self.commit = commit
-        self.step = step
 
     def run(self, source: VertexStream, *, every: int | None = None,
             on_segment: Callable[[int, float], None] | None = None,
@@ -476,7 +475,7 @@ class PlacementKernel:
         checkpointing driver snapshots there.  ``elapsed`` seeds the
         running total (a resumed pass continues its clock).
         """
-        step = self.step
+        commit = self.commit
         state = self.state
         total = source.num_vertices
         csr = type(source) is ArrayStream
@@ -500,7 +499,7 @@ class PlacementKernel:
                         else order[lo:hi]
                     for v, a, b in zip(ids.tolist(), indptr[ids].tolist(),
                                        indptr[ids + 1].tolist()):
-                        step(v, indices[a:b])
+                        commit(v, indices[a:b])
             else:
                 # The last segment drains the iterator, so generator
                 # streams run their end-of-stream accounting.
@@ -509,7 +508,7 @@ class PlacementKernel:
                     if route[record.vertex] != UNASSIGNED:
                         raise ValueError(
                             f"vertex {record.vertex} placed twice")
-                    step(record.vertex, record.neighbors)
+                    commit(record.vertex, record.neighbors)
             elapsed += time.perf_counter() - start_t
             position += state.placed_vertices - before
             if position < stop:

@@ -135,10 +135,14 @@ class FullExpectationStore:
     map to rows by identity, so the table is bit-identical to the dense
     one (the property tests pin this); it still snapshots as hashed.
 
-    The mapping is decided once, here.  A table indexed by identity
-    keeps the methods below, which read rows by id; a hashing table
-    rebinds them to their ``_hashed_*`` twins, so the dense path does no
-    hashing work per call.
+    The mapping is decided once, in :meth:`_bind`, which binds the
+    fused-path access (``expectation_of_into``, ``gather_into``,
+    ``combined_into``, ``record``) as closures over the live table and
+    its per-partition column views: a placement step reaches numpy
+    without an attribute lookup, a method hop or a fresh ``table[:, i]``
+    view.  A table indexed by identity reads rows by id; a hashing table
+    reads them through :meth:`_buckets`.  Whatever rebinds the table
+    (:meth:`attach_shared_lanes`, a copy) binds the closures again.
     """
 
     needs_advance = False
@@ -159,52 +163,96 @@ class FullExpectationStore:
         # hot gather (sum over a neighborhood's rows) touches d
         # contiguous chunks instead of K strided column picks.
         self._table = np.zeros((rows, num_partitions), dtype=np.int32)
-        if rows < num_vertices:
-            self._idx_buf: np.ndarray | None = None
-            self.expectation_of = self._hashed_expectation_of
-            self.expectation_of_into = self._hashed_expectation_of_into
-            self.gather = self._hashed_gather
-            self.gather_into = self._hashed_gather_into
-            self.combined_into = self._hashed_combined_into
-            self.record = self._hashed_record
+        self._idx_buf: np.ndarray | None = None
+        self._bind()
 
-    # -- ExpectationStore API, ids as rows -----------------------------
+    def _bind(self) -> None:
+        """(Re)bind the fused-path access to ``self._table``."""
+        table = self._table
+        columns = [table[:, pid] for pid in range(self.num_partitions)]
+        take, add, add_at, copyto = table.take, np.add, np.add.at, np.copyto
+        reduce = np.add.reduce
+        if table.shape[0] >= self.num_vertices:
+            # Ids are rows.  A fresh d-row gather costs less than
+            # ``take(out=)``, whose bounds-checking mode copies through
+            # a bounce buffer.
+            def expectation_of_into(vertex: int,
+                                    out: np.ndarray) -> np.ndarray:
+                copyto(out, table[vertex])
+                return out
+
+            def gather_into(neighbors: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+                if len(neighbors) == 0:
+                    out[:] = 0
+                    return out
+                return reduce(take(neighbors, axis=0), 0, None, out)
+
+            def combined_into(vertex: int, neighbors: np.ndarray,
+                              out: np.ndarray) -> np.ndarray:
+                if len(neighbors) == 0:
+                    copyto(out, table[vertex])
+                    return out
+                reduce(take(neighbors, axis=0), 0, None, out)
+                return add(out, table[vertex], out=out)
+
+            def record(pid: int, neighbors: np.ndarray) -> None:
+                if len(neighbors):
+                    add_at(columns[pid], neighbors, _ONE)
+        else:
+            buckets, bucket_of = self._buckets, self._bucket_of
+
+            def expectation_of_into(vertex: int,
+                                    out: np.ndarray) -> np.ndarray:
+                copyto(out, table[bucket_of(vertex)])
+                return out
+
+            def gather_into(neighbors: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+                if len(neighbors) == 0:
+                    out[:] = 0
+                    return out
+                return reduce(take(buckets(neighbors).astype(
+                    np.int64, copy=False), axis=0), 0, None, out)
+
+            def combined_into(vertex: int, neighbors: np.ndarray,
+                              out: np.ndarray) -> np.ndarray:
+                gather_into(neighbors, out)
+                return add(out, table[bucket_of(vertex)], out=out)
+
+            def record(pid: int, neighbors: np.ndarray) -> None:
+                if len(neighbors):
+                    add_at(columns[pid], buckets(neighbors), _ONE)
+
+            self.expectation_of = self._hashed_expectation_of
+            self.gather = self._hashed_gather
+        self.expectation_of_into = expectation_of_into
+        self.gather_into = gather_into
+        self.combined_into = combined_into
+        self.record = record
+
+    def __getstate__(self) -> dict:
+        # The bound access captures this table: a copy binds its own.
+        return {key: value for key, value in self.__dict__.items()
+                if not callable(value)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+    # -- ExpectationStore API ------------------------------------------
     def advance_to(self, vertex: int) -> None:
         """No-op: every id (or bucket) is always tracked."""
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         return self._table[vertex].astype(np.int64)
 
-    def expectation_of_into(self, vertex: int, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self._table[vertex])
-        return out
-
     def gather(self, neighbors: np.ndarray) -> np.ndarray:
         if len(neighbors) == 0:
             return np.zeros(self.num_partitions, dtype=np.int64)
         return self._table[neighbors].sum(axis=0, dtype=np.int64)
 
-    def gather_into(self, neighbors: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-        if len(neighbors) == 0:
-            out[:] = 0
-            return out
-        # A fresh d-row gather costs less than ``take(out=)``, whose
-        # bounds-checking mode copies through a bounce buffer.
-        return np.add.reduce(self._table.take(neighbors, axis=0),
-                             0, None, out)
-
-    def combined_into(self, vertex: int, neighbors: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        self.gather_into(neighbors, out)
-        return np.add(out, self._table[vertex], out=out)
-
-    def record(self, pid: int, neighbors: np.ndarray) -> None:
-        if len(neighbors) == 0:
-            return
-        np.add.at(self._table[:, pid], neighbors, _ONE)
-
-    # -- the same, ids hashed onto rows --------------------------------
+    # -- ids hashed onto rows ------------------------------------------
     def _bucket_of(self, vertex: int) -> int:
         # Emulate uint64 wraparound so the scalar and vector paths agree.
         return ((vertex * 2654435761) & 0xFFFFFFFFFFFFFFFF) \
@@ -224,35 +272,11 @@ class FullExpectationStore:
     def _hashed_expectation_of(self, vertex: int) -> np.ndarray:
         return self._table[self._bucket_of(vertex)].astype(np.int64)
 
-    def _hashed_expectation_of_into(self, vertex: int,
-                                    out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self._table[self._bucket_of(vertex)])
-        return out
-
     def _hashed_gather(self, neighbors: np.ndarray) -> np.ndarray:
         if len(neighbors) == 0:
             return np.zeros(self.num_partitions, dtype=np.int64)
         return self._table[self._buckets(neighbors)].sum(axis=0,
                                                          dtype=np.int64)
-
-    def _hashed_gather_into(self, neighbors: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-        if len(neighbors) == 0:
-            out[:] = 0
-            return out
-        return np.add.reduce(self._table.take(
-            self._buckets(neighbors).astype(np.int64, copy=False), axis=0),
-            0, None, out)
-
-    def _hashed_combined_into(self, vertex: int, neighbors: np.ndarray,
-                              out: np.ndarray) -> np.ndarray:
-        self.gather_into(neighbors, out)
-        return np.add(out, self._table[self._bucket_of(vertex)], out=out)
-
-    def _hashed_record(self, pid: int, neighbors: np.ndarray) -> None:
-        if len(neighbors) == 0:
-            return
-        np.add.at(self._table[:, pid], self._buckets(neighbors), _ONE)
 
     # -- footprint, sharing, snapshots ---------------------------------
     def nbytes(self) -> int:
@@ -284,6 +308,7 @@ class FullExpectationStore:
                 f"shared Γ lane {table.shape}/{table.dtype} does not "
                 f"match {self._table.shape}/{self._table.dtype}")
         self._table = table
+        self._bind()
 
     def grown(self, num_vertices: int) -> "FullExpectationStore":
         """A dense copy over ``num_vertices`` ids; the new ids count 0."""

@@ -226,14 +226,6 @@ class SPNLPartitioner(SPNPartitioner):
         vertex_lane = memoryview(vertex_counts)
         home = memoryview(logical_pid)
 
-        def update_eta(i: int) -> None:
-            lt = lt_lane[i]
-            e = (lt - vertex_lane[i]) / (lt if lt > 1 else 1)
-            if e < 0.0:
-                e = 0.0
-            eta_vec[i] = e
-            one_minus_eta[i] = 1.0 - e
-
         def score_into(v: int, neighbors: np.ndarray) -> np.ndarray:
             if advance_to is not None:
                 advance_to(v)
@@ -263,9 +255,21 @@ class SPNLPartitioner(SPNPartitioner):
             lv = home[v]
             lt_lane[lv] -= 1
             if paper_eta:
-                update_eta(lv)
+                # Refresh η on the lanes the commit moved: |V^lt| on the
+                # logical home, |V^pt| on the chosen partition.
+                lt = lt_lane[lv]
+                e = (lt - vertex_lane[lv]) / (lt if lt > 1 else 1)
+                if e < 0.0:
+                    e = 0.0
+                eta_vec[lv] = e
+                one_minus_eta[lv] = 1.0 - e
                 if lv != pid:
-                    update_eta(pid)
+                    lt = lt_lane[pid]
+                    e = (lt - vertex_lane[pid]) / (lt if lt > 1 else 1)
+                    if e < 0.0:
+                        e = 0.0
+                    eta_vec[pid] = e
+                    one_minus_eta[pid] = 1.0 - e
             update_weights(pid)
 
         return score_into, after_commit

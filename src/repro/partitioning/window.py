@@ -101,15 +101,10 @@ class SlidingWindowStore:
         self._low_arr = np.array(0, dtype=np.int64)
         self._end_arr = np.array(self.window_size, dtype=np.int64)
         self._size_arr = np.array(self.window_size, dtype=np.int64)
-        # The in-window test gather_into() made last, kept for the
-        # record() of the same placement step: ``(neighbors, low, slots,
-        # past, future)``.  One attribute, assigned whole; record()
-        # trusts it only for the same array object at the same ``low``
-        # and drops it on read.
-        self._window_memo = None
         # Diagnostics surfaced in benchmark reports (Fig. 7 analysis).
         self.skipped_future = 0   # case-3 losses
         self.skipped_past = 0     # case-2 (harmless) drops
+        self._bind()
 
     # ------------------------------------------------------------------
     @property
@@ -122,41 +117,135 @@ class SlidingWindowStore:
         """One past the largest id covered by the window."""
         return min(self._low + self.window_size, self.num_vertices)
 
-    def advance_to(self, vertex: int) -> None:
-        """Slide the window so it starts at ``vertex``.
+    def _bind(self) -> None:
+        """Bind the per-record access as closures over the live ring.
 
-        Rotates the ring in place: slots vacated by ids falling off the
-        back are zeroed and immediately reused for the ids entering at the
-        front (the paper's "logically implemented by rotating over a
-        fixed-size array").  The expired slots are contiguous modulo
-        ``W`` — one row for the usual step of one vertex, at most two
-        row slices for a gap.
-
-        A ``vertex`` behind the current window is a no-op rather than an
-        error: the parallel executor re-scores *delayed* vertices after
-        the stream has moved past them, and the correct semantics there is
-        simply "read whatever counters remain".  (Streams that are not
-        id-ordered at all are rejected earlier, at partitioner setup.)
+        ``advance_to``, ``expectation_of_into``, ``gather_into``,
+        ``combined_into`` and ``record`` reach the ring, its
+        per-partition column views and the window bounds without a
+        method hop or a fresh ``ring[:, i]`` view.  The in-window
+        test :meth:`gather_into` made last is state its closure shares
+        with :meth:`record`'s: kept for the ``record`` that commits the
+        same ``neighbors`` array at the same ``low``, and dropped on
+        read.  :meth:`load_state` binds afresh, which forgets it.
         """
-        low = self._low
-        steps = vertex - low
-        if steps <= 0:
-            return
-        size = self.window_size
         table = self._table
-        if steps == 1:
-            table[low % size] = 0
-        elif steps >= size:
-            table[:] = 0  # the whole window content expired
-        else:
-            first = low % size
-            last = first + steps
-            table[first:last] = 0
-            if last > size:  # the expired run wraps around the ring
-                table[:last - size] = 0
-        self._low = vertex
-        self._low_arr[()] = vertex
-        self._end_arr[()] = vertex + size
+        size = self.window_size
+        columns = [table[:, pid] for pid in range(self.num_partitions)]
+        low_arr, end_arr = self._low_arr, self._end_arr
+        take, add, add_at, copyto = table.take, np.add, np.add.at, np.copyto
+        reduce = np.add.reduce
+        classify = self._classify
+        # The last in-window test: its array, ``low``, and result.
+        memo_ids = memo_low = memo_slots = None
+        memo_past = memo_future = 0
+
+        def advance_to(vertex: int) -> None:
+            """Slide the window so it starts at ``vertex``.
+
+            Rotates the ring in place: slots vacated by ids falling off
+            the back are zeroed and immediately reused for the ids
+            entering at the front (the paper's "logically implemented
+            by rotating over a fixed-size array").  The expired slots
+            are contiguous modulo ``W`` — one row for the usual step of
+            one vertex, at most two row slices for a gap.
+
+            A ``vertex`` behind the current window is a no-op rather
+            than an error: the parallel executor re-scores *delayed*
+            vertices after the stream has moved past them, and the
+            correct semantics there is simply "read whatever counters
+            remain".  (Streams that are not id-ordered at all are
+            rejected earlier, at partitioner setup.)
+            """
+            low = self._low
+            steps = vertex - low
+            if steps <= 0:
+                return
+            if steps == 1:
+                table[low % size] = 0
+            elif steps >= size:
+                table[:] = 0  # the whole window content expired
+            else:
+                first = low % size
+                last = first + steps
+                table[first:last] = 0
+                if last > size:  # the expired run wraps around the ring
+                    table[:last - size] = 0
+            self._low = vertex
+            low_arr[()] = vertex
+            end_arr[()] = vertex + size
+
+        def expectation_of_into(vertex: int, out: np.ndarray) -> np.ndarray:
+            """:meth:`expectation_of` into a preallocated buffer."""
+            if 0 <= vertex - self._low < size:
+                copyto(out, table[vertex % size])
+            else:
+                out[:] = 0
+            return out
+
+        def gather_into(neighbors: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+            """:meth:`gather` into a preallocated buffer (same
+            reduction), remembering the in-window test for
+            :meth:`record`."""
+            nonlocal memo_ids, memo_low, memo_slots, memo_past, memo_future
+            if len(neighbors) == 0:
+                memo_ids = None  # only ever the latest call's test
+                out[:] = 0
+                return out
+            slots, memo_past, memo_future = classify(neighbors)
+            memo_ids, memo_low, memo_slots = neighbors, self._low, slots
+            if len(slots) == 0:
+                out[:] = 0
+                return out
+            # Slots are ``id mod W``, in range by construction: no mode
+            # needs to check them.  Summed in ``out``'s dtype.
+            return reduce(take(slots, axis=0, mode="clip"), 0, None, out)
+
+        def combined_into(vertex: int, neighbors: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+            """``Γ(vertex)`` (zero outside the window) plus
+            :meth:`gather_into`."""
+            gather_into(neighbors, out)
+            if 0 <= vertex - self._low < size:
+                add(out, table[vertex % size], out=out)
+            return out
+
+        def record(pid: int, neighbors: np.ndarray) -> None:
+            """Bump ``Γ_pid`` for every in-window out-neighbor.
+
+            Out-of-window neighbors are tallied into the case-2/case-3
+            loss counters instead of being stored.
+            """
+            nonlocal memo_ids
+            hit = memo_ids is neighbors and memo_low == self._low
+            memo_ids = None  # one shot: never replayed
+            if hit:
+                slots, past, future = memo_slots, memo_past, memo_future
+            elif len(neighbors) == 0:
+                return
+            else:
+                slots, past, future = classify(neighbors)
+            if past or future:
+                self.skipped_past += past
+                self.skipped_future += future
+            if len(slots):
+                add_at(columns[pid], slots, _ONE)
+
+        self.advance_to = advance_to
+        self.expectation_of_into = expectation_of_into
+        self.gather_into = gather_into
+        self.combined_into = combined_into
+        self.record = record
+
+    def __getstate__(self) -> dict:
+        # The bound access captures this ring: a copy binds its own.
+        return {key: value for key, value in self.__dict__.items()
+                if not callable(value)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def _classify(self, neighbors) -> tuple[np.ndarray, int, int]:
         """The in-window test: ``(slots, past, future)`` for ``neighbors``.
@@ -181,14 +270,6 @@ class SlidingWindowStore:
             return np.zeros(self.num_partitions, dtype=np.int64)
         return self._table[vertex % self.window_size].astype(np.int64)
 
-    def expectation_of_into(self, vertex: int, out: np.ndarray) -> np.ndarray:
-        """:meth:`expectation_of` into a preallocated buffer."""
-        if not (self._low <= vertex < self._low + self.window_size):
-            out[:] = 0
-            return out
-        np.copyto(out, self._table[vertex % self.window_size])
-        return out
-
     def gather(self, neighbors: np.ndarray) -> np.ndarray:
         """Sum of in-window expectations over ``neighbors``, per partition.
 
@@ -199,56 +280,6 @@ class SlidingWindowStore:
             return np.zeros(self.num_partitions, dtype=np.int64)
         slots = self._classify(neighbors)[0]
         return self._table[slots].sum(axis=0, dtype=np.int64)
-
-    def gather_into(self, neighbors: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-        """:meth:`gather` into a preallocated buffer (same reduction).
-
-        Remembers the in-window test for the :meth:`record` call that
-        commits the same ``neighbors`` array at the same ``low``.
-        """
-        if len(neighbors) == 0:
-            self._window_memo = None  # only ever the latest call's test
-            out[:] = 0
-            return out
-        slots, past, future = self._classify(neighbors)
-        self._window_memo = (neighbors, self._low, slots, past, future)
-        if len(slots) == 0:
-            out[:] = 0
-            return out
-        # Slots are ``id mod W``, in range by construction: no mode
-        # needs to check them.  Summed in ``out``'s dtype.
-        return np.add.reduce(
-            self._table.take(slots, axis=0, mode="clip"), 0, None, out)
-
-    def combined_into(self, vertex: int, neighbors: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        """``Γ(vertex)`` (zero outside the window) plus :meth:`gather_into`."""
-        self.gather_into(neighbors, out)
-        if self._low <= vertex < self._low + self.window_size:
-            np.add(out, self._table[vertex % self.window_size], out=out)
-        return out
-
-    def record(self, pid: int, neighbors: np.ndarray) -> None:
-        """Bump ``Γ_pid`` for every in-window out-neighbor.
-
-        Out-of-window neighbors are tallied into the case-2/case-3 loss
-        counters instead of being stored.
-        """
-        memo = self._window_memo
-        self._window_memo = None  # one shot: never replayed
-        if len(neighbors) == 0:
-            return
-        if memo is not None and memo[0] is neighbors \
-                and memo[1] == self._low:
-            slots, past, future = memo[2:]
-        else:
-            slots, past, future = self._classify(neighbors)
-        if past or future:
-            self.skipped_past += past
-            self.skipped_future += future
-        if len(slots):
-            np.add.at(self._table[:, pid], slots, _ONE)
 
     def nbytes(self) -> int:
         """Bytes held by the rotating counter array."""
@@ -310,4 +341,4 @@ class SlidingWindowStore:
         self._end_arr[()] = self._low + self.window_size
         self.skipped_future = int(payload["skipped_future"])
         self.skipped_past = int(payload["skipped_past"])
-        self._window_memo = None
+        self._bind()

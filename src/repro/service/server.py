@@ -10,7 +10,7 @@ Architecture — one engine, many connections, no engine thread::
 
     conn thread ─> bounded queue ─> [state lock] ─> [commit lock] ─> send
     (parse,         (backpressure    (drain, apply    (WAL, publish,
-     validate)       when full)       kernel.step)     ack)
+     validate)       when full)       kernel.commit)   ack)
 
 * Every connection gets a thread that parses and validates requests.
   Read-only ops (``hello``, ``health``, ``lookup``, ``stats``) are
@@ -29,7 +29,7 @@ Architecture — one engine, many connections, no engine thread::
   applies their placements as one group, through one apply loop.  Every
   placement — batched or single, in id order or not, with the graph's
   adjacency or an explicit neighbor list, from any number of clients —
-  is placed record by record, in arrival order, by ``kernel.step`` of
+  is placed record by record, in arrival order, by ``kernel.commit`` of
   the one :class:`~repro.partitioning.base.PlacementKernel` that
   ``partition()`` runs, so each placement scores against every earlier
   one.  The kernel is built once, from live state, after boot or WAL
@@ -611,7 +611,7 @@ class PlacementService:
             self._state = self.partitioner.make_state(self._stream)
             self.partitioner._setup(self._stream, self._state)
             self._position = 0
-        step = PlacementKernel(self.partitioner, self._state).step
+        commit = PlacementKernel(self.partitioner, self._state).commit
         replayed = 0
         for entry in replay_entries(directory,
                                     from_position=self._position):
@@ -619,7 +619,7 @@ class PlacementService:
                 neighbors = self.graph.out_neighbors(entry.vertex)
             else:
                 neighbors = np.asarray(entry.neighbors, dtype=np.int64)
-            pid = step(entry.vertex, neighbors)
+            pid = commit(entry.vertex, neighbors)
             if pid != entry.pid:
                 raise ValueError(
                     f"WAL replay diverged at seq {entry.seq}: vertex "
@@ -855,8 +855,10 @@ class PlacementService:
         """Apply the drained place requests: the one apply loop.
 
         Every live placement goes, in arrival order, through
-        ``kernel.step`` — scored against every placement committed
+        ``kernel.commit`` — scored against every placement committed
         before it, exactly as the one-pass ``partition()`` does.
+        ``engine_seconds`` times each request's pass through this loop:
+        its kernel steps plus each record's answer and WAL entry.
         Idempotent: an already-placed vertex answers its existing pid
         with ``cached: true`` and writes no WAL line.
 
@@ -897,12 +899,21 @@ class PlacementService:
             live.append((work, [None] * count))
         route, indptr, indices = \
             self._route_view, self._indptr, self._indices
-        step = self._kernel.step
+        commit = self._kernel.commit
         clock = time.perf_counter
+        # The NamedTuple constructor is a Python function;
+        # ``tuple.__new__`` builds the same ``WalEntry`` in C.
+        new_entry, append_entry = tuple.__new__, entries.append
+        # The sequence head and the arrival cursor live in locals for
+        # the loop; the ``finally`` writes them back, so ``_position``
+        # counts exactly the placements committed, also when one raises.
+        position = self._position
+        ordered, expected = self._arrival_ordered, self._next_expected
         error: Exception | None = None
         try:
             for work, results in live:
                 self._kernel_requests += 1
+                t0 = clock()
                 for slot, (vertex, neighbors) in enumerate(work.placements):
                     if route[vertex] != UNASSIGNED:  # idempotent answer
                         results[slot] = {"vertex": vertex,
@@ -912,21 +923,23 @@ class PlacementService:
                         nbrs = indices[indptr[vertex]:indptr[vertex + 1]]
                     else:
                         nbrs = np.asarray(neighbors, dtype=np.int64)
-                    t0 = clock()
-                    pid = step(vertex, nbrs)
-                    self._elapsed += clock() - t0
+                    pid = commit(vertex, nbrs)
                     results[slot] = {"vertex": vertex, "pid": pid,
                                      "cached": False}
-                    entries.append(
-                        WalEntry(self._position, vertex, neighbors, pid))
-                    self._position += 1
-                    if self._arrival_ordered:
-                        if vertex == self._next_expected:
-                            self._next_expected += 1
+                    append_entry(new_entry(
+                        WalEntry, (position, vertex, neighbors, pid)))
+                    position += 1
+                    if ordered:
+                        if vertex == expected:
+                            expected += 1
                         else:
-                            self._arrival_ordered = False
+                            ordered = False
+                self._elapsed += clock() - t0
         except Exception as exc:
             error = exc
+        finally:
+            self._position = position
+            self._arrival_ordered, self._next_expected = ordered, expected
         for work, results in live:
             if None in results:
                 ok = False

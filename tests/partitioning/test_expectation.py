@@ -1,5 +1,6 @@
 """Unit tests for the dense expectation store (Γ tables)."""
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,3 +142,48 @@ class TestSumWidth:
                                  20])]
         assert np.array_equal(scores, partitioner._score(
             AdjacencyRecord(0, neighbors), state))
+
+
+#: The three mappings of one table: ids as rows, a hashed table wide
+#: enough to map ids by identity (what ``gamma_buckets="auto"`` gives
+#: any graph under 16k vertices), and a hashed table whose ids collide.
+MAPPINGS = pytest.mark.parametrize(
+    "num_buckets", [None, 64, 5],
+    ids=["dense", "identity-hashed", "colliding-hashed"])
+
+
+def assert_reads_and_writes(store, table, lanes):
+    """``store``'s fused access reads the planted ``lanes`` (every row of
+    ``table`` holds them) and records into ``table``."""
+    neighbors = np.array([1, 17, 17, 39])
+    table[:] = lanes
+    assert_exact_wide_sums(store, 0, neighbors, lanes)
+    out = np.empty(len(lanes), dtype=np.int64)
+    assert store.expectation_of_into(3, out).tolist() == list(lanes)
+    before = int(table[:, 2].sum())
+    store.record(2, neighbors)
+    assert int(table[:, 2].sum()) == before + len(neighbors)
+
+
+class TestBoundAccess:
+    """The fused access is bound to one table; what rebinds the table
+    must bind it again."""
+
+    @MAPPINGS
+    def test_attach_shared_lanes_rebinds(self, num_buckets):
+        store = FullExpectationStore(3, 40, num_buckets=num_buckets)
+        old = store._table
+        new = np.zeros_like(old)
+        store.attach_shared_lanes({"table": new})
+        old[:] = 9
+        assert_reads_and_writes(store, new, [BIG, BIG - 1, 7])
+        assert (old == 9).all()
+
+    @MAPPINGS
+    def test_a_deep_copy_binds_its_own_table(self, num_buckets):
+        store = FullExpectationStore(3, 40, num_buckets=num_buckets)
+        twin = copy.deepcopy(store)
+        assert twin._table is not store._table
+        store._table[:] = 9
+        assert_reads_and_writes(twin, twin._table, [4, 5, 6])
+        assert (store._table == 9).all()

@@ -24,12 +24,12 @@ NUM_VERTICES = 2000
 
 #: ``id: (config, calls-per-record ceiling)``; measured counts alongside.
 BUDGETS = {
-    "spnl-dense": (dict(method="spnl"), 22.55),                  # 21.54
-    "spnl-window8": (dict(method="spnl", num_shards=8), 30.27),  # 29.26
-    "spnl-hashed": (dict(method="spnl", gamma_buckets=512), 30.51),  # 29.51
-    "spn": (dict(method="spn"), 23.13),                          # 22.13
-    "fennel": (dict(method="fennel"), 12.89),                    # 11.88
-    "ldg": (dict(method="ldg"), 14.83),                          # 13.82
+    "spnl-dense": (dict(method="spnl"), 18.80),                  # 17.80
+    "spnl-window8": (dict(method="spnl", num_shards=8), 26.53),  # 25.52
+    "spnl-hashed": (dict(method="spnl", gamma_buckets=512), 27.79),  # 26.79
+    "spn": (dict(method="spn"), 21.13),                          # 20.13
+    "fennel": (dict(method="fennel"), 11.89),                    # 10.88
+    "ldg": (dict(method="ldg"), 13.83),                          # 12.82
 }
 
 

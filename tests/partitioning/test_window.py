@@ -1,5 +1,7 @@
 """Unit tests for the fine-grained sliding-window expectation store."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ class TestWindowSemantics:
         assert windowed.nbytes() < full.nbytes()
         assert windowed.nbytes() == pytest.approx(full.nbytes() / 10,
                                                   rel=0.05)
+
+    def test_a_deep_copy_binds_its_own_ring(self):
+        """The bound access captures the ring and the cursor's holder:
+        a copy slides and records its own, the original stays put."""
+        store = SlidingWindowStore(2, 12, num_shards=4)  # W = 3
+        store.record(1, np.array([0, 2]))
+        twin = copy.deepcopy(store)
+        twin.advance_to(1)
+        twin.record(0, np.array([3]))
+        assert (store.low, twin.low) == (0, 1)
+        assert store.state_dict()["table"].tolist() == [[0, 0, 0],
+                                                        [1, 0, 1]]
+        assert twin.state_dict()["table"].tolist() == [[1, 0, 0],
+                                                       [0, 0, 1]]
 
 
 class TestSumWidth:

@@ -65,7 +65,7 @@ def _half_run(name, gamma, graph):
     partitioner._setup(stream, state)
     kernel = PlacementKernel(partitioner, state)
     for v in range(graph.num_vertices // 2):
-        kernel.step(v, graph.out_neighbors(v))
+        kernel.commit(v, graph.out_neighbors(v))
     return partitioner, state
 
 
@@ -105,7 +105,7 @@ def test_load_state_copies_so_runs_stay_apart(name, gamma, graph):
     b_state = b.load_state(GraphStream(graph), payload)
     kernel = PlacementKernel(b, b_state)
     for v in range(graph.num_vertices // 2, graph.num_vertices):
-        kernel.step(v, graph.out_neighbors(v))
+        kernel.commit(v, graph.out_neighbors(v))
     assert b_state.placed_vertices == graph.num_vertices
     _assert_same(a.state_dict(a_state), before)
 

@@ -33,8 +33,8 @@ WARM, PLACES, BATCHES, LOOKUPS = 100, 500, 8, 500
 #: ``op: calls ceiling`` — per request for ``place`` and ``lookup``,
 #: per record for a ``place_batch`` of ``BATCH``.
 BUDGETS = {
-    "place": 117,        # 116.53; 178.53 with threading.Event + Queue
-    "place_batch": 32,   # 31.27; 35.18
+    "place": 113,        # 112.07; 178.53 with threading.Event + Queue
+    "place_batch": 25,   # 24.53; 35.18
     "lookup": 33,        # 32.00; 35.00
 }
 

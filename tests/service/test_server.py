@@ -781,10 +781,10 @@ class TestEngineError:
 
         class FaultyKernel:
             # Raises for vertex 2, which the apply loop answers itself.
-            def step(self, vertex, neighbors):
+            def commit(self, vertex, neighbors, scores=None):
                 if vertex == 2:
                     raise RuntimeError("planted kernel fault")
-                return kernel.step(vertex, neighbors)
+                return kernel.commit(vertex, neighbors, scores)
 
         def failing_capture():
             # Vertex 1 committed; then the group's commit capture fails.
@@ -1225,7 +1225,7 @@ def _banned(modules, prefixes, exact=()):
 
 
 class TestOneEngine:
-    """The server places record by record through ``kernel.step`` and
+    """The server places record by record through ``kernel.commit`` and
     nothing else: no worker pool, no grouped mode, no knob for either."""
 
     SRC = str(Path(repro.__file__).resolve().parents[1])
