@@ -10,7 +10,10 @@ the standard library only besides the repo's own generators).
    performance.md`` ("Where the speed comes from") budgets the step
    from this table; rerun it after a numpy upgrade to see which trim
    of the step the upgrade invalidated.  The rows marked "unaligned
-   ids" index with the same ids stored off their 8-byte boundary.
+   ids" index with the same ids stored off their 8-byte boundary.  The
+   two "window test" rows are the sliding window's per-record test at
+   X = 8 (W = 2,500 ids): the compress chain of a ring of W rows, and
+   the one clip of the ring of W + 2 rows that replaced it.
 
 2. **In-block dependency density** for block sizes 16-256: ROADMAP
    item 2 proposed scoring a block of B records at once and
@@ -38,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.graph import DiGraph, from_edges  # noqa: E402
 from repro.graph.generators import (  # noqa: E402
     barabasi_albert, community_web_graph, erdos_renyi, rmat)
+from repro.partitioning.window import _clip  # noqa: E402
 
 K, D, NUM_VERTICES = 32, 12, 20000
 BLOCK_SIZES = (16, 32, 64, 128, 256)
@@ -77,6 +81,10 @@ def primitive_table() -> list[tuple[str, str, float]]:
         "image": rng.integers(0, 2 * K, NUM_VERTICES).astype(np.int32),
         "one": np.int32(1), "lane": memoryview(rng.integers(0, 100, K)),
         "low": 6000, "low0": np.array(6000),
+        # the sliding window's test at X = 8: W = |V| / 8 ids from low
+        "clip": _clip, "end0": np.array(6000 + NUM_VERTICES // 8),
+        "size0": np.array(NUM_VERTICES // 8),
+        "past0": np.array(6000 - 1), "rows0": np.array(NUM_VERTICES // 8 + 2),
     }
     env["col"] = env["table"][:, 3]
     env["nbu"] = unaligned(env["nb"])
@@ -116,6 +124,11 @@ def primitive_table() -> list[tuple[str, str, float]]:
         ("np.add.at column, Python 1", "np.add.at(col, nb, 1)"),
         ("lane += 1, ndarray", "i64[7] += 1"),
         ("lane += 1, memoryview", "lane[7] += 1"),
+        ("window test: compress chain",
+         "ids = np.asarray(nb, dtype=np.int64); ids = ids[ids >= low0]; "
+         "ids = ids[ids < end0]; ids % size0"),
+        ("window test: clip + remainder",
+         "np.remainder(clip(nb, past0, end0), rows0)"),
     ]
     result = []
     for kind, stmt in cases:

@@ -486,9 +486,10 @@ class FileStream(_Seekable):
             try:
                 for records in self._record_segments(
                         self._position + delivered):
-                    for record in records:
-                        yield record
-                        delivered += 1
+                    yield from records
+                    # Read failures come from the next segment's read,
+                    # never from inside this one.
+                    delivered += len(records)
                 return
             except OSError:
                 # Transient read failures are retried from where the
@@ -506,9 +507,11 @@ def _segment_records(values: np.ndarray,
     ``values[splits[r]:splits[r + 1]]``, its vertex first; neighbor
     arrays are zero-copy views into ``values``."""
     # Python ints, once per segment: slicing with numpy scalars would
-    # convert two of them for every row.
+    # convert two of them for every row.  ``tuple.__new__`` builds the
+    # record without the named tuple's own ``__new__`` frame.
     bounds = splits.tolist()
-    return [AdjacencyRecord(vertex, values[lo + 1:hi])
+    new = tuple.__new__
+    return [new(AdjacencyRecord, (vertex, values[lo + 1:hi]))
             for vertex, lo, hi in zip(values[splits[:-1]].tolist(),
                                       bounds, bounds[1:])]
 

@@ -63,7 +63,13 @@ def streaming_baseline_bytes(num_vertices: int, num_partitions: int,
 
 def spn_bytes(num_vertices: int, num_partitions: int, max_out_degree: int,
               num_shards: int = 1, method: str = "SPN") -> MemoryEstimate:
-    """SPN: the LDG view plus K expectation tables of |V|/X counters."""
+    """SPN: the LDG view plus K expectation tables of |V|/X counters.
+
+    This is the paper's ``K⌈|V|/X⌉``.  The measured windowed ring
+    (:class:`~repro.partitioning.window.SlidingWindowStore`) holds two
+    spare rows beside the window, ``2K`` counters more; the model does
+    not count them.
+    """
     base = streaming_baseline_bytes(num_vertices, num_partitions,
                                     max_out_degree, method)
     window = -(-num_vertices // max(1, num_shards))  # ceil division

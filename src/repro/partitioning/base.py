@@ -484,7 +484,7 @@ class PlacementKernel:
                                       source.order)
         else:
             records = iter(source)
-            route = state.route
+            placed = memoryview(state.route)  # Python ints, no boxing
         position = source.tell() if hasattr(source, "tell") else 0
         while position < total:
             stop = total if every is None else min(total, position + every)
@@ -503,12 +503,11 @@ class PlacementKernel:
             else:
                 # The last segment drains the iterator, so generator
                 # streams run their end-of-stream accounting.
-                for record in islice(
+                for v, neighbors in islice(
                         records, None if stop == total else stop - position):
-                    if route[record.vertex] != UNASSIGNED:
-                        raise ValueError(
-                            f"vertex {record.vertex} placed twice")
-                    commit(record.vertex, record.neighbors)
+                    if placed[v] != UNASSIGNED:
+                        raise ValueError(f"vertex {v} placed twice")
+                    commit(v, neighbors)
             elapsed += time.perf_counter() - start_t
             position += state.placed_vertices - before
             if position < stop:

@@ -6,7 +6,7 @@ graphs are BFS-ordered, a vertex's neighbors cluster around its own id.
 The paper therefore keeps, per partition, counters only for a window of
 ``W = ⌈|V|/X⌉`` *upcoming* vertex ids, slid forward one vertex at a time
 ("the sliding unit is a vertex, rather than a shard") over a fixed-size
-array addressed by ``id mod W``.
+array.
 
 Semantics implemented here (matching the paper's case analysis):
 
@@ -22,16 +22,19 @@ Semantics implemented here (matching the paper's case analysis):
 
 Peak memory is ``O(K·|V|/X)`` regardless of how far the stream advances.
 
-Layout.  The ring is **slot-major**, ``(W, K)`` like the dense store's
-``(|V|, K)``: slot ``id mod W`` is one contiguous K-row, so Γ(v) is a row
-copy, a neighborhood gather is a row ``take`` plus a column sum, and the
-usual slide of one vertex zeroes one row.  A placement step reads a
-record's neighbors twice — :meth:`~SlidingWindowStore.gather_into` when
-scoring, :meth:`~SlidingWindowStore.record` when committing — against
-the same window, so the in-window test (slots plus the case-2/case-3
-counts) is computed once and handed from the first call to the second.
-Checkpoints keep the partition-major ``(K, W)`` table they always held;
-:meth:`~SlidingWindowStore.state_dict` transposes at that boundary.
+Layout.  The ring is slot-major, ``(W + 2, K)``: id ``u`` owns the K-row
+``u mod (W + 2)``, so Γ(v) is a row copy and a gather a row ``take``
+plus a column sum.  The ``W + 2`` ids ``[low - 1, low + W]`` fall on
+distinct rows, so the window test is one clip, ``clip(ids, low - 1,
+low + W) mod (W + 2)``: case-2 ids land on the row of ``low - 1`` and
+case-3 ids on the row of ``low + W``.  These two spare rows are zero
+between calls, so a gather reads them as zeros; ``record`` bumps them
+with the rest, then moves the committed partition's two spare cells
+into ``skipped_past`` / ``skipped_future``.  A slide zeroes only the
+expired rows: the old past row becomes the new future row.  The slots
+are computed once per placement step and handed from ``gather_into``
+to ``record``.  Checkpoints keep the partition-major ``(K, W)`` table
+of ``id mod W`` columns; ``state_dict``/``load_state`` convert.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+try:  # the clip ufunc itself: ``np.clip`` wraps it in three Python calls
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 __all__ = ["SlidingWindowStore", "default_num_shards"]
 
@@ -93,14 +101,13 @@ class SlidingWindowStore:
         self.num_shards = num_shards
         self.window_size = max(1, math.ceil(num_vertices / num_shards))
         self._low = 0  # smallest id currently covered by the window
-        # Slot-major ring: the counters of id ``u`` are row ``u mod W``.
-        self._table = np.zeros((self.window_size, num_partitions),
-                               dtype=np.int32)
-        # The window's bounds and size as 0-d arrays: a ufunc converts a
-        # Python int operand on every call, an array never.
-        self._low_arr = np.array(0, dtype=np.int64)
-        self._end_arr = np.array(self.window_size, dtype=np.int64)
-        self._size_arr = np.array(self.window_size, dtype=np.int64)
+        self._rows = self.window_size + 2  # the window and two spare rows
+        self._table = np.zeros((self._rows, num_partitions), dtype=np.int32)
+        # The clip bounds and the ring's row count as 0-d arrays: a ufunc
+        # converts a Python int operand on every call, an array never.
+        self._past_arr = np.array(-1, dtype=np.int64)
+        self._future_arr = np.array(self.window_size, dtype=np.int64)
+        self._rows_arr = np.array(self._rows, dtype=np.int64)
         # Diagnostics surfaced in benchmark reports (Fig. 7 analysis).
         self.skipped_future = 0   # case-3 losses
         self.skipped_past = 0     # case-2 (harmless) drops
@@ -120,117 +127,101 @@ class SlidingWindowStore:
     def _bind(self) -> None:
         """Bind the per-record access as closures over the live ring.
 
-        ``advance_to``, ``expectation_of_into``, ``gather_into``,
-        ``combined_into`` and ``record`` reach the ring, its
-        per-partition column views and the window bounds without a
-        method hop or a fresh ``ring[:, i]`` view.  The in-window
-        test :meth:`gather_into` made last is state its closure shares
-        with :meth:`record`'s: kept for the ``record`` that commits the
-        same ``neighbors`` array at the same ``low``, and dropped on
-        read.  :meth:`load_state` binds afresh, which forgets it.
+        The slots :meth:`gather_into` computed last are kept for the
+        ``record`` that commits the same ``neighbors`` array at the same
+        ``low``, and dropped on read; :meth:`load_state` binds afresh.
         """
         table = self._table
-        size = self.window_size
-        columns = [table[:, pid] for pid in range(self.num_partitions)]
-        low_arr, end_arr = self._low_arr, self._end_arr
+        size, rows, k = self.window_size, self._rows, self.num_partitions
+        columns = [table[:, pid] for pid in range(k)]
+        cells = memoryview(table.reshape(-1))  # cell ``row * K + pid``
+        past_arr, future_arr = self._past_arr, self._future_arr
         take, add, add_at, copyto = table.take, np.add, np.add.at, np.copyto
         reduce = np.add.reduce
         classify = self._classify
-        # The last in-window test: its array, ``low``, and result.
+        # The spare rows' first cells, harvested by ``record``.
+        past_cell = (self._low - 1) % rows * k
+        future_cell = (self._low + size) % rows * k
+        # The last window test: its array, ``low``, and slots.
         memo_ids = memo_low = memo_slots = None
-        memo_past = memo_future = 0
 
         def advance_to(vertex: int) -> None:
-            """Slide the window so it starts at ``vertex``.
-
-            Rotates the ring in place: slots vacated by ids falling off
-            the back are zeroed and immediately reused for the ids
-            entering at the front (the paper's "logically implemented
-            by rotating over a fixed-size array").  The expired slots
-            are contiguous modulo ``W`` — one row for the usual step of
-            one vertex, at most two row slices for a gap.
-
-            A ``vertex`` behind the current window is a no-op rather
-            than an error: the parallel executor re-scores *delayed*
-            vertices after the stream has moved past them, and the
-            correct semantics there is simply "read whatever counters
-            remain".  (Streams that are not id-ordered at all are
-            rejected earlier, at partitioner setup.)
-            """
+            """Slide the window so it starts at ``vertex``, zeroing the
+            expired ids' rows (the paper's "rotating over a fixed-size
+            array").  A ``vertex`` behind the window is a no-op: the
+            parallel executor re-scores delayed vertices after the
+            stream has moved past them."""
+            nonlocal past_cell, future_cell
             low = self._low
             steps = vertex - low
             if steps <= 0:
                 return
             if steps == 1:
-                table[low % size] = 0
-            elif steps >= size:
-                table[:] = 0  # the whole window content expired
-            else:
-                first = low % size
-                last = first + steps
+                row = low % rows  # the new past row; the old one is future
+                table[row] = 0
+                future_cell, past_cell = past_cell, row * k
+            else:  # past ``W + 2`` steps every row expired
+                first = low % rows
+                last = first + min(steps, rows)
                 table[first:last] = 0
-                if last > size:  # the expired run wraps around the ring
-                    table[:last - size] = 0
+                if last > rows:  # the expired run wraps the ring
+                    table[:last - rows] = 0
+                past_cell = (vertex - 1) % rows * k
+                future_cell = (vertex + size) % rows * k
             self._low = vertex
-            low_arr[()] = vertex
-            end_arr[()] = vertex + size
+            past_arr[()] = vertex - 1
+            future_arr[()] = vertex + size
 
         def expectation_of_into(vertex: int, out: np.ndarray) -> np.ndarray:
             """:meth:`expectation_of` into a preallocated buffer."""
             if 0 <= vertex - self._low < size:
-                copyto(out, table[vertex % size])
+                copyto(out, table[vertex % rows])
             else:
                 out[:] = 0
             return out
 
         def gather_into(neighbors: np.ndarray,
                         out: np.ndarray) -> np.ndarray:
-            """:meth:`gather` into a preallocated buffer (same
-            reduction), remembering the in-window test for
-            :meth:`record`."""
-            nonlocal memo_ids, memo_low, memo_slots, memo_past, memo_future
+            """:meth:`gather` into ``out``, remembering the slots."""
+            nonlocal memo_ids, memo_low, memo_slots
             if len(neighbors) == 0:
                 memo_ids = None  # only ever the latest call's test
                 out[:] = 0
                 return out
-            slots, memo_past, memo_future = classify(neighbors)
-            memo_ids, memo_low, memo_slots = neighbors, self._low, slots
-            if len(slots) == 0:
-                out[:] = 0
-                return out
-            # Slots are ``id mod W``, in range by construction: no mode
-            # needs to check them.  Summed in ``out``'s dtype.
+            memo_slots = slots = classify(neighbors)
+            memo_ids, memo_low = neighbors, self._low
+            # Slots are in range by construction; spare rows read zeros.
             return reduce(take(slots, axis=0, mode="clip"), 0, None, out)
 
         def combined_into(vertex: int, neighbors: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
-            """``Γ(vertex)`` (zero outside the window) plus
-            :meth:`gather_into`."""
+            """``Γ(vertex)`` (zero outside the window) plus the gather."""
             gather_into(neighbors, out)
             if 0 <= vertex - self._low < size:
-                add(out, table[vertex % size], out=out)
+                add(out, table[vertex % rows], out=out)
             return out
 
         def record(pid: int, neighbors: np.ndarray) -> None:
-            """Bump ``Γ_pid`` for every in-window out-neighbor.
-
-            Out-of-window neighbors are tallied into the case-2/case-3
-            loss counters instead of being stored.
-            """
+            """Bump ``Γ_pid`` for every neighbor, then move the spare
+            rows' ``pid`` cells into the case-2/case-3 loss counters."""
             nonlocal memo_ids
-            hit = memo_ids is neighbors and memo_low == self._low
-            memo_ids = None  # one shot: never replayed
-            if hit:
-                slots, past, future = memo_slots, memo_past, memo_future
+            if memo_ids is neighbors and memo_low == self._low:
+                slots = memo_slots
             elif len(neighbors) == 0:
+                memo_ids = None
                 return
             else:
-                slots, past, future = classify(neighbors)
-            if past or future:
+                slots = classify(neighbors)
+            memo_ids = None  # one shot: never replayed
+            add_at(columns[pid], slots, _ONE)
+            past = cells[past_cell + pid]
+            if past:
+                cells[past_cell + pid] = 0
                 self.skipped_past += past
+            future = cells[future_cell + pid]
+            if future:
+                cells[future_cell + pid] = 0
                 self.skipped_future += future
-            if len(slots):
-                add_at(columns[pid], slots, _ONE)
 
         self.advance_to = advance_to
         self.expectation_of_into = expectation_of_into
@@ -247,46 +238,32 @@ class SlidingWindowStore:
         self.__dict__.update(state)
         self._bind()
 
-    def _classify(self, neighbors) -> tuple[np.ndarray, int, int]:
-        """The in-window test: ``(slots, past, future)`` for ``neighbors``.
-
-        ``slots`` are the ring rows of the ids inside the window (case
-        1, duplicates kept), ``past``/``future`` the number of ids behind
-        (case 2) and beyond (case 3) it.  Ids are compared as int64
-        whatever the caller's dtype (lists and narrower or unsigned
-        arrays included).  Each side of the window is one compress
-        whose length is the count (no mask is counted or inverted).
-        """
-        ids = np.asarray(neighbors, dtype=np.int64)
-        total = len(ids)
-        ids = ids[ids >= self._low_arr]
-        live = len(ids)
-        ids = ids[ids < self._end_arr]
-        return ids % self._size_arr, total - live, live - len(ids)
+    def _classify(self, neighbors) -> np.ndarray:
+        """The ring row of every id in ``neighbors`` (out-of-window ids
+        on a spare row), in int64 for lists and 32-bit arrays alike."""
+        return np.remainder(_clip(neighbors, self._past_arr,
+                                  self._future_arr), self._rows_arr)
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         """``Γ_i(vertex)``; zero vector if the id is outside the window."""
         if not (self._low <= vertex < self._low + self.window_size):
             return np.zeros(self.num_partitions, dtype=np.int64)
-        return self._table[vertex % self.window_size].astype(np.int64)
+        return self._table[vertex % self._rows].astype(np.int64)
 
     def gather(self, neighbors: np.ndarray) -> np.ndarray:
-        """Sum of in-window expectations over ``neighbors``, per partition.
-
-        The allocating reference: it shares no buffer and leaves no
-        memo, so concurrent scorers may call it against one store.
-        """
+        """Sum of in-window expectations over ``neighbors``: the
+        allocating reference, with no shared buffer and no memo."""
         if len(neighbors) == 0:
             return np.zeros(self.num_partitions, dtype=np.int64)
-        slots = self._classify(neighbors)[0]
-        return self._table[slots].sum(axis=0, dtype=np.int64)
+        return self._table[self._classify(neighbors)].sum(axis=0,
+                                                          dtype=np.int64)
 
     def nbytes(self) -> int:
-        """Bytes held by the rotating counter array."""
+        """Bytes held by the ring: ``K (W + 2)`` counters."""
         return int(self._table.nbytes)
 
     def num_entries(self) -> int:
-        """Live counter cells: K × the window span."""
+        """Counter cells: ``K (W + 2)``."""
         return int(self._table.size)
 
     def gauges(self) -> dict:
@@ -302,18 +279,33 @@ class SlidingWindowStore:
                      skipped_past=self.skipped_past)
         return stats
 
-    def state_dict(self) -> dict:
-        """Ring contents plus cursor and loss diagnostics.
+    def _checkpoint_runs(self):
+        """``(column, row, length)`` runs pairing the checkpoint's
+        ``id mod W`` columns with the ring's rows: columns from
+        ``low mod W`` hold ids from ``low`` up, the columns before them
+        the rest, and each run of ids wraps the ring at most once."""
+        low, size, rows = self._low, self.window_size, self._rows
+        start = low % size
+        for column, first, length in ((start, low, size - start),
+                                      (0, low + size - start, start)):
+            row = first % rows
+            head = min(length, rows - row)
+            yield column, row, head
+            if head < length:
+                yield column + head, 0, length - head
 
-        ``table`` is the partition-major ``(K, W)`` array checkpoints
-        have always held, so snapshots move freely between versions;
-        transposing the ring makes it a copy, not a live view.
-        """
+    def state_dict(self) -> dict:
+        """Ring contents plus cursor and loss diagnostics; ``table`` is
+        the partition-major ``(K, W)`` copy of ``id mod W`` columns."""
+        table = np.empty((self.num_partitions, self.window_size),
+                         dtype=np.int32)
+        for c, r, n in self._checkpoint_runs():
+            table[:, c:c + n] = self._table[r:r + n].T
         return {
             "kind": "window",
             "num_shards": int(self.num_shards),
             "window_size": int(self.window_size),
-            "table": np.ascontiguousarray(self._table.T),
+            "table": table,
             "low": int(self._low),
             "skipped_future": int(self.skipped_future),
             "skipped_past": int(self.skipped_past),
@@ -335,10 +327,12 @@ class SlidingWindowStore:
             raise ValueError(
                 f"snapshot Γ ring shape {table.shape} does not match "
                 f"{ring_shape}")
-        np.copyto(self._table, table.T)
         self._low = int(payload["low"])
-        self._low_arr[()] = self._low
-        self._end_arr[()] = self._low + self.window_size
+        self._past_arr[()] = self._low - 1
+        self._future_arr[()] = self._low + self.window_size
+        self._table[:] = 0  # the spare rows
+        for c, r, n in self._checkpoint_runs():
+            self._table[r:r + n] = table[:, c:c + n].T
         self.skipped_future = int(payload["skipped_future"])
         self.skipped_past = int(payload["skipped_past"])
         self._bind()

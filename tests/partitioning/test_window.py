@@ -141,9 +141,10 @@ class TestSumWidth:
         add nothing): the total needs 64 bits."""
         store = SlidingWindowStore(3, 40, num_shards=4)  # W = 10
         store.advance_to(12)
-        store._table[:] = [BIG, BIG - 1, 7]
+        state = store.state_dict()  # writes the live rows, ids 12..21
+        state["table"][:] = np.array([[BIG], [BIG - 1], [7]])
+        store.load_state(state)
         neighbors = np.array([3, 13, 21, 21, 30, 12])
-        assert store._classify(neighbors)[1:] == (1, 1)
         live = neighbors[(neighbors >= 12) & (neighbors < 22)]
         out = np.empty(3, dtype=np.int64)
         assert store.gather_into(neighbors, out).tolist() == \
@@ -152,6 +153,12 @@ class TestSumWidth:
         # Γ(v) of a vertex outside the window is zero, not a ring row
         assert store.combined_into(30, live, out).tolist() == \
             [4 * BIG, 4 * BIG - 4, 28]
+        # one id behind the window (3) and one beyond it (30)
+        store.record(0, neighbors)
+        assert (store.skipped_past, store.skipped_future) == (1, 1)
+        # the four live ids, 21 twice: 1 + 2 + 2 + 1 counts added
+        assert store.gather(live).tolist() == [4 * BIG + 6, 4 * BIG - 4,
+                                               28]
 
 
 class TestEquivalenceWithFullStore:

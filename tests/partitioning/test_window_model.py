@@ -214,15 +214,28 @@ class WindowStoreMachine(RuleBasedStateMachine):
 
     # -- the whole observable state, after every step ---------------------
     @invariant()
-    def ring_cursor_and_counters_agree(self):
+    def ring_and_cursor_agree(self):
         store, model = self.store, self.model
         assert store.low == model.low
         assert store.high == min(model.low + model.window, N)
-        assert (store.skipped_past, store.skipped_future) \
-            == (model.skipped_past, model.skipped_future)
         np.testing.assert_array_equal(store.state_dict()["table"],
                                       model.table())
-        assert store.nbytes() == K * model.window * 4
+        assert store.nbytes() == K * (model.window + 2) * 4
+
+    @invariant()
+    def spare_rows_are_zero_and_counters_agree(self):
+        """The ring has ``W + 2`` rows; the two that hold no live id
+        are zero between calls, their counts moved into the loss
+        counters."""
+        store, model = self.store, self.model
+        rows = model.window + 2
+        live = {u % rows for u in range(model.low, model.low + model.window)}
+        ring = store._table
+        assert ring.shape == (rows, K)
+        for row in set(range(rows)) - live:
+            assert not ring[row].any(), f"spare row {row}: {ring[row]}"
+        assert (store.skipped_past, store.skipped_future) \
+            == (model.skipped_past, model.skipped_future)
 
 
 WindowStoreMachine.TestCase.settings = settings(

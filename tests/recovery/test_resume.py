@@ -6,6 +6,8 @@ that never crashed — on both execution paths (the vectorized fast path
 over CSR arrays and the record-at-a-time path over a disk stream).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ from repro.recovery import (
     resume_partition,
     snapshot_path,
 )
+
+from .test_state_views import _assert_same
+
+#: A checkpoint written by the ring of ``W`` rows (commit 9e90fba), before
+#: the ring grew its two spare rows: ``SPNL(K=4, X=8)`` over a
+#: ``FileStream`` of the module's graph, every 246 records; the first
+#: snapshot.  ``TestWindowedResume.test_old_and_new_snapshots_agree``
+#: compares it with today's snapshot at the same record.
+OLD_WINDOW_SNAPSHOT = Path(__file__).parents[1] / "fixtures" \
+    / "window_ckpt_246.snap"
 
 STREAMING = tuple(n for n in available_partitioners()
                   if resolve(n).is_streaming)
@@ -157,6 +169,25 @@ class TestWindowedResume:
         window = -(-graph.num_vertices // self.SHARDS)
         assert store["table"].shape == (K, window)
         assert store["low"] == 149  # the last vertex streamed
+
+    def test_old_and_new_snapshots_agree(self, adj_file, tmp_path):
+        """A snapshot the old ring wrote resumes to the uninterrupted
+        run's routes, and today's snapshot at the same record holds the
+        same payload, so the old ring reads it as its own."""
+        plain = self._make().partition(FileStream(adj_file))
+        resumed = resume_partition(
+            self._make(), FileStream(adj_file), OLD_WINDOW_SNAPSHOT,
+            config=CheckpointConfig(tmp_path / "r", keep=100))
+        np.testing.assert_array_equal(resumed.assignment.route,
+                                      plain.assignment.route)
+        for key in ("skipped_past", "skipped_future"):
+            assert resumed.stats[key] == plain.stats[key]
+        partition_with_checkpoints(self._make(), FileStream(adj_file),
+                                   tmp_path / "new", every=246)
+        old = read_snapshot(OLD_WINDOW_SNAPSHOT)
+        new = read_snapshot(snapshot_path(tmp_path / "new", 246))
+        del old["elapsed_seconds"], new["elapsed_seconds"]
+        _assert_same(new, old)
 
     def test_old_layout_payload_loads(self):
         """A payload as written before the ring went slot-major."""
