@@ -44,10 +44,12 @@ class DatasetSpec:
         return community_web_graph(name=self.name, **self.generator_kwargs)
 
 
-def _spec(name: str, pv: int, pe: int, size: str, desc: str,
-          **kwargs) -> DatasetSpec:
-    kwargs.setdefault("seed", abs(hash(name)) % 2**31)
-    return DatasetSpec(name, pv, pe, size, desc, generator_kwargs=kwargs)
+def _spec(name: str, pv: int, pe: int, size: str, desc: str, *,
+          seed: int, **kwargs) -> DatasetSpec:
+    # ``seed`` has no default: Python salts ``hash(str)`` per process,
+    # so a name-derived seed would build a different graph every run.
+    return DatasetSpec(name, pv, pe, size, desc,
+                       generator_kwargs=dict(kwargs, seed=seed))
 
 
 #: Registry mirroring the paper's Table II, in the paper's row order.

@@ -86,8 +86,7 @@ def _config_from_args(args: argparse.Namespace, *, method: str | None = None,
             num_partitions=k if k is not None else args.k,
             slack=getattr(args, "slack", None),
             lam=getattr(args, "lam", None),
-            num_shards=getattr(args, "shards", None),
-            gamma_buckets=getattr(args, "gamma_buckets", None))
+            num_shards=getattr(args, "shards", None))
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -543,11 +542,6 @@ def _add_heuristic_flags(p: argparse.ArgumentParser, *,
     p.add_argument("--shards", type=_int_or_auto, default="auto",
                    help="sliding-window X (int or 'auto'); Γ is dense "
                         "when it resolves to 1, windowed above")
-    p.add_argument("--gamma-buckets", type=_int_or_auto, default=None,
-                   metavar="B",
-                   help="hash SPN/SPNL's Γ onto B rows (int, or 'auto' "
-                        "for max(1024, |V| // 16)); overrides --shards "
-                        "'auto' (default: unset, Γ follows --shards)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,10 +166,6 @@ class DiGraph:
                 self._indices, minlength=self.num_vertices).astype(np.int64)
         return self._in_degrees
 
-    def in_degree(self, v: int) -> int:
-        """``|N_in(v)|``."""
-        return int(self.in_degrees()[v])
-
     def max_out_degree(self) -> int:
         """The paper's ``max d`` appearing in space-complexity bounds."""
         if self.num_vertices == 0:
@@ -188,16 +184,6 @@ class DiGraph:
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
-    def array_stream(self, order: Sequence[int] | np.ndarray | None = None):
-        """A CSR-backed :class:`~repro.graph.stream.ArrayStream` view.
-
-        Zero-copy: the stream shares this graph's ``indptr``/``indices``
-        arrays, which lets streaming partitioners take the vectorized
-        fast path (no per-record allocations).
-        """
-        from .stream import ArrayStream
-        return ArrayStream.from_graph(self, order=order)
-
     def records(self) -> Iterator[AdjacencyRecord]:
         """Iterate adjacency records in vertex-id order (the stream order)."""
         for v in range(self.num_vertices):

@@ -1,13 +1,11 @@
-"""Graph file formats: edge list, adjacency list, and METIS.
+"""Graph file formats: edge list and adjacency list.
 
 The paper streams graphs from disk as **adjacency-list** text files (one line
 ``v u1 u2 ...`` per vertex, ids consecutive).  We support:
 
 * ``edge list`` — one ``src dst`` pair per line, ``#``/``%`` comments
   (SNAP / WebGraph dumps look like this);
-* ``adjacency list`` — the paper's streamed format;
-* ``METIS`` — 1-indexed undirected adjacency with a header line, accepted by
-  real METIS and by our multilevel baseline.
+* ``adjacency list`` — the paper's streamed format.
 
 All readers/writers transparently handle ``.gz`` paths.
 
@@ -34,7 +32,6 @@ from .digraph import DiGraph
 __all__ = [
     "read_edge_list", "write_edge_list",
     "read_adjacency", "write_adjacency",
-    "read_metis", "write_metis",
     "iter_adjacency_lines",
 ]
 
@@ -220,55 +217,3 @@ def write_adjacency(graph: DiGraph, path: str | Path,
                 continue
             row = " ".join(str(int(u)) for u in record.neighbors)
             fh.write(f"{record.vertex} {row}\n".rstrip() + "\n")
-
-
-# ----------------------------------------------------------------------
-# METIS format
-# ----------------------------------------------------------------------
-def read_metis(path: str | Path, *, name: str | None = None) -> DiGraph:
-    """Read an (unweighted) METIS graph file as a symmetric DiGraph.
-
-    METIS files are 1-indexed and list each undirected edge in both rows;
-    we keep the symmetry so the result round-trips through
-    :func:`write_metis`.
-    """
-    with _open_text(path, "r") as fh:
-        header: list[str] | None = None
-        rows: list[list[int]] = []
-        for lineno, line in enumerate(fh, 1):
-            if _is_comment(line):
-                continue
-            parts = line.split()
-            if header is None:
-                header = parts
-                continue
-            try:
-                rows.append([int(p) - 1 for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
-        if header is None:
-            raise ValueError("METIS file missing header line")
-        declared_n, declared_m = int(header[0]), int(header[1])
-        if len(rows) != declared_n:
-            raise ValueError(
-                f"METIS header declares {declared_n} vertices but file has "
-                f"{len(rows)} adjacency rows")
-        builder = GraphBuilder(declared_n)
-        for vertex, neighbors in enumerate(rows):
-            builder.add_adjacency(vertex, neighbors)
-        graph = builder.build(name or Path(path).stem)
-        if graph.num_edges != 2 * declared_m:
-            raise ValueError(
-                f"METIS header declares {declared_m} undirected edges but "
-                f"file contains {graph.num_edges} directed entries")
-        return graph
-
-
-def write_metis(graph: DiGraph, path: str | Path) -> None:
-    """Write the *undirected* view of ``graph`` in METIS format."""
-    und = graph.to_undirected_csr()
-    with _open_text(path, "w") as fh:
-        fh.write(f"{und.num_vertices} {und.num_edges // 2}\n")
-        for record in und.records():
-            fh.write(" ".join(str(int(u) + 1)
-                              for u in record.neighbors) + "\n")

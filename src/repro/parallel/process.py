@@ -536,9 +536,9 @@ class ProcessShardedPartitioner(_ParallelBase):
         The wrapped streaming heuristic.  It must declare its mutable
         score state via
         :meth:`~repro.partitioning.base.StreamingPartitioner
-        .score_lanes` (ldg/fennel/spn/spnl with the dense or hashed Γ
-        store do; the sliding-window store is refused — its rotation
-        cursor is inherently sequential).
+        .score_lanes` (ldg/fennel/spn/spnl with the dense Γ store do;
+        the sliding-window store is refused — its rotation cursor is
+        inherently sequential).
     parallelism:
         The paper's M — records scored concurrently per group.  This is
         the *semantic* knob: results are byte-identical to
@@ -678,8 +678,7 @@ class ProcessShardedPartitioner(_ParallelBase):
             raise ValueError(
                 f"{base.name} does not declare shared score lanes and "
                 "cannot run process-sharded (sliding-window Γ stores "
-                "are sequential by design; use num_shards=1 or set "
-                "gamma_buckets)")
+                "are sequential by design; use num_shards=1)")
 
         meta = _StreamMeta(stream)
         pool = ShardedScorePool(

@@ -1,10 +1,10 @@
 """``PartitionConfig`` — the one frozen object describing a partitioning run.
 
 The knob set accepted by the heuristics grew one keyword at a time
-(``slack``, ``lam``, ``num_shards``, ``gamma_buckets``,
-``in_estimator``, …) until every layer that builds a partitioner — the
-facade, the CLI, the bench harness, and now the placement service — was
-threading the same positional-kwarg sprawl through its own signature.
+(``slack``, ``lam``, ``num_shards``, ``in_estimator``, …) until every
+layer that builds a partitioner — the facade, the CLI, the bench
+harness, and now the placement service — was threading the same
+positional-kwarg sprawl through its own signature.
 :class:`PartitionConfig` replaces that: one immutable, hashable,
 JSON-round-trippable value object that :func:`~repro.partitioning.registry
 .make_partitioner`, :func:`repro.partition_stream`, and the service boot
@@ -56,10 +56,6 @@ class PartitionConfig:
         expectation.
     num_shards:
         Sliding-window ``X`` (int, or ``"auto"`` for the paper's rule).
-    gamma_buckets:
-        Rows of a hashed Γ table (int, or ``"auto"``); set, it replaces
-        the dense or windowed table (see
-        :func:`~repro.partitioning.expectation.make_expectation_store`).
     in_estimator:
         SPN's in-neighbor term variant.
     balance / edge_slack / overflow:
@@ -83,7 +79,6 @@ class PartitionConfig:
     slack: float | None = None
     lam: float | None = None
     num_shards: int | str | None = None
-    gamma_buckets: int | str | None = None
     in_estimator: str | None = None
     balance: str | None = None
     edge_slack: float | None = None

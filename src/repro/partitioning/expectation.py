@@ -6,24 +6,18 @@ it.  Eq. 5 estimates the in-neighbor closeness of a candidate vertex ``v``
 as ``Σ_{u ∈ N_out(v)} Γ_i(u)``: rather than looking up ``Γ_i(v)`` alone
 (which only reflects ``v``'s own in-edges), the paper sums expectations
 over ``v``'s out-neighborhood, rewarding partitions that expect the whole
-neighborhood.  Γ is kept in one of three shapes:
+neighborhood.  Γ is kept in one of two shapes:
 
 * dense — :class:`FullExpectationStore` with one K-row per vertex id,
   the straightforward O(K|V|) design (Table IV's ``SPNL(X=1)`` row);
-* hashed — the same class with ``num_buckets`` rows addressed by a
-  multiplicative hash, bounding Γ memory at O(B·K) independent of |V|
-  (an *approximation*: colliding ids share counters);
 * windowed — :class:`~repro.partitioning.window.SlidingWindowStore`
   (sibling module), the O(K|V|/X) fine-grained sliding window.
 
-All satisfy :class:`ExpectationStore`, so SPN/SPNL are agnostic to which
+Both satisfy :class:`ExpectationStore`, so SPN/SPNL are agnostic to which
 one they run on, and :func:`make_expectation_store` is the one place
-that picks it from the run's ``num_shards`` and ``gamma_buckets``.  The
-property test suite asserts the full and windowed stores are
-*bit-identical* in behaviour when the window spans all vertices, and
-that a hashed table is bit-identical to the dense one whenever
-``num_buckets >= num_vertices`` (it maps ids by identity there, making
-the table collision-free by construction).
+that picks it from the run's ``num_shards``.  The property test suite
+asserts the two stores are *bit-identical* in behaviour when the window
+spans all vertices.
 """
 
 from __future__ import annotations
@@ -115,55 +109,34 @@ class ExpectationStore(Protocol):
         """:meth:`gauges` plus the store's own result stats."""
 
 
-#: Knuth's multiplicative constant (2^32 / φ) for the bucket hash.
-_HASH_MULT = np.uint64(2654435761)
-
-
 class FullExpectationStore:
-    """Γ over the whole id range in one table — dense or hashed.
+    """Γ over the whole id range in one dense table.
 
     ``FullExpectationStore(k, n)`` is the dense K×|V| table: maximal
     knowledge in O(K|V|) space.  It is the un-optimized design whose
     memory footprint motivates the sliding window (paper Sec. V-A), and
-    the ground truth the other stores are verified against.
+    the ground truth the window is verified against.
 
-    ``num_buckets=B`` caps the table at ``B`` rows, O(B·K) space whatever
-    |V| and whatever the arrival order.  Ids fold onto rows by a
-    multiplicative hash, so ids that share a row share counters: Γ
-    becomes an over-estimate (a one-row count-min sketch) and partition
-    quality degrades gracefully as rows shrink.  When ``B >= |V|`` ids
-    map to rows by identity, so the table is bit-identical to the dense
-    one (the property tests pin this); it still snapshots as hashed.
-
-    The mapping is decided once, in :meth:`_bind`, which binds the
-    fused-path access (``expectation_of_into``, ``gather_into``,
-    ``combined_into``, ``record``) as closures over the live table and
-    its per-partition column views: a placement step reaches numpy
-    without an attribute lookup, a method hop or a fresh ``table[:, i]``
-    view.  A table indexed by identity reads rows by id; a hashing table
-    reads them through :meth:`_buckets`.  Whatever rebinds the table
+    :meth:`_bind` binds the fused-path access (``expectation_of_into``,
+    ``gather_into``, ``combined_into``, ``record``) as closures over the
+    live table and its per-partition column views: a placement step
+    reaches numpy without an attribute lookup, a method hop or a fresh
+    ``table[:, i]`` view.  Whatever rebinds the table
     (:meth:`attach_shared_lanes`, a copy) binds the closures again.
     """
 
     needs_advance = False
 
-    def __init__(self, num_partitions: int, num_vertices: int, *,
-                 num_buckets: int | None = None) -> None:
+    def __init__(self, num_partitions: int, num_vertices: int) -> None:
         if num_partitions < 1 or num_vertices < 0:
             raise ValueError("invalid dimensions for expectation store")
-        if num_buckets is not None and num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
         self.num_partitions = num_partitions
         self.num_vertices = num_vertices
-        #: ``None`` for the dense table, the row count of a hashed one.
-        self.num_buckets = None if num_buckets is None \
-            else min(num_buckets, max(num_vertices, 1))
-        rows = num_vertices if num_buckets is None else self.num_buckets
         # Row-major layout: Γ of one id is one contiguous K-row, so the
         # hot gather (sum over a neighborhood's rows) touches d
         # contiguous chunks instead of K strided column picks.
-        self._table = np.zeros((rows, num_partitions), dtype=np.int32)
-        self._idx_buf: np.ndarray | None = None
+        self._table = np.zeros((num_vertices, num_partitions),
+                               dtype=np.int32)
         self._bind()
 
     def _bind(self) -> None:
@@ -172,60 +145,32 @@ class FullExpectationStore:
         columns = [table[:, pid] for pid in range(self.num_partitions)]
         take, add, add_at, copyto = table.take, np.add, np.add.at, np.copyto
         reduce = np.add.reduce
-        if table.shape[0] >= self.num_vertices:
-            # Ids are rows.  A fresh d-row gather costs less than
-            # ``take(out=)``, whose bounds-checking mode copies through
-            # a bounce buffer.
-            def expectation_of_into(vertex: int,
-                                    out: np.ndarray) -> np.ndarray:
+
+        # A fresh d-row gather costs less than ``take(out=)``, whose
+        # bounds-checking mode copies through a bounce buffer.
+        def expectation_of_into(vertex: int, out: np.ndarray) -> np.ndarray:
+            copyto(out, table[vertex])
+            return out
+
+        def gather_into(neighbors: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+            if len(neighbors) == 0:
+                out[:] = 0
+                return out
+            return reduce(take(neighbors, axis=0), 0, None, out)
+
+        def combined_into(vertex: int, neighbors: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+            if len(neighbors) == 0:
                 copyto(out, table[vertex])
                 return out
+            reduce(take(neighbors, axis=0), 0, None, out)
+            return add(out, table[vertex], out=out)
 
-            def gather_into(neighbors: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-                if len(neighbors) == 0:
-                    out[:] = 0
-                    return out
-                return reduce(take(neighbors, axis=0), 0, None, out)
+        def record(pid: int, neighbors: np.ndarray) -> None:
+            if len(neighbors):
+                add_at(columns[pid], neighbors, _ONE)
 
-            def combined_into(vertex: int, neighbors: np.ndarray,
-                              out: np.ndarray) -> np.ndarray:
-                if len(neighbors) == 0:
-                    copyto(out, table[vertex])
-                    return out
-                reduce(take(neighbors, axis=0), 0, None, out)
-                return add(out, table[vertex], out=out)
-
-            def record(pid: int, neighbors: np.ndarray) -> None:
-                if len(neighbors):
-                    add_at(columns[pid], neighbors, _ONE)
-        else:
-            buckets, bucket_of = self._buckets, self._bucket_of
-
-            def expectation_of_into(vertex: int,
-                                    out: np.ndarray) -> np.ndarray:
-                copyto(out, table[bucket_of(vertex)])
-                return out
-
-            def gather_into(neighbors: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-                if len(neighbors) == 0:
-                    out[:] = 0
-                    return out
-                return reduce(take(buckets(neighbors).astype(
-                    np.int64, copy=False), axis=0), 0, None, out)
-
-            def combined_into(vertex: int, neighbors: np.ndarray,
-                              out: np.ndarray) -> np.ndarray:
-                gather_into(neighbors, out)
-                return add(out, table[bucket_of(vertex)], out=out)
-
-            def record(pid: int, neighbors: np.ndarray) -> None:
-                if len(neighbors):
-                    add_at(columns[pid], buckets(neighbors), _ONE)
-
-            self.expectation_of = self._hashed_expectation_of
-            self.gather = self._hashed_gather
         self.expectation_of_into = expectation_of_into
         self.gather_into = gather_into
         self.combined_into = combined_into
@@ -242,7 +187,7 @@ class FullExpectationStore:
 
     # -- ExpectationStore API ------------------------------------------
     def advance_to(self, vertex: int) -> None:
-        """No-op: every id (or bucket) is always tracked."""
+        """No-op: every id is always tracked."""
 
     def expectation_of(self, vertex: int) -> np.ndarray:
         return self._table[vertex].astype(np.int64)
@@ -251,32 +196,6 @@ class FullExpectationStore:
         if len(neighbors) == 0:
             return np.zeros(self.num_partitions, dtype=np.int64)
         return self._table[neighbors].sum(axis=0, dtype=np.int64)
-
-    # -- ids hashed onto rows ------------------------------------------
-    def _bucket_of(self, vertex: int) -> int:
-        # Emulate uint64 wraparound so the scalar and vector paths agree.
-        return ((vertex * 2654435761) & 0xFFFFFFFFFFFFFFFF) \
-            % self.num_buckets
-
-    def _buckets(self, ids: np.ndarray) -> np.ndarray:
-        n = len(ids)
-        buf = self._idx_buf
-        if buf is None or buf.shape[0] < n:
-            buf = np.empty(max(n, 64), dtype=np.uint64)
-            self._idx_buf = buf
-        idx = buf[:n]
-        np.multiply(ids.astype(np.uint64, copy=False), _HASH_MULT, out=idx)
-        np.mod(idx, np.uint64(self.num_buckets), out=idx)
-        return idx
-
-    def _hashed_expectation_of(self, vertex: int) -> np.ndarray:
-        return self._table[self._bucket_of(vertex)].astype(np.int64)
-
-    def _hashed_gather(self, neighbors: np.ndarray) -> np.ndarray:
-        if len(neighbors) == 0:
-            return np.zeros(self.num_partitions, dtype=np.int64)
-        return self._table[self._buckets(neighbors)].sum(axis=0,
-                                                         dtype=np.int64)
 
     # -- footprint, sharing, snapshots ---------------------------------
     def nbytes(self) -> int:
@@ -290,10 +209,7 @@ class FullExpectationStore:
                 "expectation_table_entries": self.num_entries()}
 
     def stats(self) -> dict:
-        stats = self.gauges()
-        if self.num_buckets is not None:
-            stats.update(gamma_store="hashed", gamma_buckets=self.num_buckets)
-        return stats
+        return self.gauges()
 
     def shared_lanes(self) -> dict:
         """Mutable counter arrays the process-sharded executor shares."""
@@ -310,32 +226,19 @@ class FullExpectationStore:
         self._table = table
         self._bind()
 
-    def grown(self, num_vertices: int) -> "FullExpectationStore":
-        """A dense copy over ``num_vertices`` ids; the new ids count 0."""
-        if self.num_buckets is not None or num_vertices < self.num_vertices:
-            raise ValueError("only a dense table grows, and never shrinks")
-        store = FullExpectationStore(self.num_partitions, num_vertices)
-        store._table[:self.num_vertices] = self._table
-        return store
-
     def state_dict(self) -> dict:
-        if self.num_buckets is None:
-            return {"kind": "full", "table": self._table}
-        return {"kind": "hashed", "table": self._table,
-                "num_buckets": self.num_buckets}
+        return {"kind": "full", "table": self._table}
 
     def load_state(self, payload: dict) -> None:
-        kind = "full" if self.num_buckets is None else "hashed"
-        if payload.get("kind") != kind:
+        if payload.get("kind") != "full":
             raise ValueError(
                 f"snapshot holds a {payload.get('kind')!r} Γ store, this "
-                f"run uses the {kind} table (different num_shards or "
-                "gamma_buckets?)")
+                "run uses the dense table (different num_shards?)")
         table = payload["table"]
         if table.shape != self._table.shape:
             raise ValueError(
                 f"snapshot Γ table shape {table.shape} does not match "
-                f"{self._table.shape} (different gamma_buckets?)")
+                f"{self._table.shape}")
         np.copyto(self._table, table)
 
     @property
@@ -345,23 +248,14 @@ class FullExpectationStore:
 
 
 def make_expectation_store(num_partitions: int, stream, *,
-                           num_shards: int | str = 1,
-                           gamma_buckets: int | str | None = None
-                           ) -> ExpectationStore:
+                           num_shards: int | str = 1) -> ExpectationStore:
     """The one place a run's Γ table is chosen.
 
-    ``gamma_buckets`` set means the hashed table (``"auto"`` is
-    ``max(1024, |V| // 16)`` rows).  Otherwise ``num_shards`` resolved
-    above 1 (``"auto"`` is :func:`default_num_shards`) means the sliding
-    window, which needs an id-ordered ``stream``.  Otherwise the dense
-    table.
+    ``num_shards`` resolved above 1 (``"auto"`` is
+    :func:`default_num_shards`) means the sliding window, which needs an
+    id-ordered ``stream``.  Otherwise the dense table.
     """
     n = stream.num_vertices
-    if gamma_buckets is not None:
-        if gamma_buckets == "auto":
-            gamma_buckets = max(1024, n // 16)
-        return FullExpectationStore(num_partitions, n,
-                                    num_buckets=gamma_buckets)
     if num_shards == "auto":
         num_shards = default_num_shards(n, num_partitions)
     if num_shards <= 1:

@@ -193,11 +193,12 @@ def _accepted_kwargs(factory: Callable[..., Any],
 
 def refuse_removed_kwargs(kwargs: dict[str, Any]) -> None:
     """Raise on a removed knob rather than let a filter drop it."""
-    if "gamma_store" in kwargs:
-        raise TypeError(
-            "gamma_store was removed: the Γ table follows num_shards and "
-            "gamma_buckets (gamma_buckets set: hashed; otherwise "
-            "num_shards > 1: sliding window; otherwise dense)")
+    for knob in ("gamma_store", "gamma_buckets"):
+        if knob in kwargs:
+            raise TypeError(
+                f"{knob} was removed: the Γ table follows num_shards "
+                "alone (num_shards > 1: sliding window; otherwise "
+                "dense)")
 
 
 def make_partitioner(name: Any, num_partitions: int | None = None, *,

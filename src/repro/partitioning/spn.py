@@ -28,10 +28,10 @@ of both — strictly dominates either alone in our ablation bench),
 ``"neighborhood"`` (Eq. 5 verbatim), and ``"self"`` (the worked
 examples' simplified form).
 
-The Γ store is pluggable: the dense ``O(K|V|)`` table, the ``O(K|V|/X)``
-sliding window of Sec. V-A (``num_shards > 1``), or a hashed table of
-``gamma_buckets`` rows; :func:`~repro.partitioning.expectation
-.make_expectation_store` picks one from those two knobs.
+The Γ store is the dense ``O(K|V|)`` table or the ``O(K|V|/X)`` sliding
+window of Sec. V-A (``num_shards > 1``);
+:func:`~repro.partitioning.expectation.make_expectation_store` picks one
+from ``num_shards``.
 """
 
 from __future__ import annotations
@@ -65,24 +65,17 @@ class SPNPartitioner(StreamingPartitioner):
     num_shards:
         The sliding-window ``X``.  ``1`` keeps the full Γ table;
         ``"auto"`` applies the paper's recommendation
-        ``X = min(αK, |V|/(βK))`` at setup time.  Ignored when
-        ``gamma_buckets`` is set.
+        ``X = min(αK, |V|/(βK))`` at setup time.
     in_estimator:
         ``"combined"`` — in-term is ``Γ_i(v) + Σ_{u∈N_out(v)} Γ_i(u)``
         (default; see the module docstring);
         ``"neighborhood"`` — ``Σ_{u∈N_out(v)} Γ_i(u)`` (Eq. 5 verbatim);
         ``"self"`` — ``Γ_i(v)`` (the worked examples).
-    gamma_buckets:
-        ``None`` (default) keeps Γ dense or windowed by ``num_shards``.
-        An int ``B`` (or ``"auto"``, ``max(1024, |V| // 16)``) hashes Γ
-        onto ``B`` rows instead: O(B·K) memory, any arrival order,
-        approximate Γ once ``B < |V|``.
     """
 
     def __init__(self, num_partitions: int, *, lam: float = 0.5,
                  num_shards: int | str = 1,
-                 in_estimator: str = "combined",
-                 gamma_buckets: int | str | None = None, **kwargs) -> None:
+                 in_estimator: str = "combined", **kwargs) -> None:
         refuse_removed_kwargs(kwargs)
         super().__init__(num_partitions, **kwargs)
         if not 0.0 <= lam <= 1.0:
@@ -95,20 +88,9 @@ class SPNPartitioner(StreamingPartitioner):
             raise ValueError(
                 "in_estimator must be 'self', 'neighborhood', or "
                 "'combined'")
-        if gamma_buckets is not None:
-            if gamma_buckets != "auto" and (
-                    isinstance(gamma_buckets, str) or gamma_buckets < 1):
-                raise ValueError(
-                    "gamma_buckets must be an int >= 1 or 'auto'")
-            if isinstance(num_shards, int) and num_shards > 1:
-                raise ValueError(
-                    "gamma_buckets hashes Γ and num_shards > 1 windows "
-                    "it; set one (num_shards=1 or 'auto' with "
-                    "gamma_buckets)")
         self.lam = lam
         self.num_shards = num_shards
         self.in_estimator = in_estimator
-        self.gamma_buckets = gamma_buckets
         self._store: ExpectationStore | None = None
 
     @property
@@ -118,8 +100,7 @@ class SPNPartitioner(StreamingPartitioner):
     # ------------------------------------------------------------------
     def _setup(self, stream: VertexStream, state: PartitionState) -> None:
         self._store = make_expectation_store(
-            self.num_partitions, stream, num_shards=self.num_shards,
-            gamma_buckets=self.gamma_buckets)
+            self.num_partitions, stream, num_shards=self.num_shards)
 
     # ------------------------------------------------------------------
     @property
@@ -135,6 +116,10 @@ class SPNPartitioner(StreamingPartitioner):
     def _load_heuristic_state(self, payload: dict[str, Any]) -> None:
         # _setup already built a store of the right shape for the
         # stream; restoring overwrites its counters (and window cursor).
+        if payload["store"].get("kind") == "hashed":
+            raise ValueError(
+                "snapshot holds a hashed Γ table, and gamma_buckets was "
+                "removed: it cannot be resumed")
         self.expectation_store.load_state(payload["store"])
 
     def score_lanes(self) -> dict[str, np.ndarray] | None:
@@ -157,8 +142,8 @@ class SPNPartitioner(StreamingPartitioner):
             raise ValueError(
                 f"{self.name}'s Γ store "
                 f"({type(self.expectation_store).__name__}) has no "
-                "shared-lane support; use num_shards=1 or set "
-                "gamma_buckets for process sharding")
+                "shared-lane support; use num_shards=1 for process "
+                "sharding")
         if set(lanes) != set(mine):
             raise ValueError(
                 f"lane mismatch: expected {sorted(mine)}, "

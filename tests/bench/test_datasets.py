@@ -20,6 +20,14 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown dataset"):
             load("facebook")
 
+    def test_every_stand_in_has_its_own_fixed_seed(self):
+        """A seed derived from ``hash(name)`` would change per process."""
+        from repro.bench.datasets import _spec
+        seeds = [spec.generator_kwargs["seed"] for spec in DATASETS.values()]
+        assert len(set(seeds)) == len(seeds)
+        with pytest.raises(TypeError, match="seed"):
+            _spec("new", 1, 1, "1MB", "no seed given", n=100)
+
 
 class TestLoading:
     def test_load_caches(self):

@@ -103,6 +103,8 @@ def _audit_code_ref(path: Path, ref: str) -> str | None:
     resolved = _resolve(path, base)
     if resolved is None or not resolved.is_file():
         return f"{ref}: file {base} not found"
+    if symbol is None and line_no is None:
+        return None  # existence is all a bare path asks; it may be binary
     text = resolved.read_text(encoding="utf-8")
     if symbol is not None:
         first = symbol.split("::", 1)[0].split(".", 1)[0]
@@ -138,6 +140,13 @@ def test_audit_catches_a_dead_link(tmp_path):
     assert failure is not None and "symbol 'NoSuchClassXYZ'" in failure
     assert _audit_code_ref(
         REPO_ROOT / "README.md", "src/repro/cli.py:999999") is not None
+    # A binary file is named by its path alone: found, never decoded.
+    assert _audit_code_ref(
+        REPO_ROOT / "README.md",
+        "tests/fixtures/window_ckpt_246.snap") is None
+    assert _audit_code_ref(
+        REPO_ROOT / "README.md",
+        "tests/fixtures/window_ckpt_999.snap") is not None
 
 
 def test_audit_skips_out_of_scope_tokens():

@@ -1,4 +1,4 @@
-"""Unit tests for graph file formats (edge list, adjacency, METIS, gzip)."""
+"""Unit tests for graph file formats (edge list, adjacency, gzip)."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.graph import (
     from_edges,
     read_adjacency,
     read_edge_list,
-    read_metis,
     write_adjacency,
     write_edge_list,
-    write_metis,
 )
 from repro.graph.io import iter_adjacency_lines
 
@@ -69,35 +67,3 @@ class TestAdjacency:
         path = tmp_path / "g.adj.gz"
         write_adjacency(tiny_graph, path)
         assert read_adjacency(path) == tiny_graph
-
-
-class TestMetis:
-    def test_roundtrip_symmetric(self, tiny_graph, tmp_path):
-        path = tmp_path / "g.metis"
-        write_metis(tiny_graph, path)
-        loaded = read_metis(path)
-        assert loaded == tiny_graph.to_undirected_csr()
-
-    def test_header_vertex_mismatch_raises(self, tmp_path):
-        path = tmp_path / "bad.metis"
-        path.write_text("3 1\n2\n1\n")  # declares 3 rows, provides 2
-        with pytest.raises(ValueError, match="adjacency rows"):
-            read_metis(path)
-
-    def test_header_edge_mismatch_raises(self, tmp_path):
-        path = tmp_path / "bad.metis"
-        path.write_text("2 5\n2\n1\n")  # declares 5 edges, has 1
-        with pytest.raises(ValueError, match="directed entries"):
-            read_metis(path)
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.metis"
-        path.write_text("")
-        with pytest.raises(ValueError, match="header"):
-            read_metis(path)
-
-    def test_one_indexing(self, tmp_path):
-        path = tmp_path / "g.metis"
-        path.write_text("2 1\n2\n1\n")  # single undirected edge {1,2}
-        g = read_metis(path)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)

@@ -21,9 +21,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     read_adjacency,
     read_edge_list,
-    read_metis,
     write_edge_list,
-    write_metis,
 )
 from repro.ingest.cache import (
     GraphCacheError,
@@ -190,10 +188,8 @@ class TestAlignment:
     def test_text_readers(self, tmp_path, graph):
         write_adjacency(graph, tmp_path / "g.adj")
         write_edge_list(graph, tmp_path / "g.txt")
-        write_metis(graph.to_undirected_csr(), tmp_path / "g.metis")
         _assert_native_aligned(read_adjacency(tmp_path / "g.adj"))
         _assert_native_aligned(read_edge_list(tmp_path / "g.txt"))
-        _assert_native_aligned(read_metis(tmp_path / "g.metis"))
 
 
 class TestUnpaddedFiles:

@@ -91,15 +91,6 @@ class TestRegistryParity:
             routes.append(p.partition(GraphStream(graph)).assignment)
         assert routes[0] == routes[1] == routes[2]
 
-    def test_hashed_gamma_store_parity(self, graph):
-        sim = SimulatedParallelPartitioner(
-            _make("spnl", gamma_buckets="auto"),
-            parallelism=4).partition(GraphStream(graph))
-        proc = ProcessShardedPartitioner(
-            _make("spnl", gamma_buckets="auto"), parallelism=4,
-            num_workers=2).partition(GraphStream(graph))
-        assert proc.assignment == sim.assignment
-
     def test_ecr_stays_near_sequential(self, graph):
         """Paper Sec. V-B: RCT-delayed wide-parallel quality stays in
         the sequential ballpark (~6% cap in the paper's experiments)."""
@@ -121,7 +112,7 @@ class TestRegistryParity:
         spn = make_partitioner("spn", K, num_shards=4)
         p = ProcessShardedPartitioner(spn, parallelism=2, num_workers=1)
         with pytest.raises(ValueError,
-                           match="num_shards=1 or set gamma_buckets"):
+                           match="use num_shards=1"):
             p.partition(GraphStream(graph))
 
 

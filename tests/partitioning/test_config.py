@@ -100,7 +100,7 @@ class TestBuilding:
 class TestRoundTrip:
     def test_to_from_dict(self):
         cfg = PartitionConfig(method="spn", num_partitions=16,
-                              slack=1.2, gamma_buckets=2048)
+                              slack=1.2, num_shards=8)
         assert PartitionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_puts_unknown_keys_in_extra(self):

@@ -6,11 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.graph import AdjacencyRecord
+from repro import PartitionConfig
+from repro.graph import AdjacencyRecord, GraphStream, community_web_graph
 from repro.partitioning import FullExpectationStore
 from repro.partitioning.base import PlacementKernel
-from repro.partitioning.expectation import INT32_SUM_END
+from repro.partitioning.expectation import (INT32_SUM_END,
+                                            make_expectation_store)
 from repro.partitioning.registry import make_partitioner
+from repro.partitioning.spn import SPNPartitioner
+from repro.partitioning.window import SlidingWindowStore
 
 
 class TestFullStore:
@@ -102,10 +106,8 @@ class TestSumWidth:
                                [BIG, BIG - 1, 7])
 
     @pytest.mark.parametrize("method", ["spn", "spnl"])
-    @pytest.mark.parametrize("gamma", [
-        {}, {"num_shards": 2},
-        {"gamma_buckets": 5}],
-        ids=["dense", "window", "hashed"])
+    @pytest.mark.parametrize("gamma", [{}, {"num_shards": 2}],
+                             ids=["dense", "window"])
     @pytest.mark.parametrize("placed_edges,width", [
         (INT32_SUM_END // 4 - 1, np.int32),   # 4·e = 2**31 - 4: proven
         (INT32_SUM_END // 4, np.int64),       # 4·e = 2**31: not proven
@@ -144,14 +146,6 @@ class TestSumWidth:
             AdjacencyRecord(0, neighbors), state))
 
 
-#: The three mappings of one table: ids as rows, a hashed table wide
-#: enough to map ids by identity (what ``gamma_buckets="auto"`` gives
-#: any graph under 16k vertices), and a hashed table whose ids collide.
-MAPPINGS = pytest.mark.parametrize(
-    "num_buckets", [None, 64, 5],
-    ids=["dense", "identity-hashed", "colliding-hashed"])
-
-
 def assert_reads_and_writes(store, table, lanes):
     """``store``'s fused access reads the planted ``lanes`` (every row of
     ``table`` holds them) and records into ``table``."""
@@ -169,9 +163,8 @@ class TestBoundAccess:
     """The fused access is bound to one table; what rebinds the table
     must bind it again."""
 
-    @MAPPINGS
-    def test_attach_shared_lanes_rebinds(self, num_buckets):
-        store = FullExpectationStore(3, 40, num_buckets=num_buckets)
+    def test_attach_shared_lanes_rebinds(self):
+        store = FullExpectationStore(3, 40)
         old = store._table
         new = np.zeros_like(old)
         store.attach_shared_lanes({"table": new})
@@ -179,11 +172,75 @@ class TestBoundAccess:
         assert_reads_and_writes(store, new, [BIG, BIG - 1, 7])
         assert (old == 9).all()
 
-    @MAPPINGS
-    def test_a_deep_copy_binds_its_own_table(self, num_buckets):
-        store = FullExpectationStore(3, 40, num_buckets=num_buckets)
+    def test_a_deep_copy_binds_its_own_table(self):
+        store = FullExpectationStore(3, 40)
         twin = copy.deepcopy(store)
         assert twin._table is not store._table
         store._table[:] = 9
         assert_reads_and_writes(twin, twin._table, [4, 5, 6])
         assert (store._table == 9).all()
+
+
+def _stream(num_vertices, id_ordered=True):
+    return SimpleNamespace(num_vertices=num_vertices,
+                           is_id_ordered=id_ordered)
+
+
+class TestSelection:
+    """``num_shards`` alone picks the table."""
+
+    def test_shards_above_one_mean_the_window(self):
+        store = make_expectation_store(4, _stream(1000), num_shards=8)
+        assert isinstance(store, SlidingWindowStore)
+        assert store.num_shards == 8
+        auto = make_expectation_store(2, _stream(100_000),
+                                      num_shards="auto")
+        assert isinstance(auto, SlidingWindowStore)
+        with pytest.raises(ValueError, match="id-ordered"):
+            make_expectation_store(4, _stream(1000, False), num_shards=8)
+
+    @pytest.mark.parametrize("num_shards", [1, "auto"])
+    def test_otherwise_dense(self, num_shards):
+        store = make_expectation_store(4, _stream(300, False),
+                                       num_shards=num_shards)
+        assert store.state_dict()["kind"] == "full"
+        assert store.window_size == 300
+
+
+class TestRemovedKnobs:
+    """A removed Γ knob is refused by every build path, not dropped."""
+
+    @pytest.mark.parametrize("knob,value", [
+        ("gamma_store", "hashed"), ("gamma_buckets", 512)])
+    @pytest.mark.parametrize("path", ["constructor", "registry", "config"])
+    def test_refused_not_dropped(self, knob, value, path):
+        build = {
+            "constructor": lambda: SPNPartitioner(4, **{knob: value}),
+            "registry": lambda: make_partitioner(
+                "spnl", 4, ignore_unknown=True, **{knob: value}),
+            "config": lambda: PartitionConfig.from_dict(
+                {"method": "spnl", "num_partitions": 4,
+                 knob: value}).make(),
+        }[path]
+        with pytest.raises(TypeError,
+                           match=f"{knob} was removed: the Γ table "
+                                 "follows num_shards alone"):
+            build()
+
+    @pytest.mark.parametrize("num_shards", [1, 4],
+                             ids=["dense", "window"])
+    def test_a_hashed_snapshot_is_refused(self, num_shards):
+        graph = community_web_graph(120, seed=3)
+        spn = make_partitioner("spn", 4)
+        stream = GraphStream(graph)
+        state = spn.make_state(stream)
+        spn._setup(stream, state)
+        payload = spn.state_dict(state)
+        payload["heuristic"]["store"] = {
+            "kind": "hashed", "table": np.zeros((64, 4), dtype=np.int32),
+            "num_buckets": 64}
+        with pytest.raises(ValueError,
+                           match="hashed Γ table, and gamma_buckets was "
+                                 "removed"):
+            make_partitioner("spn", 4, num_shards=num_shards).load_state(
+                GraphStream(graph), payload)

@@ -22,7 +22,7 @@ from repro.partitioning.registry import (
     make_partitioner,
 )
 
-from .test_kernel_groups import GAMMA  # dense, colliding hashed, window X=3
+from .test_kernel_groups import GAMMA  # dense, window X=3
 
 ALL_VERTEX = available_partitioners(kind="vertex")
 
@@ -80,7 +80,6 @@ VARIANTS = [
     ("ldg", {"slack": 1.0}),
     ("fennel", {"slack": 1.0}),
     ("spnl", {"balance": "both"}),
-    ("spnl", {"gamma_buckets": 512}),
 ]
 
 

@@ -32,7 +32,6 @@ NUM_VERTICES = 2000
 BUDGETS = {
     "spnl-dense": (dict(method="spnl"), 18.80),                  # 17.80
     "spnl-window8": (dict(method="spnl", num_shards=8), 21.02),  # 20.02
-    "spnl-hashed": (dict(method="spnl", gamma_buckets=512), 27.79),  # 26.79
     "spn": (dict(method="spn"), 21.13),                          # 20.13
     "fennel": (dict(method="fennel"), 11.89),                    # 10.88
     "ldg": (dict(method="ldg"), 13.83),                          # 12.82

@@ -7,7 +7,7 @@ the same grouping written with the hooks the kernel is derived from,
 ``_score`` -> ``choose`` -> ``PartitionState.commit`` -> ``_after_commit``.
 Hypothesis draws small graphs (many empty rows, so ties are the rule),
 arrival orders and group sizes; for every registered vertex partitioner,
-over the dense, hashed and sliding-window Γ stores, vertex and edge
+over the dense and sliding-window Γ stores, vertex and edge
 balance, and both overflow policies, the two must leave the same route,
 loads, overflow count and heuristic state — and under
 ``overflow="strict"`` raise at the same record.
@@ -31,11 +31,9 @@ from repro.partitioning.registry import (
     make_partitioner,
 )
 
-#: Γ-store variants of the two heuristics that keep one; the hashed
-#: store gets fewer buckets than vertices so ids collide.
+#: Γ-store variants of the two heuristics that keep one.
 GAMMA = {
     "dense": {},
-    "hashed": {"gamma_buckets": 5},
     "window": {"num_shards": 3},
 }
 

@@ -25,11 +25,9 @@ from repro.recovery import checkpoint, partition_with_checkpoints
 
 K = 4
 
-#: Γ-store variants of the two heuristics that keep one; the hashed
-#: store gets fewer buckets than vertices so ids collide.
+#: Γ-store variants of the two heuristics that keep one.
 GAMMA = {
     "dense": {},
-    "hashed": {"gamma_buckets": 64},
     "window": {"num_shards": 4},
 }
 
@@ -70,10 +68,8 @@ def _half_run(name, gamma, graph):
 
 
 class TestPayloadIsTheLiveState:
-    @pytest.mark.parametrize("num_buckets", [None, 4],
-                             ids=["dense", "hashed"])
-    def test_gamma_table(self, num_buckets):
-        store = FullExpectationStore(3, 10, num_buckets=num_buckets)
+    def test_gamma_table(self):
+        store = FullExpectationStore(3, 10)
         store.record(1, np.array([2, 5, 9]))
         assert np.shares_memory(store.state_dict()["table"], store._table)
 

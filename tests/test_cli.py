@@ -24,21 +24,23 @@ class TestParser:
 
     def test_int_or_auto_knobs(self, capsys):
         args = build_parser().parse_args(
-            ["partition", "g.adj", "out", "--shards", "4",
-             "--gamma-buckets", "auto"])
-        assert (args.shards, args.gamma_buckets) == (4, "auto")
+            ["partition", "g.adj", "out", "--shards", "4"])
+        assert args.shards == 4
         args = build_parser().parse_args(
-            ["partition", "g.adj", "out", "--gamma-buckets", "512"])
-        assert (args.shards, args.gamma_buckets) == ("auto", 512)
+            ["partition", "g.adj", "out", "--shards", "auto"])
+        assert args.shards == "auto"
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
-                ["partition", "g.adj", "out", "--gamma-buckets", "many"])
+                ["partition", "g.adj", "out", "--shards", "many"])
         assert exit_info.value.code == 2
         assert "'many'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["partition", "g.adj", "out", "--gamma-store", "hashed"],
-        ["serve", "g.adj", "--no-wal-pipeline"]], ids=["gamma", "wal"])
+        ["partition", "g.adj", "out", "--gamma-buckets", "512"],
+        ["serve", "g.adj", "--gamma-buckets", "auto"],
+        ["serve", "g.adj", "--no-wal-pipeline"]],
+        ids=["gamma", "gamma-buckets", "serve-gamma-buckets", "wal"])
     def test_removed_flags_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
@@ -108,12 +110,6 @@ class TestPartitionEvaluateInfo:
         out = tmp_path / "g.adj"
         main(["generate", str(out), "--vertices", "800", "--seed", "4"])
         return out
-
-    def test_partition_hashed_gamma(self, graph_file, tmp_path, capsys):
-        routes = tmp_path / "routes.txt"
-        assert main(["partition", str(graph_file), str(routes),
-                     "-k", "4", "--gamma-buckets", "100"]) == 0
-        assert len(np.loadtxt(routes, dtype=int)) == 800
 
     def test_partition_writes_routes(self, graph_file, tmp_path, capsys):
         routes = tmp_path / "routes.txt"
