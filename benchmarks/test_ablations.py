@@ -25,8 +25,7 @@ class TestRctAblation:
         return ablation_rct(dataset="uk2002",
                             parallelisms=(1, 4, 16), k=32)
 
-    def test_rct(self, benchmark, fig, emit):
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    def test_rct(self, fig, emit):
         emit("ablation_rct", format_table(
             fig.as_rows(), title="Ablation — parallel ECR with/without "
                                  "RCT (uk2002, K=32)"))
@@ -42,10 +41,8 @@ class TestRctAblation:
 
 
 class TestLocalityAblation:
-    def test_locality(self, benchmark, emit):
-        rows = benchmark.pedantic(
-            lambda: ablation_locality(dataset="uk2002", k=32),
-            rounds=1, iterations=1)
+    def test_locality(self, emit):
+        rows = ablation_locality(dataset="uk2002", k=32)
         emit("ablation_locality", format_table(
             rows, title="Ablation — BFS-ordered vs shuffled ids "
                         "(uk2002, K=32)"))
@@ -80,10 +77,8 @@ class TestDecayAblation:
     that the two variants stay in the same quality regime.
     """
 
-    def test_decay(self, benchmark, emit):
-        rows = benchmark.pedantic(
-            lambda: ablation_decay(dataset="indo2004", k=32),
-            rounds=1, iterations=1)
+    def test_decay(self, emit):
+        rows = ablation_decay(dataset="indo2004", k=32)
         emit("ablation_decay", format_table(
             rows, title="Ablation — η schedules (indo2004, K=32) "
                         "[linear/frozen beat the paper's formula]"))
@@ -99,11 +94,9 @@ class TestDecayAblation:
 
 
 class TestRestreamingAblation:
-    def test_restreaming(self, benchmark, emit):
-        fig = benchmark.pedantic(
-            lambda: ablation_restreaming(dataset="uk2005", k=32,
-                                         passes=(1, 2, 3)),
-            rounds=1, iterations=1)
+    def test_restreaming(self, emit):
+        fig = ablation_restreaming(dataset="uk2005", k=32,
+                                   passes=(1, 2, 3))
         emit("ablation_restreaming", format_table(
             fig.as_rows(), title="Ablation — ReLDG passes vs single-pass "
                                  "SPNL (uk2005, K=32)"))
@@ -116,19 +109,15 @@ class TestRestreamingAblation:
 
 
 class TestEstimatorAblation:
-    def test_in_estimators(self, benchmark, emit):
+    def test_in_estimators(self, emit):
         graph = load("uk2002")
 
-        def run():
-            rows = []
-            for estimator in ("self", "neighborhood", "combined"):
-                record = run_partitioner(
-                    SPNLPartitioner(32, in_estimator=estimator), graph)
-                rows.append({"estimator": estimator,
-                             "ECR": round(record.ecr, 4)})
-            return rows
-
-        rows = benchmark.pedantic(run, rounds=1, iterations=1)
+        rows = []
+        for estimator in ("self", "neighborhood", "combined"):
+            record = run_partitioner(
+                SPNLPartitioner(32, in_estimator=estimator), graph)
+            rows.append({"estimator": estimator,
+                         "ECR": round(record.ecr, 4)})
         emit("ablation_estimator", format_table(
             rows, title="Ablation — in-neighbor estimator (uk2002, "
                         "K=32): Eq. 5 vs worked-example vs combined"))

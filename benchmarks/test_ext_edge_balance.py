@@ -51,8 +51,7 @@ def rows():
     return out
 
 
-def test_edge_balance_mode(benchmark, rows, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_edge_balance_mode(rows, emit):
     emit("ext_edge_balance", format_table(
         rows, title=f"Extension — edge-balanced capacity "
                     f"(the paper's omitted δ_e report, K={K})"))
@@ -69,19 +68,17 @@ def test_edge_balance_mode(benchmark, rows, emit):
             by_key[(graph, "LDG")]["ECR"], graph
 
 
-def test_vertex_balance_opens_up(benchmark, rows):
+def test_vertex_balance_opens_up(rows):
     """Under edge capacity, δ_v on the skewed graphs exceeds 1.1 — the
     mirror image of Table III's skewed δ_e."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     by_key = {(r["graph"], r["method"]): r for r in rows}
     assert any(by_key[(g, "SPNL")]["delta_v"] > 1.1 for g in DATASETS)
 
 
-def test_multiconstraint_bounds_both(benchmark, rows):
+def test_multiconstraint_bounds_both(rows):
     """BalanceMode.BOTH holds δ_v and δ_e simultaneously — the
     multi-constraint regime the paper cites XtraPuLP for, available on
     every streaming heuristic here."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     by_key = {(r["graph"], r["method"]): r for r in rows}
     for g in DATASETS:
         row = by_key[(g, "SPNL(both)")]

@@ -40,8 +40,7 @@ def rows():
     return out
 
 
-def test_edge_partitioning_extension(benchmark, rows, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_edge_partitioning_extension(rows, emit):
     emit("ext_edge_partitioning", format_table(
         rows, title=f"Extension — streaming edge partitioning, "
                     f"replication factor (K={K})"))
@@ -52,8 +51,7 @@ def test_edge_partitioning_extension(benchmark, rows, emit):
         assert rf["SPNL-E"] < rf["HDRF"], graph
 
 
-def test_edge_balance_held(benchmark, rows):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_edge_balance_held(rows):
     for r in rows:
         # slack 1.1 plus capacity-ceiling rounding on small |E|/K
         assert r["balance"] <= 1.12, (r["graph"], r["method"])

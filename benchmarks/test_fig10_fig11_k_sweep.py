@@ -22,8 +22,7 @@ def sweep(request):
     return request.param, fig10_11_k_sweep_offline(request.param, ks=KS)
 
 
-def test_fig10_fig11(benchmark, sweep, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig10_fig11(sweep, emit):
     dataset, metrics = sweep
     fignum = "fig10" if dataset == "indo2004" else "fig11"
     for metric, fig in metrics.items():

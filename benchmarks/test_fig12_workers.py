@@ -35,8 +35,7 @@ def fig():
                               workers=WORKERS, k=32)
 
 
-def test_fig12(benchmark, fig, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig12(fig, emit):
     emit("fig12_workers", format_table(
         fig.as_rows(), title="Fig. 12 — PT vs worker processes "
                              "(SPNL, K=32, one record per worker)"))
@@ -46,7 +45,7 @@ def test_fig12(benchmark, fig, emit):
         assert max(values) < 4.0 * values[0], name
 
 
-def test_fig12_quality_across_workers(benchmark):
+def test_fig12_quality_across_workers():
     """ECR across M is the deterministic model's, byte for byte.
 
     M = 1 is the sequential pass and every M equals
@@ -56,18 +55,9 @@ def test_fig12_quality_across_workers(benchmark):
     """
     graph = load("uk2002")
 
-    def run():
-        ecrs = []
-        for m in WORKERS:
-            record = run_partitioner(
-                ProcessShardedPartitioner(
-                    SPNLPartitioner(32, num_shards=1),
-                    parallelism=m, num_workers=m),
-                graph)
-            ecrs.append(record.ecr)
-        return ecrs
-
-    ecrs = benchmark.pedantic(run, rounds=1, iterations=1)
+    ecrs = [run_partitioner(ProcessShardedPartitioner(
+        SPNLPartitioner(32, num_shards=1), parallelism=m, num_workers=m),
+        graph).ecr for m in WORKERS]
     sequential = run_partitioner(SPNLPartitioner(32, num_shards=1), graph)
     simulated = [run_partitioner(SimulatedParallelPartitioner(
         SPNLPartitioner(32, num_shards=1), parallelism=m), graph).ecr

@@ -19,8 +19,7 @@ def fig():
                              lambdas=LAMBDAS, k=32)
 
 
-def test_fig3(benchmark, fig, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig3(fig, emit):
     emit("fig3_lambda", format_table(
         fig.as_rows(), title="Fig. 3 — ECR vs λ (SPN, K=32)"))
 

@@ -24,8 +24,7 @@ def figures():
     return fig7_window_sweep(dataset="web2001", shards=SHARDS, ks=KS)
 
 
-def test_fig7(benchmark, figures, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig7(figures, emit):
     for k, fig in figures.items():
         emit(f"fig7_window_k{k}", format_table(
             fig.as_rows(),

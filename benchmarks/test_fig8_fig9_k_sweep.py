@@ -21,8 +21,7 @@ def sweep(request):
     return request.param, fig8_9_k_sweep_streaming(request.param, ks=KS)
 
 
-def test_fig8_fig9(benchmark, sweep, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig8_fig9(sweep, emit):
     dataset, metrics = sweep
     fignum = "fig8" if dataset == "uk2002" else "fig9"
     for metric, fig in metrics.items():

@@ -20,8 +20,7 @@ def records():
     return table3_streaming(k=32)
 
 
-def test_table3(benchmark, records, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table3(records, emit):
     emit("table3_streaming",
          format_table([r.as_row() for r in records],
                       title="Table III — streaming partitioners (K=32)"))
@@ -47,33 +46,29 @@ def test_table3(benchmark, records, emit):
         sum(spn_improvements) / len(spn_improvements)
 
 
-def test_table3_high_locality_regime(records, benchmark):
+def test_table3_high_locality_regime(records):
     """SPNL lands in the paper's ≤0.12 band on the BFS-crawled giants."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     by_key = {(r.graph, r.partitioner): r for r in records}
     for g in HIGH_LOCALITY:
         assert by_key[(g, "SPNL")].ecr <= 0.15, g
 
 
-def test_table3_balance_held(records, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table3_balance_held(records):
     for r in records:
         assert r.delta_v <= 1.11, (r.graph, r.partitioner)
 
 
-def test_table3_skew_shows_in_delta_e(records, benchmark):
+def test_table3_skew_shows_in_delta_e(records):
     """eu2015 carries the set's largest δ_e (paper: 18.4 at web scale)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     by_key = {(r.graph, r.partitioner): r for r in records}
     eu = by_key[("eu2015", "SPNL")].delta_e
     uk = by_key[("uk2002", "SPNL")].delta_e
     assert eu > 2.0 * uk
 
 
-def test_table3_runtime_same_order(records, benchmark):
+def test_table3_runtime_same_order(records):
     """SPNL pays a bounded constant factor over LDG (paper: ~1.1-1.3x in
     Java; our per-record Python overhead is larger but still O(1))."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     by_key = {(r.graph, r.partitioner): r for r in records}
     for g in {r.graph for r in records}:
         ratio = by_key[(g, "SPNL")].pt_seconds / \

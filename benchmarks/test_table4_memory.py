@@ -19,8 +19,7 @@ def rows():
     return table4_memory(dataset="web2001", k=32)
 
 
-def test_table4(benchmark, rows, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table4(rows, emit):
     emit("table4_memory",
          format_table(rows, title="Table IV — memory vs quality "
                                   "(web2001, K=32)"))
@@ -45,8 +44,7 @@ def test_table4(benchmark, rows, emit):
     assert spnl_win["ECR"] <= spnl_full["ECR"] * 1.3 + 0.02
 
 
-def test_table4_offline_dominates_memory(rows, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table4_offline_dominates_memory(rows):
     by_method = {r["method"]: r for r in rows}
     metis = by_method["METIS-like"]
     ldg = by_method["LDG"]
@@ -54,10 +52,9 @@ def test_table4_offline_dominates_memory(rows, benchmark):
     assert metis["paper-scale MC(GB)"] > 10.0
 
 
-def test_table4_measured_tracks_model(rows, benchmark):
+def test_table4_measured_tracks_model(rows):
     """Measured tracemalloc peaks must reproduce the model's *ordering*
     for the rows where the gap is an order of magnitude."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     spnl_full = next(r for r in rows if r["method"] == "SPNL(X=1)")
     ldg = next(r for r in rows if r["method"] == "LDG")
     assert spnl_full["measured MC(MB)"] > 2 * ldg["measured MC(MB)"]

@@ -30,8 +30,7 @@ def _index(records):
     return table
 
 
-def test_table5(benchmark, records, emit):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table5(records, emit):
     emit("table5_offline",
          format_table([r.as_row() for r in records],
                       title="Table V — offline vs SPNL (K=32)"))
@@ -49,8 +48,7 @@ def test_table5(benchmark, records, emit):
                 assert not record.failed, (graph, name)
 
 
-def test_table5_quality_ordering(records, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_table5_quality_ordering(records):
     table = _index(records)
     for graph, methods in table.items():
         metis = methods["METIS-like"]
@@ -66,9 +64,8 @@ def test_table5_quality_ordering(records, benchmark):
             assert spnl.ecr <= 2.5 * metis.ecr, graph
 
 
-def test_table5_parallel_degradation_bounded(records, benchmark):
+def test_table5_parallel_degradation_bounded(records):
     """RCT keeps parallel SPNL within a small factor of centralized."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     table = _index(records)
     degradations = []
     for graph, methods in table.items():
@@ -83,12 +80,11 @@ def test_table5_parallel_degradation_bounded(records, benchmark):
     assert sum(degradations) / len(degradations) < 0.25
 
 
-def test_table5_spnl_fastest_wall_clock_vs_metis(records, benchmark):
+def test_table5_spnl_fastest_wall_clock_vs_metis(records):
     """Where METIS-like runs, single-pass SPNL must not be slower by
     more than a small factor despite Python's per-record overhead; at
     paper scale the gap is 20x in SPNL's favor — here we only pin that
     METIS never *beats* SPNL by an order of magnitude."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     table = _index(records)
     for graph, methods in table.items():
         metis = methods["METIS-like"]
@@ -97,11 +93,10 @@ def test_table5_spnl_fastest_wall_clock_vs_metis(records, benchmark):
             assert spnl.pt_seconds < 10 * metis.pt_seconds, graph
 
 
-def test_table5_work_units_reproduce_paper_pt_ordering(records, benchmark):
+def test_table5_work_units_reproduce_paper_pt_ordering(records):
     """Machine-independent efficiency: SPNL's 2 edge-scans vs the
     offline methods' dozens — this is the ordering behind the paper's
     15-20x PT gaps."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     table = _index(records)
     for graph, methods in table.items():
         spnl = methods["SPNL"]

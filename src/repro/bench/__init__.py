@@ -24,12 +24,9 @@ _EXPORTS = {
     "fig10_11_k_sweep_offline": "figures",
     "fig12_worker_sweep": "figures",
     "BenchRecord": "harness",
-    "run_many": "harness",
     "run_partitioner": "harness",
-    "format_markdown": "report",
     "format_series": "report",
     "format_table": "report",
-    "run_full_suite": "suite",
     "SweepResult": "sweep",
     "sweep": "sweep",
     "PAPER_MEMORY_BUDGET_BYTES": "tables",
@@ -58,14 +55,11 @@ __all__ = [
     "fig8_9_k_sweep_streaming",
     "fig10_11_k_sweep_offline",
     "fig12_worker_sweep",
-    "format_markdown",
     "format_series",
     "format_table",
     "load",
     "load_all",
     "paper_scale_oom",
-    "run_full_suite",
-    "run_many",
     "run_partitioner",
     "sweep",
     "table2_datasets",

@@ -30,7 +30,7 @@ from ..offline.multilevel import OutOfMemoryError
 from ..partitioning.metrics import evaluate
 from ..partitioning.registry import make_partitioner
 
-__all__ = ["BenchRecord", "run_partitioner", "run_named", "run_many"]
+__all__ = ["BenchRecord", "run_partitioner", "run_named"]
 
 
 class _Partitioner(Protocol):
@@ -206,12 +206,3 @@ def run_named(name: str, graph: DiGraph, num_partitions: int, *,
                            instrumentation=instrumentation,
                            trace_path=trace_path)
 
-
-def run_many(partitioners: list[Any], graphs: list[DiGraph],
-             **kwargs) -> list[BenchRecord]:
-    """Cross product of partitioners × graphs, in graph-major order."""
-    records = []
-    for graph in graphs:
-        for partitioner in partitioners:
-            records.append(run_partitioner(partitioner, graph, **kwargs))
-    return records

@@ -1,15 +1,14 @@
 """Plain-text and markdown rendering for benchmark output.
 
 The benches print the same rows the paper's tables report; these helpers
-keep that presentation consistent (fixed column order, aligned ASCII for
-terminals, pipe tables for EXPERIMENTS.md).
+keep that presentation consistent (fixed column order, aligned ASCII).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_markdown", "format_series"]
+__all__ = ["format_table", "format_series"]
 
 
 def _columns(rows: Sequence[dict]) -> list[str]:
@@ -44,23 +43,6 @@ def format_table(rows: Sequence[dict], *, title: str | None = None) -> str:
     for line in grid:
         parts.append("  ".join(cell.ljust(w)
                                for cell, w in zip(line, widths)))
-    return "\n".join(parts)
-
-
-def format_markdown(rows: Sequence[dict], *, title: str | None = None
-                    ) -> str:
-    """Render dict rows as a GitHub-flavored markdown table."""
-    if not rows:
-        return f"**{title}**: (no rows)" if title else "(no rows)"
-    columns = _columns(rows)
-    parts = []
-    if title:
-        parts.append(f"**{title}**\n")
-    parts.append("| " + " | ".join(columns) + " |")
-    parts.append("|" + "|".join("---" for _ in columns) + "|")
-    for row in rows:
-        parts.append("| " + " | ".join(_cell(row.get(col, ""))
-                                       for col in columns) + " |")
     return "\n".join(parts)
 
 

@@ -10,9 +10,6 @@ Subcommands
     vertex-assignment route table.
 ``evaluate``
     Score an existing route table against its graph (ECR, δ_v, δ_e).
-``bench``
-    Regenerate one of the paper's tables/figures on the stand-ins, or
-    the whole evaluation report (``all``).
 ``info``
     Print dataset statistics for a graph file or named stand-in.
 ``serve``
@@ -301,50 +298,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``bench``: print one of the paper's tables or figures."""
-    from .bench import figures, tables
-    from .bench.report import format_table
-
-    target, k = args.target, args.k
-    if target == "all":
-        from .bench.suite import run_full_suite
-        run_full_suite(args.output, k=k, quick=args.quick)
-    elif target == "table2":
-        print(format_table(tables.table2_datasets(),
-                           title="Table II — datasets"))
-    elif target == "table3":
-        print(format_table([r.as_row() for r in tables.table3_streaming(k)],
-                           title="Table III — streaming"))
-    elif target == "table4":
-        print(format_table(tables.table4_memory(k=k),
-                           title="Table IV — memory"))
-    elif target == "table5":
-        print(format_table([r.as_row() for r in tables.table5_offline(k)],
-                           title="Table V — offline"))
-    elif target == "fig3":
-        print(format_table(figures.fig3_lambda_sweep(k=k).as_rows(),
-                           title="Fig. 3 — λ sweep"))
-    elif target == "fig7":
-        for window_k, fig in figures.fig7_window_sweep(ks=(k,)).items():
-            title = f"Fig. 7 — window sweep (K={window_k})"
-            print(format_table(fig.as_rows(), title=title))
-    elif target == "fig12":
-        print(format_table(figures.fig12_worker_sweep(k=k).as_rows(),
-                           title="Fig. 12 — worker sweep"))
-    else:  # fig8–fig11: one table per metric of a K sweep
-        sweep, dataset = {
-            "fig8": (figures.fig8_9_k_sweep_streaming, "uk2002"),
-            "fig9": (figures.fig8_9_k_sweep_streaming, "indo2004"),
-            "fig10": (figures.fig10_11_k_sweep_offline, "indo2004"),
-            "fig11": (figures.fig10_11_k_sweep_offline, "eu2015"),
-        }[target]
-        for metric, fig in sweep(dataset).items():
-            title = f"Fig. {target[3:]} — {metric} vs K ({dataset})"
-            print(format_table(fig.as_rows(), title=title))
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: run the placement service in the foreground.
 
@@ -615,20 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="load through a binary .reprocsr cache")
     p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("bench",
-                       help="regenerate a paper table/figure, or the "
-                            "whole evaluation report ('all')")
-    p.add_argument("target",
-                   choices=["table2", "table3", "table4", "table5", "fig3",
-                            "fig7", "fig8", "fig9", "fig10", "fig11",
-                            "fig12", "all"])
-    p.add_argument("-k", type=int, default=32)
-    p.add_argument("--output", default="reports",
-                   help="output directory for 'all'")
-    p.add_argument("--quick", action="store_true",
-                   help="shrunken sweeps for 'all'")
-    p.set_defaults(func=_cmd_bench)
 
     streaming_methods = _RegisteredNames(streaming_only=True)
 

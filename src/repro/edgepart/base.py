@@ -68,9 +68,6 @@ class EdgePartitionState:
         """Boolean length-K mask of partitions replicating ``vertex``."""
         return self.replicas[vertex]
 
-    def replica_count(self, vertex: int) -> int:
-        return int(self.replicas[vertex].sum())
-
     def place(self, src: int, dst: int, pid: int) -> None:
         """Assign edge ``(src, dst)`` to ``pid`` and update replicas."""
         if not 0 <= pid < self.num_partitions:

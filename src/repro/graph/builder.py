@@ -252,14 +252,6 @@ class GraphBuilder:
         self._row_targets = buffer
         self._num_row_targets = end
 
-    @property
-    def num_pending_edges(self) -> int:
-        """Edges recorded so far (before dedupe, except within the rows
-        of an :meth:`add_rows` piece)."""
-        return len(self._sources) + sum(
-            len(src) for src, _ in self._array_chunks
-        ) + self._num_row_targets
-
     # ------------------------------------------------------------------
     def build(self, name: str = "graph") -> DiGraph:
         """Finalize into an immutable CSR graph.

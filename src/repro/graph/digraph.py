@@ -60,7 +60,7 @@ class DiGraph:
     validates shape invariants.
     """
 
-    __slots__ = ("_indptr", "_indices", "_name", "_reverse", "_in_degrees")
+    __slots__ = ("_indptr", "_indices", "_name", "_in_degrees")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  name: str = "graph") -> None:
@@ -83,7 +83,6 @@ class DiGraph:
         self._indptr = indptr
         self._indices = indices
         self._name = name
-        self._reverse: DiGraph | None = None
         self._in_degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -142,15 +141,6 @@ class DiGraph:
         """Out-neighbors ``N_out(v)`` as a zero-copy array slice."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """In-neighbors ``N_in(v)``; materializes the reverse graph once.
-
-        Streaming partitioners never call this (the whole point of the
-        paper's Γ expectation tables is that in-neighbors are *not*
-        available); it exists for the offline baselines and metric checks.
-        """
-        return self.reverse().out_neighbors(v)
-
     def out_degree(self, v: int) -> int:
         """``|N_out(v)|``."""
         return int(self._indptr[v + 1] - self._indptr[v])
@@ -208,18 +198,6 @@ class DiGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def reverse(self) -> "DiGraph":
-        """The transpose graph (edges flipped); computed once and cached."""
-        if self._reverse is None:
-            sources, targets = self.edge_array()
-            order = np.argsort(targets, kind="stable")
-            rev_indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-            np.cumsum(np.bincount(targets, minlength=self.num_vertices),
-                      out=rev_indptr[1:])
-            self._reverse = DiGraph(rev_indptr, sources[order],
-                                    name=f"{self._name}^T")
-        return self._reverse
-
     def to_undirected_csr(self) -> "DiGraph":
         """Symmetrized graph with deduplicated edges.
 

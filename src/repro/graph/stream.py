@@ -205,19 +205,6 @@ class ArrayStream(_Seekable):
         return cls(graph.indptr, graph.indices, order=order,
                    name=graph.name)
 
-    @classmethod
-    def from_file(cls, path: str | Path,
-                  order: Sequence[int] | np.ndarray | None = None
-                  ) -> "ArrayStream":
-        """Materialize an adjacency-list file into CSR arrays once.
-
-        Trades the :class:`FileStream` memory guarantee for the fast
-        path; use when the graph fits in memory but arrives as a file.
-        """
-        from .io import read_adjacency
-        graph = read_adjacency(path)
-        return cls.from_graph(graph, order=order)
-
     @property
     def name(self) -> str:
         return self._name

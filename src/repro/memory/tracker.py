@@ -22,10 +22,6 @@ class PeakMemory:
 
     peak_bytes: int = 0
 
-    @property
-    def peak_mb(self) -> float:
-        return self.peak_bytes / 1e6
-
 
 @contextmanager
 def trace_peak() -> Iterator[PeakMemory]:

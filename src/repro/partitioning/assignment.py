@@ -10,7 +10,7 @@ metrics (Eqs. 1–2) are computed from.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +76,9 @@ class PartitionAssignment:
                 f"|V|={len(self._route)})")
 
     # ------------------------------------------------------------------
-    def partition_of(self, vertex: int) -> int:
-        """Partition id of ``vertex`` (``UNASSIGNED`` if not placed)."""
-        return int(self._route[vertex])
-
     def is_complete(self) -> bool:
         """True when every vertex has been placed."""
         return bool(np.all(self._route != UNASSIGNED))
-
-    def vertices_in(self, pid: int) -> np.ndarray:
-        """Ids of all vertices assigned to partition ``pid``."""
-        return np.nonzero(self._route == pid)[0]
 
     def vertex_counts(self) -> np.ndarray:
         """``|V_i|`` for every partition (length-K array)."""
@@ -120,23 +112,3 @@ class PartitionAssignment:
         if not self.is_complete():
             missing = int(np.sum(self._route == UNASSIGNED))
             raise ValueError(f"{missing} vertices left unassigned")
-
-    # ------------------------------------------------------------------
-    def with_moved(self, vertex: int, pid: int) -> "PartitionAssignment":
-        """Functional update: a copy with one vertex reassigned."""
-        route = self._route.copy()
-        route[vertex] = pid
-        return PartitionAssignment(route, self._num_partitions)
-
-    @staticmethod
-    def from_blocks(blocks: Iterable[Iterable[int]],
-                    num_vertices: int) -> "PartitionAssignment":
-        """Build from explicit per-partition vertex lists."""
-        blocks = [list(b) for b in blocks]
-        route = np.full(num_vertices, UNASSIGNED, dtype=np.int32)
-        for pid, members in enumerate(blocks):
-            for v in members:
-                if route[v] != UNASSIGNED:
-                    raise ValueError(f"vertex {v} appears in two blocks")
-                route[v] = pid
-        return PartitionAssignment(route, max(1, len(blocks)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import BenchRecord, run_many, run_partitioner
+from repro.bench import BenchRecord, run_partitioner
 from repro.offline import LabelPropagationPartitioner, MultilevelPartitioner
 from repro.partitioning import LDGPartitioner, SPNLPartitioner
 
@@ -45,10 +45,3 @@ class TestRunPartitioner:
         assert {"graph", "method", "K", "ECR", "delta_v", "delta_e",
                 "PT(s)"} <= set(row)
 
-
-class TestRunMany:
-    def test_cross_product(self, web_graph):
-        records = run_many([LDGPartitioner(2), SPNLPartitioner(2)],
-                           [web_graph])
-        assert len(records) == 2
-        assert {r.partitioner for r in records} == {"LDG", "SPNL"}

@@ -12,7 +12,6 @@ from repro.bench import (
     ablation_decay,
     ablation_locality,
     fig3_lambda_sweep,
-    format_markdown,
     format_series,
     format_table,
     paper_scale_oom,
@@ -132,11 +131,6 @@ class TestReportFormatting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
-
-    def test_format_markdown(self):
-        text = format_markdown([{"a": 1}], title="T")
-        assert "| a |" in text
-        assert "|---|" in text
 
     def test_format_series(self):
         text = format_series("x", [1, 2], {"y": [3, 4]})

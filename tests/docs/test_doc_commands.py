@@ -1,14 +1,12 @@
 """Every CLI command the docs show must exist in the parser.
 
-Fenced ``bash`` blocks are never executed, so a removed subcommand or
-``bench`` target can linger in README.md and docs/*.md long after the
-code is gone.  This audit reads every line of those files — prose,
+Fenced ``bash`` blocks are never executed, so a removed subcommand can
+linger in README.md and docs/*.md long after the code is gone.  This audit reads every line of those files — prose,
 inline code and fenced blocks alike — and checks each
 ``repro-partition <cmd>`` / ``python -m repro <cmd>`` against
 :func:`repro.cli.build_parser`: ``<cmd>`` must be a registered
-subcommand, and for ``bench`` the word after it must be one of the
-target's ``choices``.  ``a|b`` alternatives are checked one by one;
-option tokens (``--help``) are skipped.
+subcommand.  ``a|b`` alternatives are checked one by one; option tokens
+(``--help``) are skipped.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from tests.docs.snippets import DOC_FILES, REPO_ROOT
 
 _INVOCATION = re.compile(
     r"(?:repro-partition|python3? -m repro)(?![\w.-])"
-    r"[ \t]+(?P<cmd>[\w|-]+)(?:[ \t]+(?P<arg>[\w|-]+))?")
+    r"[ \t]+(?P<cmd>[\w|-]+)")
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -32,17 +30,10 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-def _bench_targets(parser: argparse.ArgumentParser) -> set[str]:
-    (target,) = [a for a in _subcommands(parser)["bench"]._actions
-                 if a.dest == "target"]
-    return set(target.choices)
-
-
 def unknown_commands(text: str, parser: argparse.ArgumentParser
                      ) -> list[str]:
     """Return ``line N: ...`` for each invocation the parser rejects."""
     commands = _subcommands(parser)
-    targets = _bench_targets(parser)
     bad = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         for match in _INVOCATION.finditer(line):
@@ -51,11 +42,6 @@ def unknown_commands(text: str, parser: argparse.ArgumentParser
                     continue
                 if cmd not in commands:
                     bad.append(f"line {lineno}: no subcommand {cmd!r}")
-                elif cmd == "bench" and match["arg"]:
-                    bad.extend(
-                        f"line {lineno}: no bench target {arg!r}"
-                        for arg in match["arg"].split("|")
-                        if not arg.startswith("-") and arg not in targets)
     return bad
 
 
@@ -75,12 +61,12 @@ def test_audit_catches_a_removed_command():
     parser = build_parser()
     doc = ("```bash\n"
            "repro-partition no-such-command graph.adj\n"
-           "PYTHONPATH=src python -m repro bench no-such-target\n"
-           "repro-partition bench table2|no-such-target -k 4\n"
+           "PYTHONPATH=src python -m repro bench table3\n"
+           "repro-partition partition|no-such-command g.adj out\n"
            "```\n"
-           "Run `repro-partition --help` or `python -m repro bench all`.\n")
+           "Run `repro-partition --help` or `python -m repro info uk2005`.\n")
     assert unknown_commands(doc, parser) == [
         "line 2: no subcommand 'no-such-command'",
-        "line 3: no bench target 'no-such-target'",
-        "line 4: no bench target 'no-such-target'",
+        "line 3: no subcommand 'bench'",
+        "line 4: no subcommand 'no-such-command'",
     ]

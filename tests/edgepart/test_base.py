@@ -26,7 +26,6 @@ class TestEdgePartitionState:
         state.place(0, 5, 2)
         assert state.replica_mask(0)[2]
         assert state.replica_mask(5)[2]
-        assert state.replica_count(0) == 1
         assert state.edge_loads[2] == 1
         assert state.partial_degrees[0] == 1
 

@@ -56,10 +56,6 @@ class TestGraphBuilder:
         assert g.num_vertices == 7
         assert g.num_edges == 0
 
-    def test_num_pending_edges(self):
-        builder = GraphBuilder().add_edge(0, 1).add_edge(1, 2)
-        assert builder.num_pending_edges == 2
-
     def test_empty_build(self):
         g = GraphBuilder().build()
         assert g.num_vertices == 0

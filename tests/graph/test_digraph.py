@@ -62,9 +62,6 @@ class TestNeighborhoods:
         # in-edges: 0←4, 1←0, 2←{0,1}, 3←2, 4←3
         assert list(tiny_graph.in_degrees()) == [1, 1, 2, 1, 1]
 
-    def test_in_neighbors_via_reverse(self, tiny_graph):
-        assert sorted(tiny_graph.in_neighbors(2)) == [0, 1]
-
     def test_max_out_degree(self, tiny_graph):
         assert tiny_graph.max_out_degree() == 2
 
@@ -120,17 +117,6 @@ class TestIteration:
 
 
 class TestDerivedGraphs:
-    def test_reverse_flips_edges(self, tiny_graph):
-        rev = tiny_graph.reverse()
-        assert set(rev.edges()) == {(b, a) for a, b in tiny_graph.edges()}
-
-    def test_reverse_is_cached(self, tiny_graph):
-        assert tiny_graph.reverse() is tiny_graph.reverse()
-
-    def test_double_reverse_roundtrips(self, tiny_graph):
-        assert set(tiny_graph.reverse().reverse().edges()) == set(
-            tiny_graph.edges())
-
     def test_undirected_symmetry(self, tiny_graph):
         und = tiny_graph.to_undirected_csr()
         edges = set(und.edges())

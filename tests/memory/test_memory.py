@@ -82,8 +82,3 @@ class TestTracker:
         with trace_peak() as peak:
             _ = [1, 2, 3]
         assert peak.peak_bytes < 1_000_000
-
-    def test_peak_mb_property(self):
-        with trace_peak() as peak:
-            _ = np.zeros(500_000)
-        assert peak.peak_mb == pytest.approx(peak.peak_bytes / 1e6)

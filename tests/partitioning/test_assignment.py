@@ -33,13 +33,8 @@ class TestConstruction:
 class TestAccess:
     def test_partition_of(self):
         a = PartitionAssignment([0, 1, 2], 3)
-        assert a.partition_of(1) == 1
+        assert a[1] == 1
         assert a[2] == 2
-
-    def test_vertices_in(self):
-        a = PartitionAssignment([0, 1, 0, 1, 0], 2)
-        assert list(a.vertices_in(0)) == [0, 2, 4]
-        assert list(a.vertices_in(1)) == [1, 3]
 
     def test_vertex_counts(self):
         a = PartitionAssignment([0, 1, 0, 2], 4)
@@ -74,19 +69,6 @@ class TestValidation:
 
 
 class TestUpdatesAndFactories:
-    def test_with_moved(self):
-        a = PartitionAssignment([0, 0], 2)
-        b = a.with_moved(1, 1)
-        assert a[1] == 0 and b[1] == 1  # original untouched
-
-    def test_from_blocks(self):
-        a = PartitionAssignment.from_blocks([[0, 2], [1]], 3)
-        assert a[0] == 0 and a[1] == 1 and a[2] == 0
-
-    def test_from_blocks_overlap_rejected(self):
-        with pytest.raises(ValueError, match="two blocks"):
-            PartitionAssignment.from_blocks([[0], [0]], 2)
-
     def test_equality(self):
         assert PartitionAssignment([0, 1], 2) == PartitionAssignment(
             [0, 1], 2)

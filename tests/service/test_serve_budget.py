@@ -13,11 +13,17 @@ and the completion signal became a deque and a lock latch.  When
 thread-coordination machinery or a closure creeps back onto the request
 path, the failure prints the per-function histogram so the regression
 names itself.
+
+Cyclic garbage collection is off inside the profiled window: a
+collection landing there would count the ``gc.callbacks`` it fires (a
+test library registers one) as the requests' calls, so the count would
+hold per process but not per suite.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 
@@ -76,6 +82,8 @@ def _profile(service, lines) -> tuple[pstats.Stats, list]:
     the responses."""
     responses = [None] * len(lines)  # filled without a call
     profile = cProfile.Profile()
+    collecting = gc.isenabled()
+    gc.disable()
     profile.enable()
     try:
         for index, line in enumerate(lines):
@@ -83,6 +91,8 @@ def _profile(service, lines) -> tuple[pstats.Stats, list]:
             encode_message(responses[index])
     finally:
         profile.disable()
+        if collecting:
+            gc.enable()
     return pstats.Stats(profile, stream=io.StringIO()), responses
 
 
@@ -139,8 +149,32 @@ def test_one_planted_call_per_lookup_fails_the_budget(tmp_path):
         stats, _responses = _profile(service, lines)
     finally:
         service.close()
-    # 33.00, or a hair above when a garbage-collector callback lands
-    # inside the profile.
     with pytest.raises(pytest.fail.Exception,
-                       match=r"lookup: 33\.\d\d calls per unit"):
+                       match=r"lookup: 33\.00 calls per unit"):
         _check_budget("lookup", stats, units)
+
+
+def test_a_collection_cannot_land_in_the_profile(tmp_path):
+    """A ``gc.callbacks`` entry and a collection on every allocation
+    leave the ``lookup`` count exactly where it is without them."""
+    lines, _units = _requests()["lookup"]
+    service = _warm_service(tmp_path)
+    threshold = gc.get_threshold()
+    fired = []
+
+    def callback(phase, info):
+        fired.append(phase)
+
+    try:
+        quiet, _responses = _profile(service, lines)
+        gc.callbacks.append(callback)
+        gc.set_threshold(1)
+        try:
+            noisy, _responses = _profile(service, lines)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(callback)
+    finally:
+        service.close()
+    assert fired, "no collection ran: the test shows nothing"
+    assert noisy.total_calls == quiet.total_calls

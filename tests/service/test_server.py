@@ -994,6 +994,47 @@ class TestResilience:
                 assert svc.health_state == "healthy"
                 c.place(32)  # mutations flow again
 
+    def test_recovery_probe_heals_a_restored_wal(self, graph, config,
+                                                  tmp_path):
+        """Nobody calls ``try_recover``: with ``recovery_probe_interval``
+        set, the probe thread flushes the parked entries once the disk
+        is back, and it stops with the server."""
+        from repro.service import ReadOnlyError
+
+        holder, factory = _flaky_wal_factory()
+        before = set(threading.enumerate())
+        svc = PlacementService.start(graph, config=config,
+                                     snapshot_dir=tmp_path / "state",
+                                     wal_factory=factory,
+                                     recovery_probe_interval=0.01)
+        probes = [t for t in threading.enumerate() if t not in before
+                  and t.name == "placement-recovery-probe"]
+        try:
+            with ServiceClient(*svc.address) as c:
+                c.place_batch(list(range(32)))
+                holder["wal"].fail()
+                with pytest.raises(ReadOnlyError):
+                    c.place_batch(list(range(32, 64)))
+                assert svc.health_state == "read_only"
+                assert c.stats()["durability"]["wal_pending"] == 32
+                holder["wal"].restore()
+
+                def healed():
+                    stats = c.stats()
+                    durability = stats["durability"]
+                    return (c.health()["health_state"] == "healthy"
+                            and durability["wal_pending"] == 0
+                            and durability["wal_appended"]
+                            == stats["placements"])
+
+                _wait_for(healed, timeout=10.0)
+                assert c.stats()["placements"] == 64
+        finally:
+            svc.close()
+        assert len(probes) == 1
+        probes[0].join(timeout=5.0)
+        assert not probes[0].is_alive()
+
     def test_acked_survive_an_outage_recovery_crash_cycle(
             self, graph, config, tmp_path):
         from repro.service import ReadOnlyError

@@ -18,9 +18,12 @@ class TestParser:
         assert args.k == 32
         assert args.shards == "auto"
 
-    def test_bench_targets_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "table99"])
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """The paper's tables are regenerated by ``pytest benchmarks``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "table3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_int_or_auto_knobs(self, capsys):
         args = build_parser().parse_args(
@@ -230,16 +233,6 @@ class TestEdgePartition:
             out = tmp_path / f"{method}.txt"
             assert main(["edgepartition", str(graph), str(out),
                          "--method", method, "-k", "4"]) == 0
-
-
-class TestBenchCommand:
-    def test_table2(self, capsys):
-        assert main(["bench", "table2"]) == 0
-        assert "stanford" in capsys.readouterr().out
-
-    def test_fig3_small_k(self, capsys):
-        assert main(["bench", "fig3", "-k", "4"]) == 0
-        assert "lambda" in capsys.readouterr().out
 
 
 class TestTraceFlags:
